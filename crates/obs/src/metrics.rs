@@ -345,12 +345,11 @@ impl Registry {
 
     /// Records one sample into the named histogram.
     pub fn observe(&self, name: &str, v: u64) {
-        self.histograms
-            .lock()
-            .unwrap()
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
+        let mut histograms = self.histograms.lock().unwrap();
+        match histograms.get_mut(name) {
+            Some(h) => h.record(v),
+            None => histograms.entry(name.to_string()).or_default().record(v),
+        }
     }
 
     /// Merges a per-run histogram into the named registry histogram.

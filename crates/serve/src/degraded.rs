@@ -26,7 +26,8 @@
 //!   remote penalty (falling back to the row-miss cost when the machine
 //!   has a single controller).
 
-use crate::service::{FittedEntry, ServiceError};
+use crate::entry::{FitSummary, FittedEntry};
+use crate::service::ServiceError;
 use offchip_model::{ContentionModel, FitProtocol, FitQuality};
 use offchip_topology::{ids::McId, MachineSpec};
 
@@ -112,13 +113,11 @@ pub fn analytic_entry(
         .map_err(|e| ServiceError::Internal(format!("degraded tier inputs: {e}")))?;
     let model = ContentionModel::fit(&inputs)
         .map_err(|e| ServiceError::Internal(format!("degraded tier fit: {e}")))?;
-    let params = model.params();
-    Ok(FittedEntry {
+    Ok(FittedEntry::new(FitSummary {
         machine_name: machine.name.clone(),
         protocol: proto.name,
         total_cores: machine.total_cores(),
         model,
-        params,
         quality: FitQuality {
             points_supplied: supplied,
             points_used: supplied,
@@ -134,7 +133,7 @@ pub fn analytic_entry(
         // are part of the degraded tier's honesty.
         mean_relative_error: None,
         mean_absolute_error: 0.0,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -143,10 +142,13 @@ mod tests {
     use offchip_model::FitProtocol;
     use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 
-    fn entry_for(machine: offchip_topology::MachineSpec) -> FittedEntry {
+    fn entry_for(machine: offchip_topology::MachineSpec) -> FitSummary {
         let machine = machine.scaled(DEFAULT_EXPERIMENT_SCALE);
         let proto = FitProtocol::for_machine(&machine.name);
-        analytic_entry(&machine, &proto).expect("analytic prior fits")
+        analytic_entry(&machine, &proto)
+            .expect("analytic prior fits")
+            .fit()
+            .clone()
     }
 
     #[test]

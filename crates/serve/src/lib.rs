@@ -28,7 +28,8 @@
 //!
 //! Responses are byte-identical between cold (campaign just ran) and warm
 //! (model served from cache) calls; cache disposition travels only in the
-//! `X-Offchip-Cache` response header.
+//! `X-Offchip-Cache` response header. A cached [`FittedEntry`] renders
+//! each answer once and serves the memoised bytes thereafter.
 //!
 //! Overload hardening (DESIGN.md §14): admission control sheds excess
 //! connections with `503 + Retry-After` (`X-Offchip-Shed` reason
@@ -59,6 +60,7 @@ pub mod admission;
 pub mod breaker;
 pub mod cache;
 pub mod degraded;
+pub mod entry;
 pub mod http;
 pub mod server;
 pub mod service;
@@ -68,6 +70,7 @@ pub mod slo;
 pub use admission::{AdmissionConfig, ShedReason};
 pub use breaker::{Breaker, BreakerConfig, BreakerInfo, BreakerState};
 pub use cache::{Disposition, Fetch, FillError, SingleFlight};
+pub use entry::{FitSummary, FittedEntry};
 pub use http::{Request, Response};
 pub use server::{Server, ServerOptions};
 pub use service::{ModelKey, ModelOutcome, PredictService, ServiceConfig, ServiceError};

@@ -15,15 +15,14 @@
 use crate::breaker::{Admission, Breaker, BreakerConfig, BreakerInfo};
 use crate::cache::{Disposition, Fetch, FillError, SingleFlight};
 use crate::degraded;
+use crate::entry::{Field, FitSummary, FittedEntry};
 use crate::http::{Request, Response};
 use offchip_bench::{
     build_workload, loss_summary_traced, Campaign, CampaignOptions, ProgramSpec,
 };
 use offchip_obs::TraceRef;
 use offchip_json::Json;
-use offchip_model::{
-    fit_robust_from_sweep, validate, FitProtocol, FitQuality, ModelParams, RobustOptions,
-};
+use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
 use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -130,52 +129,9 @@ impl FillError for ServiceError {
     }
 }
 
-/// A fitted model plus everything a response quotes about it — computed
-/// once per key, immutable thereafter.
-pub struct FittedEntry {
-    /// Full machine name ("Intel UMA: Xeon E5320").
-    pub machine_name: String,
-    /// Fitting protocol used.
-    pub protocol: &'static str,
-    /// Cores on the machine.
-    pub total_cores: usize,
-    /// The fitted composition model.
-    pub model: offchip_model::ContentionModel,
-    /// Fitted parameters, pre-serialised.
-    pub params: ModelParams,
-    /// Robust-fit degradation ledger.
-    pub quality: FitQuality,
-    /// Mean relative / absolute ω error against the fill sweep.
-    pub mean_relative_error: Option<f64>,
-    /// Mean absolute ω error against the fill sweep.
-    pub mean_absolute_error: f64,
-}
-
-impl FittedEntry {
-    /// The model-description fields shared by every response.
-    fn model_json(&self) -> Json {
-        offchip_json::json_obj! {
-            "machine" => self.machine_name,
-            "protocol" => self.protocol,
-            "total_cores" => self.total_cores,
-            "model" => self.params,
-            "fit_quality" => self.quality,
-            "validation" => offchip_json::json_obj! {
-                "mean_relative_error" => self.mean_relative_error,
-                "mean_absolute_error" => self.mean_absolute_error,
-            },
-        }
-    }
-
-    fn point_json(&self, n: usize) -> Json {
-        offchip_json::json_obj! {
-            "n" => n,
-            "c_n" => self.model.predict_c(n),
-            "omega_n" => self.model.predict_omega(n),
-            "speedup_n" => self.model.predict_speedup(n),
-        }
-    }
-}
+/// A model endpoint's body writer: the entry, the request document and
+/// any extra members (the degraded tier's provenance) to merge in.
+type RenderBody = fn(&FittedEntry, &Json, &[Field<'_>]) -> Result<Vec<u8>, ServiceError>;
 
 /// How [`PredictService::model_for`] answered.
 pub enum ModelOutcome {
@@ -222,8 +178,10 @@ impl PredictService {
         let reg = offchip_obs::registry();
         let (path, query) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
         let resp = match (req.method.as_str(), path) {
-            ("POST", "/predict") => self.endpoint(req, "predict", Self::predict, trace),
-            ("POST", "/sweep") => self.endpoint(req, "sweep", Self::sweep, trace),
+            ("POST", "/predict") => {
+                self.endpoint(req, "predict", "serve.requests.predict", predict, trace)
+            }
+            ("POST", "/sweep") => self.endpoint(req, "sweep", "serve.requests.sweep", sweep, trace),
             ("GET", "/metrics") => {
                 reg.add("serve.requests.metrics", 1);
                 if query.split('&').any(|kv| kv == "fmt=prom") {
@@ -259,33 +217,45 @@ impl PredictService {
         Instant::now() + budget
     }
 
-    /// Shared wrapper for the two model endpoints: parse the key, get or
-    /// fill the cached model, run the endpoint body, stamp the cache
-    /// disposition header and per-endpoint metrics.
+    /// Shared wrapper for the two model endpoints: count the request
+    /// under `counter`, parse the key, get or fill the cached model, run
+    /// the endpoint body, stamp the cache disposition header and metrics.
     fn endpoint(
         &self,
         req: &Request,
         name: &'static str,
-        body: fn(&Self, &FittedEntry, &Json) -> Result<Json, ServiceError>,
+        counter: &'static str,
+        body: RenderBody,
         trace: TraceRef,
     ) -> Response {
         let reg = offchip_obs::registry();
-        reg.add(&format!("serve.requests.{name}"), 1);
+        reg.add(counter, 1);
         let deadline = self.deadline_for(req);
         let outcome = (|| {
             let doc = parse_body(&req.body)?;
             let key = parse_key(&doc)?;
             let outcome = self.model_for_traced(&key, Some(deadline), trace)?;
-            let json = match &outcome {
-                ModelOutcome::Fitted(entry, _) | ModelOutcome::Degraded(entry, _) => {
-                    Some(body(self, entry, &doc)?)
+            let bytes = match &outcome {
+                ModelOutcome::Fitted(entry, _) => Some(body(entry, &doc, &[])?),
+                ModelOutcome::Degraded(entry, info) => {
+                    // Degraded bodies carry their provenance in-band — a
+                    // caller that drops headers still sees the tier.
+                    let breaker = offchip_json::json_obj! {
+                        "state" => info.state.as_str(),
+                        "consecutive_failures" => u64::from(info.consecutive_failures),
+                        "last_error_kind" => info.last_error_kind,
+                        "last_error" => info.last_error,
+                    }
+                    .to_compact_string();
+                    let extra = [("tier", "\"degraded-analytic\""), ("breaker", &breaker)];
+                    Some(body(entry, &doc, &extra)?)
                 }
                 ModelOutcome::Pending => None,
             };
-            Ok::<_, ServiceError>((json, outcome))
+            Ok::<_, ServiceError>((bytes, outcome))
         })();
         match outcome {
-            Ok((json, ModelOutcome::Fitted(_, disposition))) => {
+            Ok((bytes, ModelOutcome::Fitted(_, disposition))) => {
                 match disposition {
                     Disposition::Miss => reg.add("serve.cache.miss", 1),
                     Disposition::Hit | Disposition::Coalesced => reg.add("serve.cache.hit", 1),
@@ -293,27 +263,12 @@ impl PredictService {
                 reg.gauge_set("serve.cache.entries", self.cache.len() as u64);
                 // The disposition travels only in this header: cold and
                 // warm response bodies must stay byte-identical.
-                Response::json(200, format!("{}\n", json.expect("fitted body").to_compact_string()))
+                Response::json(200, bytes.expect("fitted body"))
                     .with_header("X-Offchip-Cache", disposition.as_str())
             }
-            Ok((json, ModelOutcome::Degraded(_, info))) => {
+            Ok((bytes, ModelOutcome::Degraded(..))) => {
                 reg.add("serve.degraded", 1);
-                let mut json = json.expect("degraded body");
-                // Degraded bodies carry their provenance in-band — a
-                // caller that drops headers still sees the tier.
-                merge(
-                    &mut json,
-                    offchip_json::json_obj! {
-                        "tier" => "degraded-analytic",
-                        "breaker" => offchip_json::json_obj! {
-                            "state" => info.state.as_str(),
-                            "consecutive_failures" => u64::from(info.consecutive_failures),
-                            "last_error_kind" => info.last_error_kind,
-                            "last_error" => info.last_error,
-                        },
-                    },
-                );
-                Response::json(200, format!("{}\n", json.to_compact_string()))
+                Response::json(200, bytes.expect("degraded body"))
                     .with_header("X-Offchip-Cache", "degraded")
                     .with_header("X-Offchip-Tier", "degraded-analytic")
             }
@@ -496,39 +451,21 @@ impl PredictService {
         let proto = FitProtocol::for_machine(&machine.name);
         Ok(Arc::new(degraded::analytic_entry(&machine, &proto)?))
     }
+}
 
-    /// `POST /predict` body: one core count.
-    fn predict(&self, entry: &FittedEntry, doc: &Json) -> Result<Json, ServiceError> {
-        let n = parse_n(doc, "n")?;
-        let mut out = entry.model_json();
-        merge(&mut out, entry.point_json(n));
-        Ok(out)
-    }
+/// `POST /predict` body: one core count.
+fn predict(entry: &FittedEntry, doc: &Json, extra: &[Field<'_>]) -> Result<Vec<u8>, ServiceError> {
+    Ok(entry.predict_body(parse_n(doc, "n")?, extra))
+}
 
-    /// `POST /sweep` body: an inclusive `n_from..=n_to` range.
-    fn sweep(&self, entry: &FittedEntry, doc: &Json) -> Result<Json, ServiceError> {
-        let from = parse_n(doc, "n_from")?;
-        let to = parse_n(doc, "n_to")?;
-        if from > to {
-            return Err(ServiceError::BadRequest("n_from must be <= n_to".into()));
-        }
-        let points: Vec<Json> = (from..=to).map(|n| entry.point_json(n)).collect();
-        let (best_n, best_speedup) = entry.model.optimal_cores(to);
-        let mut out = entry.model_json();
-        merge(
-            &mut out,
-            offchip_json::json_obj! {
-                "n_from" => from,
-                "n_to" => to,
-                "points" => points,
-                "optimal" => offchip_json::json_obj! {
-                    "n" => best_n,
-                    "speedup" => best_speedup,
-                },
-            },
-        );
-        Ok(out)
+/// `POST /sweep` body: an inclusive `n_from..=n_to` range.
+fn sweep(entry: &FittedEntry, doc: &Json, extra: &[Field<'_>]) -> Result<Vec<u8>, ServiceError> {
+    let from = parse_n(doc, "n_from")?;
+    let to = parse_n(doc, "n_to")?;
+    if from > to {
+        return Err(ServiceError::BadRequest("n_from must be <= n_to".into()));
     }
+    Ok(entry.sweep_body(from, to, extra))
 }
 
 /// The fill path: journaled sweep → robust fit → validation. A free
@@ -608,24 +545,15 @@ fn fill_model(
     let v = validate(&robust.model, &cycles)
         .map_err(|e| ServiceError::Fit(format!("validation failed: {e}")))?;
 
-    let params = robust.model.params();
-    Ok(FittedEntry {
+    Ok(FittedEntry::new(FitSummary {
         machine_name: machine.name.clone(),
         protocol: proto.name,
         total_cores: total,
         model: robust.model,
-        params,
         quality: robust.quality,
         mean_relative_error: v.mean_relative_error,
         mean_absolute_error: v.mean_absolute_error,
-    })
-}
-
-/// Merges `add`'s fields into `base` (both must be objects).
-fn merge(base: &mut Json, add: Json) {
-    if let (Json::Obj(b), Json::Obj(a)) = (base, add) {
-        b.extend(a);
-    }
+    }))
 }
 
 fn parse_body(body: &[u8]) -> Result<Json, ServiceError> {

@@ -8,7 +8,8 @@
 //! array of `(git, events_per_sec, norm_events_per_iter)` points (schema
 //! 2) so the whole trajectory survives each rewrite of the file. A run
 //! carries forward the history of its `--check` baseline (or of the
-//! existing `--out` file) and appends itself.
+//! existing `--out` file) and appends itself, unless `git describe` marks
+//! the tree dirty: then the history is carried over unchanged.
 //!
 //! Wall-clock seconds are not comparable across hosts (or even across CI
 //! runner generations), so the file also records a *calibration rate* — a
@@ -151,6 +152,14 @@ fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Whether a run labelled `git` may append a trajectory point. A
+/// `--dirty` label names no revision anyone can check out again, so such
+/// a run still measures and writes its file but leaves the history as it
+/// found it.
+fn extends_history(git: &str) -> bool {
+    !git.ends_with("-dirty")
+}
+
 fn main() {
     if let Err(e) = offchip_chaos::install_from_env() {
         usage_exit(&e.to_string());
@@ -239,11 +248,16 @@ fn main() {
     });
 
     let mut history = prior_history(baseline.as_ref(), &out_path);
-    history.push(json_obj! {
-        "git" => git_describe(),
-        "events_per_sec" => total.events_per_sec(),
-        "norm_events_per_iter" => norm,
-    });
+    let git = git_describe();
+    if extends_history(&git) {
+        history.push(json_obj! {
+            "git" => git,
+            "events_per_sec" => total.events_per_sec(),
+            "norm_events_per_iter" => norm,
+        });
+    } else {
+        eprintln!("perfstat: {git} has uncommitted changes; history carried over unchanged");
+    }
 
     let doc = json_obj! {
         "schema" => 2u64,
@@ -290,5 +304,19 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::extends_history;
+
+    #[test]
+    fn only_clean_revisions_extend_the_history() {
+        assert!(extends_history("e6c01cd"));
+        assert!(extends_history("v0.3-12-ge6c01cd"));
+        assert!(extends_history("unknown"));
+        assert!(!extends_history("e6c01cd-dirty"));
+        assert!(!extends_history("v0.3-12-ge6c01cd-dirty"));
     }
 }

@@ -2,7 +2,7 @@
 
 use offchip_simcore::FastDiv;
 
-use crate::replacement::{ReplState, ReplacementPolicy};
+use crate::replacement::{ReplState, ReplacementPolicy, MAX_WAYS};
 
 /// Read or write access. Writes mark the line dirty; dirty victims are
 /// reported so the memory model can account for write-backs.
@@ -90,8 +90,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Dirty evictions (write-backs generated).
     pub writebacks: u64,
-    /// Misses to lines never seen before (cold misses).
-    pub cold_misses: u64,
 }
 
 impl CacheStats {
@@ -119,134 +117,76 @@ impl CacheStats {
 /// starts at one page and grows upward by working-set bytes).
 const INVALID_TAG: u64 = u64::MAX;
 
-/// Bit position of the per-set MRU way inside the row's flags word; the
-/// bits below it are the per-way dirty mask, which caps associativity.
+/// Row offset of the flags word: the per-way dirty mask in the low bits,
+/// the MRU way in the top byte.
+const FLAGS: usize = 0;
+/// Row offset of the set's replacement state word (see `ReplState`).
+const REPL: usize = 1;
+/// Row offset of the first tag.
+const TAGS: usize = 2;
+
+/// Bit position of the MRU way inside the flags word.
 const MRU_SHIFT: u64 = 56;
 /// Mask selecting the MRU byte of a flags word.
 const MRU_MASK: u64 = 0xFF << MRU_SHIFT;
 
 /// A set-associative cache with write-back, write-allocate semantics.
 ///
-/// All per-set metadata is interleaved into one contiguous row of
-/// `2·ways + 1` words — `[tags | replacement stamps | flags]`, where the
-/// flags word packs the per-way dirty mask (low bits) and the MRU way
-/// (top byte). The reference workloads miss far more than they hit (the
-/// simulated working sets dwarf the simulated caches), and a miss needs
-/// *all* of this state: tag scan, victim stamps, victim dirtiness, MRU
-/// update. Split across parallel arrays those were three or four random
-/// host-cache lines per simulated access; as one row they are a couple of
-/// *adjacent* lines, which is what the host's prefetchers and line
-/// granularity are built for. The tag scan itself stays a short
-/// contiguous `u64` compare the compiler can unroll.
+/// All per-set metadata is one contiguous row of `ways + 2` words —
+/// `[flags | replacement state | tags]`. The flags word packs the per-way
+/// dirty mask with the MRU way; the replacement word is the policy's
+/// whole per-set state (for LRU and FIFO a recency order of four-bit way
+/// indices, which is what caps associativity at 16). The reference
+/// workloads miss far more than they hit, and a miss needs all of this
+/// state — tag scan, victim, victim dirtiness, MRU update — so as one row
+/// it is one or two adjacent host-cache lines.
+///
+/// Ways fill in index order and only [`flush`](Self::flush) empties them,
+/// so the valid ways of a set are always a prefix: a set is full exactly
+/// when its last way is valid. A miss into a full set therefore tests one
+/// tag and asks the policy for its victim in O(1), with no scan for an
+/// empty way and no scan over per-way ages.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    /// `sets` rows of `stride` words: `ways` tags (`INVALID_TAG` = empty
-    /// way), then `ways` replacement stamps, then the flags word.
+    /// `sets` rows of `stride` words: flags, replacement state, then
+    /// `ways` tags (`INVALID_TAG` = empty way).
     meta: Vec<u64>,
-    /// Row stride: `2 * ways + 1`.
+    /// Row stride: `ways + 2`.
     stride: usize,
-    state: ReplState, // replacement policy (stamps live in `meta` rows)
+    state: ReplState,
     stats: CacheStats,
-    seq: u64,
     rng_state: u64, // xorshift64* stream for the random policy
     line_shift: u32,
     set_div: FastDiv, // exact strength-reduced divide by the set count
-    /// Exact tracker for cold-miss classification: every line id ever
-    /// missed on, probed once per miss at every level — which under a
-    /// streaming workload is the hottest lookup in the whole simulator.
-    seen: SeenLines,
-}
-
-/// Set of line ids, specialised for the dense address ranges the trace
-/// generators' bump allocator produces.
-///
-/// A hash set here dominated whole-simulator profiles: with class-C
-/// working sets it grows to millions of entries, far past the host's own
-/// caches, so every miss paid a DRAM-latency probe. The first
-/// [`SeenLines::DIRECT_LINES`] line ids use one bitmap bit each instead —
-/// a footprint 128× smaller than hashed `u64` entries, grown lazily to
-/// the highest line actually seen. Lines above the window (possible only
-/// through direct `SetAssocCache` use with adversarial addresses, never
-/// through the generators) fall back to a hash set.
-#[derive(Debug, Clone, Default)]
-struct SeenLines {
-    words: Vec<u64>,
-    /// Words `[0, full_words)` of the bitmap are all-ones: every line id
-    /// below `full_words * 64` has been seen. Streaming workloads fill the
-    /// dense id space front to back, so after warm-up nearly every probe —
-    /// and this is probed on *every miss at every level*, the hottest
-    /// lookup in the simulator — resolves against this one hot counter
-    /// instead of a random read into a bitmap far larger than the host's
-    /// own caches. Purely an access-path shortcut over the same set.
-    full_words: usize,
-    overflow: offchip_simcore::FxHashSet<u64>,
-}
-
-impl SeenLines {
-    /// Line ids below this live in the bitmap: 2²⁸ lines = 16 GiB of
-    /// address space at 64-byte lines, a 32 MiB bitmap when fully grown.
-    const DIRECT_LINES: u64 = 1 << 28;
-
-    /// Inserts `line`; true when it was not yet present.
-    #[inline]
-    fn insert(&mut self, line: u64) -> bool {
-        let w = (line >> 6) as usize;
-        if w < self.full_words {
-            return false;
-        }
-        self.insert_cold(line, w)
-    }
-
-    /// The bitmap path, out of line to keep the prefix check inlinable.
-    fn insert_cold(&mut self, line: u64, w: usize) -> bool {
-        if line >= Self::DIRECT_LINES {
-            return self.overflow.insert(line);
-        }
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let bit = 1u64 << (line & 63);
-        let newly = self.words[w] & bit == 0;
-        self.words[w] |= bit;
-        // Advance the fully-seen watermark over any run of saturated
-        // words; each word is crossed at most once, so this is O(1)
-        // amortised over inserts.
-        while self
-            .words
-            .get(self.full_words)
-            .is_some_and(|&word| word == !0u64)
-        {
-            self.full_words += 1;
-        }
-        newly
-    }
 }
 
 impl SetAssocCache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    /// Panics if `sets` is zero or `ways` is outside `1..=16`.
     pub fn new(config: CacheConfig) -> SetAssocCache {
-        assert!(config.sets > 0 && config.ways > 0);
+        assert!(config.sets > 0, "cache must have at least one set");
         assert!(
-            config.ways as u64 <= MRU_SHIFT,
-            "flags word packs one dirty bit per way plus the MRU byte"
+            (1..=MAX_WAYS).contains(&config.ways),
+            "cache ways must be in 1..={MAX_WAYS}, got {}",
+            config.ways
         );
-        let stride = 2 * config.ways + 1;
-        let mut meta = vec![0u64; config.sets * stride];
-        for row in meta.chunks_exact_mut(stride) {
-            row[..config.ways].fill(INVALID_TAG);
-        }
+        let state = ReplState::new(config.policy, config.ways);
+        let stride = config.ways + TAGS;
+        let mut row = vec![INVALID_TAG; stride];
+        row[FLAGS] = 0;
+        row[REPL] = state.initial_word();
         SetAssocCache {
-            meta,
+            meta: row.repeat(config.sets),
             stride,
-            state: ReplState::new(config.policy, config.sets, config.ways),
+            state,
             stats: CacheStats::default(),
-            seq: 0,
             rng_state: 0x9E3779B97F4A7C15,
             line_shift: config.line_bytes.trailing_zeros(),
             set_div: FastDiv::new(config.sets as u64),
             config,
-            seen: SeenLines::default(),
         }
     }
 
@@ -275,6 +215,12 @@ impl SetAssocCache {
     }
 
     #[inline]
+    fn tags(&self, set: usize) -> &[u64] {
+        let base = set * self.stride;
+        &self.meta[base + TAGS..base + self.stride]
+    }
+
+    #[inline]
     fn next_draw(&mut self) -> u64 {
         // xorshift64*
         let mut x = self.rng_state;
@@ -287,76 +233,34 @@ impl SetAssocCache {
 
     /// Performs one access at byte address `addr`.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
-        self.seq += 1;
-        let seq = self.seq;
-        let ways = self.config.ways;
         let (set, tag) = self.split(addr);
+        let dirty = u64::from(kind == AccessKind::Write);
         let base = set * self.stride;
-        let flags_at = base + 2 * ways;
-        let flags = self.meta[flags_at];
+        let row = &mut self.meta[base..base + self.stride];
+        let flags = row[FLAGS];
         // MRU fast path: one compare for the overwhelmingly common
         // same-line re-reference (spatial locality puts several references
         // on each 64-byte line). A real tag never equals INVALID_TAG, so
-        // an empty MRU way simply falls through. Purely an access-path
-        // shortcut: a stale entry just falls through to the scan, so
-        // outcomes are identical.
+        // an empty MRU way simply falls through. The MRU way is the last
+        // way touched, and touching it again leaves every policy's state
+        // as it is, so this path skips the policy altogether.
         let mru_w = (flags >> MRU_SHIFT) as usize;
-        if self.meta[base + mru_w] == tag {
-            if kind == AccessKind::Write {
-                self.meta[flags_at] = flags | (1 << mru_w);
-            }
-            self.state
-                .touch(set, ways, mru_w, seq, false, &mut self.meta[base + ways..flags_at]);
+        if row[TAGS + mru_w] == tag {
+            row[FLAGS] = flags | dirty << mru_w;
             self.stats.hits += 1;
             return AccessResult::Hit;
         }
-        // Lookup: contiguous tag compare over the set's ways.
-        let set_tags = &self.meta[base..base + ways];
-        if let Some(w) = set_tags.iter().position(|&t| t == tag) {
-            let mut f = flags & !MRU_MASK | ((w as u64) << MRU_SHIFT);
-            if kind == AccessKind::Write {
-                f |= 1 << w;
-            }
-            self.meta[flags_at] = f;
-            self.state
-                .touch(set, ways, w, seq, false, &mut self.meta[base + ways..flags_at]);
+        if let Some(w) = row[TAGS..].iter().position(|&t| t == tag) {
+            row[FLAGS] = flags & !MRU_MASK | (w as u64) << MRU_SHIFT | dirty << w;
+            self.state.touch(&mut row[REPL], self.config.ways, w, false);
             self.stats.hits += 1;
             return AccessResult::Hit;
         }
-        // Miss: find a victim (prefer an invalid way).
         self.stats.misses += 1;
-        let line_id = addr >> self.line_shift;
-        if self.seen.insert(line_id) {
-            self.stats.cold_misses += 1;
+        let evicted = self.fill(set, tag, dirty);
+        if let Some((_, true)) = evicted {
+            self.stats.writebacks += 1;
         }
-        let victim_way = match set_tags.iter().position(|&t| t == INVALID_TAG) {
-            Some(w) => w,
-            None => {
-                let draw = self.next_draw();
-                self.state
-                    .victim(set, ways, draw, &self.meta[base + ways..flags_at])
-            }
-        };
-        let victim_tag = self.meta[base + victim_way];
-        let victim_dirty = flags >> victim_way & 1 != 0;
-        let evicted = if victim_tag != INVALID_TAG {
-            let victim_line = victim_tag * self.config.sets as u64 + set as u64;
-            let victim_addr = victim_line << self.line_shift;
-            if victim_dirty {
-                self.stats.writebacks += 1;
-            }
-            Some((victim_addr, victim_dirty))
-        } else {
-            None
-        };
-        self.meta[base + victim_way] = tag;
-        let mut f = flags & !MRU_MASK & !(1u64 << victim_way) | ((victim_way as u64) << MRU_SHIFT);
-        if kind == AccessKind::Write {
-            f |= 1 << victim_way;
-        }
-        self.meta[flags_at] = f;
-        self.state
-            .touch(set, ways, victim_way, seq, true, &mut self.meta[base + ways..flags_at]);
         AccessResult::Miss { evicted }
     }
 
@@ -365,56 +269,58 @@ impl SetAssocCache {
     /// by the issuer. Evicted dirty victims are still reported (they cost
     /// a write-back regardless of why the fill happened).
     pub fn install(&mut self, addr: u64) -> Option<(u64, bool)> {
-        self.seq += 1;
-        let seq = self.seq;
-        let ways = self.config.ways;
         let (set, tag) = self.split(addr);
-        let base = set * self.stride;
-        let flags_at = base + 2 * ways;
-        let set_tags = &self.meta[base..base + ways];
-        if set_tags.contains(&tag) {
+        if self.tags(set).contains(&tag) {
             return None; // already resident
         }
-        let victim_way = match set_tags.iter().position(|&t| t == INVALID_TAG) {
-            Some(w) => w,
-            None => {
-                let draw = self.next_draw();
-                self.state
-                    .victim(set, ways, draw, &self.meta[base + ways..flags_at])
-            }
-        };
-        let flags = self.meta[flags_at];
-        let victim_tag = self.meta[base + victim_way];
-        let evicted = if victim_tag != INVALID_TAG {
-            let victim_line = victim_tag * self.config.sets as u64 + set as u64;
-            Some((victim_line << self.line_shift, flags >> victim_way & 1 != 0))
+        self.fill(set, tag, 0)
+    }
+
+    /// Puts absent line `tag` into `set` as its MRU way, dirty when
+    /// `dirty` is 1. Returns the evicted line and its dirtiness when the
+    /// set was full.
+    #[inline]
+    fn fill(&mut self, set: usize, tag: u64, dirty: u64) -> Option<(u64, bool)> {
+        let ways = self.config.ways;
+        let base = set * self.stride;
+        // Valid ways are a prefix (see the type docs).
+        let full = self.meta[base + TAGS + ways - 1] != INVALID_TAG;
+        let way = if full {
+            let draw = self.next_draw();
+            self.state.victim(self.meta[base + REPL], ways, draw)
         } else {
-            None
+            self.tags(set)
+                .iter()
+                .position(|&t| t == INVALID_TAG)
+                .expect("a set that is not full has an empty way")
         };
-        self.meta[base + victim_way] = tag;
-        self.meta[flags_at] =
-            flags & !MRU_MASK & !(1u64 << victim_way) | ((victim_way as u64) << MRU_SHIFT);
-        self.state
-            .touch(set, ways, victim_way, seq, true, &mut self.meta[base + ways..flags_at]);
-        evicted
+        let row = &mut self.meta[base..base + self.stride];
+        let flags = row[FLAGS];
+        let victim_tag = std::mem::replace(&mut row[TAGS + way], tag);
+        row[FLAGS] = flags & !MRU_MASK & !(1 << way) | (way as u64) << MRU_SHIFT | dirty << way;
+        self.state.touch(&mut row[REPL], ways, way, true);
+        full.then(|| {
+            let victim_line = victim_tag * self.config.sets as u64 + set as u64;
+            (victim_line << self.line_shift, flags >> way & 1 != 0)
+        })
     }
 
     /// Checks residency without touching replacement state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.split(addr);
-        let base = set * self.stride;
-        self.meta[base..base + self.config.ways].contains(&tag)
+        self.tags(set).contains(&tag)
     }
 
     /// Invalidates every line (statistics are kept).
     pub fn flush(&mut self) {
-        let ways = self.config.ways;
         for row in self.meta.chunks_exact_mut(self.stride) {
-            row[..ways].fill(INVALID_TAG);
+            row[TAGS..].fill(INVALID_TAG);
             // Clear the dirty mask; the MRU hint may go stale (it falls
             // through to the scan on a mismatch, so outcomes are
-            // unaffected either way).
-            row[2 * ways] &= MRU_MASK;
+            // unaffected either way). The replacement word stays: a set
+            // refills every way before it next needs a victim, and each
+            // fill updates the word.
+            row[FLAGS] &= MRU_MASK;
         }
     }
 }
@@ -443,7 +349,6 @@ mod tests {
         assert!(!c.access(0x1040, AccessKind::Read).is_hit());
         assert_eq!(c.stats().hits, 2);
         assert_eq!(c.stats().misses, 2);
-        assert_eq!(c.stats().cold_misses, 2);
     }
 
     #[test]
@@ -536,7 +441,6 @@ mod tests {
             }
         }
         assert_eq!(c.stats().misses, lines);
-        assert_eq!(c.stats().cold_misses, lines);
     }
 
     #[test]
@@ -552,7 +456,6 @@ mod tests {
         }
         assert_eq!(c.stats().hits, 0);
         assert_eq!(c.stats().misses, 3 * lines);
-        assert_eq!(c.stats().cold_misses, lines);
     }
 
     #[test]
@@ -583,8 +486,6 @@ mod tests {
         // Refill does not report a victim (lines were invalidated).
         let r = c.access(0x0, AccessKind::Read);
         assert_eq!(r, AccessResult::Miss { evicted: None });
-        // Not a cold miss the second time.
-        assert_eq!(c.stats().cold_misses, 1);
     }
 
     #[test]

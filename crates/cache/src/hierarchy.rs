@@ -317,6 +317,18 @@ mod tests {
     }
 
     #[test]
+    fn widest_valid_spec_builds() {
+        // Spec validation is what keeps machine input away from the cache
+        // model's way cap, so its bound must not exceed that cap.
+        let mut m = machines::amd_numa_48().scaled(1.0 / 64.0);
+        for c in &mut m.caches {
+            c.associativity = offchip_topology::machine::MAX_ASSOCIATIVITY;
+        }
+        let mut h = Hierarchy::new(&m);
+        assert!(h.access(CoreId(0), 0x6000, AccessKind::Read).is_llc_miss());
+    }
+
+    #[test]
     fn lookup_latency_accumulates_by_depth() {
         let m = machines::intel_numa_24().scaled(1.0 / 64.0);
         let mut h = Hierarchy::new(&m);

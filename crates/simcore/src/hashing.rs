@@ -10,14 +10,14 @@
 //! though **not** map iteration order, which still depends on insertion
 //! history and capacity — are identical across runs and platforms.
 //!
-//! Use [`FxHashMap`]/[`FxHashSet`] only where the simulator never iterates
+//! Use [`FxHashMap`] only where the simulator never iterates
 //! the table (or provably sorts/indexes the result, like
 //! `FirstTouch::pages_per_mc`): lookup results stay byte-identical under
 //! any hasher, iteration order does not. Keys here are trusted simulator
 //! addresses, not attacker-controlled input, so the loss of DoS resistance
 //! is irrelevant.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The multiplicative constant: a 64-bit prime-ish pattern with good
@@ -101,12 +101,10 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// iteration order never reaches an artefact.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed by the Fx hash; same caveats as [`FxHashMap`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn hash_of<T: std::hash::Hash>(v: T) -> u64 {
         let mut h = FxHasher::default();
@@ -157,14 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn map_and_set_aliases_work() {
+    fn map_alias_works() {
         let mut m: FxHashMap<u64, u32> = FxHashMap::default();
         m.insert(10, 1);
         m.insert(20, 2);
         assert_eq!(m.get(&10), Some(&1));
         assert_eq!(m.len(), 2);
-        let mut s: FxHashSet<u64> = FxHashSet::default();
-        assert!(s.insert(7));
-        assert!(!s.insert(7));
     }
 }

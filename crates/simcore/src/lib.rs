@@ -37,7 +37,7 @@ pub mod traffic;
 pub use calendar::CalendarQueue;
 pub use events::{EventQueue, EventSched};
 pub use fastdiv::FastDiv;
-pub use hashing::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hashing::{FxBuildHasher, FxHashMap, FxHasher};
 pub use rng::Rng;
 pub use time::{Frequency, SimTime};
 pub use traffic::{OnOffPareto, Poisson};

@@ -35,6 +35,14 @@ pub enum SpecError {
         /// The disagreeing line size.
         got: u32,
     },
+    /// A cache level's associativity is zero or above
+    /// [`MAX_ASSOCIATIVITY`].
+    BadAssociativity {
+        /// The offending level number.
+        level: u8,
+        /// The rejected way count.
+        ways: u32,
+    },
     /// A cache level cannot hold even one set.
     LevelTooSmall {
         /// The offending level number.
@@ -126,6 +134,10 @@ impl std::fmt::Display for SpecError {
             SpecError::MixedLineSizes { expected, got } => {
                 write!(f, "mixed line sizes: {got} vs {expected}")
             }
+            SpecError::BadAssociativity { level, ways } => write!(
+                f,
+                "L{level} associativity {ways} outside 1..={MAX_ASSOCIATIVITY}"
+            ),
             SpecError::LevelTooSmall { level } => write!(f, "L{level} smaller than one set"),
             SpecError::LineNotPowerOfTwo { level } => {
                 write!(f, "L{level} line size not a power of two")
@@ -175,6 +187,11 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+/// The most ways a cache level may have: the cache model keeps each
+/// set's LRU/FIFO recency order as sixteen four-bit way indices in one
+/// word.
+pub const MAX_ASSOCIATIVITY: u32 = 16;
 
 /// How a cache level is shared among logical cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -337,7 +354,7 @@ impl MachineSpec {
             let scaled = (c.size_bytes as f64 * factor) as u64;
             // Keep at least one set per way, rounded to a power-of-two set
             // count by the cache model later; floor at line*assoc.
-            c.size_bytes = scaled.max((c.line_bytes * c.associativity) as u64);
+            c.size_bytes = scaled.max(c.line_bytes as u64 * c.associativity as u64);
         }
         out.scale = self.scale * factor;
         out
@@ -360,7 +377,13 @@ impl MachineSpec {
                     got: c.line_bytes,
                 });
             }
-            if c.size_bytes < (c.line_bytes * c.associativity) as u64 {
+            if !(1..=MAX_ASSOCIATIVITY).contains(&c.associativity) {
+                return Err(SpecError::BadAssociativity {
+                    level: c.level,
+                    ways: c.associativity,
+                });
+            }
+            if c.size_bytes < c.line_bytes as u64 * c.associativity as u64 {
                 return Err(SpecError::LevelTooSmall { level: c.level });
             }
             if !c.line_bytes.is_power_of_two() {
@@ -444,7 +467,7 @@ mod tests {
         // Extreme scaling floors at one set.
         let tiny = m.scaled(1e-9);
         for c in &tiny.caches {
-            assert!(c.size_bytes >= (c.line_bytes * c.associativity) as u64);
+            assert!(c.size_bytes >= c.line_bytes as u64 * c.associativity as u64);
         }
         tiny.validate().unwrap();
     }
@@ -483,5 +506,37 @@ mod tests {
         let mut m = machines::intel_numa_24();
         m.dram.transfer_cycles = 0;
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_associativity() {
+        let mut m = machines::intel_uma_8();
+        m.caches[0].associativity = 0;
+        assert_eq!(
+            m.validate(),
+            Err(SpecError::BadAssociativity { level: 1, ways: 0 })
+        );
+
+        // Far above the cap, where line_bytes * associativity also
+        // overflows u32: the bound is checked before that product.
+        let mut m = machines::intel_uma_8();
+        let llc = m.caches.len() - 1;
+        m.caches[llc].associativity = u32::MAX;
+        assert_eq!(
+            m.validate(),
+            Err(SpecError::BadAssociativity {
+                level: m.caches[llc].level,
+                ways: u32::MAX,
+            })
+        );
+
+        let mut m = machines::intel_uma_8();
+        m.caches[llc].associativity = MAX_ASSOCIATIVITY + 1;
+        assert!(matches!(
+            m.validate(),
+            Err(SpecError::BadAssociativity { ways: 17, .. })
+        ));
+        m.caches[llc].associativity = MAX_ASSOCIATIVITY;
+        m.validate().unwrap();
     }
 }

@@ -10,7 +10,7 @@ use offchip_cache::{AccessKind, CacheConfig, ReplacementPolicy, SetAssocCache};
 use offchip_dram::fcfs::McConfig;
 use offchip_dram::mapping::AddressMapping;
 use offchip_dram::{FcfsController, McModel, Request};
-use offchip_simcore::{EventQueue, Rng, SimTime};
+use offchip_simcore::{CalendarQueue, EventSched, Rng, SimTime};
 
 fn bench_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
@@ -84,7 +84,7 @@ fn bench_simcore(c: &mut Criterion) {
     let mut group = c.benchmark_group("simcore");
     group.sample_size(20);
     group.bench_function("event_queue_push_pop", |b| {
-        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
         let mut t = 0u64;
         b.iter(|| {
             t += 1;

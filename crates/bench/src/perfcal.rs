@@ -74,7 +74,7 @@ pub fn calibrate() -> Calibration {
 /// cases are unit-testable without depending on real host speed.
 ///
 /// `timer(iters)` must return the wall time of one spin of `iters`
-/// iterations; it is called [`ROUNDS`] times per candidate count and the
+/// iterations; it is called `ROUNDS` times per candidate count and the
 /// minimum kept.
 pub fn calibrate_with(
     min_wall: Duration,

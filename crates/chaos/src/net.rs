@@ -1,5 +1,5 @@
 //! The chaos-network DSL: injectable socket faults behind a stream
-//! wrapper, mirroring the filesystem fault schedule in [`crate::spec`].
+//! wrapper, mirroring the filesystem fault schedule [`crate::ChaosSpec`].
 //!
 //! A network spec is a comma-separated list of clauses, each
 //! `KIND@OP:N[:PARAM]` (fault `KIND` fires on the `N`-th socket

@@ -20,7 +20,7 @@
 //! O(n²) in address-mapping work. Splitting the queue per bank caches the
 //! coordinates once at enqueue, prunes whole banks that are busy, and
 //! reduces the starvation check to an O(1) formula on the channel head
-//! (see [`Channel::pick`]).
+//! (see `Channel::pick`).
 
 use std::collections::VecDeque;
 

@@ -26,10 +26,10 @@ use offchip_dram::{
     EnqueueResult, FcfsController, FrFcfsController, McModel, Request, RequestId,
 };
 use offchip_obs::{Histogram, McObs, ObsLevel, Span};
-use offchip_simcore::{CalendarQueue, EventQueue, EventSched, SimTime};
+use offchip_simcore::{CalendarQueue, EventSched, SimTime};
 use offchip_topology::{allocation, CoreId, McId};
 
-use crate::config::{ConfigError, McScheduler, MemoryPolicy, SchedKind, SimConfig};
+use crate::config::{ConfigError, McScheduler, MemoryPolicy, SimConfig};
 use crate::counters::{Counters, RunReport, WindowSampler};
 use crate::firsttouch::FirstTouch;
 use crate::ops::{Op, ProgramIter, Workload};
@@ -245,10 +245,10 @@ struct CoreCtx {
     busy_until: SimTime,
 }
 
-struct Sim<'w, Q> {
+struct Sim<'w> {
     cfg: &'w SimConfig,
     line_mask: u64,
-    queue: Q,
+    queue: CalendarQueue<Event>,
     threads: Vec<ThreadCtx>,
     cores: Vec<CoreCtx>,
     hierarchy: Hierarchy,
@@ -332,7 +332,6 @@ pub fn try_run_bounded(workload: &dyn Workload, cfg: &SimConfig) -> Result<RunRe
 pub struct LaneRunner<'a> {
     workload: &'a dyn Workload,
     cfg: &'a SimConfig,
-    sched: SchedKind,
     n_threads: usize,
     placement: allocation::Placement,
     /// Threads pinned to each active-core slot, in thread order.
@@ -349,10 +348,6 @@ impl<'a> LaneRunner<'a> {
     /// bug, not a configuration issue).
     pub fn new(workload: &'a dyn Workload, cfg: &'a SimConfig) -> Result<LaneRunner<'a>, RunError> {
         cfg.validate()?;
-        let sched = match cfg.sched {
-            Some(kind) => kind,
-            None => SchedKind::from_env()?,
-        };
         let n_threads = workload.n_threads();
         assert!(n_threads > 0, "workload has no threads");
 
@@ -391,7 +386,6 @@ impl<'a> LaneRunner<'a> {
         Ok(LaneRunner {
             workload,
             cfg,
-            sched,
             n_threads,
             placement,
             slot_threads,
@@ -402,13 +396,6 @@ impl<'a> LaneRunner<'a> {
 
     /// Runs one seed lane through the shared setup.
     pub fn run_seed(&self, seed: u64) -> Result<RunReport, RunError> {
-        match self.sched {
-            SchedKind::Calendar => self.run_lane::<CalendarQueue<Event>>(seed),
-            SchedKind::Heap => self.run_lane::<EventQueue<Event>>(seed),
-        }
-    }
-
-    fn run_lane<Q: EventSched<Event> + Default>(&self, seed: u64) -> Result<RunReport, RunError> {
         let cfg = self.cfg;
         let n_threads = self.n_threads;
 
@@ -460,7 +447,7 @@ impl<'a> LaneRunner<'a> {
         let mut sim = Sim {
             cfg,
             line_mask: !(cfg.machine.line_bytes() as u64 - 1),
-            queue: Q::default(),
+            queue: CalendarQueue::new(),
             threads,
             cores,
             hierarchy: Hierarchy::with_policy(&cfg.machine, cfg.replacement),
@@ -499,7 +486,9 @@ impl<'a> LaneRunner<'a> {
         let started = cfg.deadline.map(|dl| (dl, std::time::Instant::now()));
 
         while let Some((t, ev)) = sim.queue.pop() {
-            sim.counters.sim_events += 1;
+            // The cap is tested before the popped event counts, so a run
+            // needing exactly `limit` events completes, and an aborted one
+            // reports the `limit` events it processed.
             if sim.counters.sim_events >= event_limit {
                 return Err(RunError::EventBudgetExceeded {
                     limit: event_limit,
@@ -507,6 +496,7 @@ impl<'a> LaneRunner<'a> {
                     counters: Box::new(sim.counters.clone()),
                 });
             }
+            sim.counters.sim_events += 1;
             if sim.counters.sim_events & DEADLINE_POLL_MASK == 0 {
                 if let Some((dl, t0)) = started {
                     let elapsed = t0.elapsed();
@@ -605,10 +595,7 @@ impl<'a> LaneRunner<'a> {
 /// and trace ring and assembles the report's telemetry section. A no-op
 /// returning `None` below [`ObsLevel::Metrics`], so runs at
 /// [`ObsLevel::Off`] touch no global state at all.
-fn flush_obs<Q: EventSched<Event>>(
-    sim: &mut Sim<'_, Q>,
-    makespan: SimTime,
-) -> Option<offchip_obs::Telemetry> {
+fn flush_obs(sim: &mut Sim<'_>, makespan: SimTime) -> Option<offchip_obs::Telemetry> {
     if !sim.cfg.obs.at_least(ObsLevel::Metrics) {
         return None;
     }
@@ -667,7 +654,7 @@ fn flush_obs<Q: EventSched<Event>>(
     })
 }
 
-impl<Q: EventSched<Event>> Sim<'_, Q> {
+impl Sim<'_> {
     fn pull(&mut self, thread: usize) -> Option<Op> {
         let th = &mut self.threads[thread];
         th.pushback.take().or_else(|| th.program.next_op())
@@ -1477,33 +1464,6 @@ mod tests {
     }
 
     #[test]
-    fn schedulers_agree_bit_for_bit() {
-        // The EventSched ordering contract, end to end: the calendar
-        // queue and the heap oracle must produce identical reports.
-        let w = VecWorkload {
-            name: "sched".into(),
-            threads: (0..4)
-                .map(|t| {
-                    let base = (t as u64) << 28;
-                    let mut ops = vec![compute(100)];
-                    ops.extend((0..300).map(|i| read_indep(base + i * 640)));
-                    ops.push(Op::Barrier);
-                    ops.extend((0..50).map(|i| read(base + i * 4096)));
-                    ops
-                })
-                .collect(),
-        };
-        let mut cfg = SimConfig::new(small_machine(), 3);
-        cfg.sched = Some(SchedKind::Heap);
-        let heap = run(&w, &cfg);
-        cfg.sched = Some(SchedKind::Calendar);
-        let cal = run(&w, &cfg);
-        assert_eq!(heap.counters, cal.counters);
-        assert_eq!(heap.makespan, cal.makespan);
-        assert_eq!(heap.mc_stats, cal.mc_stats);
-    }
-
-    #[test]
     fn sampler_records_miss_windows() {
         let mut cfg = SimConfig::new(small_machine(), 1);
         cfg.sampler_window = Some(1000);
@@ -1679,6 +1639,30 @@ mod tests {
                 // The run was making progress when aborted: the partial
                 // counters are real diagnostic context, not zeroes.
                 assert!(counters.work_cycles > 0, "partial counters empty");
+            }
+            other => panic!("expected EventBudgetExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn event_budget_equal_to_the_run_completes() {
+        // The cap bounds the events a run may process, so a run that needs
+        // exactly its cap completes with the unbounded run's report, and
+        // one event less aborts having processed exactly the cap.
+        let w = long_workload();
+        let plain = run(&w, &SimConfig::new(small_machine(), 1));
+        let needed = plain.counters.sim_events;
+        let mut cfg = SimConfig::new(small_machine(), 1);
+        cfg.max_events = Some(needed);
+        let capped = try_run_bounded(&w, &cfg).expect("a cap equal to the run's events fired");
+        assert_eq!(format!("{plain:?}"), format!("{capped:?}"));
+        cfg.max_events = Some(needed - 1);
+        match try_run_bounded(&w, &cfg) {
+            Err(RunError::EventBudgetExceeded {
+                events, counters, ..
+            }) => {
+                assert_eq!(events, needed - 1);
+                assert_eq!(counters.sim_events, needed - 1);
             }
             other => panic!("expected EventBudgetExceeded, got {other:?}"),
         }

@@ -2,7 +2,7 @@
 //!
 //! Four independent pieces, all dependency-free:
 //!
-//! - [`level`]: the process-wide [`ObsLevel`] (`Off`/`Metrics`/`Trace`),
+//! - [`level`](mod@level): the process-wide [`ObsLevel`] (`Off`/`Metrics`/`Trace`),
 //!   resolved once per run from `--obs`/`OFFCHIP_OBS`. Every producer
 //!   captures it at construction time, so the hot-path cost when off is a
 //!   single well-predicted branch on an `Option` that is `None`.

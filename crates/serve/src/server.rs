@@ -2,7 +2,7 @@
 //! and keep-alive connection handling.
 //!
 //! Deliberately plain `std::thread` workers feeding off the bounded
-//! [`ConnQueue`] — *not* `offchip_pool::scoped_map`: the pool's workers
+//! `ConnQueue` — *not* `offchip_pool::scoped_map`: the pool's workers
 //! hold permits from the process-global parallelism budget, and
 //! long-lived HTTP workers squatting on permits would starve the fill
 //! campaigns that need them for simulation fan-out. The worker count is

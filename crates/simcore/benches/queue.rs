@@ -1,24 +1,23 @@
-//! Microbenchmarks of the event-queue implementations, across the
+//! Microbenchmarks of the calendar-queue scheduler, across the
 //! occupancy/horizon profiles the simulator actually produces.
 //!
 //! Three regimes matter (DESIGN.md §13): *dense same-cycle* traffic
-//! (barrier releases, batched controller wakes — the calendar queue's
-//! batching fast path), *sparse far-future* traffic (DRAM completions
-//! hundreds of cycles out — the overflow heap and ring-walk path), and
-//! a *mixed* stream shaped like a real run. Each profile runs on both
-//! the calendar queue and the binary-heap oracle, so a `cargo bench`
-//! diff shows exactly where the calendar structure pays off.
+//! (barrier releases, batched controller wakes — the batching fast
+//! path), *sparse far-future* traffic (DRAM completions hundreds of
+//! cycles out — the overflow heap and ring-walk path), and a *mixed*
+//! stream shaped like a real run. DESIGN.md §13 records how each
+//! compared with the binary heap the simulator used to run on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use offchip_simcore::{CalendarQueue, EventQueue, EventSched, Rng};
+use offchip_simcore::{CalendarQueue, EventSched, Rng};
 
 /// Steady-state churn: hold `occupancy` events pending, then repeatedly
 /// pop one and push a replacement `horizon(rng)` cycles ahead — the
 /// hold-one-push-one pattern of the simulator's main loop.
-fn churn<Q: EventSched<u64>>(
-    q: &mut Q,
+fn churn(
+    q: &mut CalendarQueue<u64>,
     occupancy: usize,
     steps: usize,
     mut horizon: impl FnMut(&mut Rng) -> u64,
@@ -62,20 +61,11 @@ fn bench_queues(c: &mut Criterion) {
     group.bench_function("calendar_dense_ties_occ64", |b| {
         b.iter(|| black_box(churn(&mut CalendarQueue::new(), 64, STEPS, dense)))
     });
-    group.bench_function("heap_dense_ties_occ64", |b| {
-        b.iter(|| black_box(churn(&mut EventQueue::new(), 64, STEPS, dense)))
-    });
     group.bench_function("calendar_sparse_far_future_occ512", |b| {
         b.iter(|| black_box(churn(&mut CalendarQueue::new(), 512, STEPS, sparse)))
     });
-    group.bench_function("heap_sparse_far_future_occ512", |b| {
-        b.iter(|| black_box(churn(&mut EventQueue::new(), 512, STEPS, sparse)))
-    });
     group.bench_function("calendar_mixed_occ256", |b| {
         b.iter(|| black_box(churn(&mut CalendarQueue::new(), 256, STEPS, mixed)))
-    });
-    group.bench_function("heap_mixed_occ256", |b| {
-        b.iter(|| black_box(churn(&mut EventQueue::new(), 256, STEPS, mixed)))
     });
     // Resize stress: start at the minimum ring and let far-future pressure
     // grow it mid-churn, charging the rebuild cost to the profile.

@@ -1,8 +1,8 @@
 //! A calendar-queue event scheduler: O(1) amortised push/pop.
 //!
-//! The binary-heap [`EventQueue`](crate::EventQueue) pays `O(log n)` per
-//! operation with a data-dependent pointer chase through the heap array —
-//! about a fifth of simulator CPU on the reference sweeps. A discrete-event
+//! A binary heap pays `O(log n)` per operation with a data-dependent
+//! pointer chase through the heap array — about a fifth of simulator CPU
+//! on the reference sweeps when the simulator ran on one. A discrete-event
 //! simulator's schedule is overwhelmingly *near-future* — profiled on the
 //! Table II reference sweep, the median inter-event gap is ~30 cycles and
 //! 96 % of schedule deltas fall under 2¹⁴ cycles, peaking at 2¹¹ (DRAM
@@ -44,19 +44,19 @@
 //! * **Resize.** Sustained overflow *traffic* — more spilled pushes since
 //!   the last rebuild than the ring has buckets, so growth is O(1)
 //!   amortised — doubles the ring until the horizon covers the schedule's
-//!   real shape, capped at [`MAX_BUCKETS`]: past the cap the far tail
+//!   real shape, capped at `MAX_BUCKETS`: past the cap the far tail
 //!   (a fraction of a percent of traffic on the reference sweep) is
 //!   cheaper to route through the small overflow heap than to serve from
 //!   a ring too large to stay cache-resident. A long streak of batch
 //!   refills with the queue nearly empty (`len * 8 < n_buckets` for
-//!   [`SHRINK_STREAK`] consecutive refills, none of them spilling) halves
-//!   the ring, floored at [`MIN_BUCKETS`]. Rebuilds re-slot entries by
+//!   `SHRINK_STREAK` consecutive refills, none of them spilling) halves
+//!   the ring, floored at `MIN_BUCKETS`. Rebuilds re-slot entries by
 //!   their timestamps with original seqs, so pop order is unchanged by
 //!   any resize.
 //!
-//! The pop sequence is identical to the heap oracle for every schedule —
-//! pinned by the lockstep proptest in `tests/calendar_oracle.rs` — which is
-//! why experiment artefacts are byte-identical under either scheduler.
+//! The pop sequence is the one [`EventSched`] pins for every schedule:
+//! the lockstep proptest in `tests/calendar_oracle.rs` checks it against a
+//! plain binary-heap reference, kept there as the oracle.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -93,8 +93,8 @@ const PEEK_DIRTY: u64 = u64::MAX;
 /// `peek_cache` sentinel: queue known empty (outside the current batch).
 const PEEK_NONE: u64 = u64::MAX - 1;
 
-/// An overflow-heap entry; ordering mirrors the oracle heap's reversed
-/// `(at, seq)` so the earliest event with the lowest seq surfaces first.
+/// An overflow-heap entry, ordered by reversed `(at, seq)` so the earliest
+/// event with the lowest seq surfaces first.
 struct Far<E> {
     at: u64,
     seq: u64,
@@ -120,9 +120,9 @@ impl<E> Ord for Far<E> {
 
 /// A deterministic min-priority event queue bucketed by 32-cycle windows.
 ///
-/// Drop-in replacement for [`crate::EventQueue`] behind the
-/// [`EventSched`] trait, with the same pinned `(time, arrival order)` pop
-/// sequence; see the module docs for the data structure.
+/// The simulator's event scheduler, popping in the `(time, arrival order)`
+/// sequence the [`EventSched`] trait pins; see the module docs for the
+/// data structure.
 pub struct CalendarQueue<E> {
     /// `buckets[w & mask]` holds the events of exactly one window `w` in
     /// `[now_window, now_window + n_buckets)`, as `(at, seq, event)` in
@@ -503,16 +503,23 @@ mod tests {
     #[test]
     fn bucket_refill_sorts_out_of_order_pushes() {
         // One future window receives pushes out of time order, including a
-        // tie; the refill sort must restore time-then-arrival order.
+        // tie, some after the clock has moved and ahead of a later window's
+        // pending event; the refill sort must restore time-then-arrival
+        // order.
         let mut q = CalendarQueue::new();
+        q.schedule_at(SimTime(1), "start");
+        q.schedule_at(SimTime(100), "later");
         q.schedule_at(SimTime(44), "b2");
         q.schedule_at(SimTime(35), "a");
+        assert_eq!(q.pop(), Some((SimTime(1), "start")));
         q.schedule_at(SimTime(44), "b3");
         q.schedule_at(SimTime(40), "x");
         assert_eq!(q.pop(), Some((SimTime(35), "a")));
         assert_eq!(q.pop(), Some((SimTime(40), "x")));
         assert_eq!(q.pop(), Some((SimTime(44), "b2")));
         assert_eq!(q.pop(), Some((SimTime(44), "b3")));
+        assert_eq!(q.pop(), Some((SimTime(100), "later")));
+        assert!(q.is_empty());
         assert_eq!(q.pop(), None);
     }
 

@@ -10,12 +10,11 @@
 //! * [`time`] — the simulation clock type ([`SimTime`], in core cycles) and
 //!   frequency-aware conversions to wall-clock units (the 5 µs sampler
 //!   window is defined in wall time).
-//! * [`events`] — the [`EventSched`] scheduler contract (time order with
-//!   stable FIFO tie-breaking, pinned) and its binary-heap oracle
-//!   implementation [`EventQueue`].
+//! * [`events`] — the [`EventSched`] scheduler contract: time order with
+//!   stable FIFO tie-breaking, pinned.
 //! * [`calendar`] — [`CalendarQueue`], the O(1)-amortised bucketed
-//!   scheduler the simulator runs on by default, with same-cycle batching
-//!   and automatic ring resize.
+//!   scheduler the simulator runs on, with same-cycle batching and
+//!   automatic ring resize.
 //! * [`traffic`] — arrival-process generators: Poisson and Pareto-ON/OFF
 //!   sources used by synthetic workloads and by the burstiness ablation.
 //! * [`hashing`] — a fixed-seed Fx-style hasher for per-access hot-path
@@ -35,7 +34,7 @@ pub mod time;
 pub mod traffic;
 
 pub use calendar::CalendarQueue;
-pub use events::{EventQueue, EventSched};
+pub use events::EventSched;
 pub use fastdiv::FastDiv;
 pub use hashing::{FxBuildHasher, FxHashMap, FxHasher};
 pub use rng::Rng;

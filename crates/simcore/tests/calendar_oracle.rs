@@ -3,17 +3,108 @@
 //! The production [`CalendarQueue`] buckets events by cycle, batches
 //! same-cycle pops, spills far-future events to an overflow heap, and
 //! resizes its ring under pressure. This test pins all of that against
-//! the original binary-heap [`EventQueue`] — kept verbatim as the
-//! oracle — by driving both through identical randomized push/pop
-//! schedules and demanding the same pop sequence, clock, peek, and
-//! occupancy at every step. The schedules deliberately exercise the
-//! three regimes the unit tests cover individually: dense same-cycle
-//! ties (FIFO order must hold), far-future pushes that cross the
-//! overflow heap and force ring growth, and pushes interleaved into a
+//! a plain binary-heap [`EventQueue`] — the simulator's original
+//! scheduler, kept here as the oracle — by driving both through identical
+//! randomized push/pop schedules and demanding the same pop sequence,
+//! clock, peek, and occupancy at every step. The schedules deliberately
+//! exercise the three regimes the unit tests cover individually: dense
+//! same-cycle ties (FIFO order must hold), far-future pushes that cross
+//! the overflow heap and force ring growth, and pushes interleaved into a
 //! drain (arrivals landing in the cycle currently being batched).
 
-use offchip_simcore::{CalendarQueue, EventQueue, EventSched, SimTime};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+use offchip_simcore::{CalendarQueue, EventSched, SimTime};
 use proptest::prelude::*;
+
+struct Entry<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: the BinaryHeap is a max-heap, we want earliest first,
+        // then lowest sequence number. `seq` is assigned from a run-global
+        // counter at schedule time, so insertion order is total even
+        // across pops of the same instant.
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The reference scheduler: a min-heap over `(time, arrival order)`.
+struct EventQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
+    next_seq: u64,
+    now: SimTime,
+    max_len: usize,
+}
+
+impl<E> EventQueue<E> {
+    fn new() -> EventQueue<E> {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            now: SimTime::ZERO,
+            max_len: 0,
+        }
+    }
+}
+
+impl<E> EventSched<E> for EventQueue<E> {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn schedule_at(&mut self, at: SimTime, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: at={at}, now={}",
+            self.now
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { at, seq, event });
+        if self.heap.len() > self.max_len {
+            self.max_len = self.heap.len();
+        }
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now, "event queue ordering violated");
+        self.now = entry.at;
+        Some((entry.at, entry.event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn max_len(&self) -> usize {
+        self.max_len
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
@@ -65,8 +156,8 @@ proptest! {
             prop_assert_eq!(dut.now(), oracle.now());
             prop_assert_eq!(dut.len(), oracle.len());
             prop_assert_eq!(
-                EventSched::peek_time(&dut),
-                EventSched::peek_time(&oracle),
+                dut.peek_time(),
+                oracle.peek_time(),
                 "peek diverged at t={}", oracle.now().0
             );
         }

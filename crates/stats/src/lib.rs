@@ -15,7 +15,6 @@
 //! * [`dist`] — maximum-likelihood fits for exponential and Pareto laws plus
 //!   Kolmogorov–Smirnov distances, used to classify traffic as bursty
 //!   (heavy-tailed) vs non-bursty (light-tailed).
-//! * [`histogram`] — linear and logarithmic binning for sampler output.
 //! * [`hurst`] — aggregated-variance Hurst-exponent estimation, the
 //!   self-similarity lens of the paper's burstiness references.
 //!
@@ -27,14 +26,12 @@
 
 pub mod ccdf;
 pub mod dist;
-pub mod histogram;
 pub mod hurst;
 pub mod regression;
 pub mod summary;
 
 pub use ccdf::{Ccdf, TailDiagnostics};
 pub use dist::{ExponentialFit, KsStatistic, ParetoFit};
-pub use histogram::{Histogram, LogHistogram};
 pub use hurst::{hurst_aggregated_variance, HurstEstimate};
 pub use regression::{LineFit, RegressionError, WeightedPoint};
 pub use summary::{mean_absolute_relative_error, relative_error, Summary};

@@ -8,7 +8,7 @@ use offchip::dram::fcfs::McConfig;
 use offchip::dram::mapping::AddressMapping;
 use offchip::dram::{EnqueueResult, FcfsController, McModel, Request};
 use offchip::model::Mm1Fit;
-use offchip::simcore::{EventQueue, Rng, SimTime};
+use offchip::simcore::{CalendarQueue, EventSched, Rng, SimTime};
 use offchip::stats::{Ccdf, LineFit, Summary};
 
 proptest! {
@@ -60,11 +60,11 @@ proptest! {
         prop_assert_eq!(stats.row_hits + stats.row_misses + stats.writes, stats.requests);
     }
 
-    /// The event queue pops in nondecreasing time order with FIFO ties,
-    /// regardless of insertion order.
+    /// The simulator's event queue pops in nondecreasing time order with
+    /// FIFO ties, regardless of insertion order.
     #[test]
     fn event_queue_total_order(times in prop::collection::vec(0u64..10_000, 1..300)) {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.schedule_at(SimTime(t), i);
         }

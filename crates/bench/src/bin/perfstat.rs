@@ -1,8 +1,10 @@
 //! Performance regression harness: times the Table II reference sweep.
 //!
 //! Runs the exact grid `table2` runs — five NPB programs × {W, C} × three
-//! machines, a three-point core sweep each — and reports wall-clock time,
-//! runs/s and simulator events/s, writing the result to `BENCH_sim.json`.
+//! machines, a three-point core sweep each — through the same campaign
+//! engine, journaled in a scratch directory that is deleted afterwards
+//! (timings are not resumable). Reports wall-clock time, runs/s and
+//! simulator events/s, writing the result to `BENCH_sim.json`.
 //! The committed copy of that file is the performance trajectory of the
 //! repo: one point per optimisation PR, kept as an append-only `history`
 //! array of `(git, events_per_sec, norm_events_per_iter)` points (schema
@@ -29,7 +31,7 @@
 //! regression. `OFFCHIP_QUICK=1` shrinks the run for CI smoke use.
 
 use offchip_bench::{
-    build_workload, jobs, perfcal, run_sweep_timed, seeds, ProgramSpec, SweepTiming,
+    build_workload, jobs, perfcal, seeds, Campaign, CampaignOptions, ProgramSpec, SweepTiming,
 };
 use offchip_json::{json_obj, Json, ToJson};
 use offchip_npb::classes::ProblemClass;
@@ -160,6 +162,60 @@ fn extends_history(git: &str) -> bool {
     !git.ends_with("-dirty")
 }
 
+/// Times every configuration of the reference grid through `campaign`,
+/// returning the per-configuration timings and their total.
+fn time_reference_grid(
+    campaign: &Campaign,
+    seeds: &[u64],
+    jobs: usize,
+) -> Result<(Vec<ConfigTiming>, SweepTiming), String> {
+    let machines = [
+        machines::intel_uma_8().scaled(DEFAULT_EXPERIMENT_SCALE),
+        machines::intel_numa_24().scaled(DEFAULT_EXPERIMENT_SCALE),
+        machines::amd_numa_48().scaled(DEFAULT_EXPERIMENT_SCALE),
+    ];
+    let mut total = SweepTiming::zero(jobs);
+    let mut configs = Vec::new();
+    for class in [ProblemClass::W, ProblemClass::C] {
+        for base_spec in ProgramSpec::npb_suite(class) {
+            for machine in &machines {
+                // FT.C → FT.B on the UMA machine, exactly as table2 runs.
+                let spec = match (base_spec, machine.total_mcs()) {
+                    (ProgramSpec::Ft(ProblemClass::C), 1) => ProgramSpec::Ft(ProblemClass::B),
+                    (s, _) => s,
+                };
+                let total_cores = machine.total_cores();
+                let w = build_workload(spec, total_cores);
+                let ns = [1, total_cores / 2, total_cores];
+                let name = format!("reference sweep {} on {}", spec.name(), machine.name);
+                let cs = campaign
+                    .run_sweep(machine, w.as_ref(), &ns, seeds, jobs)
+                    .map_err(|e| format!("{name} failed: {e}"))?;
+                if !cs.errors.is_empty() {
+                    cs.log_losses();
+                    return Err(format!("{name} lost {} run(s)", cs.errors.len()));
+                }
+                let timing = cs.timing;
+                eprintln!(
+                    "{:<12} {:<22} {:6.2} s  {:7.2} Mev/s",
+                    spec.name(),
+                    machine.name,
+                    timing.wall.as_secs_f64(),
+                    timing.events_per_sec() / 1e6,
+                );
+                configs.push(ConfigTiming {
+                    program: spec.name(),
+                    machine: machine.name.clone(),
+                    wall_s: timing.wall.as_secs_f64(),
+                    events: timing.events,
+                });
+                total.absorb(&timing);
+            }
+        }
+    }
+    Ok((configs, total))
+}
+
 fn main() {
     if let Err(e) = offchip_chaos::install_from_env() {
         usage_exit(&e.to_string());
@@ -182,49 +238,16 @@ fn main() {
         calibration.wall.as_secs_f64() * 1e3
     );
 
-    let machines = [
-        machines::intel_uma_8().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::intel_numa_24().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::amd_numa_48().scaled(DEFAULT_EXPERIMENT_SCALE),
-    ];
-    let mut total = SweepTiming::zero(jobs);
-    let mut configs = Vec::new();
-    for class in [ProblemClass::W, ProblemClass::C] {
-        for base_spec in ProgramSpec::npb_suite(class) {
-            for machine in &machines {
-                // FT.C → FT.B on the UMA machine, exactly as table2 runs.
-                let spec = match (base_spec, machine.total_mcs()) {
-                    (ProgramSpec::Ft(ProblemClass::C), 1) => ProgramSpec::Ft(ProblemClass::B),
-                    (s, _) => s,
-                };
-                let total_cores = machine.total_cores();
-                let w = build_workload(spec, total_cores);
-                let ns = [1, total_cores / 2, total_cores];
-                let (_, timing) = run_sweep_timed(machine, w.as_ref(), &ns, &seeds, jobs)
-                    .unwrap_or_else(|e| {
-                        runtime_exit(&format!(
-                            "reference sweep {} on {} failed: {e}",
-                            spec.name(),
-                            machine.name
-                        ))
-                    });
-                eprintln!(
-                    "{:<12} {:<22} {:6.2} s  {:7.2} Mev/s",
-                    spec.name(),
-                    machine.name,
-                    timing.wall.as_secs_f64(),
-                    timing.events_per_sec() / 1e6,
-                );
-                configs.push(ConfigTiming {
-                    program: spec.name(),
-                    machine: machine.name.clone(),
-                    wall_s: timing.wall.as_secs_f64(),
-                    events: timing.events,
-                });
-                total.absorb(&timing);
-            }
-        }
-    }
+    let journal_dir = std::env::temp_dir().join(format!("offchip-perfstat-{}", std::process::id()));
+    let opts = CampaignOptions {
+        journal_dir: Some(journal_dir.clone()),
+        ..CampaignOptions::default()
+    };
+    let grid = Campaign::start("perfstat", &opts)
+        .map_err(|e| format!("open campaign journal in {}: {e}", journal_dir.display()))
+        .and_then(|campaign| time_reference_grid(&campaign, &seeds, jobs));
+    let _ = std::fs::remove_dir_all(&journal_dir);
+    let (configs, total) = grid.unwrap_or_else(|e| runtime_exit(&e));
 
     let norm = total.events_per_sec() / calib_rate;
     println!(
@@ -277,8 +300,8 @@ fn main() {
         "history" => history,
         "configs" => configs,
     };
-    // No journal behind perfstat (timings are not resumable), so a
-    // failed artefact write is a plain runtime error.
+    // The scratch journal is gone by now (timings are not resumable), so
+    // a failed artefact write is a plain runtime error.
     if let Err(e) =
         offchip_json::write_atomic(std::path::Path::new(&out_path), &doc.to_pretty_string())
     {

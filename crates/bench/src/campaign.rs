@@ -284,8 +284,13 @@ impl CampaignOptions {
                     opts.retries = value()?.parse().map_err(|e| format!("--retries: {e}"))?
                 }
                 "--max-events" => {
-                    opts.max_events =
-                        Some(value()?.parse().map_err(|e| format!("--max-events: {e}"))?)
+                    let cap: u64 = value()?.parse().map_err(|e| format!("--max-events: {e}"))?;
+                    // A zero budget fails every point on its first event,
+                    // and so would every --resume.
+                    if cap == 0 {
+                        return Err("--max-events must be a positive event count".into());
+                    }
+                    opts.max_events = Some(cap);
                 }
                 "--journal-dir" => opts.journal_dir = Some(PathBuf::from(value()?)),
                 "--watchdog" => {
@@ -745,14 +750,9 @@ pub struct CampaignSweep {
 }
 
 impl CampaignSweep {
-    /// Unwraps a sweep that must be complete: prints every lost point and
-    /// exits [`EXIT_INTERRUPTED`] if any — the journal retains all
-    /// completed points, so rerunning with `--resume` finishes the grid
-    /// without repeating them.
-    pub fn expect_complete(self) -> (SweepResult, SweepTiming) {
-        if self.errors.is_empty() {
-            return (self.sweep, self.timing);
-        }
+    /// Logs the lost points, if any: each one for a handful of losses, one
+    /// [`loss_summary`] line for more.
+    pub fn log_losses(&self) {
         // Per-point detail is useful for a handful of losses; on a large
         // grid it floods the terminal, so aggregate per error kind.
         const DETAIL_LIMIT: usize = 5;
@@ -772,6 +772,17 @@ impl CampaignSweep {
                 loss_summary(&self.errors)
             );
         }
+    }
+
+    /// Unwraps a sweep that must be complete: logs every lost point and
+    /// exits [`EXIT_INTERRUPTED`] if any — the journal retains all
+    /// completed points, so rerunning with `--resume` finishes the grid
+    /// without repeating them.
+    pub fn expect_complete(self) -> (SweepResult, SweepTiming) {
+        if self.errors.is_empty() {
+            return (self.sweep, self.timing);
+        }
+        self.log_losses();
         offchip_obs::error!(
             "campaign interrupted: {} point(s) lost, {} completed runs journaled — \
              rerun with --resume to finish without repeating them",
@@ -1498,6 +1509,101 @@ mod tests {
     }
 
     #[test]
+    fn timing_accounts_for_every_run() {
+        let machine = small_machine();
+        let w = build_workload(ProgramSpec::Cg(ProblemClass::S), 8);
+        let opts = scratch("timing");
+        let c = Campaign::start("timing", &opts).unwrap();
+        let cs = c.run_sweep(&machine, w.as_ref(), &[1, 2], &[5, 6, 7], 4).unwrap();
+        assert!(cs.errors.is_empty());
+        assert_eq!((cs.executed, cs.resumed), (6, 0));
+        let t = cs.timing;
+        assert_eq!((t.runs, t.jobs), (6, 4));
+        assert!(t.wall > Duration::ZERO);
+        assert!(t.busy >= t.wall / 8, "busy {:?} wall {:?}", t.busy, t.wall);
+        assert!(t.events > 0 && t.runs_per_sec() > 0.0);
+        let mut total = SweepTiming::zero(1);
+        total.absorb(&t);
+        assert_eq!(total.runs, 6);
+        let line = total.to_string();
+        assert!(line.contains("runs/s"), "{line}");
+        // A resumed grid accounts the journaled busy time and events, not
+        // zero and not a re-simulation.
+        let ropts = CampaignOptions {
+            resume: true,
+            ..opts
+        };
+        let again = Campaign::start("timing", &ropts)
+            .unwrap()
+            .run_sweep(&machine, w.as_ref(), &[1, 2], &[5, 6, 7], 4)
+            .unwrap();
+        assert_eq!((again.executed, again.resumed), (0, 6));
+        assert_eq!((again.timing.busy, again.timing.events), (t.busy, t.events));
+    }
+
+    #[test]
+    fn empty_seed_list_is_a_typed_error() {
+        // Regression: this used to be an assert!(), a panic path in a
+        // pipeline that otherwise reports typed errors.
+        let machine = small_machine();
+        let w = build_workload(ProgramSpec::Cg(ProblemClass::S), 8);
+        assert_eq!(
+            run_sweep(&machine, w.as_ref(), &[1], &[]).unwrap_err(),
+            SweepError::NoSeeds
+        );
+        let c = Campaign::start("noseeds", &scratch("noseeds")).unwrap();
+        let cs = c.run_sweep(&machine, w.as_ref(), &[1], &[], 4);
+        assert_eq!(cs.err(), Some(SweepError::NoSeeds));
+    }
+
+    #[test]
+    fn hostile_journal_lines_replay_nothing_or_the_same_record() {
+        let rec = JournalRecord {
+            total_cycles: 123_456_789,
+            work_cycles: 100_000_000,
+            stall_cycles: 23_456_789,
+            llc_misses: 4_321,
+            makespan: 61_728_394,
+            sim_events: 987_654,
+            wall_ns: 12_345_678,
+        };
+        let key = (0xDEAD_BEEF_CAFE_F00D, 4, 0x0FF_C41B);
+        let line = rec.to_line(key.0, key.1, key.2, None);
+        let want = Some((key, rec));
+        assert_eq!(JournalRecord::parse_line(&line), want);
+        // Not "always None": `from_str_radix` reads an upper-case CRC digit
+        // as the same value, so that substitution replays the same record.
+        let replays = |l: &str| {
+            let got = JournalRecord::parse_line(l);
+            got.is_none() || got == want
+        };
+        for i in 0..line.len() {
+            for b in b' '..=b'~' {
+                let mut bytes = line.clone().into_bytes();
+                bytes[i] = b;
+                let mutated = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+                assert!(replays(&mutated), "byte {i} -> {:?}: {mutated}", b as char);
+            }
+        }
+        for cut in 0..line.len() {
+            assert!(replays(&line[..cut]), "cut = {cut}");
+        }
+        // Seeded garbage never panics. Three bytes in four come from the
+        // valid line's alphabet, so the parser gets past its first check.
+        let mut rng = offchip_simcore::Rng::new(0x0BAD_5EED);
+        for _ in 0..20_000 {
+            let len = rng.next_below(2 * line.len() as u64) as usize;
+            let junk: Vec<u8> = (0..len)
+                .map(|_| match rng.next_below(4) {
+                    0 => rng.next_u64() as u8,
+                    _ => line.as_bytes()[rng.next_below(line.len() as u64) as usize],
+                })
+                .collect();
+            let _ = JournalRecord::parse_line(&String::from_utf8_lossy(&junk));
+        }
+    }
+
+    #[test]
     fn resume_replays_the_journal_bit_for_bit() {
         let machine = small_machine();
         let w = build_workload(ProgramSpec::Is(ProblemClass::S), 8);
@@ -1692,6 +1798,7 @@ mod tests {
         assert!(CampaignOptions::parse(&sv(&["--deadline"])).is_err());
         assert!(CampaignOptions::parse(&sv(&["--bogus"])).is_err());
         assert!(CampaignOptions::parse(&sv(&["--watchdog", "0"])).is_err());
+        assert!(CampaignOptions::parse(&sv(&["--max-events", "0"])).is_err());
         let e = CampaignOptions::parse(&sv(&["--chaos-io", "frob@disk:1"])).unwrap_err();
         assert!(e.contains("chaos-io"), "{e}");
         let d = CampaignOptions::parse(&[]).unwrap();

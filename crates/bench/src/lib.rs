@@ -5,8 +5,11 @@
 //!
 //! * [`workloads`] — constructing any of the paper's programs by name and
 //!   class at the experiment scale;
-//! * [`sweep`] — running core-count sweeps with seed averaging (the paper
-//!   runs every configuration five times and reports averages);
+//! * [`campaign`] — the one sweep engine: core-count sweeps with seed
+//!   averaging (the paper runs every configuration five times and reports
+//!   averages), journaled and fanned across the worker pool;
+//! * [`sweep`] — the sweep result types and the serial reference sweep
+//!   the campaign's output is checked against;
 //! * [`report`] — text-table rendering and JSON persistence of results
 //!   under `target/experiments/`.
 //!
@@ -14,7 +17,7 @@
 //!
 //! * `OFFCHIP_QUICK=1` — single seed and coarser sweeps, for smoke runs;
 //! * `OFFCHIP_SEEDS=k` — number of seeds averaged (default 3);
-//! * `OFFCHIP_JOBS=j` — worker budget of the parallel sweep engine
+//! * `OFFCHIP_JOBS=j` — worker budget of the campaign sweep engine
 //!   (default: the machine's available parallelism).
 
 #![forbid(unsafe_code)]
@@ -29,12 +32,9 @@ pub mod sweep;
 pub mod workloads;
 
 pub use campaign::{
-    loss_summary, loss_summary_traced, Campaign, CampaignOptions, CampaignSweep, JournalFault,
-    PointConfig, PointError, Watchdog, EXIT_ARTEFACT_FAILED, EXIT_INTERRUPTED,
+    loss_summary_traced, Campaign, CampaignOptions, CampaignSweep, JournalFault, PointConfig,
+    PointError, Watchdog, EXIT_ARTEFACT_FAILED, EXIT_INTERRUPTED,
 };
 pub use report::{persist_or_exit, write_json, ExperimentResult};
-pub use sweep::{
-    jobs, run_point, run_point_parallel, run_sweep, run_sweep_parallel, run_sweep_timed, seeds,
-    SweepError, SweepPoint, SweepResult, SweepTiming,
-};
+pub use sweep::{jobs, run_sweep, seeds, SweepError, SweepPoint, SweepResult, SweepTiming};
 pub use workloads::{build_workload, build_workload_scaled, experiment_scale, ProgramSpec};

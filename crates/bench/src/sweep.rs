@@ -1,23 +1,19 @@
-//! Core-count sweeps with seed averaging, fanned out across the
-//! process-wide worker pool.
+//! Core-count sweeps with seed averaging: the sweep result types, the
+//! seed and worker-budget defaults, and the serial reference sweep.
 //!
-//! A sweep is a grid of independent `(n, seed)` simulator runs, but the
-//! unit of dispatch is one *point*: the S seeds of a point share their
-//! seed-independent setup (config validation, thread placement, DRAM
-//! timing decode) through one [`offchip_machine::LaneRunner`] and run as
-//! lanes in seed order. The parallel engine ([`run_sweep_parallel`])
-//! dispatches `min(jobs, points)` point work-items to the pool and folds
-//! each point's per-lane samples into its mean in deterministic
-//! `n`-ascending, seed-ascending order — so its output is
-//! **byte-identical** to the serial [`run_sweep`] for the same seeds,
-//! whatever `OFFCHIP_JOBS` says (the contract
-//! `tests/end_to_end.rs::parallel_sweep_is_byte_identical_to_serial`
+//! Every binary runs its sweeps through [`crate::campaign::Campaign`],
+//! which journals each `(n, seed)` run and fans the grid out across the
+//! process-wide worker pool. [`run_sweep`] is the plain serial loop that
+//! engine is checked against: one [`run`] per `(n, seed)`, each point
+//! folded into its mean in seed order by the same fold the campaign uses,
+//! so the two agree byte for byte whatever `OFFCHIP_JOBS` says (the
+//! contract `tests/end_to_end.rs::parallel_sweep_is_byte_identical_to_serial`
 //! guards).
 
 use std::time::{Duration, Instant};
 
 use offchip_json::{json_obj, Json, ToJson};
-use offchip_machine::{run, try_run_bounded, LaneRunner, RunError, RunReport, SimConfig, Workload};
+use offchip_machine::{run, try_run_bounded, RunError, RunReport, SimConfig, Workload};
 use offchip_topology::MachineSpec;
 
 use crate::campaign::PointConfig;
@@ -34,8 +30,6 @@ pub enum SweepError {
     /// The sweep lacks the one-core baseline `C(1)` that ω is defined
     /// against.
     MissingBaseline,
-    /// The sweep lacks the point `n` a consumer asked for.
-    MissingPoint(usize),
     /// The point `n` exists but its cycle counter is non-finite or
     /// non-positive (a corrupted reading).
     CorruptPoint(usize),
@@ -53,7 +47,6 @@ impl std::fmt::Display for SweepError {
             SweepError::MissingBaseline => {
                 write!(f, "sweep lacks the n = 1 baseline that omega(n) is defined against")
             }
-            SweepError::MissingPoint(n) => write!(f, "sweep lacks the required point n = {n}"),
             SweepError::CorruptPoint(n) => {
                 write!(f, "sweep point n = {n} has a non-finite or non-positive cycle count")
             }
@@ -258,43 +251,9 @@ impl RunSample {
     }
 }
 
-/// Runs one point's full seed set as lanes through shared setup.
-///
-/// Config validation, thread→core placement, the active-controller set
-/// and DRAM timing decode are all seed-independent, so they happen once
-/// per point (in [`LaneRunner::new`]) instead of once per run; each seed
-/// then spins a fresh simulator instance with its own counters and RNG
-/// streams. Samples come back in seed order — the order
-/// [`point_from_samples`] folds in — which keeps the output
-/// byte-identical to the historical one-`run`-per-`(n, seed)` engine.
-///
-/// Sweeps carry no deadline or event budget, so the only failure mode is
-/// an invalid configuration; it panics with the same message the plain
-/// [`run`] entry point uses.
-fn sample_lanes(
-    machine: &MachineSpec,
-    workload: &dyn Workload,
-    n: usize,
-    seeds: &[u64],
-) -> Vec<RunSample> {
-    let cfg = SimConfig::new(machine.clone(), n);
-    let runner = LaneRunner::new(workload, &cfg)
-        .unwrap_or_else(|e| panic!("invalid simulation configuration: {e}"));
-    seeds
-        .iter()
-        .map(|&seed| {
-            let t0 = Instant::now();
-            let r = runner
-                .run_seed(seed)
-                .unwrap_or_else(|e| panic!("budget guard fired in an unbounded sweep: {e}"));
-            RunSample::from_report(&r, t0.elapsed())
-        })
-        .collect()
-}
-
-/// [`sample`] with the per-point tuning and budget guards of a campaign:
-/// the same configuration surface, plus deadline/event-cap enforcement
-/// reported as typed errors instead of a hung or panicking run.
+/// One campaign run: the point's tuning and budget guards applied, with
+/// deadline/event-cap enforcement reported as typed errors instead of a
+/// hung or panicking run.
 pub(crate) fn sample_bounded(
     machine: &MachineSpec,
     workload: &dyn Workload,
@@ -317,8 +276,8 @@ pub(crate) fn sample_bounded(
 }
 
 /// Folds one point's per-seed samples (in seed order) into the mean.
-/// Both the serial and the parallel path call this with samples in the
-/// same order, which is what makes their f64 sums identical.
+/// Both the serial reference and the campaign call this with samples in
+/// the same order, which is what makes their f64 sums identical.
 pub(crate) fn point_from_samples(n: usize, samples: &[RunSample]) -> SweepPoint {
     let mut acc = SweepPoint {
         n,
@@ -412,120 +371,41 @@ impl std::fmt::Display for SweepTiming {
     }
 }
 
-/// Runs one `(machine, workload, n)` point averaged over `seeds`,
-/// serially on the calling thread.
-pub fn run_point(
-    machine: &MachineSpec,
-    workload: &dyn Workload,
-    n: usize,
-    seeds: &[u64],
-) -> Result<SweepPoint, SweepError> {
-    if seeds.is_empty() {
-        return Err(SweepError::NoSeeds);
-    }
-    let samples = sample_lanes(machine, workload, n, seeds);
-    Ok(point_from_samples(n, &samples))
-}
-
-/// Runs one point through the parallel engine. A point is one work item
-/// (its seeds run as lanes on one worker), so this exists for API
-/// symmetry with [`run_sweep_parallel`] rather than for speedup.
-pub fn run_point_parallel(
-    machine: &MachineSpec,
-    workload: &dyn Workload,
-    n: usize,
-    seeds: &[u64],
-    jobs: usize,
-) -> Result<SweepPoint, SweepError> {
-    let sweep = run_sweep_parallel(machine, workload, &[n], seeds, jobs)?;
-    sweep
-        .points
-        .into_iter()
-        .next()
-        .ok_or(SweepError::MissingPoint(n))
-}
-
-/// Runs a full sweep over `ns`, serially — the reference implementation
-/// the parallel engine's determinism contract is checked against.
+/// Runs a full sweep over `ns`, serially: one [`run`] per `(n, seed)`,
+/// folded point by point in seed order. The reference the campaign
+/// engine's output is checked against.
 pub fn run_sweep(
     machine: &MachineSpec,
     workload: &dyn Workload,
     ns: &[usize],
     seeds: &[u64],
 ) -> Result<SweepResult, SweepError> {
-    Ok(SweepResult {
-        machine: machine.name.clone(),
-        program: workload.name(),
-        points: ns
-            .iter()
-            .map(|&n| run_point(machine, workload, n, seeds))
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-/// Runs a full sweep with one work item per point — a point's seeds run
-/// as lanes through shared setup on one worker — fanned out across at
-/// most `jobs` workers, aggregating per-point means in deterministic
-/// `n`-ascending (grid order), seed-ascending order. Output is
-/// byte-identical to [`run_sweep`] for the same seeds.
-pub fn run_sweep_parallel(
-    machine: &MachineSpec,
-    workload: &dyn Workload,
-    ns: &[usize],
-    seeds: &[u64],
-    jobs: usize,
-) -> Result<SweepResult, SweepError> {
-    run_sweep_timed(machine, workload, ns, seeds, jobs).map(|(s, _)| s)
-}
-
-/// [`run_sweep_parallel`] plus the sweep's timing/throughput accounting,
-/// for the report output of the experiment binaries.
-pub fn run_sweep_timed(
-    machine: &MachineSpec,
-    workload: &dyn Workload,
-    ns: &[usize],
-    seeds: &[u64],
-    jobs: usize,
-) -> Result<(SweepResult, SweepTiming), SweepError> {
     if seeds.is_empty() {
         return Err(SweepError::NoSeeds);
     }
-    let t0 = Instant::now();
-    let per_point =
-        offchip_pool::scoped_map(jobs, ns, |_, &n| sample_lanes(machine, workload, n, seeds));
-    let wall = t0.elapsed();
-    let points = ns
-        .iter()
-        .zip(&per_point)
-        .map(|(&n, samples)| point_from_samples(n, samples))
-        .collect();
-    let timing = SweepTiming {
-        runs: ns.len() * seeds.len(),
-        jobs,
-        wall,
-        busy: per_point.iter().flatten().map(|s| s.elapsed).sum(),
-        events: per_point.iter().flatten().map(|s| s.sim_events).sum(),
-    };
-    Ok((
-        SweepResult {
-            machine: machine.name.clone(),
-            program: workload.name(),
-            points,
-        },
-        timing,
-    ))
+    let mut points = Vec::with_capacity(ns.len());
+    for &n in ns {
+        let mut samples = Vec::with_capacity(seeds.len());
+        for &seed in seeds {
+            let mut cfg = SimConfig::new(machine.clone(), n);
+            cfg.seed = seed;
+            // Untimed: only the counters feed the fold.
+            samples.push(RunSample::from_report(&run(workload, &cfg), Duration::ZERO));
+        }
+        points.push(point_from_samples(n, &samples));
+    }
+    Ok(SweepResult {
+        machine: machine.name.clone(),
+        program: workload.name(),
+        points,
+    })
 }
 
 /// Runs one configuration with the sampler enabled (single seed: the
-/// burstiness analysis needs one coherent time series, not an average).
-pub fn run_sampled(machine: &MachineSpec, workload: &dyn Workload, n: usize) -> RunReport {
-    let cfg = SimConfig::new(machine.clone(), n).with_sampler_5us_scaled();
-    run(workload, &cfg)
-}
-
-/// [`run_sampled`] with the campaign budget guards in force: a wedged
-/// sampled run surfaces as a typed [`RunError`] with partial counters
-/// instead of hanging the burstiness analysis.
+/// burstiness analysis needs one coherent time series, not an average),
+/// with the campaign budget guards in force: a wedged sampled run
+/// surfaces as a typed [`RunError`] with partial counters instead of
+/// hanging the burstiness analysis.
 pub fn run_sampled_bounded(
     machine: &MachineSpec,
     workload: &dyn Workload,
@@ -643,82 +523,21 @@ mod tests {
     }
 
     #[test]
-    fn run_point_rejects_empty_seeds() {
-        // Regression: this used to be an assert!(), a panic path in a
-        // pipeline that otherwise reports typed errors.
-        let machine = machines::intel_uma_8().scaled(1.0 / 64.0);
-        let w = build_workload(ProgramSpec::Cg(ProblemClass::S), 8);
-        assert_eq!(
-            run_point(&machine, w.as_ref(), 1, &[]).unwrap_err(),
-            SweepError::NoSeeds
-        );
-        assert_eq!(
-            run_sweep_parallel(&machine, w.as_ref(), &[1], &[], 4).unwrap_err(),
-            SweepError::NoSeeds
-        );
-    }
-
-    #[test]
     fn seed_averaging_is_mean() {
         let machine = machines::intel_uma_8().scaled(1.0 / 64.0);
         let w = build_workload(ProgramSpec::Is(ProblemClass::S), 8);
-        let a = run_point(&machine, w.as_ref(), 2, &[7]).unwrap();
-        let b = run_point(&machine, w.as_ref(), 2, &[8]).unwrap();
-        let ab = run_point(&machine, w.as_ref(), 2, &[7, 8]).unwrap();
-        assert!((ab.total_cycles - (a.total_cycles + b.total_cycles) / 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_bit_for_bit() {
-        let machine = machines::intel_uma_8().scaled(1.0 / 64.0);
-        let w = build_workload(ProgramSpec::Cg(ProblemClass::S), 8);
-        let ns = [1, 2, 4];
-        let seeds = [3, 11];
-        let serial = run_sweep(&machine, w.as_ref(), &ns, &seeds).unwrap();
-        for jobs in [1, 4] {
-            let par = run_sweep_parallel(&machine, w.as_ref(), &ns, &seeds, jobs).unwrap();
-            assert_eq!(
-                serial.to_json().to_pretty_string(),
-                par.to_json().to_pretty_string(),
-                "jobs = {jobs}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_point_matches_serial_point() {
-        let machine = machines::intel_uma_8().scaled(1.0 / 64.0);
-        let w = build_workload(ProgramSpec::Is(ProblemClass::S), 8);
-        let serial = run_point(&machine, w.as_ref(), 4, &[1, 2, 3]).unwrap();
-        let par = run_point_parallel(&machine, w.as_ref(), 4, &[1, 2, 3], 3).unwrap();
-        assert_eq!(
-            serial.to_json().to_pretty_string(),
-            par.to_json().to_pretty_string()
-        );
-    }
-
-    #[test]
-    fn timing_accounts_for_every_run() {
-        let machine = machines::intel_uma_8().scaled(1.0 / 64.0);
-        let w = build_workload(ProgramSpec::Cg(ProblemClass::S), 8);
-        let (_, t) = run_sweep_timed(&machine, w.as_ref(), &[1, 2], &[5, 6, 7], 4).unwrap();
-        assert_eq!(t.runs, 6);
-        assert_eq!(t.jobs, 4);
-        assert!(t.wall > Duration::ZERO);
-        assert!(t.busy >= t.wall / 8, "busy {:?} wall {:?}", t.busy, t.wall);
-        assert!(t.runs_per_sec() > 0.0);
-        let mut total = SweepTiming::zero(1);
-        total.absorb(&t);
-        assert_eq!(total.runs, 6);
-        let line = total.to_string();
-        assert!(line.contains("runs/s"), "{line}");
+        let c2 = |seeds: &[u64]| {
+            run_sweep(&machine, w.as_ref(), &[2], seeds).unwrap().points[0].total_cycles
+        };
+        let (a, b, ab) = (c2(&[7]), c2(&[8]), c2(&[7, 8]));
+        assert!((ab - (a + b) / 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn sampled_run_produces_windows() {
         let machine = machines::intel_uma_8().scaled(1.0 / 64.0);
         let w = build_workload(ProgramSpec::Cg(ProblemClass::S), 8);
-        let r = run_sampled(&machine, w.as_ref(), 4);
+        let r = run_sampled_bounded(&machine, w.as_ref(), 4, None, None).unwrap();
         let windows = r.miss_windows.expect("sampler on");
         assert!(!windows.is_empty());
     }

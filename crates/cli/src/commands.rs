@@ -111,18 +111,7 @@ fn campaign_sweep(
     let w = workload_of(opts, machine);
     let cs = campaign.run_sweep_with(machine, w.as_ref(), ns, &[opts.seed], jobs, &tune)?;
     if !cs.errors.is_empty() {
-        // A handful of losses print in full; a flood aggregates per kind.
-        const DETAIL_LIMIT: usize = 5;
-        if cs.errors.len() <= DETAIL_LIMIT {
-            for e in &cs.errors {
-                offchip_obs::error!("lost sweep point: {e}");
-            }
-        } else {
-            offchip_obs::error!(
-                "lost sweep points: {}",
-                offchip_bench::loss_summary(&cs.errors)
-            );
-        }
+        cs.log_losses();
         return Err(CliError::Interrupted {
             lost: cs.errors.len(),
             journal: campaign.journal_path().to_path_buf(),

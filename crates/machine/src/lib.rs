@@ -44,4 +44,4 @@ pub use config::{ConfigError, McScheduler, MemoryPolicy, SimConfig};
 pub use counters::{Counters, RunReport, WindowSampler};
 pub use firsttouch::FirstTouch;
 pub use ops::{Op, ProgramIter, Workload};
-pub use sim::{run, try_run, try_run_bounded, LaneRunner, RunError};
+pub use sim::{run, try_run_bounded, LaneRunner, RunError};

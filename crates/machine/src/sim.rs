@@ -282,34 +282,20 @@ struct Sim<'w> {
 /// Runs `workload` under `cfg` and returns the full report.
 ///
 /// # Panics
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]) or
-/// the workload has no threads. Use [`try_run`] to surface configuration
-/// problems as typed errors instead.
+/// Panics if the configuration is invalid (see [`SimConfig::validate`]),
+/// if a budget guard it sets fires (the message is the [`RunError`]), or
+/// if the workload has no threads. [`try_run_bounded`] returns the first
+/// two as typed errors instead.
 pub fn run(workload: &dyn Workload, cfg: &SimConfig) -> RunReport {
-    try_run(workload, cfg).unwrap_or_else(|e| panic!("invalid simulation configuration: {e}"))
-}
-
-/// Runs `workload` under `cfg`, rejecting an invalid configuration with a
-/// typed [`ConfigError`] rather than panicking — the entry point for
-/// drivers fed untrusted configurations (the CLI, config files).
-///
-/// # Panics
-/// Panics if the workload has no threads (a workload-construction bug,
-/// not a configuration issue), or if a budget guard fires — callers that
-/// set [`SimConfig::max_events`] or [`SimConfig::deadline`] must use
-/// [`try_run_bounded`], which reports those as typed errors.
-pub fn try_run(workload: &dyn Workload, cfg: &SimConfig) -> Result<RunReport, ConfigError> {
-    try_run_bounded(workload, cfg).map_err(|e| match e {
-        RunError::Config(c) => c,
-        budget => panic!("budget guard fired under try_run (use try_run_bounded): {budget}"),
-    })
+    try_run_bounded(workload, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs `workload` under `cfg` with the configured event-budget and
-/// wall-clock-deadline guards in force, reporting a fired guard as a
-/// typed [`RunError`] carrying the partial counters — the entry point
-/// for crash-safe campaigns that must turn a wedged simulation into one
-/// lost sweep point rather than a hung process.
+/// wall-clock-deadline guards in force, reporting an invalid
+/// configuration or a fired guard (with the partial counters) as a typed
+/// [`RunError`] — the entry point for the CLI and for crash-safe
+/// campaigns that must turn a wedged simulation into one lost sweep
+/// point rather than a hung process.
 ///
 /// # Panics
 /// Panics if the workload has no threads (a workload-construction bug,
@@ -318,17 +304,17 @@ pub fn try_run_bounded(workload: &dyn Workload, cfg: &SimConfig) -> Result<RunRe
     LaneRunner::new(workload, cfg)?.run_seed(cfg.seed)
 }
 
-/// Shared per-sweep-point simulator setup, amortised across seed lanes.
+/// Validated, seed-independent simulator setup.
 ///
-/// The S seeds of one sweep point differ only in the per-thread RNG
-/// streams; everything derived from `(machine, policy, n_cores, workload
-/// shape)` — config validation, thread→core placement, the active
-/// controller set, DRAM timing decode — is seed-independent. A
-/// `LaneRunner` computes all of it once and then [`LaneRunner::run_seed`]
-/// spins a fresh simulator instance per lane, with its own counters,
-/// caches, controllers and RNG state, producing a report byte-identical
-/// to a standalone [`try_run_bounded`] at that seed (pinned by
-/// `lanes_match_standalone_runs` below and by the golden artefact tests).
+/// Everything derived from `(machine, policy, n_cores, workload shape)` —
+/// config validation, thread→core placement, the active controller set,
+/// DRAM timing decode — is seed-independent. [`LaneRunner::new`] computes
+/// it once; [`LaneRunner::run_seed`] then spins a fresh simulator
+/// instance with its own counters, caches, controllers and RNG state.
+/// [`try_run_bounded`] is `new` followed by one `run_seed`; a caller that
+/// times setup apart from the event loop uses the two halves directly.
+/// Each seed run through one runner reproduces the standalone run at that
+/// seed byte for byte (pinned by `lanes_match_standalone_runs` below).
 pub struct LaneRunner<'a> {
     workload: &'a dyn Workload,
     cfg: &'a SimConfig,

@@ -206,26 +206,37 @@ fn deterministic_end_to_end() {
 
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
-    // The sweep engine's headline contract: `run_sweep_parallel` must
-    // serialize to exactly the bytes `run_sweep` produces — same seeds,
-    // same per-point means, same f64 fold order — whatever the worker
-    // count. This is what lets `OFFCHIP_JOBS` vary freely across CI and
-    // laptops without perturbing a single committed artifact.
+    // The sweep engine's headline contract: `Campaign::run_sweep` must
+    // serialize to exactly the bytes the serial `run_sweep` reference
+    // produces — same seeds, same per-point means, same f64 fold order —
+    // whatever the worker count. This is what lets `OFFCHIP_JOBS` vary
+    // freely across CI and laptops without perturbing a single committed
+    // artifact.
     let machine = machines::intel_uma_8().scaled(SCALE);
     let w = traces::cg::workload(ProblemClass::W, SCALE, 8);
     let ns = [1usize, 2, 4, 8];
     let seeds = [7u64, 11, 13];
     use offchip_json::ToJson;
     let serial = offchip_bench::run_sweep(&machine, &w, &ns, &seeds).expect("serial sweep");
+    let dir = std::env::temp_dir().join(format!("offchip-e2e-jobs-{}", std::process::id()));
+    let opts = offchip_bench::CampaignOptions {
+        journal_dir: Some(dir.clone()),
+        ..offchip_bench::CampaignOptions::default()
+    };
     for jobs in [1usize, 4] {
-        let par = offchip_bench::run_sweep_parallel(&machine, &w, &ns, &seeds, jobs)
-            .expect("parallel sweep");
+        let campaign = offchip_bench::Campaign::start("jobs", &opts).expect("open journal");
+        let cs = campaign
+            .run_sweep(&machine, &w, &ns, &seeds, jobs)
+            .expect("campaign sweep");
+        assert!(cs.errors.is_empty(), "jobs={jobs}: {:?}", cs.errors);
+        assert_eq!((cs.executed, cs.resumed), (ns.len() * seeds.len(), 0));
         assert_eq!(
             serial.to_json().to_pretty_string(),
-            par.to_json().to_pretty_string(),
+            cs.sweep.to_json().to_pretty_string(),
             "jobs={jobs} diverged from the serial reference"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! own reviewed decision, never a side effect of an optimisation):
 //! `OFFCHIP_BLESS=1 cargo test --test golden_artifacts`.
 
-use offchip_bench::{build_workload, run_sweep_parallel, ProgramSpec};
+use offchip_bench::{build_workload, Campaign, CampaignOptions, ProgramSpec};
 use offchip_json::ToJson;
 use offchip_machine::{run, McScheduler, MemoryPolicy, SimConfig};
 use offchip_npb::classes::ProblemClass;
@@ -39,18 +39,32 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 /// A CG sweep on the UMA machine: the default FCFS + interleave-active
-/// path every figure and table exercises. Run at several worker counts so
-/// a hasher- or scheduling-order dependence cannot hide behind `jobs=1`.
+/// path every figure and table exercises, through the campaign engine
+/// every binary runs. Run at several worker counts so a hasher- or
+/// scheduling-order dependence cannot hide behind `jobs=1`.
 #[test]
 fn default_path_sweep_bytes_are_pinned() {
     let machine = machines::intel_uma_8().scaled(SCALE);
     let w = build_workload(ProgramSpec::Cg(ProblemClass::S), 8);
+    let ns = [1, 2, 4, 8];
     let seeds = [0x0FF_C41B, 7, 11];
+    let dir = std::env::temp_dir().join(format!("offchip-golden-{}", std::process::id()));
+    let opts = CampaignOptions {
+        journal_dir: Some(dir.clone()),
+        ..CampaignOptions::default()
+    };
     for jobs in [1usize, 4] {
-        let sweep =
-            run_sweep_parallel(&machine, w.as_ref(), &[1, 2, 4, 8], &seeds, jobs).unwrap();
-        check_golden("cg_uma_sweep.json", &sweep.to_json().to_pretty_string());
+        // Without --resume each start truncates the journal, so every
+        // width simulates the whole grid.
+        let campaign = Campaign::start("golden", &opts).expect("open journal");
+        let cs = campaign
+            .run_sweep(&machine, w.as_ref(), &ns, &seeds, jobs)
+            .expect("sweep");
+        assert!(cs.errors.is_empty(), "jobs={jobs}: {:?}", cs.errors);
+        assert_eq!((cs.executed, cs.resumed), (ns.len() * seeds.len(), 0));
+        check_golden("cg_uma_sweep.json", &cs.sweep.to_json().to_pretty_string());
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The FR-FCFS + first-touch ablation path: exercises the reordering

@@ -158,8 +158,8 @@ fn init_obs(opts: &RunOptions) {
     if let Some(l) = level {
         offchip_obs::set_level(l);
     }
-    if offchip_obs::level().at_least(offchip_obs::ObsLevel::Trace) {
-        offchip_obs::reset_trace();
+    if opts.trace_out.is_some() {
+        offchip_obs::open_trace_ring();
     }
 }
 

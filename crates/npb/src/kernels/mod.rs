@@ -15,15 +15,13 @@
 //! IS checks full sortedness, CG checks solver residuals, FT checks
 //! inverse-transform round-trips, SP checks pentadiagonal solutions
 //! against dense elimination, and the x264 proxy checks recovered motion
-//! vectors.
+//! vectors. MG has a trace generator ([`crate::traces::mg`]) and no port
+//! here.
 
-pub mod canneal;
 pub mod cg;
 pub mod ep;
 pub mod ft;
 pub mod grid3;
 pub mod is;
-pub mod mg;
 pub mod sp;
-pub mod streamcluster;
 pub mod x264;

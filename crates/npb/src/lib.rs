@@ -6,7 +6,7 @@
 //! supplies both halves of the substitution documented in DESIGN.md §2:
 //!
 //! 1. **Real kernels** ([`kernels`]) — from-scratch Rust ports of the five
-//!    computational kernels, parallelised with crossbeam scoped threads and
+//!    computational kernels, parallelised with `std::thread::scope` and
 //!    each carrying an NPB-style verification step (EP Gaussian-pair
 //!    counts, IS sortedness, CG eigenvalue residuals, FT inverse-transform
 //!    round-trips, SP pentadiagonal-solver residuals), plus a motion-

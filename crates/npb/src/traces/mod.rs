@@ -11,16 +11,14 @@
 //! `compute_per_access`.
 //!
 //! * [`ep`], [`is`], [`cg`], [`ft`], [`sp`], [`mg`] — the NPB kernels;
-//! * [`x264`], [`streamcluster`], [`canneal`] — the PARSEC proxies.
+//! * [`x264`] — the PARSEC proxy.
 
-pub mod canneal;
 pub mod cg;
 pub mod ep;
 pub mod ft;
 pub mod is;
 pub mod mg;
 pub mod sp;
-pub mod streamcluster;
 pub mod x264;
 
 use std::sync::Arc;

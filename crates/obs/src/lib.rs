@@ -13,8 +13,9 @@
 //! - [`telemetry`]: the per-memory-controller time-series sampler
 //!   generalising the 5 µs burst windows ([`McObs`], [`Telemetry`]), plus
 //!   queue-wait/queue-depth histograms fed from the DRAM service paths.
-//! - [`trace`]: a bounded ring of [`Span`]s rendered as Chrome
-//!   `trace_event` JSON, loadable in `chrome://tracing` / Perfetto.
+//! - [`trace`]: a bounded ring of [`Span`]s, open only while a consumer
+//!   drains it, rendered as Chrome `trace_event` JSON, loadable in
+//!   `chrome://tracing` / Perfetto.
 //! - [`log`]: a leveled `key=value` logger on stderr (`--log-level`,
 //!   `OFFCHIP_LOG`) with [`error!`]/[`warn!`]/[`info!`]/[`debug!`] macros,
 //!   a structured JSON mode (`--log-format json`, `OFFCHIP_LOG_FORMAT`)
@@ -52,12 +53,11 @@ pub use log::{
 pub use metrics::{registry, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use prom::{prom_name, render_prometheus};
 pub use reqtrace::{
-    current_trace, derive_trace_id, now_us, reset_reqtrace, set_current_trace, span_close,
-    span_event, span_open, trace_begin, trace_finish, trace_perfetto_json, trace_root_dur_us,
-    trace_spans, trace_tree_json, ReqSpan, TraceRef, TraceScope, MAX_SPANS, MAX_TRACES,
+    current_trace, derive_trace_id, span_close, span_event, span_open, trace_begin, trace_finish,
+    trace_perfetto_json, trace_tree_json, TraceRef, TraceScope,
 };
 pub use telemetry::{McObs, McSeries, Telemetry, TelemetryWindow};
 pub use trace::{
-    chrome_trace_json, next_trace_pid, push_spans, reset_trace, take_spans, trace_dropped, Span,
-    TRACE_CAPACITY,
+    chrome_trace_json, next_trace_pid, open_trace_ring, push_spans, take_spans, trace_dropped,
+    Span, TRACE_CAPACITY,
 };

@@ -176,7 +176,7 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-fn json_escape_into(out: &mut String, s: &str) {
+pub(crate) fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

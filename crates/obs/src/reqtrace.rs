@@ -34,6 +34,8 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::log::json_escape_into;
+
 /// Maximum number of live + finished traces retained.
 pub const MAX_TRACES: usize = 256;
 
@@ -262,41 +264,10 @@ pub fn trace_finish(trace: u64) {
     }
 }
 
-/// Total duration of the trace's root span, if closed.
-pub fn trace_root_dur_us(trace: u64) -> Option<u64> {
-    let s = store().lock().unwrap();
-    s.traces
-        .get(&trace)?
-        .spans
-        .iter()
-        .find(|sp| sp.parent == 0)
-        .map(|sp| sp.dur_us)
-}
-
 /// A copy of the trace's spans, in open order. `None` for unknown ids.
 pub fn trace_spans(trace: u64) -> Option<Vec<ReqSpan>> {
     let s = store().lock().unwrap();
     s.traces.get(&trace).map(|b| b.spans.clone())
-}
-
-/// Clears every buffered trace (test isolation).
-pub fn reset_reqtrace() {
-    let mut s = store().lock().unwrap();
-    s.traces.clear();
-    s.order.clear();
-}
-
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// Renders a trace as a span-tree JSON document:
@@ -393,7 +364,6 @@ mod tests {
         let perfetto = trace_perfetto_json(id).unwrap();
         assert!(perfetto.contains("\"ph\":\"X\""));
         assert!(perfetto.contains("\"traceEvents\":["));
-        assert!(trace_root_dur_us(id).is_some());
     }
 
     #[test]

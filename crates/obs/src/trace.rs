@@ -5,6 +5,12 @@
 //! `--trace out.json` drains the ring into a JSON file that loads
 //! directly in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
+//! The ring exists only while a consumer holds it open: from
+//! [`open_trace_ring`] to [`take_spans`]. Outside that window
+//! [`push_spans`] discards, so a process running at `ObsLevel::Trace`
+//! that never drains the ring (a server, a campaign binary) keeps no
+//! spans.
+//!
 //! Timestamps are **core-clock cycles**, not microseconds; the viewers
 //! render them on a linear axis either way (documented in DESIGN.md §10).
 
@@ -34,7 +40,7 @@ pub struct Span {
 /// as dropped instead of growing without limit.
 pub const TRACE_CAPACITY: usize = 1 << 20;
 
-static RING: Mutex<Vec<Span>> = Mutex::new(Vec::new());
+static RING: Mutex<Option<Vec<Span>>> = Mutex::new(None);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static NEXT_PID: AtomicU32 = AtomicU32::new(0);
 
@@ -44,12 +50,17 @@ pub fn next_trace_pid() -> u32 {
 }
 
 /// Appends a run's spans to the global ring, honouring
-/// [`TRACE_CAPACITY`]; overflow increments the dropped count.
+/// [`TRACE_CAPACITY`]; overflow increments the dropped count. Leaves
+/// `spans` empty; with the ring closed the spans are simply discarded.
 pub fn push_spans(spans: &mut Vec<Span>) {
     if spans.is_empty() {
         return;
     }
-    let mut ring = RING.lock().unwrap();
+    let mut guard = RING.lock().expect("trace ring lock poisoned");
+    let Some(ring) = guard.as_mut() else {
+        spans.clear();
+        return;
+    };
     let room = TRACE_CAPACITY.saturating_sub(ring.len());
     let take = spans.len().min(room);
     ring.extend(spans.drain(..take));
@@ -60,9 +71,14 @@ pub fn push_spans(spans: &mut Vec<Span>) {
     }
 }
 
-/// Drains every span collected so far, sorted by (pid, tid, ts).
+/// Drains every span collected since [`open_trace_ring`], sorted by
+/// (pid, tid, ts), and closes the ring.
 pub fn take_spans() -> Vec<Span> {
-    let mut spans = std::mem::take(&mut *RING.lock().unwrap());
+    let mut spans = RING
+        .lock()
+        .expect("trace ring lock poisoned")
+        .take()
+        .unwrap_or_default();
     spans.sort_by_key(|s| (s.pid, s.tid, s.ts, s.dur));
     spans
 }
@@ -72,10 +88,11 @@ pub fn trace_dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
-/// Clears the ring, the dropped count and the pid allocator (test
-/// isolation and start-of-command hygiene).
-pub fn reset_trace() {
-    RING.lock().unwrap().clear();
+/// Opens an empty ring and zeroes the dropped count and the pid
+/// allocator: the consumer's call before the runs it will drain with
+/// [`take_spans`].
+pub fn open_trace_ring() {
+    *RING.lock().expect("trace ring lock poisoned") = Some(Vec::new());
     DROPPED.store(0, Ordering::Relaxed);
     NEXT_PID.store(0, Ordering::Relaxed);
 }
@@ -130,15 +147,19 @@ mod tests {
     fn ring_caps_and_counts_drops() {
         // Use a local pattern: the global ring is shared across tests in
         // this binary, so exercise only relative behaviour.
-        reset_trace();
+        open_trace_ring();
         let mut spans: Vec<Span> = (0..10).map(span).collect();
         push_spans(&mut spans);
         assert!(spans.is_empty());
         let drained = take_spans();
         assert_eq!(drained.len(), 10);
         assert!(drained.windows(2).all(|w| w[0].ts <= w[1].ts));
+        // Draining closed the ring: later spans are discarded.
+        let mut late: Vec<Span> = (0..3).map(span).collect();
+        push_spans(&mut late);
+        assert!(late.is_empty());
         assert!(take_spans().is_empty());
-        reset_trace();
+        assert_eq!(trace_dropped(), 0, "discarding is not dropping");
     }
 
     #[test]

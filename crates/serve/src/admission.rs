@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 /// Admission limits, normally from the binary's command line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Most connections waiting for a worker before new ones shed.
     pub max_queue: usize,

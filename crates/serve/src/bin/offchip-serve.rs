@@ -5,8 +5,7 @@
 //!               [--max-queue N] [--max-conns N] [--header-deadline MS]
 //!               [--request-deadline MS] [--breaker-threshold K]
 //!               [--breaker-probe-every N] [--chaos-net SPEC]
-//!               [--log-format kv|json] [--slo-availability F]
-//!               [--slo-p99-ms N] [--slo-gate-readyz]
+//!               [--log-format kv|json]
 //! ```
 //!
 //! Binds (port 0 = ephemeral), prints `offchip-serve listening on
@@ -32,8 +31,7 @@ usage: offchip-serve [--addr HOST:PORT] [--workers N] [--jobs N] [--journal-dir 
                      [--max-queue N] [--max-conns N] [--header-deadline MS]
                      [--request-deadline MS] [--breaker-threshold K]
                      [--breaker-probe-every N] [--chaos-net SPEC]
-                     [--log-format kv|json] [--slo-availability F]
-                     [--slo-p99-ms N] [--slo-gate-readyz]
+                     [--log-format kv|json]
   --addr HOST:PORT        bind address (default 127.0.0.1:7071; port 0 = ephemeral)
   --workers N             HTTP worker threads (default 8)
   --jobs N                simulation worker budget for fill campaigns (default OFFCHIP_JOBS)
@@ -48,22 +46,20 @@ usage: offchip-serve [--addr HOST:PORT] [--workers N] [--jobs N] [--journal-dir 
   --chaos-net SPEC        socket fault schedule, e.g. stall@read:2:300,reset@write:3
                           or seed:42 (default OFFCHIP_CHAOS_NET)
   --log-format kv|json    log record format: key-value text or structured JSON with
-                          trace-id stamping (default OFFCHIP_LOG_FORMAT or kv)
-  --slo-availability F    availability objective in (0,1) for /statusz burn rates
-                          (default 0.999)
-  --slo-p99-ms N          latency objective: requests slower than this burn the
-                          error budget like failures (default 500)
-  --slo-gate-readyz       degrade /readyz to 503 while the fast-burn condition
-                          holds (default off: shedding under overload is correct)";
+                          trace-id stamping (default OFFCHIP_LOG_FORMAT or kv)";
 
+#[derive(Debug)]
 struct Parsed {
     server: ServerOptions,
     service: ServiceConfig,
+    /// `--log-format`, applied by `main` (the parser sets no globals).
+    log_format: Option<offchip_obs::LogFormat>,
 }
 
 fn parse_args(args: &[String]) -> Result<Parsed, String> {
     let mut server = ServerOptions::default();
     let mut service = ServiceConfig::default();
+    let mut log_format = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || {
@@ -147,25 +143,8 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
                 let v = value()?;
                 let f = offchip_obs::LogFormat::parse(&v)
                     .ok_or_else(|| format!("--log-format: expected kv or json, got {v:?}"))?;
-                offchip_obs::set_log_format(f);
+                log_format = Some(f);
             }
-            "--slo-availability" => {
-                let f: f64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--slo-availability: {e}"))?;
-                if !(f > 0.0 && f < 1.0) {
-                    return Err("--slo-availability must be in (0, 1)".into());
-                }
-                server.slo.availability = f;
-            }
-            "--slo-p99-ms" => {
-                let ms: u64 = value()?.parse().map_err(|e| format!("--slo-p99-ms: {e}"))?;
-                if ms == 0 {
-                    return Err("--slo-p99-ms must be at least 1 ms".into());
-                }
-                server.slo.p99_latency_us = ms.saturating_mul(1_000);
-            }
-            "--slo-gate-readyz" => server.slo.gate_readyz = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown option {other:?}")),
         }
@@ -177,7 +156,11 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
         server.chaos_net = offchip_chaos::env_net_spec()
             .map_err(|e| format!("{}: {e}", offchip_chaos::NET_CHAOS_ENV))?;
     }
-    Ok(Parsed { server, service })
+    Ok(Parsed {
+        server,
+        service,
+        log_format,
+    })
 }
 
 fn main() {
@@ -192,6 +175,9 @@ fn main() {
             std::process::exit(if e.is_empty() { 0 } else { 2 });
         }
     };
+    if let Some(f) = parsed.log_format {
+        offchip_obs::set_log_format(f);
+    }
     // Filesystem fault schedules hit the fill campaigns' journals — the
     // route by which e2e tests trip the circuit breaker.
     match offchip_chaos::install_from_env() {
@@ -262,4 +248,126 @@ fn main() {
         rc
     });
     std::process::exit(rc);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use offchip_serve::{AdmissionConfig, BreakerConfig};
+
+    fn parse(line: &str) -> Result<Parsed, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    /// Every flag that takes a count or a millisecond budget; 0 is never
+    /// meaningful for any of them.
+    const NUMERIC: [&str; 8] = [
+        "--workers",
+        "--jobs",
+        "--max-queue",
+        "--max-conns",
+        "--header-deadline",
+        "--request-deadline",
+        "--breaker-threshold",
+        "--breaker-probe-every",
+    ];
+
+    #[test]
+    fn numeric_flags_reject_zero_garbage_and_a_missing_value() {
+        for flag in NUMERIC {
+            let err = parse(&format!("{flag} 0")).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} must be at least 1")),
+                "{flag} 0: {err}"
+            );
+            let err = parse(&format!("{flag} many")).unwrap_err();
+            assert!(err.starts_with(&format!("{flag}: ")), "{flag} many: {err}");
+            assert_eq!(parse(flag).unwrap_err(), format!("{flag} needs a value"));
+        }
+        for flag in ["--addr", "--journal-dir", "--chaos-net", "--log-format"] {
+            assert_eq!(parse(flag).unwrap_err(), format!("{flag} needs a value"));
+        }
+    }
+
+    #[test]
+    fn cross_checks_and_spec_values_are_rejected() {
+        assert_eq!(
+            parse("--max-conns 4 --max-queue 8").unwrap_err(),
+            "--max-conns must be at least --max-queue"
+        );
+        let err = parse("--log-format xml").unwrap_err();
+        assert!(
+            err.starts_with("--log-format: expected kv or json"),
+            "{err}"
+        );
+        let err = parse("--chaos-net explode@read").unwrap_err();
+        assert!(err.starts_with("--chaos-net: "), "{err}");
+    }
+
+    #[test]
+    fn unknown_and_removed_flags_are_unknown_options() {
+        // The three `--slo-*` flags left with the burn-rate tracker; a
+        // script still passing one must fail loudly, not be ignored.
+        let removed =
+            ["availability 0.99", "p99-ms 500", "gate-readyz"].map(|f| format!("--slo-{f}"));
+        let lines = ["--bogus", "serve"]
+            .into_iter()
+            .chain(removed.iter().map(String::as_str));
+        for line in lines {
+            let flag = line.split_whitespace().next().unwrap();
+            assert_eq!(
+                parse(line).unwrap_err(),
+                format!("unknown option {flag:?}"),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn help_is_the_empty_error() {
+        // `main` prints the usage and exits 0 on the empty message.
+        assert_eq!(parse("--help").unwrap_err(), "");
+        assert_eq!(parse("-h").unwrap_err(), "");
+        assert_eq!(parse("--workers 2 --help --bogus").unwrap_err(), "");
+    }
+
+    #[test]
+    fn a_full_command_line_sets_every_field() {
+        // `--chaos-net` is given, so the environment is never consulted.
+        let parsed = parse(
+            "--addr 0.0.0.0:9000 --workers 3 --jobs 2 --journal-dir journals \
+             --max-queue 16 --max-conns 64 --header-deadline 250 \
+             --request-deadline 1500 --breaker-threshold 5 --breaker-probe-every 4 \
+             --chaos-net stall@read:2:300 --log-format json",
+        )
+        .unwrap();
+        assert_eq!(
+            parsed.server,
+            ServerOptions {
+                addr: "0.0.0.0:9000".into(),
+                workers: 3,
+                admission: AdmissionConfig {
+                    max_queue: 16,
+                    max_conns: 64,
+                },
+                header_deadline: Duration::from_millis(250),
+                chaos_net: Some(offchip_chaos::NetSpec::parse("stall@read:2:300").unwrap()),
+            }
+        );
+        assert_eq!(
+            parsed.service,
+            ServiceConfig {
+                journal_dir: Some(PathBuf::from("journals")),
+                jobs: 2,
+                request_deadline: Duration::from_millis(1500),
+                breaker: BreakerConfig {
+                    threshold: 5,
+                    probe_every: 4,
+                },
+                ..ServiceConfig::default()
+            }
+        );
+        assert_eq!(parsed.log_format, Some(offchip_obs::LogFormat::Json));
+    }
 }

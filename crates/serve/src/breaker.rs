@@ -12,10 +12,11 @@
 //! While open, a seeded-deterministic probe cadence periodically moves
 //! the key to half-open and launches exactly one background probe fill;
 //! success closes the breaker (the cache now holds the fitted model),
-//! failure reopens it. The probe position within each open window is
-//! derived from `(seed, key)`, so a replayed request sequence flips the
-//! breaker at the same request index every time — the same determinism
-//! contract the chaos layers keep.
+//! failure reopens it. The probe position within each open window is a
+//! hash of the key under a fixed seed, so a replayed request sequence
+//! flips the breaker at the same request index every time — the same
+//! determinism contract the chaos layers keep — while different keys
+//! probe at different positions.
 //!
 //! ```text
 //!            K consecutive fill failures
@@ -32,16 +33,17 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
+/// Seed hashed with each key into its probe position.
+const PROBE_SEED: u64 = 0x0FFC_8175;
+
 /// Breaker tuning, normally from the binary's command line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Consecutive fill failures that open the breaker.
     pub threshold: u32,
     /// While open, one request out of every `probe_every` becomes the
     /// half-open probe.
     pub probe_every: u64,
-    /// Seed for the deterministic probe position within each window.
-    pub seed: u64,
 }
 
 impl Default for BreakerConfig {
@@ -49,7 +51,6 @@ impl Default for BreakerConfig {
         BreakerConfig {
             threshold: 3,
             probe_every: 8,
-            seed: 0x0FFC_8175,
         }
     }
 }
@@ -162,10 +163,10 @@ impl<K: Eq + Hash + Clone> Breaker<K> {
     }
 
     /// The probe position for `key` within an open window: 1-based,
-    /// deterministic in `(seed, key)`.
+    /// deterministic in the key.
     fn probe_at(&self, key: &K) -> u64 {
         let mut h = DefaultHasher::new();
-        self.cfg.seed.hash(&mut h);
+        PROBE_SEED.hash(&mut h);
         key.hash(&mut h);
         1 + h.finish() % self.cfg.probe_every.max(1)
     }
@@ -266,7 +267,10 @@ mod tests {
     use super::*;
 
     fn cfg(threshold: u32, probe_every: u64) -> BreakerConfig {
-        BreakerConfig { threshold, probe_every, seed: 7 }
+        BreakerConfig {
+            threshold,
+            probe_every,
+        }
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //! * `GET /metrics` — the process's metrics registry as CSV, or
 //!   Prometheus text exposition with `?fmt=prom`;
 //! * `GET /healthz` — liveness;
-//! * `GET /readyz` — readiness (drain / admission high-water / opt-in
-//!   SLO fast-burn);
+//! * `GET /readyz` — readiness (drain / admission high-water);
 //! * `GET /statusz` — one human-readable page: uptime, request and
-//!   cache counters, pressure, SLO burn rates, breaker states, slowest
-//!   recent traces;
+//!   cache counters, pressure, breaker states, and the slowest recent
+//!   requests with their trace ids;
 //! * `GET /debug/trace/<id>` — the span tree a traced request left
 //!   behind (`?fmt=perfetto` for Chrome/Perfetto `trace_event` JSON).
 //!
@@ -49,9 +48,8 @@
 //! wait, fill, per-point simulation, response write) that survives the
 //! request and is served by `/debug/trace/<id>`; span timing never
 //! feeds the model, so response bytes stay identical with tracing on or
-//! off. A rolling-window [`SloTracker`] turns the same per-request
-//! records into availability/latency burn rates for `/statusz` and the
-//! optional `/readyz` fast-burn gate.
+//! off. `/statusz` keeps the slowest recent requests by trace id, which
+//! is how an operator picks the trace to pull.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,7 +63,6 @@ pub mod http;
 pub mod server;
 pub mod service;
 pub mod signal;
-pub mod slo;
 
 pub use admission::{AdmissionConfig, ShedReason};
 pub use breaker::{Breaker, BreakerConfig, BreakerInfo, BreakerState};
@@ -74,4 +71,3 @@ pub use entry::{FitSummary, FittedEntry};
 pub use http::{Request, Response};
 pub use server::{Server, ServerOptions};
 pub use service::{ModelKey, ModelOutcome, PredictService, ServiceConfig, ServiceError};
-pub use slo::{BurnReport, SloConfig, SloTracker, SlowTrace};

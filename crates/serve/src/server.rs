@@ -17,17 +17,20 @@
 //! *before* shedding starts. A request that stalls mid-read (slow-loris,
 //! chaos-net stall) gets a clean `408`; an idle keep-alive connection is
 //! still closed silently.
+//!
+//! `GET /statusz` ends with the slowest recent requests and their trace
+//! ids: the table an operator reads to pick which `/debug/trace/<id>` to
+//! pull (DESIGN.md §15).
 
 use crate::admission::{AdmissionConfig, ConnQueue};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::service::PredictService;
-use crate::slo::{SloConfig, SloTracker};
 use offchip_chaos::{ChaosStream, NetFaultPlan, NetSpec};
 use offchip_obs::ObsLevel;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Per-connection socket timeout: bounds how long an idle keep-alive
@@ -40,9 +43,11 @@ const ACCEPT_POLL: Duration = Duration::from_millis(20);
 const HEARTBEAT: Duration = Duration::from_secs(10);
 /// Connection-setup failures warn on the first, then once per this many.
 const SETUP_WARN_EVERY: u64 = 64;
+/// Slots in the slowest-recent-requests table on `/statusz`.
+const SLOWEST_TRACKED: usize = 8;
 
 /// Server tuning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerOptions {
     /// Bind address; port 0 picks an ephemeral port (CI does this).
     pub addr: String,
@@ -64,10 +69,6 @@ pub struct ServerOptions {
     /// Chaos-net fault schedule applied to every accepted connection
     /// (`--chaos-net` / `OFFCHIP_CHAOS_NET`).
     pub chaos_net: Option<NetSpec>,
-    /// SLO objectives driving `/statusz` and (when
-    /// [`SloConfig::gate_readyz`] is set) the fast-burn `/readyz`
-    /// degradation.
-    pub slo: SloConfig,
 }
 
 impl Default for ServerOptions {
@@ -78,7 +79,6 @@ impl Default for ServerOptions {
             admission: AdmissionConfig::default(),
             header_deadline: Duration::from_secs(10),
             chaos_net: None,
-            slo: SloConfig::default(),
         }
     }
 }
@@ -127,13 +127,56 @@ pub(crate) struct Conn {
     admitted: Instant,
 }
 
+/// One finished request in the `/statusz` slowest table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlowTrace {
+    /// Trace id (0 when the request ran untraced).
+    trace: u64,
+    /// Total latency in microseconds.
+    latency_us: u64,
+    /// Response status.
+    status: u16,
+}
+
+/// The [`SLOWEST_TRACKED`] slowest recent requests, slowest first.
+/// "Recent" is enforced by displacement: new slow requests push old ones
+/// out. A fixed-size table, so recording never grows memory.
+#[derive(Debug, Default)]
+struct Slowest(Mutex<Vec<SlowTrace>>);
+
+impl Slowest {
+    /// Offers one finished request to the table.
+    fn record(&self, status: u16, latency_us: u64, trace: u64) {
+        let mut table = self.0.lock().expect("slowest table lock poisoned");
+        let pos = table.partition_point(|s| s.latency_us >= latency_us);
+        if pos < SLOWEST_TRACKED {
+            table.insert(
+                pos,
+                SlowTrace {
+                    trace,
+                    latency_us,
+                    status,
+                },
+            );
+            table.truncate(SLOWEST_TRACKED);
+        }
+    }
+
+    /// The table as of now, slowest first.
+    fn snapshot(&self) -> Vec<SlowTrace> {
+        self.0.lock().expect("slowest table lock poisoned").clone()
+    }
+}
+
 /// A bound listener plus the shared service.
 pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     service: Arc<PredictService>,
-    slo: Arc<SloTracker>,
     opts: ServerOptions,
+    /// When the server bound: `/statusz` uptime.
+    started: Instant,
+    slowest: Slowest,
 }
 
 impl Server {
@@ -145,13 +188,13 @@ impl Server {
         let addr = listener.local_addr()?;
         let mut opts = opts.clone();
         opts.workers = opts.workers.max(1);
-        let slo = Arc::new(SloTracker::new(opts.slo.clone()));
         Ok(Server {
             listener,
             addr,
             service: Arc::new(service),
-            slo,
             opts,
+            started: Instant::now(),
+            slowest: Slowest::default(),
         })
     }
 
@@ -182,12 +225,9 @@ impl Server {
         std::thread::scope(|s| {
             for _ in 0..self.opts.workers {
                 let queue = &queue;
-                let service = &self.service;
-                let slo = &self.slo;
-                let budget = self.opts.header_deadline;
                 s.spawn(move || {
                     while let Some(conn) = queue.pop() {
-                        handle_connection(conn, service, shutdown, queue, budget, slo);
+                        handle_connection(conn, self, shutdown, queue);
                         queue.done();
                     }
                 });
@@ -228,9 +268,6 @@ impl Server {
                             Ok(depth) => reg.observe("serve.queue_depth", depth as u64),
                             Err((mut conn, reason)) => {
                                 reg.add("serve.shed", 1);
-                                // A shed burns availability budget like
-                                // any 5xx.
-                                self.slo.record(503, 0, 0);
                                 // One small write on the accept thread;
                                 // the worker pool never sees the
                                 // connection.
@@ -278,33 +315,30 @@ impl Server {
     }
 }
 
-/// `GET /readyz`: ready only while accepting, below high-water and (when
-/// SLO-gated) not fast-burning. Server-level (unlike `/healthz` in the
-/// service) because readiness is a property of the queue, the drain flag
-/// and the SLO tracker, which the service cannot see.
-fn readyz<T>(queue: &ConnQueue<T>, shutdown: &AtomicBool, slo: &SloTracker) -> Response {
+/// `GET /readyz`: ready only while accepting and below high-water.
+/// Server-level (unlike `/healthz` in the service) because readiness is
+/// a property of the queue and the drain flag, which the service cannot
+/// see.
+fn readyz<T>(queue: &ConnQueue<T>, shutdown: &AtomicBool) -> Response {
     offchip_obs::registry().add("serve.requests.readyz", 1);
     let (queued, _active) = queue.depth();
     if shutdown.load(Ordering::SeqCst) {
         Response::error(503, "draining")
     } else if queued >= queue.config().high_water() {
         Response::error(503, "queue above high-water")
-    } else if slo.degrade_readyz() {
-        Response::error(503, "slo fast-burn")
     } else {
         Response::text(200, "ready\n")
     }
 }
 
 /// `GET /statusz`: the human-readable flight-recorder page — uptime,
-/// traffic and cache counters, burn rates, breaker states and the
-/// slowest recent traces with their ids.
-fn statusz<T>(service: &PredictService, queue: &ConnQueue<T>, slo: &SloTracker) -> Response {
+/// traffic and cache counters, breaker states and the slowest recent
+/// requests with their trace ids.
+fn statusz<T>(server: &Server, queue: &ConnQueue<T>) -> Response {
     use std::fmt::Write as _;
     let reg = offchip_obs::registry();
     reg.add("serve.requests.statusz", 1);
     let (queued, active) = queue.depth();
-    let burn = slo.burn();
     let hits = reg.counter("serve.cache.hit");
     let misses = reg.counter("serve.cache.miss");
     let ratio = if hits + misses == 0 {
@@ -312,10 +346,9 @@ fn statusz<T>(service: &PredictService, queue: &ConnQueue<T>, slo: &SloTracker) 
     } else {
         hits as f64 / (hits + misses) as f64
     };
-    let cfg = slo.config();
     let mut out = String::with_capacity(1024);
     let _ = writeln!(out, "offchip-serve statusz");
-    let _ = writeln!(out, "uptime_s: {}", slo.uptime().as_secs());
+    let _ = writeln!(out, "uptime_s: {}", server.started.elapsed().as_secs());
     let _ = writeln!(
         out,
         "connections: {} (queue {queued} waiting / {active} active)",
@@ -332,7 +365,7 @@ fn statusz<T>(service: &PredictService, queue: &ConnQueue<T>, slo: &SloTracker) 
     let _ = writeln!(
         out,
         "cache: hit={hits} miss={misses} hit_ratio={ratio:.3} entries={}",
-        service.cached_models()
+        server.service.cached_models()
     );
     let _ = writeln!(
         out,
@@ -342,24 +375,7 @@ fn statusz<T>(service: &PredictService, queue: &ConnQueue<T>, slo: &SloTracker) 
         reg.counter("serve.deadline_miss"),
         reg.counter("serve.degraded"),
     );
-    let _ = writeln!(
-        out,
-        "slo: availability={} p99_objective_us={} fast_burn_threshold={} gate_readyz={}",
-        cfg.availability, cfg.p99_latency_us, cfg.fast_burn, cfg.gate_readyz
-    );
-    let _ = writeln!(
-        out,
-        "burn: short={:.3} long={:.3} fast_burn={} \
-         (short {}/{} bad, long {}/{} bad)",
-        burn.short_burn,
-        burn.long_burn,
-        burn.fast_burn,
-        burn.short_counts.1,
-        burn.short_counts.0,
-        burn.long_counts.1,
-        burn.long_counts.0,
-    );
-    let breakers = service.breaker_entries();
+    let breakers = server.service.breaker_entries();
     if breakers.is_empty() {
         let _ = writeln!(out, "breakers: all closed");
     } else {
@@ -375,7 +391,7 @@ fn statusz<T>(service: &PredictService, queue: &ConnQueue<T>, slo: &SloTracker) 
             );
         }
     }
-    let slowest = slo.slowest();
+    let slowest = server.slowest.snapshot();
     if slowest.is_empty() {
         let _ = writeln!(out, "slowest: none recorded");
     } else {
@@ -410,20 +426,19 @@ fn debug_trace(id_hex: &str, query: &str) -> Response {
 }
 
 /// Routes one request: server-level endpoints (which need the queue, the
-/// drain flag or the SLO tracker) here, everything else to the service.
+/// drain flag or the slowest table) here, everything else to the service.
 fn route(
     req: &Request,
-    service: &PredictService,
+    server: &Server,
     shutdown: &AtomicBool,
     queue: &ConnQueue<Conn>,
-    slo: &SloTracker,
     trace: offchip_obs::TraceRef,
 ) -> Response {
     let (path, query) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
     if req.method == "GET" {
         match path {
-            "/readyz" => return readyz(queue, shutdown, slo),
-            "/statusz" => return statusz(service, queue, slo),
+            "/readyz" => return readyz(queue, shutdown),
+            "/statusz" => return statusz(server, queue),
             _ => {
                 if let Some(id_hex) = path.strip_prefix("/debug/trace/") {
                     return debug_trace(id_hex, query);
@@ -431,7 +446,7 @@ fn route(
             }
         }
     }
-    service.handle_traced(req, trace)
+    server.service.handle_traced(req, trace)
 }
 
 /// Serves one connection: keep-alive request loop until the client
@@ -443,21 +458,14 @@ fn route(
 /// the client asked for tracing or the process runs at `--obs trace`, but
 /// the id is *echoed* on every response either way — correlation is free,
 /// buffering is opt-in.
-fn handle_connection(
-    conn: Conn,
-    service: &PredictService,
-    shutdown: &AtomicBool,
-    queue: &ConnQueue<Conn>,
-    budget: Duration,
-    slo: &SloTracker,
-) {
+fn handle_connection(conn: Conn, server: &Server, shutdown: &AtomicBool, queue: &ConnQueue<Conn>) {
     let conn_id = conn.id;
     let queue_wait_us = conn.admitted.elapsed().as_micros() as u64;
     let mut reader = BufReader::new(conn.stream);
     let mut seq: u64 = 0;
     loop {
         let t_parse = Instant::now();
-        match read_request(&mut reader, budget) {
+        match read_request(&mut reader, server.opts.header_deadline) {
             Ok(Some(req)) => {
                 let parse_us = t_parse.elapsed().as_micros() as u64;
                 let t0 = Instant::now();
@@ -500,7 +508,7 @@ fn handle_connection(
                     trace: tid,
                     parent: root,
                 };
-                let resp = route(&req, service, shutdown, queue, slo, tref)
+                let resp = route(&req, server, shutdown, queue, tref)
                     .with_header("X-Offchip-Trace", &format!("{id:016x}"));
                 let wspan = offchip_obs::span_open(tid, root, "response.write", String::new());
                 let wrote = resp.write_to(reader.get_mut(), close);
@@ -508,19 +516,17 @@ fn handle_connection(
                 offchip_obs::span_close(tid, root);
                 offchip_obs::trace_finish(tid);
                 let total_us = parse_us + t0.elapsed().as_micros() as u64;
-                slo.record(resp.status, total_us, tid);
+                server.slowest.record(resp.status, total_us, tid);
                 if wrote.is_err() || close {
                     return;
                 }
             }
             Ok(None) => return,
             Err(HttpError::BadRequest(what)) => {
-                slo.record(400, 0, 0);
                 let _ = Response::error(400, what).write_to(reader.get_mut(), true);
                 return;
             }
             Err(HttpError::TooLarge(what)) => {
-                slo.record(413, 0, 0);
                 let _ = Response::error(413, what).write_to(reader.get_mut(), true);
                 return;
             }
@@ -529,7 +535,6 @@ fn handle_connection(
                 // a chaos stall): a clean 408, distinct from the silent
                 // close an idle keep-alive connection gets.
                 offchip_obs::registry().add("serve.request_timeout", 1);
-                slo.record(408, 0, 0);
                 let _ = Response::error(408, what).write_to(reader.get_mut(), true);
                 return;
             }
@@ -550,14 +555,13 @@ mod tests {
         };
         let queue: ConnQueue<u8> = ConnQueue::new(cfg.clone());
         let shutdown = AtomicBool::new(false);
-        let slo = SloTracker::new(SloConfig::default());
-        assert_eq!(readyz(&queue, &shutdown, &slo).status, 200);
+        assert_eq!(readyz(&queue, &shutdown).status, 200);
 
         // Queue at the high-water mark: not ready, but still accepting.
         for i in 0..cfg.high_water() {
             queue.admit(i as u8).unwrap();
         }
-        let resp = readyz(&queue, &shutdown, &slo);
+        let resp = readyz(&queue, &shutdown);
         assert_eq!(resp.status, 503);
         assert!(
             String::from_utf8_lossy(&resp.body).contains("high-water"),
@@ -567,40 +571,21 @@ mod tests {
 
         // Draining wins over everything else.
         shutdown.store(true, Ordering::SeqCst);
-        let resp = readyz(&queue, &shutdown, &slo);
+        let resp = readyz(&queue, &shutdown);
         assert_eq!(resp.status, 503);
         assert!(String::from_utf8_lossy(&resp.body).contains("draining"));
     }
 
     #[test]
-    fn readyz_degrades_on_fast_burn_only_when_gated() {
-        let queue: ConnQueue<u8> = ConnQueue::new(AdmissionConfig {
-            max_queue: 4,
-            max_conns: 8,
-        });
-        let shutdown = AtomicBool::new(false);
-        let gated = SloTracker::new(SloConfig {
-            availability: 0.9,
-            fast_burn: 2.0,
-            gate_readyz: true,
-            ..SloConfig::default()
-        });
-        for _ in 0..50 {
-            gated.record(500, 10, 0);
+    fn slowest_table_is_sorted_bounded_and_keeps_traces() {
+        let t = Slowest::default();
+        for i in 0..50u64 {
+            t.record(200, i * 100, 0x1000 + i);
         }
-        let resp = readyz(&queue, &shutdown, &gated);
-        assert_eq!(resp.status, 503);
-        assert!(String::from_utf8_lossy(&resp.body).contains("fast-burn"));
-
-        // Same traffic, gating off (the default): stays ready.
-        let ungated = SloTracker::new(SloConfig {
-            availability: 0.9,
-            fast_burn: 2.0,
-            ..SloConfig::default()
-        });
-        for _ in 0..50 {
-            ungated.record(500, 10, 0);
-        }
-        assert_eq!(readyz(&queue, &shutdown, &ungated).status, 200);
+        let slowest = t.snapshot();
+        assert_eq!(slowest.len(), SLOWEST_TRACKED);
+        assert!(slowest.windows(2).all(|w| w[0].latency_us >= w[1].latency_us));
+        assert_eq!(slowest[0].latency_us, 4_900);
+        assert_eq!(slowest[0].trace, 0x1000 + 49);
     }
 }

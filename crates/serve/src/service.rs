@@ -50,7 +50,7 @@ pub struct ModelKey {
 }
 
 /// Service tuning, normally from the binary's command line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Journal directory for fill campaigns (`None` = campaign default,
     /// `results/` or `OFFCHIP_JOURNAL_DIR`).

@@ -273,7 +273,6 @@ fn breaker_opens_onto_degraded_tier_and_recovers_when_fills_heal() {
         breaker: BreakerConfig {
             threshold: 3,
             probe_every: 2,
-            seed: 1,
         },
         ..ServiceConfig::default()
     });

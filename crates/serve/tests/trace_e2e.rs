@@ -204,13 +204,22 @@ fn traced_cold_predict_yields_a_span_tree_and_identical_bytes() {
         let (status, _, _) = get(&mut conn, &mut reader, "/debug/trace/00000000deadbeef");
         assert_eq!(status, 404);
 
-        // /statusz sees the traffic; /metrics?fmt=prom scrapes.
+        // /statusz sees the traffic, and its slowest table leads with the
+        // traced cold fill by id; /metrics?fmt=prom scrapes.
         let (status, _, statusz) = get(&mut conn, &mut reader, "/statusz");
         assert_eq!(status, 200);
         let text = String::from_utf8_lossy(&statusz);
         assert!(text.contains("uptime_s:"), "{text}");
-        assert!(text.contains("burn:"), "{text}");
         assert!(text.contains("cache: hit=0 miss=1"), "{text}");
+        let slowest = text
+            .lines()
+            .skip_while(|l| !l.starts_with("slowest ("))
+            .nth(1)
+            .unwrap_or_else(|| panic!("no slowest table: {text}"));
+        assert!(
+            slowest.contains(&format!("trace={TRACE_ID} ")) && slowest.ends_with("status=200"),
+            "{text}"
+        );
         let (status, headers, prom) = get(&mut conn, &mut reader, "/metrics?fmt=prom");
         assert_eq!(status, 200);
         assert_eq!(

@@ -79,7 +79,7 @@ fn cg_sweep_feeds_queue_wait_histogram_with_ordered_quantiles() {
 #[test]
 fn trace_export_is_valid_chrome_json() {
     let _g = OBS_LOCK.lock().unwrap();
-    obs::reset_trace();
+    obs::open_trace_ring();
     let machine = small_machine();
     let w = cg_a_workload(machine.total_cores());
     let mut cfg = SimConfig::new(machine.clone(), machine.total_cores());
@@ -104,7 +104,25 @@ fn trace_export_is_valid_chrome_json() {
         assert!(ev.get("ts").and_then(|v| v.as_f64()).is_some());
         assert!(ev.get("dur").and_then(|v| v.as_f64()).is_some());
     }
-    obs::reset_trace();
+}
+
+#[test]
+fn traced_run_keeps_no_spans_while_the_ring_is_closed() {
+    let _g = OBS_LOCK.lock().unwrap();
+    // Draining closes the ring. A process that never opens it (anything
+    // but the CLI's `--trace`) must not pile up spans nobody reads.
+    obs::take_spans();
+    let machine = small_machine();
+    let w = cg_a_workload(machine.total_cores());
+    let mut cfg = SimConfig::new(machine.clone(), 2);
+    cfg.obs = ObsLevel::Trace;
+    run(w.as_ref(), &cfg);
+    let kept = obs::take_spans();
+    assert!(
+        kept.is_empty(),
+        "{} span(s) kept with no consumer",
+        kept.len()
+    );
 }
 
 #[test]
@@ -117,7 +135,6 @@ fn artefacts_identical_at_every_obs_level() {
     let ns = sweep_ns(machine.total_cores());
     let sweep_at = |level: ObsLevel| {
         obs::set_level(level);
-        obs::reset_trace();
         let sweep = offchip_bench::run_sweep(&machine, w.as_ref(), &ns, &[7])
             .expect("sweep succeeds");
         format!("{sweep:?}")
@@ -129,5 +146,4 @@ fn artefacts_identical_at_every_obs_level() {
     assert_eq!(off, trace, "trace level must not perturb results");
     obs::set_level(ObsLevel::Off);
     obs::registry().reset();
-    obs::reset_trace();
 }

@@ -197,17 +197,6 @@ pub fn loss_summary(errors: &[PointError]) -> String {
     parts.join(" ")
 }
 
-/// [`loss_summary`] plus the owning request trace id, when the sweep ran
-/// on behalf of a traced request (a serve-side cache fill): the lost
-/// points' summary line then correlates with `/debug/trace/<id>`.
-pub fn loss_summary_traced(errors: &[PointError], trace: Option<offchip_obs::TraceRef>) -> String {
-    let base = loss_summary(errors);
-    match trace {
-        Some(t) if !base.is_empty() => format!("{base} trace={:016x}", t.trace),
-        _ => base,
-    }
-}
-
 /// Campaign knobs, normally parsed from a binary's command line
 /// (`--resume`, `--deadline SECS`, `--retries N`, `--max-events N`,
 /// `--journal-dir DIR`).
@@ -237,12 +226,6 @@ pub struct CampaignOptions {
     /// one campaign without racing other tests on the process-global
     /// Vfs; binaries leave it `None` and inherit the global.
     pub vfs: Option<Arc<dyn Vfs>>,
-    /// The request trace this campaign runs on behalf of (serve-side
-    /// cache fills). When set, heartbeat lines and journal records carry
-    /// the trace id and each simulated point reports a `sim.point` span
-    /// into the request's trace buffer. `None` (every experiment binary)
-    /// changes nothing — journal bytes stay identical to earlier schemas.
-    pub trace: Option<offchip_obs::TraceRef>,
 }
 
 /// Usage text for the campaign flags every experiment binary accepts.
@@ -943,6 +926,13 @@ impl Campaign {
     /// in grid order, so output is byte-identical to
     /// [`crate::sweep::run_sweep`] whenever no point is lost — resumed or
     /// not.
+    ///
+    /// The caller's trace context ([`offchip_obs::current`]) is entered
+    /// in every worker: log records carry its id, each executed point
+    /// records a `sim.point` span under its parent and journals the id,
+    /// and a trace that takes runs gets one lane per simulated run. No
+    /// context (every experiment binary) changes nothing: journal bytes
+    /// stay identical to earlier schemas.
     pub fn run_sweep_with(
         &self,
         machine: &MachineSpec,
@@ -968,14 +958,9 @@ impl Campaign {
         // Heartbeat cadence: ~10 progress lines per sweep regardless of
         // grid size (and always one at completion).
         let heartbeat_every = (total / 10).max(1);
+        let ctx = offchip_obs::current();
         let outcomes = offchip_pool::scoped_map(jobs, &grid, |_, &(n, seed)| {
-            // Worker threads inherit the owning request's trace (if any):
-            // log records stamp it in JSON mode, and each simulated point
-            // lands as a sim.point span under the fill span.
-            let _scope = self
-                .opts
-                .trace
-                .map(|t| offchip_obs::TraceScope::enter(t.trace));
+            let _scope = offchip_obs::TraceScope::enter(ctx);
             let outcome = (|| {
                 if let Some(rec) = self.lookup(cfg_hash, n, seed) {
                     return Ok((rec.to_sample(), true));
@@ -988,28 +973,16 @@ impl Campaign {
                     let pt0 = Instant::now();
                     match self.guarded_sample(machine, workload, n, seed, tune) {
                         Ok(s) => {
-                            if let Some(t) = self.opts.trace {
-                                offchip_obs::span_event(
-                                    t.trace,
-                                    t.parent,
-                                    "sim.point",
-                                    format!("n={n} seed={seed:x} attempt={attempt}"),
-                                    pt0.elapsed().as_micros() as u64,
-                                );
-                            }
+                            let detail = || format!("n={n} seed={seed:x} attempt={attempt}");
+                            let us = pt0.elapsed().as_micros() as u64;
+                            offchip_obs::span_event(ctx, "sim.point", detail, us);
                             self.record(cfg_hash, n, seed, &s);
                             return Ok((s, false));
                         }
                         Err(e) => {
-                            if let Some(t) = self.opts.trace {
-                                offchip_obs::span_event(
-                                    t.trace,
-                                    t.parent,
-                                    "sim.point.lost",
-                                    format!("n={n} seed={seed:x} kind={}", e.kind()),
-                                    pt0.elapsed().as_micros() as u64,
-                                );
-                            }
+                            let detail = || format!("n={n} seed={seed:x} kind={}", e.kind());
+                            let us = pt0.elapsed().as_micros() as u64;
+                            offchip_obs::span_event(ctx, "sim.point.lost", detail, us);
                             last = Some(e);
                         }
                     }
@@ -1021,22 +994,12 @@ impl Campaign {
                 let secs = t0.elapsed().as_secs_f64().max(1e-9);
                 let rate = d as f64 / secs;
                 let eta = (total - d) as f64 / rate;
-                match self.opts.trace {
-                    Some(t) => offchip_obs::info!(
-                        "campaign={} sweep={}/{} done={d}/{total} rate={rate:.1}/s \
-                         eta={eta:.0}s trace={:016x}",
-                        self.name,
-                        machine.name,
-                        program,
-                        t.trace
-                    ),
-                    None => offchip_obs::info!(
-                        "campaign={} sweep={}/{} done={d}/{total} rate={rate:.1}/s eta={eta:.0}s",
-                        self.name,
-                        machine.name,
-                        program
-                    ),
-                }
+                offchip_obs::info!(
+                    "campaign={} sweep={}/{} done={d}/{total} rate={rate:.1}/s eta={eta:.0}s",
+                    self.name,
+                    machine.name,
+                    program
+                );
             }
             outcome
         });
@@ -1114,7 +1077,8 @@ impl Campaign {
 
     fn record(&self, cfg: u64, n: usize, seed: u64, sample: &RunSample) {
         let rec = JournalRecord::from_sample(sample);
-        let line = rec.to_line(cfg, n, seed, self.opts.trace.map(|t| t.trace));
+        let trace = offchip_obs::current().trace;
+        let line = rec.to_line(cfg, n, seed, (trace != 0).then_some(trace));
         let mut st = self.state.lock().expect("campaign state poisoned");
         st.executed += 1;
         st.done.insert((cfg, n, seed), rec);
@@ -1317,25 +1281,6 @@ mod tests {
             JournalRecord::parse_line(&rec.to_line(0x77, 2, 9, None)).unwrap();
         assert_eq!(key_t, key_u);
         assert_eq!(rec_t, rec_u);
-    }
-
-    #[test]
-    fn loss_summary_traced_appends_the_id() {
-        let errors = vec![PointError::Panicked {
-            payload: "x".into(),
-            n: 1,
-            seed: 2,
-        }];
-        let t = offchip_obs::TraceRef {
-            trace: 0x0010_0002,
-            parent: 1,
-        };
-        assert_eq!(
-            loss_summary_traced(&errors, Some(t)),
-            "panicked=1 trace=0000000000100002"
-        );
-        assert_eq!(loss_summary_traced(&errors, None), "panicked=1");
-        assert_eq!(loss_summary_traced(&[], Some(t)), "");
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub mod sweep;
 pub mod workloads;
 
 pub use campaign::{
-    loss_summary_traced, Campaign, CampaignOptions, CampaignSweep, JournalFault, PointConfig,
-    PointError, Watchdog, EXIT_ARTEFACT_FAILED, EXIT_INTERRUPTED,
+    loss_summary, Campaign, CampaignOptions, CampaignSweep, JournalFault, PointConfig, PointError,
+    Watchdog, EXIT_ARTEFACT_FAILED, EXIT_INTERRUPTED,
 };
 pub use report::{persist_or_exit, write_json, ExperimentResult};
 pub use sweep::{jobs, run_sweep, seeds, SweepError, SweepPoint, SweepResult, SweepTiming};

@@ -93,7 +93,6 @@ fn campaign_sweep(
         watchdog: opts.watchdog,
         chaos: None, // `--chaos-io` is installed process-wide in execute()
         vfs: None,
-        trace: None, // CLI sweeps trace via `--obs trace`, not per-request ids
     };
     let tag = match opts.machine {
         MachineChoice::Uma => "uma",
@@ -133,11 +132,16 @@ fn faults_in_force(opts: &RunOptions) -> Result<Option<FaultSpec>, CliError> {
     }
 }
 
+/// The id of the run trace `--trace` writes: the one trace a CLI process
+/// begins.
+const RUN_TRACE: u64 = 1;
+
 /// Applies the observability options before a command runs: `--log-level`
 /// beats `OFFCHIP_LOG`; the obs level is the strongest of `--obs` and what
 /// `--trace`/`--metrics` imply, else the `OFFCHIP_OBS` environment stands.
-/// Clears the trace ring so `--trace` captures only this command's runs.
-fn init_obs(opts: &RunOptions) {
+/// With `--trace`, begins the run trace and returns the context the
+/// command runs in: each simulator run lands in it as one lane.
+fn init_obs(opts: &RunOptions) -> offchip_obs::TraceRef {
     if let Some(l) = opts.log_level {
         offchip_obs::set_log_level(l);
     }
@@ -158,9 +162,11 @@ fn init_obs(opts: &RunOptions) {
     if let Some(l) = level {
         offchip_obs::set_level(l);
     }
-    if opts.trace_out.is_some() {
-        offchip_obs::open_trace_ring();
+    if opts.trace_out.is_none() {
+        return offchip_obs::TraceRef::NONE;
     }
+    let command = std::env::args().skip(1).collect::<Vec<_>>().join(" ");
+    offchip_obs::trace_begin(RUN_TRACE, "offchip", command, true)
 }
 
 /// Writes the requested observability artefacts after a command ran.
@@ -168,21 +174,21 @@ fn finish_obs(
     trace_out: Option<&std::path::Path>,
     metrics_out: Option<&std::path::Path>,
 ) -> Result<(), CliError> {
+    let write = |path: &std::path::Path, contents: &str| {
+        offchip_json::write_atomic(path, contents)
+            .map_err(|e| CliError::Runtime(format!("write {}: {e}", path.display())))
+    };
     if let Some(path) = metrics_out {
-        let snap = offchip_obs::registry().snapshot();
-        std::fs::write(path, snap.to_csv())
-            .map_err(|e| CliError::Runtime(format!("write {}: {e}", path.display())))?;
+        write(path, &offchip_obs::registry().snapshot().to_csv())?;
         offchip_obs::info!("wrote metrics csv={}", path.display());
     }
     if let Some(path) = trace_out {
-        let spans = offchip_obs::take_spans();
-        std::fs::write(path, offchip_obs::chrome_trace_json(&spans))
-            .map_err(|e| CliError::Runtime(format!("write {}: {e}", path.display())))?;
-        let dropped = offchip_obs::trace_dropped();
+        let json = offchip_obs::trace_chrome_json(RUN_TRACE)
+            .expect("init_obs begins the run trace and a CLI process begins no other");
+        write(path, &json)?;
+        let dropped = offchip_obs::trace_dropped(RUN_TRACE);
         if dropped > 0 {
-            offchip_obs::warn!(
-                "trace ring overflowed: {dropped} later span(s) dropped"
-            );
+            offchip_obs::warn!("trace full: {dropped} span(s) dropped");
         }
         offchip_obs::info!("wrote trace json={}", path.display());
     }
@@ -204,15 +210,18 @@ fn init_chaos(opts: &RunOptions) {
 
 /// Executes a parsed command.
 pub fn execute(cmd: Command) -> Result<(), CliError> {
-    let obs_outputs = match &cmd {
-        Command::Topology(_) => None,
+    let (ctx, obs_outputs) = match &cmd {
+        Command::Topology(_) => (offchip_obs::TraceRef::NONE, None),
         Command::Run(o) | Command::Sweep(o) | Command::Fit(o) | Command::Burst(o) => {
-            init_obs(o);
+            let ctx = init_obs(o);
             init_chaos(o);
-            Some((o.trace_out.clone(), o.metrics_out.clone()))
+            (ctx, Some((o.trace_out.clone(), o.metrics_out.clone())))
         }
     };
+    let scope = offchip_obs::TraceScope::enter(ctx);
     let result = execute_inner(cmd);
+    drop(scope);
+    offchip_obs::span_close(ctx);
     // Artefacts are written even when the command failed: a partial trace
     // of an interrupted sweep is exactly what one debugs with.
     let finish = match obs_outputs {

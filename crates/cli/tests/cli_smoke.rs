@@ -236,6 +236,38 @@ fn trace_and_metrics_flags_write_artefacts() {
 }
 
 #[test]
+fn torn_trace_rename_exits_5_and_leaves_no_file() {
+    // `--metrics` and `--trace` go through the Vfs like every other
+    // artefact. The metrics file is renamed first, so failing the second
+    // rename hits the trace: a runtime error that leaves neither the
+    // trace nor its temp file behind.
+    let dir = std::env::temp_dir().join(format!("offchip-cli-obs-chaos-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let out = offchip()
+        .args(["run", "CG.S", "--machine", "uma", "--cores", "4", "--trace"])
+        .arg(dir.join("t.json"))
+        .arg("--metrics")
+        .arg(dir.join("m.csv"))
+        .args(["--chaos-io", "eio@rename:2"])
+        .output()
+        .expect("spawn offchip");
+    assert_eq!(
+        out.status.code(),
+        Some(5),
+        "failed trace write exits 5:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["m.csv"], "only the metrics file is written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn zero_jobs_exits_with_config_code() {
     let out = offchip()
         .args(["sweep", "EP.S", "--machine", "uma", "--scale", "128", "--jobs", "0"])

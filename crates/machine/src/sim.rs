@@ -105,14 +105,15 @@ impl From<ConfigError> for RunError {
 const DEADLINE_POLL_MASK: u64 = (1 << 16) - 1;
 
 /// Hard cap on machine-layer trace spans per run (compute quanta are the
-/// dominant producer); overflow is silently dropped rather than growing
+/// dominant producer); overflow is counted as dropped rather than growing
 /// without bound.
 const MAX_SIM_SPANS: usize = 1 << 19;
 
 /// Per-run machine-layer observer; `None` at [`ObsLevel::Off`], so every
 /// hot-path hook is one predictable branch on an absent `Option`.
 struct SimObs {
-    /// Whether span tracing is on ([`ObsLevel::Trace`]).
+    /// Whether the run collects spans: [`ObsLevel::Trace`] and a current
+    /// trace that takes runs.
     trace: bool,
     /// Cycles threads spent blocked on off-chip fills, one sample per
     /// stall episode.
@@ -121,6 +122,7 @@ struct SimObs {
     /// request (interconnect hop latency including link queueing).
     hop_latency: Histogram,
     spans: Vec<Span>,
+    spans_dropped: u64,
 }
 
 impl SimObs {
@@ -130,22 +132,20 @@ impl SimObs {
             mem_stall: Histogram::new(),
             hop_latency: Histogram::new(),
             spans: Vec::new(),
+            spans_dropped: 0,
         }
     }
 
-    /// Records one `"sim"`-category span when tracing; the run lane
-    /// (`pid`) is assigned at flush time.
+    /// Records one machine-layer span when tracing; the run's lane is
+    /// assigned when the run is flushed.
     #[inline]
     fn push_span(&mut self, name: &'static str, ts: SimTime, dur: u64, tid: u32) {
-        if self.trace && self.spans.len() < MAX_SIM_SPANS {
-            self.spans.push(Span {
-                name,
-                cat: "sim",
-                ts: ts.cycles(),
-                dur,
-                pid: 0,
-                tid,
-            });
+        if self.trace {
+            if self.spans.len() < MAX_SIM_SPANS {
+                self.spans.push(Span::run(name, ts.cycles(), dur, tid));
+            } else {
+                self.spans_dropped += 1;
+            }
         }
     }
 }
@@ -421,9 +421,11 @@ impl<'a> LaneRunner<'a> {
                 }
             })
             .collect();
+        // Spans go to the thread's current trace, so a run collects them
+        // only when that trace takes runs.
+        let trace = cfg.obs.at_least(ObsLevel::Trace) && offchip_obs::takes_runs();
         if cfg.obs.at_least(ObsLevel::Metrics) {
             let window = cfg.effective_telemetry_window();
-            let trace = cfg.obs.at_least(ObsLevel::Trace);
             for (i, mc) in mcs.iter_mut().enumerate() {
                 mc.attach_obs(Box::new(McObs::new(i, window, trace)));
             }
@@ -456,7 +458,7 @@ impl<'a> LaneRunner<'a> {
             obs: cfg
                 .obs
                 .at_least(ObsLevel::Metrics)
-                .then(|| Box::new(SimObs::new(cfg.obs.at_least(ObsLevel::Trace)))),
+                .then(|| Box::new(SimObs::new(trace))),
         };
 
         for slot in 0..sim.cores.len() {
@@ -578,9 +580,10 @@ impl<'a> LaneRunner<'a> {
 }
 
 /// Drains every per-run observer into the process-global metrics registry
-/// and trace ring and assembles the report's telemetry section. A no-op
-/// returning `None` below [`ObsLevel::Metrics`], so runs at
-/// [`ObsLevel::Off`] touch no global state at all.
+/// and the current trace's next lane, and assembles the report's
+/// telemetry section. A no-op returning `None` below
+/// [`ObsLevel::Metrics`], so runs at [`ObsLevel::Off`] touch no global
+/// state at all.
 fn flush_obs(sim: &mut Sim<'_>, makespan: SimTime) -> Option<offchip_obs::Telemetry> {
     if !sim.cfg.obs.at_least(ObsLevel::Metrics) {
         return None;
@@ -610,28 +613,27 @@ fn flush_obs(sim: &mut Sim<'_>, makespan: SimTime) -> Option<offchip_obs::Teleme
 
     let window = sim.cfg.effective_telemetry_window();
     let mut per_mc = Vec::with_capacity(sim.mcs.len());
-    let mut spans = Vec::new();
+    let (mut spans, mut dropped) = (Vec::new(), 0);
     for mc in sim.mcs.iter_mut() {
-        if let Some(mut obs) = mc.take_obs() {
+        if let Some(obs) = mc.take_obs() {
             reg.merge_histogram("dram.queue_wait_cycles", obs.queue_wait());
             reg.merge_histogram("dram.queue_depth", obs.queue_depth());
             per_mc.push(obs.series(makespan.cycles()));
-            spans.extend(obs.take_spans());
+            let (mc_spans, mc_dropped) = obs.spans();
+            spans.extend_from_slice(mc_spans);
+            dropped += mc_dropped;
         }
     }
     if let Some(mut o) = sim.obs.take() {
         reg.merge_histogram("machine.mem_stall_cycles", &o.mem_stall);
         reg.merge_histogram("net.hop_latency_cycles", &o.hop_latency);
         spans.append(&mut o.spans);
+        dropped += o.spans_dropped;
     }
-    if !spans.is_empty() {
-        // One Chrome-trace "process" lane per run, so overlapping sweep
-        // points stay visually separate in Perfetto.
-        let pid = offchip_obs::next_trace_pid();
-        for s in &mut spans {
-            s.pid = pid;
-        }
-        offchip_obs::push_spans(&mut spans);
+    if !spans.is_empty() || dropped > 0 {
+        // One lane per run, so overlapping sweep points stay visually
+        // separate in Perfetto.
+        offchip_obs::push_run(&spans, dropped);
     }
 
     Some(offchip_obs::Telemetry {

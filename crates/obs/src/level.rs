@@ -18,8 +18,10 @@ use std::sync::atomic::{AtomicU8, Ordering};
 ///   telemetry time series are recorded and merged into the global
 ///   [`registry`](crate::registry) at end of run.
 /// - `Trace` — everything in `Metrics`, plus sim-phase spans (compute
-///   quanta, memory stalls, DRAM service, barrier waits) pushed into the
-///   global trace ring for Chrome `trace_event` export.
+///   quanta, memory stalls, DRAM service, barrier waits) recorded as one
+///   lane of the current trace, when that trace takes runs
+///   ([`takes_runs`](crate::takes_runs)); a server also buffers every
+///   request's span tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 #[repr(u8)]
 pub enum ObsLevel {

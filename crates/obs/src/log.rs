@@ -13,12 +13,14 @@
 //! [`debug!`](crate::debug!) macros, which skip all formatting when the
 //! record is below threshold.
 //!
+//! A record written inside a trace context ([`current`](crate::current))
+//! carries the trace id: a ` trace=<id>` suffix on a key-value line.
+//!
 //! # Structured JSON mode
 //!
 //! `--log-format json` (else `OFFCHIP_LOG_FORMAT=json`) switches every
-//! record to one JSON object per line, stamped with the thread's active
-//! request trace id ([`current_trace`](crate::current_trace)) when one is
-//! set:
+//! record to one JSON object per line, with the trace id as a `"trace"`
+//! field:
 //!
 //! ```text
 //! {"level":"info","trace":"0000000000100000","msg":"campaign=serve-uma-CG.S done=12/36"}
@@ -219,15 +221,16 @@ pub fn json_escape_bytes(b: &[u8]) -> String {
 /// Writes one record to stderr. Use the macros instead of calling this
 /// directly so disabled levels cost only the threshold check.
 ///
-/// In JSON mode the record carries the thread's active request trace id
-/// (when set) so `grep '"trace":"<id>"'` over the log reconstructs one
-/// request's story across server, cache and campaign threads.
+/// The record carries the thread's trace id (when in a trace context) so
+/// a `grep` for the id over the log reconstructs one request's story
+/// across server, cache and campaign threads.
 pub fn log_emit(level: LogLevel, args: std::fmt::Arguments<'_>) {
+    let trace = crate::trace::current().trace;
     match log_format() {
-        LogFormat::KeyValue => eprintln!("level={} {}", level.as_str(), args),
+        LogFormat::KeyValue if trace == 0 => eprintln!("level={} {}", level.as_str(), args),
+        LogFormat::KeyValue => eprintln!("level={} {} trace={trace:016x}", level.as_str(), args),
         LogFormat::Json => {
             let msg = json_escape(&args.to_string());
-            let trace = crate::reqtrace::current_trace();
             if trace == 0 {
                 eprintln!("{{\"level\":\"{}\",\"msg\":\"{msg}\"}}", level.as_str());
             } else {

@@ -157,23 +157,13 @@ impl McObs {
         }
         if self.trace {
             if self.spans.len() < MAX_MC_SPANS {
-                self.spans.push(Span {
-                    name: "dram",
-                    cat: "dram",
-                    ts: arrival,
-                    dur: completion.saturating_sub(arrival),
-                    pid: 0,
-                    tid: self.mc as u32,
-                });
+                let dur = completion.saturating_sub(arrival);
+                self.spans
+                    .push(Span::run("dram", arrival, dur, self.mc as u32));
             } else {
                 self.spans_dropped += 1;
             }
         }
-    }
-
-    /// Controller index this observer belongs to.
-    pub fn mc_index(&self) -> usize {
-        self.mc
     }
 
     /// The queue-wait histogram (cycles each request queued).
@@ -201,14 +191,10 @@ impl McObs {
         }
     }
 
-    /// Drains the collected DRAM spans (empty below `Trace`).
-    pub fn take_spans(&mut self) -> Vec<Span> {
-        std::mem::take(&mut self.spans)
-    }
-
-    /// Spans discarded after the per-controller cap was hit.
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans_dropped
+    /// The collected DRAM spans (empty unless tracing) and the count
+    /// discarded past the per-controller cap.
+    pub fn spans(&self) -> (&[Span], u64) {
+        (&self.spans, self.spans_dropped)
     }
 }
 
@@ -249,8 +235,8 @@ mod tests {
     fn trace_level_collects_dram_spans() {
         let mut o = McObs::new(2, 0, true);
         o.record(100, 100, 3, 180);
-        let spans = o.take_spans();
-        assert_eq!(spans.len(), 1);
+        let (spans, dropped) = o.spans();
+        assert_eq!((spans.len(), dropped), (1, 0));
         assert_eq!(spans[0].name, "dram");
         assert_eq!(spans[0].ts, 100);
         assert_eq!(spans[0].dur, 80);

@@ -226,9 +226,8 @@ pub fn read_request(
             .ok_or(HttpError::BadRequest("header without colon"))?;
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| HttpError::BadRequest("bad Content-Length"))?;
+            content_length =
+                parse_decimal(value).ok_or(HttpError::BadRequest("bad Content-Length"))?;
             if content_length > MAX_BODY {
                 return Err(HttpError::TooLarge("body"));
             }
@@ -242,16 +241,12 @@ pub fn read_request(
             return Err(HttpError::BadRequest("chunked bodies unsupported"));
         } else if name.eq_ignore_ascii_case("x-offchip-deadline-ms") {
             deadline_ms = Some(
-                value
-                    .parse()
-                    .map_err(|_| HttpError::BadRequest("bad X-Offchip-Deadline-Ms"))?,
+                parse_decimal(value).ok_or(HttpError::BadRequest("bad X-Offchip-Deadline-Ms"))?,
             );
         } else if name.eq_ignore_ascii_case("x-offchip-trace") {
             // 0 means "no trace" internally, so reject it along with
             // anything that is not a u64 hex id.
-            let id = (value.len() <= 16)
-                .then(|| u64::from_str_radix(value, 16).ok())
-                .flatten()
+            let id = parse_hex_id(value)
                 .filter(|&id| id != 0)
                 .ok_or(HttpError::BadRequest("bad X-Offchip-Trace"))?;
             trace = Some(id);
@@ -268,6 +263,25 @@ pub fn read_request(
         deadline_ms,
         trace,
     }))
+}
+
+/// A decimal number of ASCII digits only: `str::parse` would also take a
+/// leading `+`.
+fn parse_decimal<T: std::str::FromStr>(s: &str) -> Option<T> {
+    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    s.parse().ok()
+}
+
+/// A trace id as sent in `X-Offchip-Trace` and `/debug/trace/<id>`: 1 to
+/// 16 hex digits and nothing else (`from_str_radix` would also take a
+/// leading `+`, and the echoed id would differ from the one sent).
+pub(crate) fn parse_hex_id(s: &str) -> Option<u64> {
+    if s.is_empty() || s.len() > 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(s, 16).ok()
 }
 
 /// A response ready to serialise: status, extra headers, body.
@@ -427,13 +441,79 @@ mod tests {
         assert_eq!(req.trace, Some(0xcafe_0001));
         let req = parse("POST / HTTP/1.1\r\nx-offchip-trace: aB3\r\n\r\n").unwrap().unwrap();
         assert_eq!(req.trace, Some(0xab3));
-        for bad in ["zz", "0", "", "11112222333344445"] {
+        for bad in ["zz", "0", "", "11112222333344445", "+cafe", "-1", "ca fe"] {
             match parse(&format!("POST / HTTP/1.1\r\nX-Offchip-Trace: {bad}\r\n\r\n")) {
                 Err(HttpError::BadRequest(_)) => {}
                 other => panic!("expected BadRequest for {bad:?}, got {other:?}"),
             }
         }
+        // Numeric headers take digits only, not a sign.
+        for bad in ["Content-Length: +5", "X-Offchip-Deadline-Ms: +250"] {
+            match parse(&format!("POST / HTTP/1.1\r\n{bad}\r\n\r\nhello")) {
+                Err(HttpError::BadRequest(_)) => {}
+                other => panic!("expected BadRequest for {bad:?}, got {other:?}"),
+            }
+        }
+        // The same rule resolves `/debug/trace/<id>`.
+        assert_eq!(parse_hex_id("+cafe"), None);
+        assert_eq!(parse_hex_id("00000000cafe0001"), Some(0xcafe_0001));
         assert_eq!(parse("GET / HTTP/1.1\r\n\r\n").unwrap().unwrap().trace, None);
+    }
+
+    #[test]
+    fn hostile_requests_parse_or_fail_typed() {
+        // Every single-byte substitution and truncation of a valid
+        // keep-alive POST, plus seeded garbage, must come back as `Ok` or
+        // a typed `HttpError`: never a panic, never a hang.
+        let valid = "POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 15\r\n\
+                     X-Offchip-Deadline-Ms: 250\r\nX-Offchip-Trace: 00000000cafe0001\r\n\r\n\
+                     {\"n\":8,\"m\":\"u\"}"
+            .as_bytes();
+        let read = |bytes: &[u8]| {
+            let got = read_request(&mut BufReader::new(bytes), BUDGET);
+            if let Ok(Some(req)) = &got {
+                assert!(req.body.len() <= MAX_BODY);
+                assert_ne!(req.trace, Some(0), "0 is never a trace id");
+            }
+            got
+        };
+        let req = read(valid).unwrap().unwrap();
+        assert_eq!(
+            (req.body.len(), req.deadline_ms, req.trace),
+            (15, Some(250), Some(0xcafe_0001))
+        );
+        assert!(!req.close);
+        let mut alphabet: Vec<u8> = (b' '..=b'~').collect();
+        alphabet.extend([b'\r', b'\n', 0, 0xff]);
+        for i in 0..valid.len() {
+            for &b in &alphabet {
+                let mut bytes = valid.to_vec();
+                bytes[i] = b;
+                let _ = read(&bytes);
+            }
+        }
+        for cut in 0..valid.len() {
+            let _ = read(&valid[..cut]);
+        }
+        // Three bytes in four come from the valid request, so the parser
+        // gets past its first checks.
+        let mut x: u64 = 0x0BAD_5EED;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..20_000 {
+            let len = (next() % (2 * valid.len() as u64)) as usize;
+            let junk: Vec<u8> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => next() as u8,
+                    _ => valid[(next() % valid.len() as u64) as usize],
+                })
+                .collect();
+            let _ = read(&junk);
+        }
     }
 
     #[test]

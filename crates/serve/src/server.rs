@@ -411,11 +411,11 @@ fn statusz<T>(server: &Server, queue: &ConnQueue<T>) -> Response {
 /// request — JSON by default, Chrome `trace_event` with `?fmt=perfetto`.
 fn debug_trace(id_hex: &str, query: &str) -> Response {
     offchip_obs::registry().add("serve.requests.debug_trace", 1);
-    let Ok(id) = u64::from_str_radix(id_hex, 16) else {
+    let Some(id) = crate::http::parse_hex_id(id_hex) else {
         return Response::error(400, "trace id must be hex");
     };
     let body = if query.split('&').any(|kv| kv == "fmt=perfetto") {
-        offchip_obs::trace_perfetto_json(id)
+        offchip_obs::trace_chrome_json(id)
     } else {
         offchip_obs::trace_tree_json(id)
     };
@@ -432,7 +432,6 @@ fn route(
     server: &Server,
     shutdown: &AtomicBool,
     queue: &ConnQueue<Conn>,
-    trace: offchip_obs::TraceRef,
 ) -> Response {
     let (path, query) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
     if req.method == "GET" {
@@ -446,7 +445,7 @@ fn route(
             }
         }
     }
-    server.service.handle_traced(req, trace)
+    server.service.handle(req)
 }
 
 /// Serves one connection: keep-alive request loop until the client
@@ -474,49 +473,33 @@ fn handle_connection(conn: Conn, server: &Server, shutdown: &AtomicBool, queue: 
                     .unwrap_or_else(|| offchip_obs::derive_trace_id(conn_id, seq));
                 let buffered =
                     req.trace.is_some() || offchip_obs::level().at_least(ObsLevel::Trace);
-                let tid = if buffered { id } else { 0 };
-                let root = if tid != 0 {
-                    let root = offchip_obs::trace_begin(
-                        tid,
-                        "request",
-                        format!("{} {} conn={conn_id} seq={seq}", req.method, req.path),
-                    );
-                    offchip_obs::span_event(tid, root, "http.parse", String::new(), parse_us);
-                    if seq == 0 {
-                        // Admission wait is a connection-level cost; bill
-                        // it to the first request, which actually paid it.
-                        offchip_obs::span_event(
-                            tid,
-                            root,
-                            "queue.wait",
-                            String::new(),
-                            queue_wait_us,
-                        );
-                    }
-                    root
+                let root = if buffered {
+                    let detail = format!("{} {} conn={conn_id} seq={seq}", req.method, req.path);
+                    offchip_obs::trace_begin(id, "request", detail, false)
                 } else {
-                    0
+                    offchip_obs::TraceRef::NONE
                 };
+                offchip_obs::span_event(root, "http.parse", String::new, parse_us);
+                if seq == 0 {
+                    // Admission wait is a connection-level cost; bill it
+                    // to the first request, which actually paid it.
+                    offchip_obs::span_event(root, "queue.wait", String::new, queue_wait_us);
+                }
                 seq += 1;
-                // Stamp every log record emitted on behalf of this
-                // request (JSON mode) with the trace id.
-                let _scope = (tid != 0).then(|| offchip_obs::TraceScope::enter(tid));
+                // Work done for this request (log records, model-path
+                // spans, a fill it leads) finds its trace here.
+                let _scope = offchip_obs::TraceScope::enter(root);
                 // Close after this response if the client asked to or
                 // the server is draining.
                 let close = req.close || shutdown.load(Ordering::SeqCst);
-                let tref = offchip_obs::TraceRef {
-                    trace: tid,
-                    parent: root,
-                };
-                let resp = route(&req, server, shutdown, queue, tref)
+                let resp = route(&req, server, shutdown, queue)
                     .with_header("X-Offchip-Trace", &format!("{id:016x}"));
-                let wspan = offchip_obs::span_open(tid, root, "response.write", String::new());
+                let write = offchip_obs::span_open(root, "response.write", String::new);
                 let wrote = resp.write_to(reader.get_mut(), close);
-                offchip_obs::span_close(tid, wspan);
-                offchip_obs::span_close(tid, root);
-                offchip_obs::trace_finish(tid);
+                offchip_obs::span_close(write);
+                offchip_obs::span_close(root);
                 let total_us = parse_us + t0.elapsed().as_micros() as u64;
-                server.slowest.record(resp.status, total_us, tid);
+                server.slowest.record(resp.status, total_us, root.trace);
                 if wrote.is_err() || close {
                     return;
                 }

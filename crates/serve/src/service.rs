@@ -18,9 +18,8 @@ use crate::degraded;
 use crate::entry::{Field, FitSummary, FittedEntry};
 use crate::http::{Request, Response};
 use offchip_bench::{
-    build_workload, loss_summary_traced, Campaign, CampaignOptions, ProgramSpec,
+    build_workload, loss_summary, Campaign, CampaignOptions, PointError, ProgramSpec,
 };
-use offchip_obs::TraceRef;
 use offchip_json::Json;
 use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
 use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
@@ -164,24 +163,18 @@ impl PredictService {
     }
 
     /// Routes one parsed request to a handler. Infallible: errors become
-    /// JSON error responses with the right status.
+    /// JSON error responses with the right status. Model-path work (cache
+    /// decisions, fill waits, campaign points) records spans under the
+    /// thread's trace context ([`offchip_obs::current`]), if any.
     pub fn handle(&self, req: &Request) -> Response {
-        self.handle_traced(req, TraceRef::NONE)
-    }
-
-    /// [`PredictService::handle`] with a trace handle: model-path work
-    /// (cache decisions, fill waits, campaign points) records spans under
-    /// `trace.parent`. Pass [`TraceRef::NONE`] for an untraced request —
-    /// every span call degrades to a no-op.
-    pub fn handle_traced(&self, req: &Request, trace: TraceRef) -> Response {
         let t0 = Instant::now();
         let reg = offchip_obs::registry();
         let (path, query) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
         let resp = match (req.method.as_str(), path) {
             ("POST", "/predict") => {
-                self.endpoint(req, "predict", "serve.requests.predict", predict, trace)
+                self.endpoint(req, "predict", "serve.requests.predict", predict)
             }
-            ("POST", "/sweep") => self.endpoint(req, "sweep", "serve.requests.sweep", sweep, trace),
+            ("POST", "/sweep") => self.endpoint(req, "sweep", "serve.requests.sweep", sweep),
             ("GET", "/metrics") => {
                 reg.add("serve.requests.metrics", 1);
                 if query.split('&').any(|kv| kv == "fmt=prom") {
@@ -226,7 +219,6 @@ impl PredictService {
         name: &'static str,
         counter: &'static str,
         body: RenderBody,
-        trace: TraceRef,
     ) -> Response {
         let reg = offchip_obs::registry();
         reg.add(counter, 1);
@@ -234,7 +226,7 @@ impl PredictService {
         let outcome = (|| {
             let doc = parse_body(&req.body)?;
             let key = parse_key(&doc)?;
-            let outcome = self.model_for_traced(&key, Some(deadline), trace)?;
+            let outcome = self.model_for(&key, Some(deadline))?;
             let bytes = match &outcome {
                 ModelOutcome::Fitted(entry, _) => Some(body(entry, &doc, &[])?),
                 ModelOutcome::Degraded(entry, info) => {
@@ -293,38 +285,27 @@ impl PredictService {
     /// A caller whose `deadline` passes first gets [`ModelOutcome::Pending`]
     /// while the fill keeps warming the cache; a key whose breaker is
     /// open gets the degraded analytic tier.
+    ///
+    /// Under a trace context the cache decision, breaker decision and
+    /// fill wait each record a span, and a fill this caller *leads* runs
+    /// under its trace (spans from the fill thread, campaign sim points
+    /// included, parent under it).
     pub fn model_for(
         &self,
         key: &ModelKey,
         deadline: Option<Instant>,
     ) -> Result<ModelOutcome, ServiceError> {
-        self.model_for_traced(key, deadline, TraceRef::NONE)
-    }
-
-    /// [`PredictService::model_for`] with a trace handle: the cache
-    /// decision, breaker decision and fill wait each record a span, and a
-    /// fill this request *leads* runs under its trace (spans from the
-    /// fill thread — campaign sim points included — parent under it).
-    pub fn model_for_traced(
-        &self,
-        key: &ModelKey,
-        deadline: Option<Instant>,
-        trace: TraceRef,
-    ) -> Result<ModelOutcome, ServiceError> {
+        let trace = offchip_obs::current();
         let detail = || format!("key={}/{}", key.machine, key.program);
         if let Some(entry) = self.cache.peek(key) {
-            offchip_obs::span_event(trace.trace, trace.parent, "cache.hit", detail(), 0);
+            offchip_obs::span_event(trace, "cache.hit", detail, 0);
             return Ok(ModelOutcome::Fitted(entry, Disposition::Hit));
         }
         match self.breaker.admit(key) {
             Admission::Degrade { probe, info } => {
-                offchip_obs::span_event(
-                    trace.trace,
-                    trace.parent,
-                    "breaker.degraded",
-                    format!("{} state={} probe={probe}", detail(), info.state.as_str()),
-                    0,
-                );
+                let state = info.state.as_str();
+                let detail = || format!("{} state={state} probe={probe}", detail());
+                offchip_obs::span_event(trace, "breaker.degraded", detail, 0);
                 if probe {
                     // Launch the half-open probe fill in the background.
                     // The already-expired deadline means this request
@@ -332,47 +313,33 @@ impl PredictService {
                     // rest of the window.
                     let _ = self
                         .cache
-                        .get_or_start(key, Some(Instant::now()), self.fill_closure(key, trace));
+                        .get_or_start(key, Some(Instant::now()), self.fill_closure(key));
                 }
                 Ok(ModelOutcome::Degraded(self.degraded_entry(key)?, info))
             }
             Admission::Proceed => {
                 let t0 = Instant::now();
-                match self.cache.get_or_start(key, deadline, self.fill_closure(key, trace)) {
+                match self.cache.get_or_start(key, deadline, self.fill_closure(key)) {
                     Fetch::Ready(entry, disposition) => {
                         match disposition {
                             Disposition::Hit => {
-                                offchip_obs::span_event(
-                                    trace.trace,
-                                    trace.parent,
-                                    "cache.hit",
-                                    detail(),
-                                    0,
-                                );
+                                offchip_obs::span_event(trace, "cache.hit", detail, 0)
                             }
                             // Leader and coalesced waiter both spent this
                             // long blocked on the fill; the fill's own
                             // span (leader's trace only) shows the work.
                             Disposition::Miss | Disposition::Coalesced => {
-                                offchip_obs::span_event(
-                                    trace.trace,
-                                    trace.parent,
-                                    "fill.wait",
-                                    format!("{} disposition={}", detail(), disposition.as_str()),
-                                    t0.elapsed().as_micros() as u64,
-                                );
+                                let how = disposition.as_str();
+                                let detail = || format!("{} disposition={how}", detail());
+                                let waited = t0.elapsed().as_micros() as u64;
+                                offchip_obs::span_event(trace, "fill.wait", detail, waited);
                             }
                         }
                         Ok(ModelOutcome::Fitted(entry, disposition))
                     }
                     Fetch::Pending { .. } => {
-                        offchip_obs::span_event(
-                            trace.trace,
-                            trace.parent,
-                            "fill.pending",
-                            detail(),
-                            t0.elapsed().as_micros() as u64,
-                        );
+                        let waited = t0.elapsed().as_micros() as u64;
+                        offchip_obs::span_event(trace, "fill.pending", detail, waited);
                         Ok(ModelOutcome::Pending)
                     }
                     Fetch::Failed(e) => {
@@ -404,36 +371,23 @@ impl PredictService {
 
     /// The `'static` fill closure handed to the single-flight cache:
     /// runs the campaign and records the outcome on the breaker. The
-    /// leading request's trace rides along — the fill thread re-enters it
-    /// so its log lines stay stamped and the campaign's per-point spans
-    /// parent under a `fill` span.
+    /// leading request's trace context rides along: the fill thread
+    /// enters it under a `fill` span, so its log lines stay stamped and
+    /// the campaign's per-point spans parent under that span.
     fn fill_closure(
         &self,
         key: &ModelKey,
-        trace: TraceRef,
     ) -> impl FnOnce() -> Result<FittedEntry, ServiceError> + Send + 'static {
         let config = self.config.clone();
         let breaker = Arc::clone(&self.breaker);
         let key = key.clone();
+        let ctx = offchip_obs::current();
         move || {
-            let _scope = trace
-                .is_active()
-                .then(|| offchip_obs::TraceScope::enter(trace.trace));
-            let span = offchip_obs::span_open(
-                trace.trace,
-                trace.parent,
-                "fill",
-                format!("key={}/{}", key.machine, key.program),
-            );
-            let result = fill_model(
-                &config,
-                &key,
-                TraceRef {
-                    trace: trace.trace,
-                    parent: span,
-                },
-            );
-            offchip_obs::span_close(trace.trace, span);
+            let detail = || format!("key={}/{}", key.machine, key.program);
+            let fill = offchip_obs::span_open(ctx, "fill", detail);
+            let _scope = offchip_obs::TraceScope::enter(fill);
+            let result = fill_model(&config, &key);
+            offchip_obs::span_close(fill);
             match &result {
                 Ok(_) => breaker.on_success(&key),
                 // A malformed key is the caller's bug, not fill-path
@@ -471,11 +425,7 @@ fn sweep(entry: &FittedEntry, doc: &Json, extra: &[Field<'_>]) -> Result<Vec<u8>
 /// The fill path: journaled sweep → robust fit → validation. A free
 /// function (config + key only) because it runs on the background
 /// single-flight fill thread, which cannot borrow the service.
-fn fill_model(
-    config: &ServiceConfig,
-    key: &ModelKey,
-    trace: TraceRef,
-) -> Result<FittedEntry, ServiceError> {
+fn fill_model(config: &ServiceConfig, key: &ModelKey) -> Result<FittedEntry, ServiceError> {
     let spec = ProgramSpec::parse(&key.program).map_err(ServiceError::BadRequest)?;
     let machine = machine_for(&key.machine)?;
     let total = machine.total_cores();
@@ -493,7 +443,6 @@ fn fill_model(
     let opts = CampaignOptions {
         resume: true,
         journal_dir: config.journal_dir.clone(),
-        trace: trace.is_active().then_some(trace),
         ..CampaignOptions::default()
     };
     let campaign = Campaign::start(&campaign_name, &opts)
@@ -515,11 +464,7 @@ fn fill_model(
         .run_sweep(&machine, w.as_ref(), &ns, &config.seeds, config.jobs)
         .map_err(|e| ServiceError::Internal(format!("sweep: {e}")))?;
     if !cs.errors.is_empty() {
-        return Err(ServiceError::CampaignLoss(format!(
-            "fill campaign lost {} point(s) ({}); completed runs are journaled — retry resumes",
-            cs.errors.len(),
-            loss_summary_traced(&cs.errors, trace.is_active().then_some(trace))
-        )));
+        return Err(campaign_loss(&cs.errors));
     }
     offchip_obs::info!(
         "serve: fill {campaign_name} done — {} run(s) simulated, {} resumed from journal",
@@ -554,6 +499,17 @@ fn fill_model(
         mean_relative_error: v.mean_relative_error,
         mean_absolute_error: v.mean_absolute_error,
     }))
+}
+
+/// The error a fill that lost points answers with. Its message is the
+/// 503 body and the breaker's `last_error`, so it must not depend on
+/// whether the fill was traced: the trace id stays on the log line.
+fn campaign_loss(errors: &[PointError]) -> ServiceError {
+    ServiceError::CampaignLoss(format!(
+        "fill campaign lost {} point(s) ({}); completed runs are journaled — retry resumes",
+        errors.len(),
+        loss_summary(errors)
+    ))
 }
 
 fn parse_body(body: &[u8]) -> Result<Json, ServiceError> {
@@ -643,6 +599,21 @@ mod tests {
         assert!(parse_key(&doc(r#"{"program":"CG.S"}"#)).is_err());
         assert!(parse_key(&doc(r#"{"machine":"vax","program":"CG.S"}"#)).is_err());
         assert!(parse_key(&doc(r#"{"machine":"uma","program":"QQ.S"}"#)).is_err());
+    }
+
+    #[test]
+    fn campaign_loss_message_is_the_same_inside_a_trace() {
+        let errors = [PointError::Panicked {
+            payload: "x".into(),
+            n: 1,
+            seed: 2,
+        }];
+        let untraced = campaign_loss(&errors).message().to_string();
+        let trace = offchip_obs::derive_trace_id(7, 3);
+        let root = offchip_obs::trace_begin(trace, "request", String::new(), false);
+        let _scope = offchip_obs::TraceScope::enter(root);
+        assert_eq!(campaign_loss(&errors).message(), untraced);
+        assert!(untraced.starts_with("fill campaign lost 1 point(s) (panicked=1);"));
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! trace_event export.
 //!
 //! The obs level in `SimConfig::new` is captured from a **process-global**
-//! knob, so tests here serialise on one mutex and pin `cfg.obs` / the
-//! global explicitly rather than trusting ambient state.
+//! knob and the metrics registry is process-global, so the tests that
+//! read either serialise on one mutex. The trace tests pin `cfg.obs`
+//! themselves and each record into a trace id of their own, so they take
+//! no lock.
 
 use std::sync::Mutex;
 
-use offchip::obs::{self, ObsLevel};
+use offchip::obs::{self, ObsLevel, TraceRef, TraceScope};
 use offchip::prelude::*;
 
-/// Serialises tests that touch the process-global obs level/registry/ring.
+/// Serialises tests that touch the process-global obs level or registry.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 const SCALE: f64 = 1.0 / 64.0;
@@ -76,53 +78,61 @@ fn cg_sweep_feeds_queue_wait_histogram_with_ordered_quantiles() {
     obs::registry().reset();
 }
 
-#[test]
-fn trace_export_is_valid_chrome_json() {
-    let _g = OBS_LOCK.lock().unwrap();
-    obs::open_trace_ring();
+/// Runs CG.A on `n` cores at `ObsLevel::Trace` in the context `ctx`.
+fn traced_run(ctx: TraceRef, n: usize) {
     let machine = small_machine();
     let w = cg_a_workload(machine.total_cores());
-    let mut cfg = SimConfig::new(machine.clone(), machine.total_cores());
+    let mut cfg = SimConfig::new(machine, n);
     cfg.obs = ObsLevel::Trace;
+    let _scope = TraceScope::enter(ctx);
     run(w.as_ref(), &cfg);
-    let spans = obs::take_spans();
-    assert!(!spans.is_empty(), "a traced run emits spans");
-    let names: std::collections::BTreeSet<&str> = spans.iter().map(|s| s.name).collect();
-    for expected in ["compute", "mem_stall", "dram"] {
-        assert!(names.contains(expected), "{expected} missing from {names:?}");
-    }
-    let json = obs::chrome_trace_json(&spans);
+}
+
+#[test]
+fn trace_export_is_valid_chrome_json() {
+    let trace = obs::trace_begin(0x7e1e_0001, "test", String::new(), true);
+    traced_run(trace, small_machine().total_cores());
+    let json = obs::trace_chrome_json(trace.trace).expect("trace is in the store");
     let doc = offchip_json::Json::parse(&json).expect("trace output parses as JSON");
     let events = doc
         .get("traceEvents")
         .and_then(|v| v.as_arr())
         .expect("traceEvents array");
-    assert_eq!(events.len(), spans.len());
+    assert!(events.len() > 1, "a traced run emits spans");
+    let dropped = doc.get("otherData").and_then(|o| o.get("dropped"));
+    assert_eq!(dropped.and_then(|v| v.as_u64()), Some(0));
+    let mut names = std::collections::BTreeSet::new();
     for ev in events {
         assert_eq!(ev.get("ph").and_then(|v| v.as_str()), Some("X"));
-        assert!(ev.get("name").and_then(|v| v.as_str()).is_some());
+        names.insert(ev.get("name").and_then(|v| v.as_str()).expect("name"));
         assert!(ev.get("ts").and_then(|v| v.as_f64()).is_some());
         assert!(ev.get("dur").and_then(|v| v.as_f64()).is_some());
+        let tree = ev.get("cat").and_then(|v| v.as_str()) == Some("request");
+        let pid = ev.get("pid").and_then(|v| v.as_u64());
+        assert_eq!(pid, Some(u64::from(!tree)), "tree on pid 0, run on 1");
+    }
+    for expected in ["test", "compute", "mem_stall", "dram"] {
+        assert!(
+            names.contains(expected),
+            "{expected} missing from {names:?}"
+        );
     }
 }
 
 #[test]
-fn traced_run_keeps_no_spans_while_the_ring_is_closed() {
-    let _g = OBS_LOCK.lock().unwrap();
-    // Draining closes the ring. A process that never opens it (anything
-    // but the CLI's `--trace`) must not pile up spans nobody reads.
-    obs::take_spans();
-    let machine = small_machine();
-    let w = cg_a_workload(machine.total_cores());
-    let mut cfg = SimConfig::new(machine.clone(), 2);
-    cfg.obs = ObsLevel::Trace;
-    run(w.as_ref(), &cfg);
-    let kept = obs::take_spans();
-    assert!(
-        kept.is_empty(),
-        "{} span(s) kept with no consumer",
-        kept.len()
-    );
+fn traced_run_outside_a_run_trace_keeps_no_spans() {
+    // Only a trace that takes runs gets lanes: a run under a request
+    // trace (a server at `OBS=trace`) collects nothing, and a run trace
+    // nobody entered stays empty.
+    let request = obs::trace_begin(0x7e1e_0002, "request", String::new(), false);
+    let bystander = obs::trace_begin(0x7e1e_0003, "test", String::new(), true);
+    traced_run(request, 2);
+    for ctx in [request, bystander] {
+        let json = obs::trace_chrome_json(ctx.trace).expect("trace is in the store");
+        let events = json.matches("\"ph\":\"X\"").count();
+        assert_eq!(events, 1, "only the root: {json}");
+        assert_eq!(obs::trace_dropped(ctx.trace), 0);
+    }
 }
 
 #[test]

@@ -1746,6 +1746,9 @@ mod tests {
         assert!(CampaignOptions::parse(&sv(&["--max-events", "0"])).is_err());
         let e = CampaignOptions::parse(&sv(&["--chaos-io", "frob@disk:1"])).unwrap_err();
         assert!(e.contains("chaos-io"), "{e}");
+        let huge = format!("seed:1:{}", u64::MAX);
+        let e = CampaignOptions::parse(&sv(&["--chaos-io", &huge])).unwrap_err();
+        assert!(e.contains("chaos-io") && e.contains("cap"), "{e}");
         let d = CampaignOptions::parse(&[]).unwrap();
         assert!(!d.resume);
         assert_eq!(d.retries, 0);

@@ -17,7 +17,8 @@
 //!   additionally leaving a half-written destination behind;
 //! * `eio@read:N` / `bitflip@read:N:POS` / `trunc@read:N:B` — the N-th
 //!   read fails, returns bit-rotted bytes, or returns a truncated prefix;
-//! * `seed:S` — expand a pseudorandom schedule from seed `S`.
+//! * `seed:S[:COUNT]` — expand a pseudorandom schedule of `COUNT` faults
+//!   (default 4, at most [`MAX_SEED_FAULTS`]) from seed `S`.
 //!
 //! The schedule is selected per process with `--chaos-io SPEC` or
 //! `OFFCHIP_CHAOS_IO`, installed as the process-global Vfs ([`install`]);
@@ -48,7 +49,7 @@ pub use net::{
     env_net_spec, ChaosStream, NetFault, NetFaultKind, NetFaultPlan, NetOp, NetSpec,
     NetSpecError, NET_CHAOS_ENV,
 };
-pub use spec::{ChaosSpec, ChaosSpecError, Fault, FaultKind, OpClass};
+pub use spec::{ChaosSpec, ChaosSpecError, Fault, FaultKind, OpClass, MAX_SEED_FAULTS};
 pub use vfs::{AppendFile, ChaosVfs, RealVfs, Vfs};
 
 use std::sync::{Arc, LazyLock, RwLock};

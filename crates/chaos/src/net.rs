@@ -5,7 +5,7 @@
 //! `KIND@OP:N[:PARAM]` (fault `KIND` fires on the `N`-th socket
 //! operation of class `OP`, 1-based, counted across every connection
 //! that shares one [`NetFaultPlan`]), plus the pseudorandom expansion
-//! clause `seed:S[:COUNT]`:
+//! clause `seed:S[:COUNT]` (`COUNT` at most [`crate::MAX_SEED_FAULTS`]):
 //!
 //! ```text
 //! stall@read:3:120      the 3rd read sleeps 120 ms before proceeding
@@ -22,7 +22,7 @@
 //! global: a server owns one [`NetFaultPlan`] so in-process tests can
 //! run several independently faulted servers side by side.
 
-use crate::crc32;
+use crate::{crc32, MAX_SEED_FAULTS};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,7 +141,7 @@ impl fmt::Display for NetSpecError {
         write!(
             f,
             "chaos-net clause {:?}: {} (expected stall@read|write:N:MS, \
-             reset@read|write:N, short@read:N:B or seed:S)",
+             reset@read|write:N, short@read:N:B or seed:S[:COUNT])",
             self.clause, self.reason
         )
     }
@@ -173,11 +173,17 @@ impl NetSpec {
                 let (seed, count) = match rest.split_once(':') {
                     Some((s, c)) => (
                         parse_u64(clause, "seed", s)?,
-                        parse_u64(clause, "count", c)? as usize,
+                        parse_u64(clause, "count", c)?,
                     ),
                     None => (parse_u64(clause, "seed", rest)?, 3),
                 };
-                faults.extend(NetSpec::from_seed_n(seed, count).faults);
+                if count > MAX_SEED_FAULTS {
+                    return Err(err(
+                        clause,
+                        format!("count exceeds the {MAX_SEED_FAULTS}-fault cap"),
+                    ));
+                }
+                faults.extend(NetSpec::from_seed_n(seed, count as usize).faults);
                 continue;
             }
             let (kind_s, rest) = clause
@@ -502,6 +508,64 @@ mod tests {
             assert_eq!(NetSpec::parse(&a.to_string()).unwrap(), a);
         }
         assert_ne!(NetSpec::from_seed(1), NetSpec::from_seed(2));
+    }
+
+    #[test]
+    fn hostile_specs_parse_or_fail_typed() {
+        // A seed count past the cap is a typed error, not an allocation
+        // sized by the input.
+        assert_eq!(NetSpec::parse("seed:1:64").unwrap().faults.len(), 64);
+        for count in ["65".to_string(), u64::MAX.to_string()] {
+            let e = NetSpec::parse(&format!("seed:1:{count}")).unwrap_err();
+            assert!(e.reason.contains("cap"), "{e}");
+        }
+        // Every printable single-byte substitution and every truncation
+        // of a valid multi-clause spec, plus seeded garbage, parses or
+        // fails typed; a spec that parses keeps its stalls under the cap
+        // and prints back to itself.
+        let valid = "stall@read:3:120,stall@write:2:80,seed:42:5,reset@write:5,reset@read:4,\
+                     short@read:2:3";
+        let check = |input: &str| {
+            if let Ok(spec) = NetSpec::parse(input) {
+                for f in &spec.faults {
+                    assert!(f.at >= 1, "{input:?}");
+                    if let NetFaultKind::Stall(ms) = f.kind {
+                        assert!(ms <= MAX_STALL_MS, "{input:?}");
+                    }
+                }
+                assert_eq!(NetSpec::parse(&spec.to_string()), Ok(spec), "{input:?}");
+            }
+        };
+        check(valid);
+        for i in 0..valid.len() {
+            for b in b' '..=b'~' {
+                let mut bytes = valid.as_bytes().to_vec();
+                bytes[i] = b;
+                check(std::str::from_utf8(&bytes).expect("ASCII stays UTF-8"));
+            }
+        }
+        for cut in 0..valid.len() {
+            check(&valid[..cut]);
+        }
+        // Three bytes in four come from the valid spec, so the parser
+        // gets past its first checks.
+        let mut x: u64 = 0x0BAD_5EED;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..20_000 {
+            let len = (next() % (2 * valid.len() as u64)) as usize;
+            let junk: Vec<u8> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => next() as u8,
+                    _ => valid.as_bytes()[(next() % valid.len() as u64) as usize],
+                })
+                .collect();
+            check(&String::from_utf8_lossy(&junk));
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! A spec is a comma-separated list of clauses, each `KIND@OP:N[:PARAM]`
 //! (fault `KIND` fires on the `N`-th operation of class `OP`, 1-based,
 //! counted per process across the whole Vfs), plus the pseudorandom
-//! expansion clause `seed:S[:COUNT]`. Examples:
+//! expansion clause `seed:S[:COUNT]` (`COUNT` at most
+//! [`MAX_SEED_FAULTS`]). Examples:
 //!
 //! ```text
 //! enospc@write:3                  the 3rd write fails with ENOSPC
@@ -16,6 +17,12 @@
 
 use crate::crc32;
 use std::fmt;
+
+/// Most faults one `seed:S:COUNT` clause may expand to, in this DSL and in
+/// [`crate::NetSpec`]'s. A larger count is a malformed clause: the
+/// expansion allocates one fault per count, so an unchecked count near
+/// `u64::MAX` overflowed the allocation.
+pub const MAX_SEED_FAULTS: u64 = 64;
 
 /// The primitive operation classes a fault can target. Indices count
 /// per class, across every file the Vfs touches, in program order.
@@ -150,7 +157,8 @@ impl fmt::Display for ChaosSpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "chaos-io clause {:?}: {} (expected KIND@write|fsync|rename|read:N[:PARAM] or seed:S)",
+            "chaos-io clause {:?}: {} (expected KIND@write|fsync|rename|read:N[:PARAM] \
+             or seed:S[:COUNT])",
             self.clause, self.reason
         )
     }
@@ -183,11 +191,17 @@ impl ChaosSpec {
                 let (seed, count) = match rest.split_once(':') {
                     Some((s, c)) => (
                         parse_u64(clause, "seed", s)?,
-                        parse_u64(clause, "count", c)? as usize,
+                        parse_u64(clause, "count", c)?,
                     ),
                     None => (parse_u64(clause, "seed", rest)?, 4),
                 };
-                faults.extend(ChaosSpec::from_seed_n(seed, count).faults);
+                if count > MAX_SEED_FAULTS {
+                    return Err(err(
+                        clause,
+                        format!("count exceeds the {MAX_SEED_FAULTS}-fault cap"),
+                    ));
+                }
+                faults.extend(ChaosSpec::from_seed_n(seed, count as usize).faults);
                 continue;
             }
             let (kind_s, rest) = clause
@@ -399,5 +413,56 @@ mod tests {
     fn empty_spec_is_empty() {
         assert!(ChaosSpec::parse("").unwrap().is_empty());
         assert!(ChaosSpec::parse(" , ").unwrap().is_empty());
+    }
+
+    #[test]
+    fn hostile_specs_parse_or_fail_typed() {
+        // A seed count past the cap is a typed error, not an allocation
+        // sized by the input.
+        assert_eq!(ChaosSpec::parse("seed:1:64").unwrap().faults.len(), 64);
+        for count in ["65".to_string(), u64::MAX.to_string()] {
+            let e = ChaosSpec::parse(&format!("seed:1:{count}")).unwrap_err();
+            assert!(e.reason.contains("cap"), "{e}");
+        }
+        // Every printable single-byte substitution and every truncation
+        // of a valid multi-clause spec, plus seeded garbage, parses or
+        // fails typed; a spec that parses prints back to itself.
+        let valid = "enospc@write:3,short@write:2:17,seed:42:9,lyingfsync@fsync:4,\
+                     torn@rename:1,bitflip@read:2:40,trunc@read:3:8";
+        let check = |input: &str| {
+            if let Ok(spec) = ChaosSpec::parse(input) {
+                assert_eq!(ChaosSpec::parse(&spec.to_string()), Ok(spec), "{input:?}");
+            }
+        };
+        check(valid);
+        for i in 0..valid.len() {
+            for b in b' '..=b'~' {
+                let mut bytes = valid.as_bytes().to_vec();
+                bytes[i] = b;
+                check(std::str::from_utf8(&bytes).expect("ASCII stays UTF-8"));
+            }
+        }
+        for cut in 0..valid.len() {
+            check(&valid[..cut]);
+        }
+        // Three bytes in four come from the valid spec, so the parser
+        // gets past its first checks.
+        let mut x: u64 = 0x0BAD_5EED;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..20_000 {
+            let len = (next() % (2 * valid.len() as u64)) as usize;
+            let junk: Vec<u8> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => next() as u8,
+                    _ => valid.as_bytes()[(next() % valid.len() as u64) as usize],
+                })
+                .collect();
+            check(&String::from_utf8_lossy(&junk));
+        }
     }
 }

@@ -112,9 +112,10 @@ const MAX_SIM_SPANS: usize = 1 << 19;
 /// Per-run machine-layer observer; `None` at [`ObsLevel::Off`], so every
 /// hot-path hook is one predictable branch on an absent `Option`.
 struct SimObs {
-    /// Whether the run collects spans: [`ObsLevel::Trace`] and a current
-    /// trace that takes runs.
-    trace: bool,
+    /// Most spans the run collects: `Some` only at [`ObsLevel::Trace`]
+    /// under a current trace that takes runs, capped by the room that
+    /// trace has left.
+    span_cap: Option<usize>,
     /// Cycles threads spent blocked on off-chip fills, one sample per
     /// stall episode.
     mem_stall: Histogram,
@@ -126,9 +127,9 @@ struct SimObs {
 }
 
 impl SimObs {
-    fn new(trace: bool) -> SimObs {
+    fn new(span_room: Option<usize>) -> SimObs {
         SimObs {
-            trace,
+            span_cap: span_room.map(|room| room.min(MAX_SIM_SPANS)),
             mem_stall: Histogram::new(),
             hop_latency: Histogram::new(),
             spans: Vec::new(),
@@ -140,8 +141,8 @@ impl SimObs {
     /// assigned when the run is flushed.
     #[inline]
     fn push_span(&mut self, name: &'static str, ts: SimTime, dur: u64, tid: u32) {
-        if self.trace {
-            if self.spans.len() < MAX_SIM_SPANS {
+        if let Some(cap) = self.span_cap {
+            if self.spans.len() < cap {
                 self.spans.push(Span::run(name, ts.cycles(), dur, tid));
             } else {
                 self.spans_dropped += 1;
@@ -422,12 +423,17 @@ impl<'a> LaneRunner<'a> {
             })
             .collect();
         // Spans go to the thread's current trace, so a run collects them
-        // only when that trace takes runs.
-        let trace = cfg.obs.at_least(ObsLevel::Trace) && offchip_obs::takes_runs();
+        // only when that trace takes runs, and no more than it has room
+        // for: a full trace would only drop them.
+        let span_room = cfg
+            .obs
+            .at_least(ObsLevel::Trace)
+            .then(offchip_obs::run_room)
+            .flatten();
         if cfg.obs.at_least(ObsLevel::Metrics) {
             let window = cfg.effective_telemetry_window();
             for (i, mc) in mcs.iter_mut().enumerate() {
-                mc.attach_obs(Box::new(McObs::new(i, window, trace)));
+                mc.attach_obs(Box::new(McObs::new(i, window, span_room)));
             }
         }
         let n_mcs = mcs.len();
@@ -458,7 +464,7 @@ impl<'a> LaneRunner<'a> {
             obs: cfg
                 .obs
                 .at_least(ObsLevel::Metrics)
-                .then(|| Box::new(SimObs::new(trace))),
+                .then(|| Box::new(SimObs::new(span_room))),
         };
 
         for slot in 0..sim.cores.len() {

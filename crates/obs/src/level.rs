@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// - `Trace` — everything in `Metrics`, plus sim-phase spans (compute
 ///   quanta, memory stalls, DRAM service, barrier waits) recorded as one
 ///   lane of the current trace, when that trace takes runs
-///   ([`takes_runs`](crate::takes_runs)); a server also buffers every
+///   ([`run_room`](crate::run_room)); a server also buffers every
 ///   request's span tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 #[repr(u8)]

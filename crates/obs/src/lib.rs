@@ -56,6 +56,6 @@ pub use metrics::{registry, Counter, Gauge, Histogram, MetricsSnapshot, Registry
 pub use prom::{prom_name, render_prometheus};
 pub use telemetry::{McObs, McSeries, Telemetry, TelemetryWindow};
 pub use trace::{
-    current, derive_trace_id, push_run, span_close, span_event, span_open, takes_runs, trace_begin,
+    current, derive_trace_id, push_run, run_room, span_close, span_event, span_open, trace_begin,
     trace_chrome_json, trace_dropped, trace_tree_json, Span, TraceRef, TraceScope,
 };

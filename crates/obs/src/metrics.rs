@@ -144,8 +144,9 @@ impl Histogram {
     /// The `q`-quantile (`0.0 ..= 1.0`) as the upper bound of the bucket
     /// holding the target rank, clamped to the observed maximum.
     ///
-    /// Pinned edge behavior (`BENCH_serve.json` percentiles are read
-    /// straight off this, so the contract is load-bearing):
+    /// Pinned edge behavior (the `--metrics` CSV and the `/metrics` page
+    /// read percentiles straight off this, so the contract is
+    /// load-bearing):
     ///
     /// * an **empty** histogram reports 0 for every `q` — never a bucket
     ///   upper bound like 1;
@@ -490,8 +491,8 @@ mod tests {
 
     #[test]
     fn quantile_domain_edges_are_pinned() {
-        // Regression (serve PR): BENCH_serve.json percentiles come from
-        // quantile(), so its edge behavior is a published contract.
+        // Regression: exported percentiles come from quantile(), so its
+        // edge behavior is a published contract.
         let empty = Histogram::new();
         for q in [f64::NAN, -1.0, 0.0, 0.5, 1.0, 2.0] {
             assert_eq!(empty.quantile(q), 0, "empty histogram at q={q}");

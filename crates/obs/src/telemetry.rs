@@ -97,7 +97,8 @@ impl Telemetry {
 pub struct McObs {
     mc: usize,
     window: u64,
-    trace: bool,
+    /// Most DRAM spans kept; `None` collects none.
+    span_cap: Option<usize>,
     queue_wait: Histogram,
     queue_depth: Histogram,
     windows: Vec<TelemetryWindow>,
@@ -109,13 +110,15 @@ pub struct McObs {
 
 impl McObs {
     /// A fresh observer for controller `mc`. `window_cycles == 0`
-    /// disables the time series (histograms still record); `trace`
-    /// additionally collects DRAM service spans.
-    pub fn new(mc: usize, window_cycles: u64, trace: bool) -> McObs {
+    /// disables the time series (histograms still record). `span_room`
+    /// `Some(n)` additionally collects up to `n` DRAM service spans
+    /// (the run trace's [`run_room`](crate::run_room)), and counts the
+    /// rest as dropped.
+    pub fn new(mc: usize, window_cycles: u64, span_room: Option<usize>) -> McObs {
         McObs {
             mc,
             window: window_cycles,
-            trace,
+            span_cap: span_room.map(|room| room.min(MAX_MC_SPANS)),
             queue_wait: Histogram::new(),
             queue_depth: Histogram::new(),
             windows: Vec::new(),
@@ -155,8 +158,8 @@ impl McObs {
                 cell.peak_outstanding = cell.peak_outstanding.max(depth);
             }
         }
-        if self.trace {
-            if self.spans.len() < MAX_MC_SPANS {
+        if let Some(cap) = self.span_cap {
+            if self.spans.len() < cap {
                 let dur = completion.saturating_sub(arrival);
                 self.spans
                     .push(Span::run("dram", arrival, dur, self.mc as u32));
@@ -204,7 +207,7 @@ mod tests {
 
     #[test]
     fn record_tracks_waits_depths_and_windows() {
-        let mut o = McObs::new(0, 100, false);
+        let mut o = McObs::new(0, 100, None);
         // Two overlapping requests in window 0, one in window 2.
         o.record(10, 10, 0, 50);
         o.record(20, 20, 5, 80);
@@ -224,7 +227,7 @@ mod tests {
 
     #[test]
     fn series_pads_idle_tail() {
-        let mut o = McObs::new(1, 10, false);
+        let mut o = McObs::new(1, 10, None);
         o.record(5, 5, 0, 9);
         let s = o.series(95);
         assert_eq!(s.windows.len(), 10);
@@ -233,10 +236,11 @@ mod tests {
 
     #[test]
     fn trace_level_collects_dram_spans() {
-        let mut o = McObs::new(2, 0, true);
+        let mut o = McObs::new(2, 0, Some(1));
         o.record(100, 100, 3, 180);
+        o.record(200, 200, 0, 240);
         let (spans, dropped) = o.spans();
-        assert_eq!((spans.len(), dropped), (1, 0));
+        assert_eq!((spans.len(), dropped), (1, 1), "room for one span");
         assert_eq!(spans[0].name, "dram");
         assert_eq!(spans[0].ts, 100);
         assert_eq!(spans[0].dur, 80);

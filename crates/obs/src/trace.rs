@@ -7,8 +7,8 @@
 //! (the CLI's `--trace`) holds a tree too, plus one *lane* of simulator
 //! spans per run that finished under it. Work done for a trace finds it
 //! through the thread's context, a [`TraceRef`] entered with
-//! [`TraceScope`]; a run collects spans only when that trace takes runs
-//! ([`takes_runs`]).
+//! [`TraceScope`]; a run collects spans only when that trace takes runs,
+//! and only as many as it has room for ([`run_room`]).
 //!
 //! Trace ids contain no wall clock and no randomness ([`derive_trace_id`]),
 //! so traced and untraced runs produce the same artefacts and response
@@ -401,15 +401,19 @@ pub fn span_event(at: TraceRef, name: &'static str, detail: impl FnOnce() -> Str
     }
 }
 
-/// Whether the thread's current trace takes simulator runs. A run
-/// collects spans only when it does.
-pub fn takes_runs() -> bool {
+/// How many more run spans the thread's current trace keeps: `None` when
+/// it takes no simulator runs (or there is no current trace). A run
+/// collects spans only under `Some`, at most this many, and counts the
+/// rest as dropped. Room only shrinks, so those are the spans
+/// [`push_run`] would keep anyway.
+pub fn run_room() -> Option<usize> {
     let ctx = current();
-    ctx.is_active()
-        && store()
-            .traces
-            .get(&ctx.trace)
-            .is_some_and(|t| t.runs.is_some())
+    if !ctx.is_active() {
+        return None;
+    }
+    let s = store();
+    let runs = s.traces.get(&ctx.trace)?.runs.as_ref()?;
+    Some(s.bounds.run_spans.saturating_sub(runs.len()))
 }
 
 /// Appends one finished run's spans to the thread's current trace as its
@@ -564,9 +568,10 @@ mod tests {
         let spans = [Span::run("compute", 5, 10, 1), Span::run("dram", 7, 3, 0)];
         for (id, runs) in [(run_trace, true), (req_trace, false)] {
             let _g = TraceScope::enter(trace_begin(id, "root", String::new(), runs));
-            assert_eq!(takes_runs(), runs);
+            assert_eq!(run_room(), runs.then_some(MAX_RUN_SPANS));
             push_run(&spans, 4);
             push_run(&spans[..1], 0);
+            assert_eq!(run_room(), runs.then_some(MAX_RUN_SPANS - 3));
         }
         let chrome = trace_chrome_json(run_trace).unwrap();
         for lane in [

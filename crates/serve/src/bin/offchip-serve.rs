@@ -303,6 +303,9 @@ mod tests {
         );
         let err = parse("--chaos-net explode@read").unwrap_err();
         assert!(err.starts_with("--chaos-net: "), "{err}");
+        // A seed count is capped, not handed to an allocation.
+        let err = parse(&format!("--chaos-net seed:1:{}", u64::MAX)).unwrap_err();
+        assert!(err.starts_with("--chaos-net: ") && err.contains("cap"), "{err}");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! equal it. Entries: the degraded analytic prior of each paper machine
 //! (no simulation needed) and one CG.S entry from a real fill.
 
+mod support;
+
 use offchip_json::{json_obj, Json};
 use offchip_model::FitProtocol;
-use offchip_serve::http::Request;
 use offchip_serve::service::MAX_N;
 use offchip_serve::{
     degraded, FitSummary, FittedEntry, ModelKey, ModelOutcome, PredictService, ServiceConfig,
@@ -19,6 +20,7 @@ use offchip_serve::{
 use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 use offchip_topology::MachineSpec;
 use std::sync::Barrier;
+use support::{post_request, scratch};
 
 fn oracle_model(e: &FitSummary) -> Json {
     json_obj! {
@@ -184,21 +186,9 @@ fn degraded_provenance_merges_in_key_order() {
     }
 }
 
-fn post(path: &str, body: String) -> Request {
-    Request {
-        method: "POST".into(),
-        path: path.into(),
-        body: body.into_bytes(),
-        close: false,
-        deadline_ms: None,
-        trace: None,
-    }
-}
-
 #[test]
 fn fitted_cg_s_entry_matches_the_oracle_through_the_service() {
-    let dir = std::env::temp_dir().join(format!("offchip-serve-oracle-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("oracle");
     let service = PredictService::new(ServiceConfig {
         journal_dir: Some(dir.clone()),
         seeds: vec![1],
@@ -224,7 +214,7 @@ fn fitted_cg_s_entry_matches_the_oracle_through_the_service() {
     let total = fit.total_cores;
     for n in (1..=total + 1).chain([MAX_N]) {
         let body = format!(r#"{{"machine":"uma","program":"CG.S","n":{n}}}"#);
-        let resp = service.handle(&post("/predict", body));
+        let resp = service.handle(&post_request("/predict", &body));
         assert_eq!(resp.status, 200);
         assert_eq!(
             text(&resp.body),
@@ -236,7 +226,7 @@ fn fitted_cg_s_entry_matches_the_oracle_through_the_service() {
         for from in 1..=to {
             let body =
                 format!(r#"{{"machine":"uma","program":"CG.S","n_from":{from},"n_to":{to}}}"#);
-            let resp = service.handle(&post("/sweep", body));
+            let resp = service.handle(&post_request("/sweep", &body));
             assert_eq!(resp.status, 200);
             assert_eq!(
                 text(&resp.body),

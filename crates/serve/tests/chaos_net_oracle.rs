@@ -12,14 +12,13 @@
 //! Connections the fault layer kills mid-exchange are allowed (that is
 //! the fault firing); a *corrupted* exchange is not.
 
+mod support;
+
 use offchip_chaos::NetSpec;
-use offchip_serve::http::Request;
-use offchip_serve::{AdmissionConfig, PredictService, Server, ServerOptions, ServiceConfig};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use offchip_serve::{AdmissionConfig, Server, ServerOptions};
+use std::path::Path;
+use std::time::{Duration, Instant};
+use support::{post_request, scratch, serve, test_service, Load, Tally, PREDICT_BODY};
 
 /// Seeded fault schedules; stalls are 10–160 ms and positions 1–8, so
 /// the 8 s client timeout below can only fire on a genuine hang.
@@ -28,172 +27,6 @@ const FAULTS_PER_CONN: usize = 6;
 const CLIENTS: usize = 3;
 const REQS_PER_CLIENT: usize = 25;
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(8);
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("offchip-serve-chaosnet-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn test_service(dir: &Path) -> PredictService {
-    PredictService::new(ServiceConfig {
-        journal_dir: Some(dir.to_path_buf()),
-        seeds: vec![1, 2],
-        jobs: 2,
-        ..ServiceConfig::default()
-    })
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-}
-
-/// Status, headers and body of one parsed HTTP response.
-type HttpReply = (u16, Vec<(String, String)>, Vec<u8>);
-
-/// Reads one HTTP/1.1 response off the wire.
-fn read_response(r: &mut BufReader<TcpStream>) -> std::io::Result<HttpReply> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            ErrorKind::UnexpectedEof,
-            "closed before status line",
-        ));
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(ErrorKind::InvalidData, format!("bad status line: {line:?}"))
-        })?;
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut h = String::new();
-        if r.read_line(&mut h)? == 0 {
-            return Err(std::io::Error::new(
-                ErrorKind::UnexpectedEof,
-                "closed mid-headers",
-            ));
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
-            let value = value.trim().to_string();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
-            }
-            headers.push((name.to_string(), value));
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-    Ok((status, headers, body))
-}
-
-#[derive(Default)]
-struct Tally {
-    /// 200 with the exact reference body.
-    ok: usize,
-    /// Well-formed non-200 JSON error envelopes (sheds, 4xx, 5xx).
-    errors: usize,
-    /// Connection killed mid-exchange — the fault firing, allowed.
-    dropped: usize,
-    /// Client timed out: the server hung past its deadlines. Fatal.
-    hung: usize,
-    /// A 200 body that drifted from the reference. Fatal.
-    torn: usize,
-    /// A non-200 that was not a JSON error envelope. Fatal.
-    malformed: usize,
-}
-
-impl Tally {
-    fn merge(&mut self, other: Tally) {
-        self.ok += other.ok;
-        self.errors += other.errors;
-        self.dropped += other.dropped;
-        self.hung += other.hung;
-        self.torn += other.torn;
-        self.malformed += other.malformed;
-    }
-}
-
-fn client(addr: &str, reference: &[u8]) -> Tally {
-    let body = br#"{"machine":"uma","program":"CG.S","n":8}"#;
-    let head = format!(
-        "POST /predict HTTP/1.1\r\nHost: oracle\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    let mut t = Tally::default();
-    let mut conn: Option<BufReader<TcpStream>> = None;
-    for _ in 0..REQS_PER_CLIENT {
-        if conn.is_none() {
-            match TcpStream::connect(addr) {
-                Ok(s) => {
-                    s.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
-                    s.set_write_timeout(Some(CLIENT_TIMEOUT)).unwrap();
-                    let _ = s.set_nodelay(true);
-                    conn = Some(BufReader::new(s));
-                }
-                Err(_) => {
-                    t.dropped += 1;
-                    continue;
-                }
-            }
-        }
-        let reader = conn.as_mut().unwrap();
-        let outcome = reader
-            .get_mut()
-            .write_all(head.as_bytes())
-            .and_then(|_| reader.get_mut().write_all(body))
-            .and_then(|_| read_response(reader));
-        match outcome {
-            Ok((200, _, resp_body)) => {
-                if resp_body == reference {
-                    t.ok += 1;
-                } else {
-                    eprintln!(
-                        "torn 200 body: {}",
-                        String::from_utf8_lossy(&resp_body)
-                    );
-                    t.torn += 1;
-                }
-            }
-            Ok((status, _, resp_body)) => {
-                let well_formed = std::str::from_utf8(&resp_body)
-                    .ok()
-                    .and_then(|s| offchip_json::Json::parse(s.trim()).ok())
-                    .and_then(|doc| doc.get("error").and_then(|j| j.as_str()).map(String::from))
-                    .is_some();
-                if well_formed {
-                    t.errors += 1;
-                } else {
-                    eprintln!(
-                        "malformed {status} body: {}",
-                        String::from_utf8_lossy(&resp_body)
-                    );
-                    t.malformed += 1;
-                }
-                // Error responses close the connection server-side.
-                conn = None;
-            }
-            Err(e) => {
-                if is_timeout(&e) {
-                    t.hung += 1;
-                } else {
-                    t.dropped += 1;
-                }
-                conn = None;
-            }
-        }
-    }
-    t
-}
 
 fn run_cell(dir: &Path, spec: NetSpec, label: &str, tight: bool, reference: &[u8]) -> Tally {
     let admission = if tight {
@@ -212,26 +45,23 @@ fn run_cell(dir: &Path, spec: NetSpec, label: &str, tight: bool, reference: &[u8
         ..ServerOptions::default()
     };
     let server = Server::bind(&opts, test_service(dir)).unwrap();
-    let addr = server.local_addr().to_string();
-    let shutdown = AtomicBool::new(false);
-    let mut total = Tally::default();
-    std::thread::scope(|s| {
-        let run = s.spawn(|| server.run(&shutdown));
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|_| {
-                let addr = addr.clone();
-                s.spawn(move || client(&addr, reference))
-            })
-            .collect();
-        for c in clients {
-            total.merge(c.join().unwrap());
+    let total = serve(&server, |addr, _| {
+        Load {
+            addr,
+            reference,
+            connections: CLIENTS,
+            requests: REQS_PER_CLIENT,
+            until: Instant::now() + Duration::from_secs(3600),
+            timeout: CLIENT_TIMEOUT,
+            traced: false,
         }
-        shutdown.store(true, Ordering::SeqCst);
-        run.join().unwrap().unwrap();
+        .run()
     });
     let label = format!(
         "{label} tight {tight}: ok {} errors {} dropped {}",
-        total.ok, total.errors, total.dropped
+        total.ok,
+        total.shed + total.refused,
+        total.dropped
     );
     // The fatal oracle conditions. A schedule front-loaded with resets
     // may legitimately kill every exchange (the client reconnects onto
@@ -255,14 +85,7 @@ fn chaos_net_never_hangs_or_tears_responses() {
     // whole grid runs warm and the reference body is fixed.
     let reference = {
         let warm = test_service(&dir);
-        let resp = warm.handle(&Request {
-            method: "POST".into(),
-            path: "/predict".into(),
-            body: br#"{"machine":"uma","program":"CG.S","n":8}"#.to_vec(),
-            close: false,
-            deadline_ms: None,
-            trace: None,
-        });
+        let resp = warm.handle(&post_request("/predict", PREDICT_BODY));
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         resp.body
     };
@@ -278,16 +101,17 @@ fn chaos_net_never_hangs_or_tears_responses() {
         "stall-only schedule must not lose exchanges"
     );
 
-    let mut grid = Tally::default();
+    let mut faulted = 0;
     for seed in NET_SEEDS {
         for tight in [false, true] {
             let spec = NetSpec::from_seed_n(seed, FAULTS_PER_CONN);
             let label = format!("seed {seed} ({spec})");
-            grid.merge(run_cell(&dir, spec, &label, tight, &reference));
+            let t = run_cell(&dir, spec, &label, tight, &reference);
+            faulted += t.shed + t.refused + t.dropped;
         }
     }
     assert!(
-        grid.errors + grid.dropped > 0,
+        faulted > 0,
         "the seeded grid never exercised a fault path at all"
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,91 +5,19 @@
 //! These complement the in-crate `http.rs` unit tests by driving the
 //! full accept-queue-worker path over real TCP connections.
 
-use offchip_serve::{PredictService, Server, ServerOptions, ServiceConfig};
-use std::io::{BufRead, BufReader, Read, Write};
+mod support;
+
+use offchip_serve::{Server, ServerOptions};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("offchip-serve-keepalive-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn test_service(dir: &Path) -> PredictService {
-    PredictService::new(ServiceConfig {
-        journal_dir: Some(dir.to_path_buf()),
-        seeds: vec![1, 2],
-        jobs: 2,
-        ..ServiceConfig::default()
-    })
-}
-
-/// Status, headers and body of one parsed HTTP response.
-type HttpReply = (u16, Vec<(String, String)>, Vec<u8>);
-
-/// Reads one HTTP/1.1 response off the wire.
-fn read_response(r: &mut BufReader<TcpStream>) -> std::io::Result<HttpReply> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "closed before status line",
-        ));
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line: {line:?}"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut h = String::new();
-        if r.read_line(&mut h)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "closed mid-headers",
-            ));
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
-            let value = value.trim().to_string();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
-            }
-            headers.push((name.to_string(), value));
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-    Ok((status, headers, body))
-}
+use support::{read_response, scratch, serve, test_service};
 
 /// Runs `case` against a freshly bound server, then drains it.
 fn with_server(tag: &str, opts: ServerOptions, case: impl FnOnce(&str)) {
     let dir = scratch(tag);
     let server = Server::bind(&opts, test_service(&dir)).unwrap();
-    let addr = server.local_addr().to_string();
-    let shutdown = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let run = s.spawn(|| server.run(&shutdown));
-        case(&addr);
-        shutdown.store(true, Ordering::SeqCst);
-        run.join().unwrap().unwrap();
-    });
+    serve(&server, |addr, _| case(addr));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

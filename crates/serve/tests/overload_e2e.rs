@@ -10,106 +10,30 @@
 //!   and a seeded half-open probe closes the breaker once the fill
 //!   path heals.
 
+mod support;
+
 use offchip_serve::http::Request;
 use offchip_serve::{
     AdmissionConfig, BreakerConfig, PredictService, Server, ServerOptions, ServiceConfig,
 };
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-
-const SEEDS: [u64; 2] = [1, 2];
-
-/// A scratch journal directory, clean at entry.
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("offchip-serve-overload-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn test_service(dir: &Path) -> PredictService {
-    PredictService::new(ServiceConfig {
-        journal_dir: Some(dir.to_path_buf()),
-        seeds: SEEDS.to_vec(),
-        jobs: 2,
-        ..ServiceConfig::default()
-    })
-}
+use support::{
+    header, post_request, read_response, scratch, serve, test_service, PREDICT_BODY, SEEDS,
+};
 
 fn predict_request(deadline_ms: Option<u64>) -> Request {
     Request {
-        method: "POST".into(),
-        path: "/predict".into(),
-        body: br#"{"machine":"uma","program":"CG.S","n":8}"#.to_vec(),
-        close: false,
         deadline_ms,
-        trace: None,
+        ..post_request("/predict", PREDICT_BODY)
     }
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
 }
 
 fn parse_json(body: &[u8]) -> offchip_json::Json {
     offchip_json::Json::parse(std::str::from_utf8(body).expect("utf-8 body").trim())
         .unwrap_or_else(|e| panic!("body is not JSON ({e:?}): {}", String::from_utf8_lossy(body)))
-}
-
-/// Status, headers and body of one parsed HTTP response.
-type HttpReply = (u16, Vec<(String, String)>, Vec<u8>);
-
-/// Reads one HTTP/1.1 response off the wire.
-fn read_response(r: &mut BufReader<TcpStream>) -> std::io::Result<HttpReply> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "closed before status line",
-        ));
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line: {line:?}"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut h = String::new();
-        if r.read_line(&mut h)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "closed mid-headers",
-            ));
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
-            let value = value.trim().to_string();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
-            }
-            headers.push((name.to_string(), value));
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-    Ok((status, headers, body))
 }
 
 #[test]
@@ -125,14 +49,10 @@ fn conns_full_overflow_is_shed_with_a_well_formed_503() {
         ..ServerOptions::default()
     };
     let server = Server::bind(&opts, test_service(&dir)).unwrap();
-    let addr = server.local_addr().to_string();
-    let shutdown = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let run = s.spawn(|| server.run(&shutdown));
-
+    serve(&server, |addr, _| {
         // Pin the single connection slot with a keep-alive client
         // mid-conversation: the worker parks in its next read.
-        let mut pinned = TcpStream::connect(&addr).unwrap();
+        let mut pinned = TcpStream::connect(addr).unwrap();
         pinned
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
@@ -146,7 +66,7 @@ fn conns_full_overflow_is_shed_with_a_well_formed_503() {
 
         // The next connection exceeds max_conns: the accept thread
         // answers it directly, without a worker or even a request.
-        let overflow = TcpStream::connect(&addr).unwrap();
+        let overflow = TcpStream::connect(addr).unwrap();
         overflow
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
@@ -163,12 +83,8 @@ fn conns_full_overflow_is_shed_with_a_well_formed_503() {
             String::from_utf8_lossy(&body)
         );
         assert!(offchip_obs::registry().counter("serve.shed") >= 1);
-
-        // Release the pinned connection so the drain is clean.
-        shutdown.store(true, Ordering::SeqCst);
-        drop(pinned_reader);
-        drop(pinned);
-        run.join().unwrap().unwrap();
+        // The pinned connection closes as the case ends, so the drain is
+        // clean.
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -182,12 +98,8 @@ fn readyz_flips_to_draining_during_shutdown() {
         ..ServerOptions::default()
     };
     let server = Server::bind(&opts, test_service(&dir)).unwrap();
-    let addr = server.local_addr().to_string();
-    let shutdown = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let run = s.spawn(|| server.run(&shutdown));
-
-        let mut conn = TcpStream::connect(&addr).unwrap();
+    serve(&server, |addr, shutdown| {
+        let mut conn = TcpStream::connect(addr).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
 
@@ -209,8 +121,6 @@ fn readyz_flips_to_draining_during_shutdown() {
             "{}",
             String::from_utf8_lossy(&body)
         );
-
-        run.join().unwrap().unwrap();
     });
     let _ = std::fs::remove_dir_all(&dir);
 }

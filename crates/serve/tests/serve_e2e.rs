@@ -7,43 +7,21 @@
 //!   bodies (single-flight coalescing over real sockets);
 //! * server killed mid-fill → restart resumes the campaign from the
 //!   journal (prefix preserved) instead of re-simulating, and a warm
-//!   server exits 0 on SIGTERM.
+//!   server exits 0 on SIGTERM;
+//! * a SIGTERM that lands while the server sheds a 4× overload still
+//!   drains to exit 0.
 
-use offchip_serve::http::Request;
-use offchip_serve::{PredictService, Server, ServerOptions, ServiceConfig};
-use std::io::{BufRead, BufReader, Read, Write};
+mod support;
+
+use offchip_serve::{Server, ServerOptions};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::Path;
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
-
-/// A scratch journal directory, clean at entry.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("offchip-serve-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn predict_request(body: &str) -> Request {
-    Request {
-        method: "POST".into(),
-        path: "/predict".into(),
-        body: body.as_bytes().to_vec(),
-        close: false,
-        deadline_ms: None,
-        trace: None,
-    }
-}
-
-fn cache_header(resp: &offchip_serve::Response) -> &str {
-    resp.headers
-        .iter()
-        .find(|(n, _)| n == "X-Offchip-Cache")
-        .map(|(_, v)| v.as_str())
-        .expect("X-Offchip-Cache header")
-}
+use support::{
+    header, post_request, read_response, scratch, serve, test_service, Load, PREDICT_BODY, SEEDS,
+};
 
 fn journal_lines(path: &Path) -> usize {
     match std::fs::read_to_string(path) {
@@ -55,26 +33,16 @@ fn journal_lines(path: &Path) -> usize {
 /// The test grid: UMA CG.S → campaign ns are the protocol points
 /// {1,4,5} plus the full machine (8 cores).
 const UMA_CG_NS: usize = 4;
-const SEEDS: [u64; 2] = [1, 2];
-
-fn test_service(dir: &Path) -> PredictService {
-    PredictService::new(ServiceConfig {
-        journal_dir: Some(dir.to_path_buf()),
-        seeds: SEEDS.to_vec(),
-        jobs: 2,
-        ..ServiceConfig::default()
-    })
-}
 
 #[test]
 fn cold_fill_then_warm_hit_is_byte_identical_and_does_not_resimulate() {
     let dir = scratch("coldwarm");
     let svc = test_service(&dir);
-    let req = predict_request(r#"{"machine":"uma","program":"CG.S","n":8}"#);
+    let req = post_request("/predict", PREDICT_BODY);
 
     let cold = svc.handle(&req);
     assert_eq!(cold.status, 200, "{}", String::from_utf8_lossy(&cold.body));
-    assert_eq!(cache_header(&cold), "miss");
+    assert_eq!(header(&cold.headers, "X-Offchip-Cache"), Some("miss"));
 
     // Exactly one campaign ran, fully journaled.
     let journal = dir.join("serve-uma-CG.S.journal");
@@ -91,7 +59,7 @@ fn cold_fill_then_warm_hit_is_byte_identical_and_does_not_resimulate() {
     // journal untouched (no re-simulation).
     let warm = svc.handle(&req);
     assert_eq!(warm.status, 200);
-    assert_eq!(cache_header(&warm), "hit");
+    assert_eq!(header(&warm.headers, "X-Offchip-Cache"), Some("hit"));
     assert_eq!(warm.body, cold.body, "cold and warm bodies must be byte-identical");
     assert_eq!(
         std::fs::read(&journal).unwrap(),
@@ -109,16 +77,12 @@ fn cold_fill_then_warm_hit_is_byte_identical_and_does_not_resimulate() {
     assert!(doc.get("model").and_then(|m| m.get("mu")).is_some());
 
     // A sweep over the same key is answered from the same cached model.
-    let sweep = svc.handle(&Request {
-        method: "POST".into(),
-        path: "/sweep".into(),
-        body: br#"{"machine":"uma","program":"CG.S","n_from":1,"n_to":8}"#.to_vec(),
-        close: false,
-        deadline_ms: None,
-        trace: None,
-    });
+    let sweep = svc.handle(&post_request(
+        "/sweep",
+        r#"{"machine":"uma","program":"CG.S","n_from":1,"n_to":8}"#,
+    ));
     assert_eq!(sweep.status, 200);
-    assert_eq!(cache_header(&sweep), "hit");
+    assert_eq!(header(&sweep.headers, "X-Offchip-Cache"), Some("hit"));
     let doc = offchip_json::Json::parse(std::str::from_utf8(&sweep.body).unwrap().trim()).unwrap();
     assert_eq!(doc.get("points").and_then(|p| p.as_arr()).unwrap().len(), 8);
     assert_eq!(
@@ -129,7 +93,8 @@ fn cold_fill_then_warm_hit_is_byte_identical_and_does_not_resimulate() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Raw keep-alive HTTP client; returns (status, cache header, body).
+/// One `Connection: close` POST over a fresh socket; returns (status,
+/// cache header, body).
 fn post(addr: &str, path: &str, body: &str, timeout: Duration) -> (u16, String, Vec<u8>) {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(timeout)).unwrap();
@@ -139,28 +104,10 @@ fn post(addr: &str, path: &str, body: &str, timeout: Duration) -> (u16, String, 
         body.len()
     );
     reader.get_mut().write_all(req.as_bytes()).unwrap();
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let mut cache = String::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).unwrap();
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, v)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("x-offchip-cache") {
-                cache = v.trim().to_string();
-            } else if name.eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().unwrap();
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
+    let (status, headers, body) = read_response(&mut reader).expect("response");
+    let cache = header(&headers, "X-Offchip-Cache")
+        .unwrap_or_default()
+        .to_string();
     (status, cache, body)
 }
 
@@ -177,28 +124,14 @@ fn concurrent_cold_requests_coalesce_into_one_campaign() {
         test_service(&dir),
     )
     .unwrap();
-    let addr = server.local_addr().to_string();
-    let shutdown = AtomicBool::new(false);
 
-    let results: Vec<(u16, String, Vec<u8>)> = std::thread::scope(|s| {
-        let run = s.spawn(|| server.run(&shutdown));
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|_| {
-                let addr = addr.clone();
-                s.spawn(move || {
-                    post(
-                        &addr,
-                        "/predict",
-                        r#"{"machine":"uma","program":"CG.S","n":8}"#,
-                        Duration::from_secs(600),
-                    )
-                })
-            })
-            .collect();
-        let results: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
-        shutdown.store(true, Ordering::SeqCst);
-        run.join().unwrap().unwrap();
-        results
+    let results: Vec<(u16, String, Vec<u8>)> = serve(&server, |addr, _| {
+        std::thread::scope(|s| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|_| s.spawn(|| post(addr, "/predict", PREDICT_BODY, Duration::from_secs(600))))
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        })
     });
 
     let first = &results[0].2;
@@ -224,9 +157,9 @@ fn concurrent_cold_requests_coalesce_into_one_campaign() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Spawns the server binary on an ephemeral port and returns the child
-/// plus the parsed address from its stdout banner.
-fn spawn_server(dir: &Path, seeds: &str) -> (Child, String) {
+/// Spawns the server binary on an ephemeral port with `extra` flags and
+/// returns the child plus the parsed address from its stdout banner.
+fn spawn_server(dir: &Path, seeds: &str, extra: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_offchip-serve"))
         .args([
             "--addr",
@@ -236,6 +169,7 @@ fn spawn_server(dir: &Path, seeds: &str) -> (Child, String) {
             "--journal-dir",
             dir.to_str().unwrap(),
         ])
+        .args(extra)
         .env("OFFCHIP_SEEDS", seeds)
         .env_remove("OFFCHIP_QUICK")
         .stdout(Stdio::piped())
@@ -254,6 +188,27 @@ fn spawn_server(dir: &Path, seeds: &str) -> (Child, String) {
     (child, addr)
 }
 
+/// Sends SIGTERM to `child` and returns its exit status, killing it and
+/// failing the test if it has not exited within `within`.
+fn terminate(child: &mut Child, within: Duration) -> ExitStatus {
+    let term = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(term.success());
+    let give_up = Instant::now() + within;
+    loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            return status;
+        }
+        if Instant::now() > give_up {
+            let _ = child.kill();
+            panic!("SIGTERM did not end the server within {within:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn server_killed_mid_fill_resumes_from_journal_and_warm_server_exits_zero_on_sigterm() {
     const SEEDS: usize = 6; // 4 ns x 6 seeds = 24 journal lines when complete
@@ -262,19 +217,14 @@ fn server_killed_mid_fill_resumes_from_journal_and_warm_server_exits_zero_on_sig
 
     // First server: start a fill, kill it once the journal shows
     // progress but before the campaign completes.
-    let (mut child, addr) = spawn_server(&dir, &SEEDS.to_string());
+    let (mut child, addr) = spawn_server(&dir, &SEEDS.to_string(), &[]);
     let requester = {
         let addr = addr.clone();
         std::thread::spawn(move || {
             // The kill tears the connection down mid-request; the error
             // is the expected outcome here.
             let _ = std::panic::catch_unwind(|| {
-                post(
-                    &addr,
-                    "/predict",
-                    r#"{"machine":"uma","program":"CG.S","n":8}"#,
-                    Duration::from_secs(600),
-                )
+                post(&addr, "/predict", PREDICT_BODY, Duration::from_secs(600))
             });
         })
     };
@@ -301,13 +251,8 @@ fn server_killed_mid_fill_resumes_from_journal_and_warm_server_exits_zero_on_sig
     // Second server, same journal dir: the fill must resume — every
     // journaled line is preserved verbatim, only the remainder is
     // simulated, and the request succeeds.
-    let (mut child, addr) = spawn_server(&dir, &SEEDS.to_string());
-    let (status, cache, body) = post(
-        &addr,
-        "/predict",
-        r#"{"machine":"uma","program":"CG.S","n":8}"#,
-        Duration::from_secs(600),
-    );
+    let (mut child, addr) = spawn_server(&dir, &SEEDS.to_string(), &[]);
+    let (status, cache, body) = post(&addr, "/predict", PREDICT_BODY, Duration::from_secs(600));
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
     assert_eq!(cache, "miss", "fresh process, fresh in-memory cache");
     let complete = std::fs::read_to_string(&journal).unwrap();
@@ -325,24 +270,69 @@ fn server_killed_mid_fill_resumes_from_journal_and_warm_server_exits_zero_on_sig
     );
 
     // Warm now: a repeat answers from cache without touching the journal.
-    let (status, cache, body2) = post(
-        &addr,
-        "/predict",
-        r#"{"machine":"uma","program":"CG.S","n":8}"#,
-        Duration::from_secs(30),
-    );
+    let (status, cache, body2) = post(&addr, "/predict", PREDICT_BODY, Duration::from_secs(30));
     assert_eq!(status, 200);
     assert_eq!(cache, "hit");
     assert_eq!(body2, body);
 
-    // SIGTERM → graceful drain → exit 0 (the CI smoke asserts the same
-    // against the release binary).
-    let term = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("send SIGTERM");
-    assert!(term.success());
-    let rc = child.wait().expect("wait");
+    // SIGTERM → graceful drain → exit 0.
+    let rc = terminate(&mut child, Duration::from_secs(60));
     assert_eq!(rc.code(), Some(0), "SIGTERM must drain and exit 0");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigterm_during_overload_drains_to_exit_zero() {
+    let dir = scratch("drain");
+    let (mut child, addr) = spawn_server(
+        &dir,
+        "1",
+        &[
+            "--workers",
+            "4",
+            "--max-queue",
+            "4",
+            "--max-conns",
+            "8",
+            "--header-deadline",
+            "2000",
+        ],
+    );
+    let (status, _, reference) = post(&addr, "/predict", PREDICT_BODY, Duration::from_secs(600));
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reference));
+
+    // 16 keep-alive clients against 4 workers and room for 8 connections:
+    // the server is shedding when the SIGTERM lands a second in.
+    let (over, rc) = std::thread::scope(|s| {
+        let load = s.spawn(|| {
+            Load {
+                addr: &addr,
+                reference: &reference,
+                connections: 16,
+                requests: usize::MAX,
+                until: Instant::now() + Duration::from_secs(2),
+                timeout: Duration::from_secs(5),
+                traced: false,
+            }
+            .run()
+        });
+        std::thread::sleep(Duration::from_secs(1));
+        let rc = terminate(&mut child, Duration::from_secs(60));
+        (load.join().unwrap(), rc)
+    });
+    assert_eq!(
+        rc.code(),
+        Some(0),
+        "SIGTERM under overload must drain and exit 0"
+    );
+    assert!(
+        over.ok > 0 && over.shed > 0,
+        "the server was not overloaded: {over:?}"
+    );
+    assert_eq!(
+        over.torn + over.malformed,
+        0,
+        "the drain tore a response: {over:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,77 +9,17 @@
 //! traced cold body is byte-identical to an untraced cold run of the
 //! same key.
 
-use offchip_serve::http::Request;
-use offchip_serve::{PredictService, Server, ServerOptions, ServiceConfig};
-use std::io::{BufRead, BufReader, Read, Write};
+mod support;
+
+use offchip_serve::{Server, ServerOptions};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+use support::{
+    header, post_request, read_response, scratch, serve, test_service, HttpReply, PREDICT_BODY,
+};
 
-const SEEDS: [u64; 2] = [1, 2];
 const TRACE_ID: &str = "00000000cafe0001";
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("offchip-serve-trace-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn test_service(dir: &Path) -> PredictService {
-    PredictService::new(ServiceConfig {
-        journal_dir: Some(dir.to_path_buf()),
-        seeds: SEEDS.to_vec(),
-        jobs: 2,
-        ..ServiceConfig::default()
-    })
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
-}
-
-type HttpReply = (u16, Vec<(String, String)>, Vec<u8>);
-
-fn read_response(r: &mut BufReader<TcpStream>) -> std::io::Result<HttpReply> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "closed before status line",
-        ));
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut h = String::new();
-        r.read_line(&mut h)?;
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
-            let value = value.trim().to_string();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
-            }
-            headers.push((name.to_string(), value));
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-    Ok((status, headers, body))
-}
 
 fn get(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, path: &str) -> HttpReply {
     conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
@@ -96,29 +36,23 @@ fn traced_cold_predict_yields_a_span_tree_and_identical_bytes() {
         ..ServerOptions::default()
     };
     let server = Server::bind(&opts, test_service(&dir)).unwrap();
-    let addr = server.local_addr().to_string();
-    let shutdown = AtomicBool::new(false);
-    let traced_body = std::thread::scope(|s| {
-        let run = s.spawn(|| server.run(&shutdown));
-
-        let mut conn = TcpStream::connect(&addr).unwrap();
+    let traced_body = serve(&server, |addr, _| {
+        let mut conn = TcpStream::connect(addr).unwrap();
         // Generous read timeout: the cold fill runs a real (quick-seed)
         // campaign on this first request.
         conn.set_read_timeout(Some(Duration::from_secs(600))).unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
 
         // Cold predict, tracing requested via the inbound header.
-        let body = br#"{"machine":"uma","program":"CG.S","n":8}"#;
         conn.write_all(
             format!(
                 "POST /predict HTTP/1.1\r\nHost: t\r\nX-Offchip-Trace: {TRACE_ID}\r\n\
-                 Content-Length: {}\r\n\r\n",
-                body.len()
+                 Content-Length: {}\r\n\r\n{PREDICT_BODY}",
+                PREDICT_BODY.len()
             )
             .as_bytes(),
         )
         .unwrap();
-        conn.write_all(body).unwrap();
         let (status, headers, traced_body) = read_response(&mut reader).unwrap();
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&traced_body));
         assert_eq!(
@@ -235,11 +169,6 @@ fn traced_cold_predict_yields_a_span_tree_and_identical_bytes() {
         let echoed = header(&headers, "X-Offchip-Trace").expect("derived id echoed");
         assert_ne!(echoed, TRACE_ID);
         assert_ne!(u64::from_str_radix(echoed, 16).unwrap(), 0);
-
-        shutdown.store(true, Ordering::SeqCst);
-        drop(reader);
-        drop(conn);
-        run.join().unwrap().unwrap();
         traced_body
     });
 
@@ -247,14 +176,7 @@ fn traced_cold_predict_yields_a_span_tree_and_identical_bytes() {
     // fresh journal directory, produces byte-identical response bytes.
     let dir2 = scratch("plain");
     let svc = test_service(&dir2);
-    let plain = svc.handle(&Request {
-        method: "POST".into(),
-        path: "/predict".into(),
-        body: br#"{"machine":"uma","program":"CG.S","n":8}"#.to_vec(),
-        close: false,
-        deadline_ms: None,
-        trace: None,
-    });
+    let plain = svc.handle(&post_request("/predict", PREDICT_BODY));
     assert_eq!(plain.status, 200, "{}", String::from_utf8_lossy(&plain.body));
     assert_eq!(
         plain.body, traced_body,

@@ -25,7 +25,7 @@
 
 use offchip_bench::report::timing_line;
 use offchip_bench::{
-    build_workload, jobs, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
+    build_workload, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
     ProgramSpec, SweepResult, SweepTiming,
 };
 use offchip_machine::{run, McScheduler, MemoryPolicy, Op, ProgramIter, SimConfig, Workload};
@@ -91,10 +91,9 @@ fn fit_error_of(
 }
 
 fn main() {
-    let opts = CampaignOptions::from_cli_or_exit("ablations");
+    let (opts, jobs) = CampaignOptions::from_cli_or_exit("ablations");
     let campaign = Campaign::start_or_exit("ablations", &opts);
     let seeds = seeds();
-    let jobs = jobs().expect("OFFCHIP_JOBS");
     let mut total_timing = SweepTiming::zero(jobs);
     let mut summary = AblationSummary::default();
 

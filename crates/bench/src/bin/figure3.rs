@@ -9,17 +9,16 @@
 
 use offchip_bench::report::timing_line;
 use offchip_bench::{
-    build_workload, jobs, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
+    build_workload, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
     ProgramSpec, SweepTiming,
 };
 use offchip_npb::classes::ProblemClass;
 use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 
 fn main() {
-    let opts = CampaignOptions::from_cli_or_exit("figure3");
+    let (opts, jobs) = CampaignOptions::from_cli_or_exit("figure3");
     let campaign = Campaign::start_or_exit("figure3", &opts);
     let seeds = seeds();
-    let jobs = jobs().expect("OFFCHIP_JOBS");
     let mut total_timing = SweepTiming::zero(jobs);
     let quick = std::env::var("OFFCHIP_QUICK").is_ok_and(|v| v == "1");
     let machines = [

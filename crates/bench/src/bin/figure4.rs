@@ -11,8 +11,8 @@
 use std::time::Instant;
 
 use offchip_bench::{
-    build_workload, jobs, persist_or_exit, sweep::run_sampled_bounded, CampaignOptions,
-    ExperimentResult, ProgramSpec, EXIT_INTERRUPTED,
+    build_workload, persist_or_exit, sweep::run_sampled_bounded, CampaignOptions, ExperimentResult,
+    ProgramSpec, EXIT_INTERRUPTED,
 };
 use offchip_npb::classes::ProblemClass;
 use offchip_perf::BurstAnalysis;
@@ -40,7 +40,7 @@ impl offchip_json::ToJson for Series {
 }
 
 fn main() {
-    let opts = CampaignOptions::from_cli_or_exit("figure4");
+    let (opts, jobs) = CampaignOptions::from_cli_or_exit("figure4");
     let machine = machines::intel_numa_24().scaled(DEFAULT_EXPERIMENT_SCALE);
     let n = machine.total_cores();
 
@@ -56,7 +56,6 @@ fn main() {
     // Fan the nine sampled runs across the worker pool; each worker builds
     // its own workload trace so nothing is shared mutably. Results come
     // back in program order, so the printed report is deterministic.
-    let jobs = jobs().expect("OFFCHIP_JOBS");
     let t0 = Instant::now();
     // scoped_try_map + the bounded runner: one panicking or wedged program
     // costs that program (reported below, exit 6), not the whole figure.

@@ -31,7 +31,7 @@
 //! regression. `OFFCHIP_QUICK=1` shrinks the run for CI smoke use.
 
 use offchip_bench::{
-    build_workload, jobs, perfcal, seeds, Campaign, CampaignOptions, ProgramSpec, SweepTiming,
+    build_workload, perfcal, seeds, Campaign, CampaignOptions, ProgramSpec, SweepTiming,
 };
 use offchip_json::{json_obj, Json, ToJson};
 use offchip_npb::classes::ProblemClass;
@@ -73,7 +73,9 @@ fn runtime_exit(msg: &str) -> ! {
     std::process::exit(5);
 }
 
-fn parse_args() -> (Option<usize>, String, Option<String>) {
+/// `(jobs, out, check)`: `--jobs` wins, else `OFFCHIP_JOBS`, else the
+/// machine's parallelism; a bad value of either is a usage error.
+fn parse_args() -> (usize, String, Option<String>) {
     let mut jobs_override = None;
     let mut out = "BENCH_sim.json".to_string();
     let mut check = None;
@@ -99,7 +101,14 @@ fn parse_args() -> (Option<usize>, String, Option<String>) {
             other => usage_exit(&format!("unknown argument: {other}")),
         }
     }
-    (jobs_override, out, check)
+    let source = if jobs_override.is_some() {
+        "--jobs"
+    } else {
+        offchip_pool::JOBS_ENV
+    };
+    let jobs = offchip_pool::resolve_jobs(jobs_override)
+        .unwrap_or_else(|e| usage_exit(&format!("{source}: {e}")));
+    (jobs, out, check)
 }
 
 fn normalised_throughput(doc: &Json) -> Option<f64> {
@@ -220,9 +229,8 @@ fn main() {
     if let Err(e) = offchip_chaos::install_from_env() {
         usage_exit(&e.to_string());
     }
-    let (jobs_override, out_path, check_path) = parse_args();
+    let (jobs, out_path, check_path) = parse_args();
     let seeds = seeds();
-    let jobs = jobs_override.unwrap_or_else(|| jobs().expect("OFFCHIP_JOBS"));
     let quick = std::env::var("OFFCHIP_QUICK").is_ok_and(|v| v == "1");
 
     eprintln!("calibrating host...");

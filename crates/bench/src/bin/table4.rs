@@ -9,7 +9,7 @@
 
 use offchip_bench::report::timing_line;
 use offchip_bench::{
-    build_workload, jobs, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
+    build_workload, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
     ProgramSpec, SweepTiming,
 };
 use offchip_model::validation::colinearity_r2;
@@ -33,10 +33,9 @@ impl offchip_json::ToJson for Cell {
 }
 
 fn main() {
-    let opts = CampaignOptions::from_cli_or_exit("table4");
+    let (opts, jobs) = CampaignOptions::from_cli_or_exit("table4");
     let campaign = Campaign::start_or_exit("table4", &opts);
     let seeds = seeds();
-    let jobs = jobs().expect("OFFCHIP_JOBS");
     let mut total_timing = SweepTiming::zero(jobs);
     let machines = [
         machines::intel_uma_8().scaled(DEFAULT_EXPERIMENT_SCALE),

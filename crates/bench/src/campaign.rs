@@ -295,9 +295,11 @@ impl CampaignOptions {
         Ok(opts)
     }
 
-    /// Parses the process's own arguments, exiting 2 with usage on error
-    /// — the standard prologue of every experiment binary.
-    pub fn from_cli_or_exit(binary: &str) -> CampaignOptions {
+    /// Parses the process's own arguments and resolves the sweep worker
+    /// budget (`OFFCHIP_JOBS`, else the machine's parallelism), exiting 2
+    /// with usage on a bad flag or environment value — the standard
+    /// prologue of every experiment binary, run before any campaign opens.
+    pub fn from_cli_or_exit(binary: &str) -> (CampaignOptions, usize) {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let usage_exit = |e: String| -> ! {
             eprintln!("{binary}: {e}");
@@ -318,11 +320,13 @@ impl CampaignOptions {
                 Err(e) => usage_exit(format!("{}: {e}", offchip_chaos::CHAOS_ENV)),
             };
         }
+        let jobs = offchip_pool::resolve_jobs(None)
+            .unwrap_or_else(|e| usage_exit(format!("{}: {e}", offchip_pool::JOBS_ENV)));
         if let Some(spec) = &opts.chaos {
             offchip_obs::warn!("chaos-io fault schedule active: {spec}");
             offchip_chaos::install(Arc::new(ChaosVfs::new(spec.clone())));
         }
-        opts
+        (opts, jobs)
     }
 
     fn journal_dir(&self) -> PathBuf {

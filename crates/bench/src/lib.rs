@@ -18,7 +18,8 @@
 //! * `OFFCHIP_QUICK=1` — single seed and coarser sweeps, for smoke runs;
 //! * `OFFCHIP_SEEDS=k` — number of seeds averaged (default 3);
 //! * `OFFCHIP_JOBS=j` — worker budget of the campaign sweep engine
-//!   (default: the machine's available parallelism).
+//!   (default: the machine's available parallelism; zero or garbage is a
+//!   usage error, exit 2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,5 +37,5 @@ pub use campaign::{
     Watchdog, EXIT_ARTEFACT_FAILED, EXIT_INTERRUPTED,
 };
 pub use report::{persist_or_exit, write_json, ExperimentResult};
-pub use sweep::{jobs, run_sweep, seeds, SweepError, SweepPoint, SweepResult, SweepTiming};
+pub use sweep::{run_sweep, seeds, SweepError, SweepPoint, SweepResult, SweepTiming};
 pub use workloads::{build_workload, build_workload_scaled, experiment_scale, ProgramSpec};

@@ -6,7 +6,7 @@
 use crate::report::timing_line;
 use crate::sweep::SweepTiming;
 use crate::{
-    build_workload, jobs, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
+    build_workload, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
     ProgramSpec,
 };
 use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
@@ -40,10 +40,9 @@ impl offchip_json::ToJson for FigureSeries {
 /// process's own command line, so the figure binaries get crash-safe
 /// journaling for free.
 pub fn run_figure(program: ProgramSpec, figure_id: &str, artifact: &str) {
-    let opts = CampaignOptions::from_cli_or_exit(figure_id);
+    let (opts, jobs) = CampaignOptions::from_cli_or_exit(figure_id);
     let campaign = Campaign::start_or_exit(figure_id, &opts);
     let seeds = seeds();
-    let jobs = jobs().expect("OFFCHIP_JOBS");
     let mut total_timing = SweepTiming::zero(jobs);
     let quick = std::env::var("OFFCHIP_QUICK").is_ok_and(|v| v == "1");
     let machines = [

@@ -210,13 +210,6 @@ pub fn seeds() -> Vec<u64> {
         .collect()
 }
 
-/// The worker count experiment binaries fan sweeps out to: `OFFCHIP_JOBS`
-/// when set, else the machine's available parallelism. Garbage in the
-/// environment is a loud error, not a silent serial fallback.
-pub fn jobs() -> Result<usize, offchip_pool::JobsError> {
-    offchip_pool::resolve_jobs(None)
-}
-
 /// One run's counter readings, kept in `f64` exactly as the serial
 /// accumulation consumed them (so parallel refolds bit-identically).
 ///

@@ -2,7 +2,7 @@
 //!
 //! Every durable I/O operation the experiment stack performs — atomic
 //! whole-file artefact writes, fsync'd journal appends, journal and
-//! recording reads — goes through the [`Vfs`] trait. Production uses the
+//! baseline reads — goes through the [`Vfs`] trait. Production uses the
 //! [`RealVfs`] passthrough; tests and chaos campaigns substitute a
 //! [`ChaosVfs`] that injects faults from a deterministic, seeded
 //! [`ChaosSpec`] schedule:

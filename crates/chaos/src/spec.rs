@@ -34,7 +34,7 @@ pub enum OpClass {
     Fsync,
     /// A rename (atomic publish of a temp file, or a quarantine move).
     Rename,
-    /// A whole-file read (journal replay, recordings, baselines).
+    /// A whole-file read (journal replay, baselines).
     Read,
 }
 

@@ -3,11 +3,12 @@
 //! Two durability idioms, for two failure models:
 //!
 //! * [`write_atomic`] — whole-file artefacts (`results/*.json`,
-//!   `BENCH_sim.json`, recordings). The contents go to a temporary file in
-//!   the *same directory*, are fsynced, and the file is renamed over the
-//!   destination. A kill at any instant leaves either the old bytes or the
-//!   new bytes at the destination path — never a truncated mixture, and
-//!   never a stale temp file (the failure path removes it).
+//!   `BENCH_sim.json`, the CLI's `--trace` and `--metrics` files). The
+//!   contents go to a temporary file in the *same directory*, are
+//!   fsynced, and the file is renamed over the destination. A kill at
+//!   any instant leaves either the old bytes or the new bytes at the
+//!   destination path — never a truncated mixture, and never a stale
+//!   temp file (the failure path removes it).
 //! * [`append_line`] — journals. One full line (record + `\n`) is written
 //!   with a single `write_all` to a file opened in append mode, then
 //!   fsynced. A kill can tear at most the *trailing* line, which journal

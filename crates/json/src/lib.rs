@@ -1,7 +1,7 @@
 //! A small dependency-free JSON library.
 //!
-//! The experiment harness persists results as JSON and the NPB recorder
-//! round-trips workload recordings through it. The build must work with no
+//! The experiment harness persists results and journals as JSON and the
+//! service renders its answers in it. The build must work with no
 //! network access, so instead of `serde`/`serde_json` this crate provides
 //! the minimal machinery the repository needs:
 //!

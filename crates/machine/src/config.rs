@@ -161,11 +161,6 @@ pub struct SimConfig {
     /// hot paths pay one predictable branch; counters — and therefore
     /// every experiment artefact — are identical at every level.
     pub obs: ObsLevel,
-    /// Telemetry time-series window in cycles, used when `obs` is at
-    /// least [`ObsLevel::Metrics`]. `None` (the default) derives the
-    /// paper's 5 µs window at this machine's clock and geometric scale
-    /// (cf. [`SimConfig::with_sampler_5us_scaled`]).
-    pub telemetry_window: Option<u64>,
 }
 
 impl SimConfig {
@@ -189,33 +184,14 @@ impl SimConfig {
             max_events: None,
             deadline: None,
             obs: offchip_obs::level(),
-            telemetry_window: None,
         }
     }
 
-    /// The telemetry window in force when observation is enabled: the
-    /// explicit [`SimConfig::telemetry_window`], else the 5 µs window at
-    /// this machine's clock and scale.
-    pub fn effective_telemetry_window(&self) -> u64 {
-        self.telemetry_window.unwrap_or_else(|| {
-            let cycles = (self.machine.freq_ghz * 5_000.0 * self.machine.scale).round() as u64;
-            cycles.max(1)
-        })
-    }
-
-    /// Enables the fine-grained miss sampler with the paper's 5 µs window
-    /// at this machine's clock.
-    pub fn with_sampler_5us(mut self) -> SimConfig {
-        let cycles = (self.machine.freq_ghz * 5_000.0).round() as u64;
-        self.sampler_window = Some(cycles.max(1));
-        self
-    }
-
-    /// Enables the sampler with the 5 µs window shrunk by the machine's
-    /// geometric scale, so a scaled run yields the same *number* of
-    /// windows per program phase as the paper's full-size run (time
-    /// contracted with the working sets; the sampler resolution must
-    /// contract with it to observe the same burst structure).
+    /// Enables the paper's 5 µs fine-grained miss sampler, its window
+    /// shrunk by the machine's geometric scale, so a scaled run yields the
+    /// same *number* of windows per program phase as the paper's full-size
+    /// run (time contracted with the working sets; the sampler resolution
+    /// must contract with it to observe the same burst structure).
     pub fn with_sampler_5us_scaled(mut self) -> SimConfig {
         let cycles = (self.machine.freq_ghz * 5_000.0 * self.machine.scale).round() as u64;
         self.sampler_window = Some(cycles.max(1));
@@ -251,9 +227,6 @@ impl SimConfig {
                 return Err(ConfigError::ZeroSamplerWindow);
             }
         }
-        if self.telemetry_window == Some(0) {
-            return Err(ConfigError::ZeroSamplerWindow);
-        }
         Ok(())
     }
 }
@@ -271,18 +244,10 @@ mod tests {
 
     #[test]
     fn five_microsecond_window_uses_clock() {
-        let cfg = SimConfig::new(machines::intel_numa_24(), 1).with_sampler_5us();
-        // 2.66 GHz × 5 µs = 13,300 cycles.
-        assert_eq!(cfg.sampler_window, Some(13_300));
-    }
-
-    #[test]
-    fn telemetry_window_defaults_to_scaled_5us() {
-        let mut cfg = SimConfig::new(machines::intel_numa_24().scaled(1.0 / 64.0), 1);
+        let cfg = SimConfig::new(machines::intel_numa_24().scaled(1.0 / 64.0), 1)
+            .with_sampler_5us_scaled();
         // 2.66 GHz × 5 µs × 1/64 ≈ 208 cycles.
-        assert_eq!(cfg.effective_telemetry_window(), 208);
-        cfg.telemetry_window = Some(500);
-        assert_eq!(cfg.effective_telemetry_window(), 500);
+        assert_eq!(cfg.sampler_window, Some(208));
     }
 
     #[test]
@@ -308,9 +273,9 @@ mod tests {
         cfg.quantum_cycles = 0;
         assert_eq!(cfg.validate().unwrap_err(), ConfigError::ZeroQuantum);
         cfg.quantum_cycles = 50_000;
-        cfg.telemetry_window = Some(0);
+        cfg.sampler_window = Some(0);
         assert_eq!(cfg.validate().unwrap_err(), ConfigError::ZeroSamplerWindow);
-        cfg.telemetry_window = None;
+        cfg.sampler_window = None;
         let jobs = ConfigError::BadJobs { value: "zero".into() };
         assert!(jobs.to_string().contains("OFFCHIP_JOBS"));
         cfg.machine.sockets = 0;

@@ -122,10 +122,6 @@ pub struct RunReport {
     pub miss_windows: Option<Vec<u64>>,
     /// The thread/core placement that was simulated.
     pub placement: Placement,
-    /// Per-controller telemetry time series, when the run observed at
-    /// [`offchip_obs::ObsLevel::Metrics`] or above. Never serialised into
-    /// experiment artefacts (those stay byte-identical at every level).
-    pub telemetry: Option<offchip_obs::Telemetry>,
 }
 
 impl RunReport {

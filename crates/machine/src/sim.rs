@@ -431,9 +431,8 @@ impl<'a> LaneRunner<'a> {
             .then(offchip_obs::run_room)
             .flatten();
         if cfg.obs.at_least(ObsLevel::Metrics) {
-            let window = cfg.effective_telemetry_window();
             for (i, mc) in mcs.iter_mut().enumerate() {
-                mc.attach_obs(Box::new(McObs::new(i, window, span_room)));
+                mc.attach_obs(Box::new(McObs::new(i, span_room)));
             }
         }
         let n_mcs = mcs.len();
@@ -565,7 +564,7 @@ impl<'a> LaneRunner<'a> {
         sim.counters.llc_misses = sim.hierarchy.total_llc_misses();
         sim.counters.llc_accesses = sim.hierarchy.total_llc_accesses();
 
-        let telemetry = flush_obs(&mut sim, makespan);
+        flush_obs(&mut sim);
 
         Ok(RunReport {
             program: self.workload.name(),
@@ -580,19 +579,17 @@ impl<'a> LaneRunner<'a> {
                 .collect(),
             miss_windows: sim.sampler.map(|s| s.finish(makespan)),
             placement: self.placement.clone(),
-            telemetry,
         })
     }
 }
 
 /// Drains every per-run observer into the process-global metrics registry
-/// and the current trace's next lane, and assembles the report's
-/// telemetry section. A no-op returning `None` below
+/// and the current trace's next lane. A no-op below
 /// [`ObsLevel::Metrics`], so runs at [`ObsLevel::Off`] touch no global
 /// state at all.
-fn flush_obs(sim: &mut Sim<'_>, makespan: SimTime) -> Option<offchip_obs::Telemetry> {
+fn flush_obs(sim: &mut Sim<'_>) {
     if !sim.cfg.obs.at_least(ObsLevel::Metrics) {
-        return None;
+        return;
     }
     let reg = offchip_obs::registry();
 
@@ -617,14 +614,11 @@ fn flush_obs(sim: &mut Sim<'_>, makespan: SimTime) -> Option<offchip_obs::Teleme
     reg.add("dram.row_hits", row_hits);
     reg.add("dram.row_conflicts", row_conflicts);
 
-    let window = sim.cfg.effective_telemetry_window();
-    let mut per_mc = Vec::with_capacity(sim.mcs.len());
     let (mut spans, mut dropped) = (Vec::new(), 0);
     for mc in sim.mcs.iter_mut() {
         if let Some(obs) = mc.take_obs() {
             reg.merge_histogram("dram.queue_wait_cycles", obs.queue_wait());
             reg.merge_histogram("dram.queue_depth", obs.queue_depth());
-            per_mc.push(obs.series(makespan.cycles()));
             let (mc_spans, mc_dropped) = obs.spans();
             spans.extend_from_slice(mc_spans);
             dropped += mc_dropped;
@@ -641,11 +635,6 @@ fn flush_obs(sim: &mut Sim<'_>, makespan: SimTime) -> Option<offchip_obs::Teleme
         // separate in Perfetto.
         offchip_obs::push_run(&spans, dropped);
     }
-
-    Some(offchip_obs::Telemetry {
-        window_cycles: window,
-        per_mc,
-    })
 }
 
 impl Sim<'_> {
@@ -1741,29 +1730,5 @@ mod tests {
         assert_eq!(off.counters, on.counters, "counters must be obs-invariant");
         assert_eq!(off.makespan, on.makespan);
         assert_eq!(off.mc_stats, on.mc_stats);
-        assert!(off.telemetry.is_none(), "no telemetry at ObsLevel::Off");
-        assert!(on.telemetry.is_some(), "telemetry present at ObsLevel::Trace");
-    }
-
-    #[test]
-    fn telemetry_series_cover_the_run() {
-        let w = obs_workload();
-        let mut cfg = SimConfig::new(small_machine(), 2);
-        cfg.obs = offchip_obs::ObsLevel::Metrics;
-        cfg.telemetry_window = Some(100);
-        let r = run(&w, &cfg);
-        let tel = r.telemetry.expect("metrics level produces telemetry");
-        assert_eq!(tel.window_cycles, 100);
-        assert_eq!(tel.per_mc.len(), cfg.machine.total_mcs());
-        let expect_windows = (r.makespan.cycles() / 100 + 1) as usize;
-        for mc in &tel.per_mc {
-            assert_eq!(mc.windows.len(), expect_windows, "series padded to makespan");
-        }
-        assert_eq!(
-            tel.total_requests(),
-            r.counters.read_requests + r.counters.write_requests + r.counters.prefetch_requests,
-            "every off-chip request lands in exactly one window"
-        );
-        assert!(tel.total_requests() > 0, "the workload misses off-chip");
     }
 }

@@ -14,7 +14,6 @@
 
 use std::sync::Arc;
 
-use offchip_json::{json_obj, Json};
 use offchip_machine::{Op, ProgramIter, Workload};
 
 /// Per-thread trace recorder handed to instrumented kernels.
@@ -149,108 +148,6 @@ impl ProgramIter for Replay {
     }
 }
 
-/// Encodes one op for the on-disk recording format.
-///
-/// The schema is self-describing: `{"op": "compute"|"access"|"barrier", …}`
-/// so that hand-inspection and future extension stay easy.
-fn op_to_json(op: &Op) -> Json {
-    match op {
-        Op::Compute {
-            cycles,
-            instructions,
-        } => json_obj! { "op" => "compute", "cycles" => *cycles, "instructions" => *instructions },
-        Op::Access {
-            addr,
-            write,
-            dependent,
-        } => json_obj! { "op" => "access", "addr" => *addr, "write" => *write, "dependent" => *dependent },
-        Op::Barrier => json_obj! { "op" => "barrier" },
-    }
-}
-
-fn invalid(msg: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-}
-
-fn op_from_json(v: &Json) -> std::io::Result<Op> {
-    let kind = v
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| invalid("op entry lacks an \"op\" tag"))?;
-    let field = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| invalid(format!("{kind} op lacks numeric field \"{name}\"")))
-    };
-    let flag = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_bool)
-            .ok_or_else(|| invalid(format!("{kind} op lacks boolean field \"{name}\"")))
-    };
-    match kind {
-        "compute" => Ok(Op::Compute {
-            cycles: field("cycles")?,
-            instructions: field("instructions")?,
-        }),
-        "access" => Ok(Op::Access {
-            addr: field("addr")?,
-            write: flag("write")?,
-            dependent: flag("dependent")?,
-        }),
-        "barrier" => Ok(Op::Barrier),
-        other => Err(invalid(format!("unknown op tag {other:?}"))),
-    }
-}
-
-impl RecordedWorkload {
-    /// Saves the recording as JSON at `path`.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let threads: Vec<Json> = self
-            .threads
-            .iter()
-            .map(|t| Json::Arr(t.iter().map(op_to_json).collect()))
-            .collect();
-        let doc = json_obj! {
-            "name" => self.name,
-            "threads" => Json::Arr(threads),
-        };
-        offchip_json::write_atomic(path, &doc.to_compact_string())
-    }
-
-    /// Loads a recording saved by [`RecordedWorkload::save`].
-    pub fn load(path: &std::path::Path) -> std::io::Result<RecordedWorkload> {
-        // Read through the Vfs so chaos schedules can exercise the
-        // recording parser against bit-rot and truncation.
-        let body = offchip_json::atomic::read_to_string(path)?;
-        let doc = Json::parse(&body).map_err(|e| invalid(format!("malformed recording: {e}")))?;
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| invalid("recording lacks a \"name\""))?
-            .to_string();
-        let threads_json = doc
-            .get("threads")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| invalid("recording lacks a \"threads\" array"))?;
-        let mut threads = Vec::with_capacity(threads_json.len());
-        for t in threads_json {
-            let ops_json = t
-                .as_arr()
-                .ok_or_else(|| invalid("thread entry is not an array"))?;
-            threads.push(
-                ops_json
-                    .iter()
-                    .map(op_from_json)
-                    .collect::<std::io::Result<Vec<Op>>>()?,
-            );
-        }
-        if threads.is_empty() {
-            return Err(invalid("recording has no threads"));
-        }
-        Ok(RecordedWorkload::new(name, threads))
-    }
-}
-
 impl Workload for RecordedWorkload {
     fn name(&self) -> String {
         self.name.clone()
@@ -338,43 +235,6 @@ mod tests {
         assert_eq!(p.next_op(), Some(Op::Barrier));
         assert_eq!(p.next_op(), None);
         assert_eq!(p.next_op(), None, "fused");
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut t = Tracer::new();
-        t.compute(11);
-        t.touch(0x40, 8, true);
-        t.barrier();
-        t.touch_dependent(0x80, 8, false);
-        let w = RecordedWorkload::new("roundtrip", vec![t.finish(), vec![Op::Barrier]]);
-        let dir = std::env::temp_dir().join("offchip-recorder-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rec.json");
-        w.save(&path).unwrap();
-        let loaded = RecordedWorkload::load(&path).unwrap();
-        assert_eq!(loaded.name(), "roundtrip");
-        assert_eq!(loaded.n_threads(), 2);
-        assert_eq!(loaded.total_ops(), w.total_ops());
-        // Replays identically.
-        let mut a = w.thread_program(0, 0);
-        let mut b = loaded.thread_program(0, 0);
-        loop {
-            let (x, y) = (a.next_op(), b.next_op());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("offchip-recorder-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
-        std::fs::write(&path, b"not json").unwrap();
-        assert!(RecordedWorkload::load(&path).is_err());
     }
 
     #[test]

@@ -14,9 +14,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 ///
 /// - `Off` — no observer objects are constructed; hot paths pay one
 ///   predictable `Option::None` branch. Artefact bytes are unchanged.
-/// - `Metrics` — per-run histograms/counters and the per-controller
-///   telemetry time series are recorded and merged into the global
-///   [`registry`](crate::registry) at end of run.
+/// - `Metrics` — per-run histograms and counters are recorded and
+///   merged into the global [`registry`](crate::registry) at end of run.
 /// - `Trace` — everything in `Metrics`, plus sim-phase spans (compute
 ///   quanta, memory stalls, DRAM service, barrier waits) recorded as one
 ///   lane of the current trace, when that trace takes runs
@@ -28,7 +27,7 @@ pub enum ObsLevel {
     /// No observation: the zero-overhead default.
     #[default]
     Off = 0,
-    /// Metrics registry + telemetry time series.
+    /// Metrics registry.
     Metrics = 1,
     /// Metrics plus span tracing.
     Trace = 2,

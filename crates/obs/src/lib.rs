@@ -11,8 +11,8 @@
 //!   touch the registry; they record into plain per-run structs and merge
 //!   once at end of run.
 //! - [`telemetry`]: per-memory-controller observers ([`McObs`]) feeding
-//!   queue-wait/queue-depth histograms from the DRAM service paths and a
-//!   windowed request series per controller ([`Telemetry`]).
+//!   queue-wait/queue-depth histograms and DRAM service spans from the
+//!   DRAM service paths.
 //! - [`trace`]: the span store. A trace holds a span tree and, when its
 //!   beginner asks for runs, one lane of simulator [`Span`]s per run;
 //!   the thread's [`TraceScope`] carries the context work is done for.
@@ -49,12 +49,12 @@ pub mod trace;
 
 pub use level::{level, set_level, ObsLevel};
 pub use log::{
-    json_escape, json_escape_bytes, log_emit, log_enabled, log_format, log_level, set_log_format,
-    set_log_level, LogFormat, LogLevel,
+    log_emit, log_enabled, log_format, log_level, set_log_format, set_log_level, LogFormat,
+    LogLevel,
 };
 pub use metrics::{registry, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use prom::{prom_name, render_prometheus};
-pub use telemetry::{McObs, McSeries, Telemetry, TelemetryWindow};
+pub use telemetry::McObs;
 pub use trace::{
     current, derive_trace_id, push_run, run_room, span_close, span_event, span_open, trace_begin,
     trace_chrome_json, trace_dropped, trace_tree_json, Span, TraceRef, TraceScope,

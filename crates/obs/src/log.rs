@@ -27,9 +27,7 @@
 //! ```
 //!
 //! The message is escaped per JSON string rules (quotes, backslashes,
-//! control characters as `\u00XX`); [`json_escape_bytes`] additionally
-//! renders non-UTF-8 byte sequences losslessly as literal `\xNN` hex
-//! (itself escaped, so the line stays valid JSON).
+//! control characters as `\u00XX`).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -172,7 +170,7 @@ pub fn set_log_format(f: LogFormat) {
 
 /// Escapes `s` for inclusion inside a JSON string literal: `"` and `\`
 /// are backslash-escaped, control characters become `\u00XX`.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     json_escape_into(&mut out, s);
     out
@@ -188,32 +186,6 @@ pub(crate) fn json_escape_into(out: &mut String, s: &str) {
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
-        }
-    }
-}
-
-/// Escapes arbitrary bytes for a JSON string literal, losslessly: valid
-/// UTF-8 runs escape as [`json_escape`]; each invalid byte renders as the
-/// literal text `\xNN` (whose backslash is itself JSON-escaped), so the
-/// original byte sequence is recoverable from the log line.
-pub fn json_escape_bytes(b: &[u8]) -> String {
-    let mut out = String::with_capacity(b.len());
-    let mut rest = b;
-    loop {
-        match std::str::from_utf8(rest) {
-            Ok(s) => {
-                json_escape_into(&mut out, s);
-                return out;
-            }
-            Err(e) => {
-                let (valid, after) = rest.split_at(e.valid_up_to());
-                json_escape_into(&mut out, std::str::from_utf8(valid).unwrap());
-                let bad = e.error_len().unwrap_or(after.len());
-                for byte in &after[..bad] {
-                    out.push_str(&format!("\\\\x{byte:02x}"));
-                }
-                rest = &after[bad..];
-            }
         }
     }
 }
@@ -366,22 +338,6 @@ mod tests {
     #[test]
     fn json_escape_passes_unicode_through() {
         assert_eq!(json_escape("λ µs → done"), "λ µs → done");
-    }
-
-    #[test]
-    fn json_escape_bytes_hex_fallback_is_lossless() {
-        // Invalid UTF-8 bytes render as literal \xNN text, with the
-        // backslash itself escaped so the JSON string stays valid.
-        assert_eq!(json_escape_bytes(b"ok"), "ok");
-        assert_eq!(json_escape_bytes(&[0xff]), "\\\\xff");
-        assert_eq!(json_escape_bytes(b"a\xff\xfeb"), "a\\\\xff\\\\xfeb");
-        // Truncated multi-byte sequence at end of input.
-        assert_eq!(json_escape_bytes(&[0xe2, 0x82]), "\\\\xe2\\\\x82");
-        // Valid multi-byte UTF-8 survives untouched around a bad byte.
-        assert_eq!(json_escape_bytes("é".as_bytes()), "é");
-        let mut mixed = Vec::from("q\"".as_bytes());
-        mixed.push(0x80);
-        assert_eq!(json_escape_bytes(&mixed), "q\\\"\\\\x80");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! structs ([`Histogram`], local `u64`s) and merges them into the registry
 //! once at end of run; the registry's own primitives ([`Counter`],
 //! [`Gauge`]) are atomics so concurrent sweep workers can merge without a
-//! data race. `snapshot()` renders everything as text or CSV.
+//! data race. `snapshot()` copies everything out for rendering as CSV
+//! or Prometheus text.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -268,25 +269,6 @@ impl MetricsSnapshot {
             ));
         }
         out
-    }
-}
-
-impl std::fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (name, v) in &self.counters {
-            writeln!(f, "  {name:<40} {v}")?;
-        }
-        for (name, v) in &self.gauges {
-            writeln!(f, "  {name:<40} {v}")?;
-        }
-        for (name, h) in &self.histograms {
-            writeln!(
-                f,
-                "  {name:<40} n={} mean={:.1} p50={} p95={} p99={} max={}",
-                h.count, h.mean, h.p50, h.p95, h.p99, h.max
-            )?;
-        }
-        Ok(())
     }
 }
 

@@ -92,15 +92,6 @@ pub fn papiex_report(report: &RunReport, set: &EventSet) -> String {
             mc.mean_queueing()
         );
     }
-    if let Some(tel) = &report.telemetry {
-        let _ = writeln!(
-            out,
-            "  telemetry:   {} requests in {} windows of {} cycles",
-            tel.total_requests(),
-            tel.per_mc.first().map_or(0, |mc| mc.windows.len()),
-            tel.window_cycles
-        );
-    }
     out
 }
 

@@ -99,27 +99,28 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Parses `OFFCHIP_JOBS` from the environment: `Ok(None)` when unset,
-/// a typed error when set to garbage or zero.
-pub fn jobs_from_env() -> Result<Option<usize>, JobsError> {
-    match std::env::var("OFFCHIP_JOBS") {
-        Err(_) => Ok(None),
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) => Err(JobsError::Zero),
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(JobsError::Invalid(v)),
-        },
-    }
-}
+/// The environment variable holding the default worker budget.
+pub const JOBS_ENV: &str = "OFFCHIP_JOBS";
 
 /// Resolves the effective worker count: an explicit request (e.g. a
-/// `--jobs` flag) wins, else `OFFCHIP_JOBS`, else the machine's
-/// available parallelism.
+/// `--jobs` flag) wins, else [`JOBS_ENV`], else the machine's
+/// available parallelism. Zero or garbage is a typed error.
 pub fn resolve_jobs(requested: Option<usize>) -> Result<usize, JobsError> {
-    match requested {
-        Some(0) => Err(JobsError::Zero),
-        Some(n) => Ok(n),
-        None => Ok(jobs_from_env()?.unwrap_or_else(default_jobs)),
+    resolve_jobs_from(requested, std::env::var(JOBS_ENV).ok().as_deref())
+}
+
+/// [`resolve_jobs`] with the [`JOBS_ENV`] value passed in, for parsers
+/// that read no process state.
+pub fn resolve_jobs_from(requested: Option<usize>, env: Option<&str>) -> Result<usize, JobsError> {
+    match (requested, env) {
+        (Some(0), _) => Err(JobsError::Zero),
+        (Some(n), _) => Ok(n),
+        (None, None) => Ok(default_jobs()),
+        (None, Some(v)) => match v.trim().parse::<usize>() {
+            Ok(0) => Err(JobsError::Zero),
+            Ok(n) => Ok(n),
+            Err(_) => Err(JobsError::Invalid(v.to_string())),
+        },
     }
 }
 
@@ -191,7 +192,7 @@ pub fn shared_limit() -> usize {
 fn shared() -> &'static (usize, Semaphore) {
     static SHARED: OnceLock<(usize, Semaphore)> = OnceLock::new();
     SHARED.get_or_init(|| {
-        let n = jobs_from_env().ok().flatten().unwrap_or_else(default_jobs);
+        let n = resolve_jobs(None).unwrap_or_else(|_| default_jobs());
         (n, Semaphore::new(n))
     })
 }
@@ -333,6 +334,18 @@ mod tests {
     fn jobs_resolution_contract() {
         assert_eq!(resolve_jobs(Some(3)), Ok(3));
         assert_eq!(resolve_jobs(Some(0)), Err(JobsError::Zero));
+        assert_eq!(resolve_jobs_from(None, Some(" 3 ")), Ok(3));
+        assert_eq!(resolve_jobs_from(None, Some("0")), Err(JobsError::Zero));
+        assert_eq!(
+            resolve_jobs_from(None, Some("abc")),
+            Err(JobsError::Invalid("abc".into()))
+        );
+        assert_eq!(
+            resolve_jobs_from(Some(2), Some("abc")),
+            Ok(2),
+            "the flag wins"
+        );
+        assert_eq!(resolve_jobs_from(None, None), Ok(default_jobs()));
         assert!(default_jobs() >= 1);
         assert!(shared_limit() >= 1);
     }

@@ -34,7 +34,8 @@ usage: offchip-serve [--addr HOST:PORT] [--workers N] [--jobs N] [--journal-dir 
                      [--log-format kv|json]
   --addr HOST:PORT        bind address (default 127.0.0.1:7071; port 0 = ephemeral)
   --workers N             HTTP worker threads (default 8)
-  --jobs N                simulation worker budget for fill campaigns (default OFFCHIP_JOBS)
+  --jobs N                simulation worker budget for fill campaigns (default OFFCHIP_JOBS,
+                          else available parallelism)
   --journal-dir DIR       campaign journal directory (default results/ or OFFCHIP_JOURNAL_DIR)
   --max-queue N           connections waiting for a worker before shedding (default 128)
   --max-conns N           queued + in-service connections before shedding (default 1024)
@@ -56,9 +57,12 @@ struct Parsed {
     log_format: Option<offchip_obs::LogFormat>,
 }
 
-fn parse_args(args: &[String]) -> Result<Parsed, String> {
+/// Parses the command line; `env_jobs` is `OFFCHIP_JOBS`, the `--jobs`
+/// default.
+fn parse_args(args: &[String], env_jobs: Option<&str>) -> Result<Parsed, String> {
     let mut server = ServerOptions::default();
     let mut service = ServiceConfig::default();
+    let mut jobs = None;
     let mut log_format = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -81,7 +85,7 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
                 if n == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
-                service.jobs = n;
+                jobs = Some(n);
             }
             "--journal-dir" => service.journal_dir = Some(PathBuf::from(value()?)),
             "--max-queue" => {
@@ -152,6 +156,8 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
     if server.admission.max_conns < server.admission.max_queue {
         return Err("--max-conns must be at least --max-queue".into());
     }
+    service.jobs = offchip_pool::resolve_jobs_from(jobs, env_jobs)
+        .map_err(|e| format!("{}: {e}", offchip_pool::JOBS_ENV))?;
     if server.chaos_net.is_none() {
         server.chaos_net = offchip_chaos::env_net_spec()
             .map_err(|e| format!("{}: {e}", offchip_chaos::NET_CHAOS_ENV))?;
@@ -165,7 +171,8 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
+    let env_jobs = std::env::var(offchip_pool::JOBS_ENV).ok();
+    let parsed = match parse_args(&args, env_jobs.as_deref()) {
         Ok(p) => p,
         Err(e) => {
             if !e.is_empty() {
@@ -256,8 +263,12 @@ mod tests {
     use offchip_serve::{AdmissionConfig, BreakerConfig};
 
     fn parse(line: &str) -> Result<Parsed, String> {
+        parse_with_jobs_env(line, None)
+    }
+
+    fn parse_with_jobs_env(line: &str, env_jobs: Option<&str>) -> Result<Parsed, String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        parse_args(&args)
+        parse_args(&args, env_jobs)
     }
 
     /// Every flag that takes a count or a millisecond budget; 0 is never
@@ -306,6 +317,20 @@ mod tests {
         // A seed count is capped, not handed to an allocation.
         let err = parse(&format!("--chaos-net seed:1:{}", u64::MAX)).unwrap_err();
         assert!(err.starts_with("--chaos-net: ") && err.contains("cap"), "{err}");
+    }
+
+    #[test]
+    fn jobs_default_to_the_environment_and_reject_its_garbage() {
+        for bad in ["abc", "0", ""] {
+            let err = parse_with_jobs_env("", Some(bad)).unwrap_err();
+            assert!(err.starts_with("OFFCHIP_JOBS: "), "{bad:?}: {err}");
+        }
+        let parsed = parse_with_jobs_env("", Some("3")).unwrap();
+        assert_eq!(parsed.service.jobs, 3);
+        let parsed = parse_with_jobs_env("--jobs 2", Some("abc")).unwrap();
+        assert_eq!(parsed.service.jobs, 2, "--jobs wins over the environment");
+        let parsed = parse("").unwrap();
+        assert_eq!(parsed.service.jobs, offchip_pool::default_jobs());
     }
 
     #[test]

@@ -232,17 +232,20 @@ mod fault_tolerance_properties {
 /// simulator conserves instructions and cycles identities.
 mod simulation_properties {
     use super::*;
+    use offchip::dram::McStats;
     use offchip::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         #[test]
-        fn counters_conserved(n in 1usize..8, seed in 0u64..1000) {
-            let machine = machines::intel_uma_8().scaled(1.0 / 64.0);
+        fn counters_conserved(n in 1usize..8, seed in 0u64..1000,
+                              numa in any::<bool>(), prefetch in any::<bool>()) {
+            let machine = if numa { machines::intel_numa_24() } else { machines::intel_uma_8() };
             let w = traces::is::workload(ProblemClass::S, 1.0 / 64.0, 8);
-            let mut cfg = SimConfig::new(machine, n);
+            let mut cfg = SimConfig::new(machine.scaled(1.0 / 64.0), n);
             cfg.seed = seed;
+            cfg.prefetch_degree = if prefetch { 2 } else { 0 };
             let r = run(&w, &cfg);
             let c = &r.counters;
             // Identity: total = work + stall, stall decomposes.
@@ -256,6 +259,14 @@ mod simulation_properties {
             prop_assert!(c.llc_misses <= c.llc_accesses);
             // The makespan bounds per-core time.
             prop_assert!(c.core_time_cycles >= c.total_cycles);
+            // Every off-chip request, write-backs included, lands in
+            // exactly one controller.
+            let mc_sum = |f: fn(&McStats) -> u64| r.mc_stats.iter().map(f).sum::<u64>();
+            prop_assert_eq!(
+                mc_sum(|s| s.requests),
+                c.read_requests + c.write_requests + c.prefetch_requests
+            );
+            prop_assert_eq!(mc_sum(|s| s.writes), c.write_requests);
         }
     }
 }

@@ -64,11 +64,7 @@ impl offchip_json::ToJson for AblationSummary {
 
 /// Runs the protocol-fit error chain on a sweep, tolerating corrupt
 /// counters (NaN result, as the table renders missing cells).
-fn fit_error_of(
-    proto: &FitProtocol,
-    sweep: &SweepResult,
-    absolute: bool,
-) -> f64 {
+fn fit_error_of(proto: &FitProtocol, sweep: &SweepResult, absolute: bool) -> f64 {
     let Ok(r) = sweep.mean_misses() else {
         return f64::NAN;
     };
@@ -113,7 +109,11 @@ fn main() {
         FitProtocol::intel_numa_extended(),
     ] {
         let err = fit_error_of(&proto, &sweep, false);
-        println!("  {:<28} mean relative error {:>5.1}%", proto.name, err * 100.0);
+        println!(
+            "  {:<28} mean relative error {:>5.1}%",
+            proto.name,
+            err * 100.0
+        );
         summary.protocol_errors.push((proto.name.to_string(), err));
     }
 
@@ -121,7 +121,10 @@ fn main() {
     println!("\nAblation 2 — homogeneous vs latency-weighted rho (AMD NUMA, CG.C)");
     let amd = machines::amd_numa_48().scaled(DEFAULT_EXPERIMENT_SCALE);
     let w = build_workload(ProgramSpec::Cg(ProblemClass::C), amd.total_cores());
-    let ns: Vec<usize> = (1..=amd.total_cores()).step_by(3).chain([12, 13, 25, 37, 48]).collect();
+    let ns: Vec<usize> = (1..=amd.total_cores())
+        .step_by(3)
+        .chain([12, 13, 25, 37, 48])
+        .collect();
     let mut ns = ns;
     ns.sort_unstable();
     ns.dedup();
@@ -132,7 +135,11 @@ fn main() {
     total_timing.absorb(&timing);
     for proto in [FitProtocol::amd_numa(), FitProtocol::amd_numa_homogeneous()] {
         let err = fit_error_of(&proto, &sweep, false);
-        println!("  {:<34} mean relative error {:>5.1}%", proto.name, err * 100.0);
+        println!(
+            "  {:<34} mean relative error {:>5.1}%",
+            proto.name,
+            err * 100.0
+        );
         summary.amd_rho_errors.push((proto.name.to_string(), err));
     }
 
@@ -140,7 +147,10 @@ fn main() {
     println!("\nAblation 3 — memory-controller scheduler (Intel UMA, SP.C)");
     let uma = machines::intel_uma_8().scaled(DEFAULT_EXPERIMENT_SCALE);
     let w = build_workload(ProgramSpec::Sp(ProblemClass::C), uma.total_cores());
-    for (name, sched) in [("FCFS", McScheduler::Fcfs), ("FR-FCFS", McScheduler::FrFcfs)] {
+    for (name, sched) in [
+        ("FCFS", McScheduler::Fcfs),
+        ("FR-FCFS", McScheduler::FrFcfs),
+    ] {
         let omega_full = {
             let mut cfg1 = SimConfig::new(uma.clone(), 1);
             cfg1.scheduler = sched;
@@ -156,7 +166,10 @@ fn main() {
 
     // ── 4. Burstiness vs M/M/1 model accuracy ───────────────────────────
     println!("\nAblation 4 — arrival burstiness vs M/M/1 accuracy (synthetic, Intel UMA)");
-    for (name, bursty) in [("Poisson arrivals", false), ("Pareto ON/OFF arrivals", true)] {
+    for (name, bursty) in [
+        ("Poisson arrivals", false),
+        ("Pareto ON/OFF arrivals", true),
+    ] {
         // Offered load ≈ 60% of the controller's random-row service rate
         // at full cores: the mid-utilisation regime where queueing models
         // differ (both extremes — idle and saturation — look alike).
@@ -181,9 +194,7 @@ fn main() {
         // meaningless; compare in absolute ω units (cf. the paper only
         // quoting percentages "for problems with large contention").
         let err = fit_error_of(&FitProtocol::intel_uma(), &sweep, true);
-        println!(
-            "  {name:<24} colinearity R² = {r2:.3}, model error {err:.3} omega units"
-        );
+        println!("  {name:<24} colinearity R² = {r2:.3}, model error {err:.3} omega units");
         summary.burstiness_r2.push((name.to_string(), err));
     }
 
@@ -202,7 +213,10 @@ fn main() {
         let c1 = omega_at(1);
         let w12 = (omega_at(12) - c1) / c1;
         let w13 = (omega_at(13) - c1) / c1;
-        println!("  {name:<20} omega(12) = {w12:.2}  omega(13) = {w13:.2}  dip = {:.2}", w12 - w13);
+        println!(
+            "  {name:<20} omega(12) = {w12:.2}  omega(13) = {w13:.2}  dip = {:.2}",
+            w12 - w13
+        );
         summary.placement_dip.push((name.to_string(), w12, w13));
     }
 
@@ -218,10 +232,14 @@ fn main() {
     let r = sweep.mean_misses().expect("finite misses");
     match compare_disciplines(&sweep.cycles_sweep_f64(), r) {
         Ok((mm1, md1)) => {
-            println!("  M/M/1 (cs^2 = 1): S = {:.1} cyc, L = {:.2e}, residual SSE {:.2e}",
-                mm1.s, mm1.l, mm1.sse);
-            println!("  M/D/1 (cs^2 = 0): S = {:.1} cyc, L = {:.2e}, residual SSE {:.2e}",
-                md1.s, md1.l, md1.sse);
+            println!(
+                "  M/M/1 (cs^2 = 1): S = {:.1} cyc, L = {:.2e}, residual SSE {:.2e}",
+                mm1.s, mm1.l, mm1.sse
+            );
+            println!(
+                "  M/D/1 (cs^2 = 0): S = {:.1} cyc, L = {:.2e}, residual SSE {:.2e}",
+                md1.s, md1.l, md1.sse
+            );
             summary.discipline_sse.push(("M/M/1".into(), mm1.sse));
             summary.discipline_sse.push(("M/D/1".into(), md1.sse));
         }
@@ -298,7 +316,10 @@ struct SyntheticTraffic {
 
 impl Workload for SyntheticTraffic {
     fn name(&self) -> String {
-        format!("synthetic.{}", if self.bursty { "onoff" } else { "poisson" })
+        format!(
+            "synthetic.{}",
+            if self.bursty { "onoff" } else { "poisson" }
+        )
     }
 
     fn n_threads(&self) -> usize {

@@ -52,7 +52,10 @@ fn main() {
         programs.push(ProgramSpec::X264(input));
     }
 
-    println!("Fig. 4 — burstiness of off-chip traffic ({}, {n} threads / {n} cores)", machine.name);
+    println!(
+        "Fig. 4 — burstiness of off-chip traffic ({}, {n} threads / {n} cores)",
+        machine.name
+    );
     // Fan the nine sampled runs across the worker pool; each worker builds
     // its own workload trace so nothing is shared mutably. Results come
     // back in program order, so the printed report is deterministic.

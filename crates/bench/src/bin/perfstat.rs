@@ -83,14 +83,18 @@ fn parse_args() -> (usize, String, Option<String>) {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--jobs" => {
-                let v = args.next().unwrap_or_else(|| usage_exit("--jobs needs a value"));
+                let v = args
+                    .next()
+                    .unwrap_or_else(|| usage_exit("--jobs needs a value"));
                 jobs_override = Some(
                     v.parse()
                         .unwrap_or_else(|e| usage_exit(&format!("--jobs: {e}"))),
                 );
             }
             "--out" => {
-                out = args.next().unwrap_or_else(|| usage_exit("--out needs a path"));
+                out = args
+                    .next()
+                    .unwrap_or_else(|| usage_exit("--out needs a path"));
             }
             "--check" => {
                 check = Some(
@@ -136,7 +140,11 @@ fn baseline_norm(doc: &Json) -> Option<f64> {
 /// trajectory rather than an error, so the first schema-2 run upgrades
 /// the file in place.
 fn prior_history(baseline: Option<&Json>, out_path: &str) -> Vec<Json> {
-    let history = |doc: &Json| doc.get("history").and_then(Json::as_arr).map(<[Json]>::to_vec);
+    let history = |doc: &Json| {
+        doc.get("history")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::to_vec)
+    };
     if let Some(doc) = baseline {
         return history(doc).unwrap_or_default();
     }

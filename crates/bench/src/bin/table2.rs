@@ -76,10 +76,8 @@ fn main() {
                 let c1 = sweep.points[0].total_cycles;
                 let half = sweep.points[1].total_cycles;
                 let full = sweep.points[2].total_cycles;
-                let half_inc =
-                    normalized_increase(half.round() as u64, c1.round() as u64);
-                let full_inc =
-                    normalized_increase(full.round() as u64, c1.round() as u64);
+                let half_inc = normalized_increase(half.round() as u64, c1.round() as u64);
+                let full_inc = normalized_increase(full.round() as u64, c1.round() as u64);
                 cells.push((half_inc, full_inc));
                 rows.push(Row {
                     program: spec.name(),

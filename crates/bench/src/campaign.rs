@@ -61,7 +61,9 @@ use offchip_pool::PanicPayload;
 use offchip_simcore::FxHasher;
 use offchip_topology::MachineSpec;
 
-use crate::sweep::{point_from_samples, sample_bounded, RunSample, SweepError, SweepResult, SweepTiming};
+use crate::sweep::{
+    point_from_samples, sample_bounded, RunSample, SweepError, SweepResult, SweepTiming,
+};
 
 /// Exit code of a binary whose campaign lost points but journaled every
 /// completed one: rerun with `--resume` to finish the grid.
@@ -255,9 +257,7 @@ impl CampaignOptions {
             match flag.as_str() {
                 "--resume" => opts.resume = true,
                 "--deadline" => {
-                    let secs: f64 = value()?
-                        .parse()
-                        .map_err(|e| format!("--deadline: {e}"))?;
+                    let secs: f64 = value()?.parse().map_err(|e| format!("--deadline: {e}"))?;
                     if !secs.is_finite() || secs <= 0.0 {
                         return Err("--deadline must be a positive number of seconds".into());
                     }
@@ -277,9 +277,7 @@ impl CampaignOptions {
                 }
                 "--journal-dir" => opts.journal_dir = Some(PathBuf::from(value()?)),
                 "--watchdog" => {
-                    let secs: f64 = value()?
-                        .parse()
-                        .map_err(|e| format!("--watchdog: {e}"))?;
+                    let secs: f64 = value()?.parse().map_err(|e| format!("--watchdog: {e}"))?;
                     if !secs.is_finite() || secs <= 0.0 {
                         return Err("--watchdog must be a positive number of seconds".into());
                     }
@@ -584,7 +582,9 @@ pub struct Watchdog {
 
 impl std::fmt::Debug for Watchdog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Watchdog").field("limit", &self.limit).finish()
+        f.debug_struct("Watchdog")
+            .field("limit", &self.limit)
+            .finish()
     }
 }
 
@@ -1107,10 +1107,12 @@ impl Campaign {
         // Register with the wall-clock watchdog (if any) for the whole
         // attempt — simulator setup and workload generation included,
         // which is exactly the ground the in-sim deadline poll can't see.
-        let _watch = self
-            .watchdog
-            .as_ref()
-            .map(|w| w.guard(format!("campaign [{}] point (n = {n}, seed = {seed})", self.name)));
+        let _watch = self.watchdog.as_ref().map(|w| {
+            w.guard(format!(
+                "campaign [{}] point (n = {n}, seed = {seed})",
+                self.name
+            ))
+        });
         let caught = catch_unwind(AssertUnwindSafe(|| {
             sample_bounded(
                 machine,
@@ -1170,10 +1172,8 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn scratch(name: &str) -> CampaignOptions {
-        let dir = std::env::temp_dir().join(format!(
-            "offchip-campaign-{name}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("offchip-campaign-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         CampaignOptions {
             journal_dir: Some(dir),
@@ -1207,9 +1207,14 @@ mod tests {
             assert_eq!(parsed, rec);
         }
         // Legacy numeric seeds still replay while exactly representable.
-        let legacy = rec.to_line(1, 2, 77, None).replace("\"000000000000004d\"", "77");
+        let legacy = rec
+            .to_line(1, 2, 77, None)
+            .replace("\"000000000000004d\"", "77");
         let crc_split = legacy.rsplit_once('#').unwrap().0.to_string();
-        let legacy = format!("{crc_split}#{:08x}", offchip_chaos::crc32(crc_split.as_bytes()));
+        let legacy = format!(
+            "{crc_split}#{:08x}",
+            offchip_chaos::crc32(crc_split.as_bytes())
+        );
         let (key, _) = JournalRecord::parse_line(&legacy).expect("legacy numeric seed");
         assert_eq!(key, (1, 2, 77));
     }
@@ -1261,7 +1266,10 @@ mod tests {
         // including the cut exactly at the JSON boundary, which only the
         // CRC suffix can catch.
         for cut in 1..line.len() {
-            assert!(JournalRecord::parse_line(&line[..cut]).is_none(), "cut = {cut}");
+            assert!(
+                JournalRecord::parse_line(&line[..cut]).is_none(),
+                "cut = {cut}"
+            );
         }
     }
 
@@ -1281,8 +1289,7 @@ mod tests {
         // The trace field is correlation metadata only: parse_line yields
         // the exact same key and record as the untraced line.
         let (key_t, rec_t) = JournalRecord::parse_line(&traced).unwrap();
-        let (key_u, rec_u) =
-            JournalRecord::parse_line(&rec.to_line(0x77, 2, 9, None)).unwrap();
+        let (key_u, rec_u) = JournalRecord::parse_line(&rec.to_line(0x77, 2, 9, None)).unwrap();
         assert_eq!(key_t, key_u);
         assert_eq!(rec_t, rec_u);
     }
@@ -1346,7 +1353,9 @@ mod tests {
             // Dropped immediately: never reported.
         }
         let _hung = dog.guard("hung point".into());
-        let fired = rx.recv_timeout(Duration::from_secs(10)).expect("watchdog never fired");
+        let fired = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("watchdog never fired");
         assert_eq!(fired, "hung point");
         // Exactly once per hung point, and the fast one never fires.
         assert!(rx.recv_timeout(Duration::from_millis(300)).is_err());
@@ -1365,9 +1374,15 @@ mod tests {
             ..opts.clone()
         };
         let c = Campaign::start("q", &ropts).unwrap();
-        let fault = c.journal_fault().expect("unreadable journal reported as typed fault");
+        let fault = c
+            .journal_fault()
+            .expect("unreadable journal reported as typed fault");
         let quarantined = fault.quarantined_to.clone().expect("journal renamed aside");
-        assert!(quarantined.exists(), "evidence preserved at {}", quarantined.display());
+        assert!(
+            quarantined.exists(),
+            "evidence preserved at {}",
+            quarantined.display()
+        );
         assert!(!fault.error.is_empty());
         assert!(fault.to_string().contains("quarantined"));
         // The campaign restarted from zero records and is fully usable.
@@ -1376,7 +1391,10 @@ mod tests {
         let cs = c.run_sweep(&machine, w.as_ref(), &[1], &[1], 1).unwrap();
         assert_eq!((cs.resumed, cs.executed), (0, 1));
         assert_eq!(
-            std::fs::read_to_string(c.journal_path()).unwrap().lines().count(),
+            std::fs::read_to_string(c.journal_path())
+                .unwrap()
+                .lines()
+                .count(),
             1
         );
     }
@@ -1409,8 +1427,16 @@ mod tests {
             .and_then(|f| f.quarantined_to.clone())
             .expect("second quarantine");
         assert_ne!(q1, q2, "a second quarantine must not reuse the name");
-        assert_eq!(std::fs::read(&q1).unwrap(), first_bytes, "first evidence intact");
-        assert_eq!(std::fs::read(&q2).unwrap(), second_bytes, "second evidence intact");
+        assert_eq!(
+            std::fs::read(&q1).unwrap(),
+            first_bytes,
+            "first evidence intact"
+        );
+        assert_eq!(
+            std::fs::read(&q2).unwrap(),
+            second_bytes,
+            "second evidence intact"
+        );
     }
 
     #[test]
@@ -1445,7 +1471,9 @@ mod tests {
         let opts = scratch("bitident");
         for jobs in [1usize, 4] {
             let c = Campaign::start("t", &opts).unwrap();
-            let cs = c.run_sweep(&machine, w.as_ref(), &ns, &seeds, jobs).unwrap();
+            let cs = c
+                .run_sweep(&machine, w.as_ref(), &ns, &seeds, jobs)
+                .unwrap();
             assert!(cs.errors.is_empty());
             assert_eq!(cs.executed, 6);
             assert_eq!(cs.resumed, 0);
@@ -1463,7 +1491,9 @@ mod tests {
         let w = build_workload(ProgramSpec::Cg(ProblemClass::S), 8);
         let opts = scratch("timing");
         let c = Campaign::start("timing", &opts).unwrap();
-        let cs = c.run_sweep(&machine, w.as_ref(), &[1, 2], &[5, 6, 7], 4).unwrap();
+        let cs = c
+            .run_sweep(&machine, w.as_ref(), &[1, 2], &[5, 6, 7], 4)
+            .unwrap();
         assert!(cs.errors.is_empty());
         assert_eq!((cs.executed, cs.resumed), (6, 0));
         let t = cs.timing;
@@ -1561,7 +1591,9 @@ mod tests {
         let opts = scratch("resume");
 
         let first = Campaign::start("r", &opts).unwrap();
-        let full = first.run_sweep(&machine, w.as_ref(), &ns, &seeds, 2).unwrap();
+        let full = first
+            .run_sweep(&machine, w.as_ref(), &ns, &seeds, 2)
+            .unwrap();
         let golden = full.sweep.to_json().to_pretty_string();
         let journal = std::fs::read_to_string(first.journal_path()).unwrap();
         assert_eq!(journal.lines().count(), 4);
@@ -1575,7 +1607,9 @@ mod tests {
         let mut ropts = opts.clone();
         ropts.resume = true;
         let second = Campaign::start("r", &ropts).unwrap();
-        let resumed = second.run_sweep(&machine, w.as_ref(), &ns, &seeds, 2).unwrap();
+        let resumed = second
+            .run_sweep(&machine, w.as_ref(), &ns, &seeds, 2)
+            .unwrap();
         assert_eq!(resumed.resumed, 1, "one intact journal record replayed");
         assert_eq!(resumed.executed, 3, "the torn and missing points re-ran");
         assert_eq!(resumed.sweep.to_json().to_pretty_string(), golden);
@@ -1717,9 +1751,7 @@ mod tests {
 
     #[test]
     fn options_parse_contract() {
-        let sv = |parts: &[&str]| -> Vec<String> {
-            parts.iter().map(|s| s.to_string()).collect()
-        };
+        let sv = |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
         let o = CampaignOptions::parse(&sv(&[
             "--resume",
             "--deadline",
@@ -1767,9 +1799,7 @@ mod tests {
             scheduler: McScheduler::FrFcfs,
             ..base
         };
-        let h = |m: &offchip_topology::MachineSpec, p: &str, t: &PointConfig| {
-            config_hash(m, p, t)
-        };
+        let h = |m: &offchip_topology::MachineSpec, p: &str, t: &PointConfig| config_hash(m, p, t);
         assert_eq!(h(&uma, "CG.S", &base), h(&uma, "CG.S", &base));
         assert_ne!(h(&uma, "CG.S", &base), h(&numa, "CG.S", &base));
         assert_ne!(h(&uma, "CG.S", &base), h(&uma, "IS.S", &base));

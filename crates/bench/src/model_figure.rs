@@ -116,7 +116,10 @@ pub fn run_figure(program: ProgramSpec, figure_id: &str, artifact: &str) {
             let v = match validate(&model, &cycles) {
                 Ok(v) => v,
                 Err(e) => {
-                    println!("{}: validation failed under {}: {e}", machine.name, proto.name);
+                    println!(
+                        "{}: validation failed under {}: {e}",
+                        machine.name, proto.name
+                    );
                     continue;
                 }
             };
@@ -180,4 +183,3 @@ pub fn run_figure(program: ProgramSpec, figure_id: &str, artifact: &str) {
     );
     eprintln!("wrote {}", path.display());
 }
-

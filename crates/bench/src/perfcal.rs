@@ -76,10 +76,7 @@ pub fn calibrate() -> Calibration {
 /// `timer(iters)` must return the wall time of one spin of `iters`
 /// iterations; it is called `ROUNDS` times per candidate count and the
 /// minimum kept.
-pub fn calibrate_with(
-    min_wall: Duration,
-    mut timer: impl FnMut(u64) -> Duration,
-) -> Calibration {
+pub fn calibrate_with(min_wall: Duration, mut timer: impl FnMut(u64) -> Duration) -> Calibration {
     let mut iters = BASE_CALIBRATION_ITERS;
     loop {
         let mut best = Duration::MAX;

@@ -45,14 +45,23 @@ impl std::fmt::Display for SweepError {
         match self {
             SweepError::Empty => write!(f, "sweep has no points"),
             SweepError::MissingBaseline => {
-                write!(f, "sweep lacks the n = 1 baseline that omega(n) is defined against")
+                write!(
+                    f,
+                    "sweep lacks the n = 1 baseline that omega(n) is defined against"
+                )
             }
             SweepError::CorruptPoint(n) => {
-                write!(f, "sweep point n = {n} has a non-finite or non-positive cycle count")
+                write!(
+                    f,
+                    "sweep point n = {n} has a non-finite or non-positive cycle count"
+                )
             }
             SweepError::NoSeeds => write!(f, "sweep requested with an empty seed list"),
             SweepError::NoFinitePoints => {
-                write!(f, "every sweep point's reading is non-finite; nothing to average")
+                write!(
+                    f,
+                    "every sweep point's reading is non-finite; nothing to average"
+                )
             }
         }
     }
@@ -505,7 +514,11 @@ mod tests {
         let s = SweepResult {
             machine: "m".into(),
             program: "p".into(),
-            points: vec![point(1, 1.0, 10.0), point(2, 1.0, f64::NAN), point(3, 1.0, 20.0)],
+            points: vec![
+                point(1, 1.0, 10.0),
+                point(2, 1.0, f64::NAN),
+                point(3, 1.0, 20.0),
+            ],
         };
         assert_eq!(s.mean_misses(), Ok(15.0));
         let all_bad = SweepResult {

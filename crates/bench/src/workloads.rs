@@ -98,11 +98,7 @@ pub fn build_workload(spec: ProgramSpec, threads: usize) -> Box<dyn Workload> {
 
 /// Builds the workload trace at an explicit geometric scale (the CLI's
 /// `--scale` knob).
-pub fn build_workload_scaled(
-    spec: ProgramSpec,
-    scale: f64,
-    threads: usize,
-) -> Box<dyn Workload> {
+pub fn build_workload_scaled(spec: ProgramSpec, scale: f64, threads: usize) -> Box<dyn Workload> {
     match spec {
         ProgramSpec::Ep(c) => Box::new(traces::ep::workload(c, scale, threads)),
         ProgramSpec::Is(c) => Box::new(traces::is::workload(c, scale, threads)),

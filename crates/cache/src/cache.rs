@@ -360,7 +360,9 @@ mod tests {
         c.access(0x0, AccessKind::Read); // touch: 0x40 becomes LRU
         let r = c.access(0x80, AccessKind::Read);
         match r {
-            AccessResult::Miss { evicted: Some((addr, dirty)) } => {
+            AccessResult::Miss {
+                evicted: Some((addr, dirty)),
+            } => {
                 assert_eq!(addr, 0x40);
                 assert!(!dirty);
             }

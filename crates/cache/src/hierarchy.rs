@@ -99,9 +99,16 @@ impl Hierarchy {
 
         Hierarchy {
             private: (0..n_phys)
-                .map(|_| private_cfgs.iter().map(|&c| SetAssocCache::new(c)).collect())
+                .map(|_| {
+                    private_cfgs
+                        .iter()
+                        .map(|&c| SetAssocCache::new(c))
+                        .collect()
+                })
                 .collect(),
-            llc: (0..n_domains).map(|_| SetAssocCache::new(llc_cfg)).collect(),
+            llc: (0..n_domains)
+                .map(|_| SetAssocCache::new(llc_cfg))
+                .collect(),
             private_latency,
             llc_latency,
             private_levels,
@@ -261,7 +268,11 @@ mod tests {
         assert_eq!(l1_acc, 2);
         assert_eq!(l1_miss, 1);
         let (_, llc_acc, llc_miss) = *totals.last().unwrap();
-        assert_eq!((llc_acc, llc_miss), (1, 1), "only the cold access reached the LLC");
+        assert_eq!(
+            (llc_acc, llc_miss),
+            (1, 1),
+            "only the cold access reached the LLC"
+        );
     }
 
     #[test]

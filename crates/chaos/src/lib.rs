@@ -46,16 +46,15 @@ mod vfs;
 
 pub use crc::crc32;
 pub use net::{
-    env_net_spec, ChaosStream, NetFault, NetFaultKind, NetFaultPlan, NetOp, NetSpec,
-    NetSpecError, NET_CHAOS_ENV,
+    env_net_spec, ChaosStream, NetFault, NetFaultKind, NetFaultPlan, NetOp, NetSpec, NetSpecError,
+    NET_CHAOS_ENV,
 };
 pub use spec::{ChaosSpec, ChaosSpecError, Fault, FaultKind, OpClass, MAX_SEED_FAULTS};
 pub use vfs::{AppendFile, ChaosVfs, RealVfs, Vfs};
 
 use std::sync::{Arc, LazyLock, RwLock};
 
-static GLOBAL: LazyLock<RwLock<Arc<dyn Vfs>>> =
-    LazyLock::new(|| RwLock::new(Arc::new(RealVfs)));
+static GLOBAL: LazyLock<RwLock<Arc<dyn Vfs>>> = LazyLock::new(|| RwLock::new(Arc::new(RealVfs)));
 
 /// The process-global Vfs every durable I/O helper routes through.
 /// Defaults to the [`RealVfs`] passthrough until [`install`] replaces it.

@@ -451,15 +451,27 @@ mod tests {
         assert_eq!(s.faults.len(), 5);
         assert_eq!(
             s.faults[0],
-            NetFault { op: NetOp::Read, at: 3, kind: NetFaultKind::Stall(120) }
+            NetFault {
+                op: NetOp::Read,
+                at: 3,
+                kind: NetFaultKind::Stall(120)
+            }
         );
         assert_eq!(
             s.faults[2],
-            NetFault { op: NetOp::Write, at: 5, kind: NetFaultKind::Reset }
+            NetFault {
+                op: NetOp::Write,
+                at: 5,
+                kind: NetFaultKind::Reset
+            }
         );
         assert_eq!(
             s.faults[4],
-            NetFault { op: NetOp::Read, at: 2, kind: NetFaultKind::Short(3) }
+            NetFault {
+                op: NetOp::Read,
+                at: 2,
+                kind: NetFaultKind::Short(3)
+            }
         );
     }
 
@@ -474,18 +486,18 @@ mod tests {
     #[test]
     fn rejects_malformed_clauses() {
         for bad in [
-            "stall",             // no @
-            "stall@read",        // no index
-            "stall@read:0:10",   // 0 is not 1-based
-            "stall@read:1",      // stall needs a duration
+            "stall",                // no @
+            "stall@read",           // no index
+            "stall@read:0:10",      // 0 is not 1-based
+            "stall@read:1",         // stall needs a duration
             "stall@read:1:9999999", // beyond the stall cap
-            "stall@socket:1:10", // unknown op
-            "frob@read:1",       // unknown kind
-            "short@write:1:4",   // short only applies to reads
-            "reset@read:1:7",    // reset takes no param
-            "reset@read:x",      // garbage index
+            "stall@socket:1:10",    // unknown op
+            "frob@read:1",          // unknown kind
+            "short@write:1:4",      // short only applies to reads
+            "reset@read:1:7",       // reset takes no param
+            "reset@read:x",         // garbage index
             "seed:notanumber",
-            "short@read:1:2:3",  // too many fields
+            "short@read:1:2:3", // too many fields
         ] {
             let e = NetSpec::parse(bad).unwrap_err();
             assert!(!e.to_string().is_empty(), "{bad}");
@@ -570,9 +582,7 @@ mod tests {
 
     #[test]
     fn plan_counts_ops_across_streams_and_fires_once() {
-        let plan = Arc::new(NetFaultPlan::new(
-            NetSpec::parse("reset@read:3").unwrap(),
-        ));
+        let plan = Arc::new(NetFaultPlan::new(NetSpec::parse("reset@read:3").unwrap()));
         let mut a = ChaosStream::new(Cursor::new(vec![1u8, 2, 3]), Arc::clone(&plan));
         let mut b = ChaosStream::new(Cursor::new(vec![4u8, 5, 6]), Arc::clone(&plan));
         let mut buf = [0u8; 2];

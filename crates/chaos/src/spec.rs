@@ -174,8 +174,7 @@ fn err(clause: &str, reason: impl Into<String>) -> ChaosSpecError {
 }
 
 fn parse_u64(clause: &str, field: &str, v: &str) -> Result<u64, ChaosSpecError> {
-    v.parse()
-        .map_err(|e| err(clause, format!("{field}: {e}")))
+    v.parse().map_err(|e| err(clause, format!("{field}: {e}")))
 }
 
 impl ChaosSpec {
@@ -289,7 +288,11 @@ impl ChaosSpec {
                 4 => (OpClass::Fsync, FaultKind::LyingFsync),
                 5 => (
                     OpClass::Rename,
-                    if next() % 2 == 0 { FaultKind::Eio } else { FaultKind::Torn },
+                    if next() % 2 == 0 {
+                        FaultKind::Eio
+                    } else {
+                        FaultKind::Torn
+                    },
                 ),
                 6 => (OpClass::Read, FaultKind::BitFlip(next() % 1024)),
                 _ => (
@@ -338,15 +341,27 @@ mod tests {
         assert_eq!(s.faults.len(), 9);
         assert_eq!(
             s.faults[0],
-            Fault { op: OpClass::Write, at: 3, kind: FaultKind::Enospc }
+            Fault {
+                op: OpClass::Write,
+                at: 3,
+                kind: FaultKind::Enospc
+            }
         );
         assert_eq!(
             s.faults[2],
-            Fault { op: OpClass::Write, at: 2, kind: FaultKind::Short(17) }
+            Fault {
+                op: OpClass::Write,
+                at: 2,
+                kind: FaultKind::Short(17)
+            }
         );
         assert_eq!(
             s.faults[5],
-            Fault { op: OpClass::Read, at: 2, kind: FaultKind::BitFlip(40) }
+            Fault {
+                op: OpClass::Read,
+                at: 2,
+                kind: FaultKind::BitFlip(40)
+            }
         );
     }
 
@@ -362,20 +377,20 @@ mod tests {
     #[test]
     fn rejects_malformed_clauses() {
         for bad in [
-            "enospc",                // no @
-            "enospc@write",          // no index
-            "enospc@write:0",        // 0 is not 1-based
-            "enospc@disk:1",         // unknown op
-            "frob@write:1",          // unknown kind
-            "enospc@read:1",         // enospc does not apply to reads
-            "short@write:1",         // short needs a byte count
-            "short@read:1:4",        // short only applies to writes
-            "torn@write:1",          // torn only applies to renames
-            "lyingfsync@write:1",    // lyingfsync only applies to fsyncs
-            "eio@write:1:7",         // eio takes no param
-            "enospc@write:x",        // garbage index
+            "enospc",             // no @
+            "enospc@write",       // no index
+            "enospc@write:0",     // 0 is not 1-based
+            "enospc@disk:1",      // unknown op
+            "frob@write:1",       // unknown kind
+            "enospc@read:1",      // enospc does not apply to reads
+            "short@write:1",      // short needs a byte count
+            "short@read:1:4",     // short only applies to writes
+            "torn@write:1",       // torn only applies to renames
+            "lyingfsync@write:1", // lyingfsync only applies to fsyncs
+            "eio@write:1:7",      // eio takes no param
+            "enospc@write:x",     // garbage index
             "seed:notanumber",
-            "bitflip@read:1:2:3",    // too many fields
+            "bitflip@read:1:2:3", // too many fields
         ] {
             let e = ChaosSpec::parse(bad).unwrap_err();
             assert!(!e.to_string().is_empty(), "{bad}");

@@ -128,7 +128,10 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
         if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir)?;
         }
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
         let synced_len = file.metadata()?.len();
         Ok(AppendFile {
             file,
@@ -223,7 +226,11 @@ impl ChaosVfs {
     /// `kind@op:index` string each. Lets tests and the chaos smoke
     /// harness assert the schedule actually hit something.
     pub fn fired(&self) -> Vec<String> {
-        self.state.lock().expect("chaos state lock poisoned").fired.clone()
+        self.state
+            .lock()
+            .expect("chaos state lock poisoned")
+            .fired
+            .clone()
     }
 
     /// Advances the counter for `op` and returns the fault scheduled at
@@ -239,7 +246,8 @@ impl ChaosVfs {
             .position(|(f, fired)| !*fired && f.op == op && f.at == n)?;
         st.faults[hit].1 = true;
         let kind = st.faults[hit].0.kind;
-        st.fired.push(format!("{kind}@{op}:{n} path={}", path.display()));
+        st.fired
+            .push(format!("{kind}@{op}:{n} path={}", path.display()));
         Some(kind)
     }
 }
@@ -255,16 +263,24 @@ impl Vfs for ChaosVfs {
     fn prim_write(&self, file: &File, buf: &[u8], path: &Path) -> io::Result<()> {
         match self.arm(OpClass::Write, path) {
             None => RealVfs.prim_write(file, buf, path),
-            Some(FaultKind::Enospc) => {
-                Err(injected(io::ErrorKind::StorageFull, "ENOSPC", OpClass::Write, path))
-            }
+            Some(FaultKind::Enospc) => Err(injected(
+                io::ErrorKind::StorageFull,
+                "ENOSPC",
+                OpClass::Write,
+                path,
+            )),
             Some(FaultKind::Short(n)) => {
                 // A torn write: a prefix reaches the disk, then the
                 // device errors out.
                 let n = (n as usize).min(buf.len());
                 let mut f = file;
                 f.write_all(&buf[..n])?;
-                Err(injected(io::ErrorKind::Other, "short write (EIO)", OpClass::Write, path))
+                Err(injected(
+                    io::ErrorKind::Other,
+                    "short write (EIO)",
+                    OpClass::Write,
+                    path,
+                ))
             }
             Some(_) => Err(injected(io::ErrorKind::Other, "EIO", OpClass::Write, path)),
         }
@@ -307,7 +323,12 @@ impl Vfs for ChaosVfs {
                 if let Some(bytes) = contents {
                     let _ = std::fs::write(to, &bytes[..bytes.len() / 2]);
                 }
-                Err(injected(io::ErrorKind::Other, "torn rename (EIO)", OpClass::Rename, to))
+                Err(injected(
+                    io::ErrorKind::Other,
+                    "torn rename (EIO)",
+                    OpClass::Rename,
+                    to,
+                ))
             }
             Some(_) => Err(injected(io::ErrorKind::Other, "EIO", OpClass::Rename, to)),
         }
@@ -339,8 +360,7 @@ mod tests {
     use super::*;
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("offchip-chaos-{name}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("offchip-chaos-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -204,9 +204,7 @@ fn parse_options(mut opts: RunOptions, rest: &[String]) -> Result<RunOptions, St
         };
         match flag.as_str() {
             "--machine" => opts.machine = parse_machine(&value()?)?,
-            "--cores" => {
-                opts.cores = Some(value()?.parse().map_err(|e| format!("--cores: {e}"))?)
-            }
+            "--cores" => opts.cores = Some(value()?.parse().map_err(|e| format!("--cores: {e}"))?),
             "--threads" => {
                 opts.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
             }
@@ -244,9 +242,7 @@ fn parse_options(mut opts: RunOptions, rest: &[String]) -> Result<RunOptions, St
                 opts.faults =
                     Some(FaultSpec::parse(&value()?).map_err(|e| format!("--faults: {e}"))?)
             }
-            "--jobs" => {
-                opts.jobs = Some(value()?.parse().map_err(|e| format!("--jobs: {e}"))?)
-            }
+            "--jobs" => opts.jobs = Some(value()?.parse().map_err(|e| format!("--jobs: {e}"))?),
             "--seed" => opts.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--resume" => opts.resume = true,
             "--deadline" => {
@@ -283,15 +279,17 @@ fn parse_options(mut opts: RunOptions, rest: &[String]) -> Result<RunOptions, St
             "--metrics" => opts.metrics_out = Some(std::path::PathBuf::from(value()?)),
             "--log-level" => {
                 let v = value()?;
-                opts.log_level = Some(offchip_obs::LogLevel::parse(&v).ok_or_else(|| {
-                    format!("unknown log level {v:?} (error|warn|info|debug)")
-                })?);
+                opts.log_level =
+                    Some(offchip_obs::LogLevel::parse(&v).ok_or_else(|| {
+                        format!("unknown log level {v:?} (error|warn|info|debug)")
+                    })?);
             }
             "--log-format" => {
                 let v = value()?;
-                opts.log_format = Some(offchip_obs::LogFormat::parse(&v).ok_or_else(|| {
-                    format!("unknown log format {v:?} (kv|json)")
-                })?);
+                opts.log_format = Some(
+                    offchip_obs::LogFormat::parse(&v)
+                        .ok_or_else(|| format!("unknown log format {v:?} (kv|json)"))?,
+                );
             }
             other => return Err(format!("unknown option {other:?}")),
         }
@@ -361,8 +359,22 @@ mod tests {
     #[test]
     fn parses_full_command_line() {
         let cmd = parse(&sv(&[
-            "sweep", "SP.C", "--machine", "numa", "--prefetch", "2", "--scale", "32",
-            "--scheduler", "frfcfs", "--placement", "firsttouch", "--jobs", "4", "--seed", "7",
+            "sweep",
+            "SP.C",
+            "--machine",
+            "numa",
+            "--prefetch",
+            "2",
+            "--scale",
+            "32",
+            "--scheduler",
+            "frfcfs",
+            "--placement",
+            "firsttouch",
+            "--jobs",
+            "4",
+            "--seed",
+            "7",
         ]))
         .unwrap();
         let Command::Sweep(o) = cmd else {
@@ -382,7 +394,13 @@ mod tests {
 
     #[test]
     fn parses_fault_spec() {
-        let cmd = parse(&sv(&["fit", "CG.C", "--faults", "drop=0.2,jitter=0.05,seed=9"])).unwrap();
+        let cmd = parse(&sv(&[
+            "fit",
+            "CG.C",
+            "--faults",
+            "drop=0.2,jitter=0.05,seed=9",
+        ]))
+        .unwrap();
         let Command::Fit(o) = cmd else {
             panic!("wrong command")
         };
@@ -397,8 +415,15 @@ mod tests {
     #[test]
     fn parses_campaign_flags() {
         let cmd = parse(&sv(&[
-            "sweep", "CG.C", "--resume", "--deadline", "1.5", "--retries", "2",
-            "--journal-dir", "/tmp/j",
+            "sweep",
+            "CG.C",
+            "--resume",
+            "--deadline",
+            "1.5",
+            "--retries",
+            "2",
+            "--journal-dir",
+            "/tmp/j",
         ]))
         .unwrap();
         let Command::Sweep(o) = cmd else {
@@ -407,7 +432,10 @@ mod tests {
         assert!(o.resume);
         assert_eq!(o.deadline, Some(std::time::Duration::from_secs_f64(1.5)));
         assert_eq!(o.retries, 2);
-        assert_eq!(o.journal_dir.as_deref(), Some(std::path::Path::new("/tmp/j")));
+        assert_eq!(
+            o.journal_dir.as_deref(),
+            Some(std::path::Path::new("/tmp/j"))
+        );
         assert!(parse(&sv(&["sweep", "CG.C", "--deadline", "0"])).is_err());
         assert!(parse(&sv(&["sweep", "CG.C", "--deadline", "nan"])).is_err());
         assert!(parse(&sv(&["sweep", "CG.C", "--retries", "-1"])).is_err());
@@ -416,8 +444,14 @@ mod tests {
     #[test]
     fn parses_chaos_flags() {
         let cmd = parse(&sv(&[
-            "sweep", "CG.C", "--chaos-io", "enospc@write:3,eio@fsync:1", "--watchdog", "30",
-            "--out", "/tmp/sweep.json",
+            "sweep",
+            "CG.C",
+            "--chaos-io",
+            "enospc@write:3,eio@fsync:1",
+            "--watchdog",
+            "30",
+            "--out",
+            "/tmp/sweep.json",
         ]))
         .unwrap();
         let Command::Sweep(o) = cmd else {
@@ -425,7 +459,10 @@ mod tests {
         };
         assert_eq!(o.chaos_io.as_ref().map(|c| c.faults.len()), Some(2));
         assert_eq!(o.watchdog, Some(std::time::Duration::from_secs(30)));
-        assert_eq!(o.out.as_deref(), Some(std::path::Path::new("/tmp/sweep.json")));
+        assert_eq!(
+            o.out.as_deref(),
+            Some(std::path::Path::new("/tmp/sweep.json"))
+        );
         // A malformed schedule is a usage error (exit 2 in main).
         assert!(parse(&sv(&["sweep", "CG.C", "--chaos-io", "frob@disk:1"])).is_err());
         assert!(parse(&sv(&["sweep", "CG.C", "--chaos-io", "short@write:1"])).is_err());
@@ -435,16 +472,32 @@ mod tests {
     #[test]
     fn parses_obs_flags() {
         let cmd = parse(&sv(&[
-            "sweep", "CG.A", "--obs", "metrics", "--trace", "/tmp/t.json", "--metrics",
-            "/tmp/m.csv", "--log-level", "debug", "--log-format", "json",
+            "sweep",
+            "CG.A",
+            "--obs",
+            "metrics",
+            "--trace",
+            "/tmp/t.json",
+            "--metrics",
+            "/tmp/m.csv",
+            "--log-level",
+            "debug",
+            "--log-format",
+            "json",
         ]))
         .unwrap();
         let Command::Sweep(o) = cmd else {
             panic!("wrong command")
         };
         assert_eq!(o.obs, Some(offchip_obs::ObsLevel::Metrics));
-        assert_eq!(o.trace_out.as_deref(), Some(std::path::Path::new("/tmp/t.json")));
-        assert_eq!(o.metrics_out.as_deref(), Some(std::path::Path::new("/tmp/m.csv")));
+        assert_eq!(
+            o.trace_out.as_deref(),
+            Some(std::path::Path::new("/tmp/t.json"))
+        );
+        assert_eq!(
+            o.metrics_out.as_deref(),
+            Some(std::path::Path::new("/tmp/m.csv"))
+        );
         assert_eq!(o.log_level, Some(offchip_obs::LogLevel::Debug));
         assert_eq!(o.log_format, Some(offchip_obs::LogFormat::Json));
         assert!(parse(&sv(&["run", "CG.A", "--obs", "verbose"])).is_err());

@@ -5,10 +5,10 @@ use offchip_bench::plot::{linear_plot, Series};
 use offchip_bench::{Campaign, CampaignOptions, PointConfig, SweepResult, SweepTiming};
 use offchip_json::ToJson;
 use offchip_machine::{try_run_bounded, ConfigError, RunError, RunReport, SimConfig, Workload};
-use offchip_pool::JobsError;
 use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
 use offchip_perf::papiex::papiex_report_default;
 use offchip_perf::{BurstAnalysis, FaultSpec};
+use offchip_pool::JobsError;
 use offchip_topology::likwid::topology_report;
 use offchip_topology::{machines, MachineSpec};
 
@@ -127,8 +127,9 @@ fn campaign_sweep(
 fn faults_in_force(opts: &RunOptions) -> Result<Option<FaultSpec>, CliError> {
     match opts.faults {
         Some(spec) => Ok(Some(spec)),
-        None => FaultSpec::from_env()
-            .map_err(|e| CliError::Runtime(format!("OFFCHIP_FAULTS: {e}"))),
+        None => {
+            FaultSpec::from_env().map_err(|e| CliError::Runtime(format!("OFFCHIP_FAULTS: {e}")))
+        }
     }
 }
 
@@ -372,9 +373,9 @@ fn execute_inner(cmd: Command) -> Result<(), CliError> {
             let machine = machine_of(opts.machine, opts.scale_denom);
             let n = opts.cores.unwrap_or_else(|| machine.total_cores());
             let report = run_one(&opts, &machine, n, true)?;
-            let windows = report.miss_windows.ok_or_else(|| {
-                CliError::Runtime("run produced no sampler windows".into())
-            })?;
+            let windows = report
+                .miss_windows
+                .ok_or_else(|| CliError::Runtime("run produced no sampler windows".into()))?;
             let a = BurstAnalysis::from_windows(&windows, 50);
             println!(
                 "{} on {} ({n} cores): {} windows",

@@ -101,7 +101,13 @@ fn faulted_fit_reports_quality_or_typed_error() {
     // never panic (which would exit 101).
     let out = offchip()
         .args([
-            "fit", "CG.W", "--machine", "uma", "--scale", "128", "--faults",
+            "fit",
+            "CG.W",
+            "--machine",
+            "uma",
+            "--scale",
+            "128",
+            "--faults",
             "drop=0.2,jitter=0.05,seed=11",
         ])
         .output()
@@ -121,7 +127,14 @@ fn overwhelming_faults_exit_with_fit_code() {
     // Dropping every sweep point leaves nothing to fit: a typed refusal.
     let out = offchip()
         .args([
-            "fit", "CG.W", "--machine", "uma", "--scale", "128", "--faults", "drop=1.0",
+            "fit",
+            "CG.W",
+            "--machine",
+            "uma",
+            "--scale",
+            "128",
+            "--faults",
+            "drop=1.0",
         ])
         .output()
         .expect("spawn offchip");
@@ -133,8 +146,22 @@ fn overwhelming_faults_exit_with_fit_code() {
 #[test]
 fn alternate_knobs_accepted() {
     let out = run_ok(&[
-        "run", "SP.S", "--machine", "numa", "--cores", "4", "--prefetch", "2", "--scheduler",
-        "frfcfs", "--placement", "firsttouch", "--scale", "128", "--seed", "9",
+        "run",
+        "SP.S",
+        "--machine",
+        "numa",
+        "--cores",
+        "4",
+        "--prefetch",
+        "2",
+        "--scheduler",
+        "frfcfs",
+        "--placement",
+        "firsttouch",
+        "--scale",
+        "128",
+        "--seed",
+        "9",
     ]);
     assert!(out.contains("SP.S"));
     assert!(out.contains("LLC_MISSES"), "Intel NUMA LLC event");
@@ -145,7 +172,16 @@ fn sweep_accepts_jobs_flag_and_logs_timing_to_stderr() {
     // Diagnostics (timing, heartbeats) go to stderr so piped stdout stays
     // a clean report; the omega table itself stays on stdout.
     let out = offchip()
-        .args(["sweep", "EP.S", "--machine", "uma", "--scale", "128", "--jobs", "2"])
+        .args([
+            "sweep",
+            "EP.S",
+            "--machine",
+            "uma",
+            "--scale",
+            "128",
+            "--jobs",
+            "2",
+        ])
         .output()
         .expect("spawn offchip");
     assert!(out.status.success());
@@ -172,8 +208,17 @@ fn sweep_resume_replays_the_journal() {
     let _ = std::fs::remove_dir_all(&dir);
     let run = |resume: bool| {
         let mut cmd = offchip();
-        cmd.args(["sweep", "IS.S", "--machine", "uma", "--scale", "128", "--jobs", "2"])
-            .env("OFFCHIP_JOURNAL_DIR", &dir);
+        cmd.args([
+            "sweep",
+            "IS.S",
+            "--machine",
+            "uma",
+            "--scale",
+            "128",
+            "--jobs",
+            "2",
+        ])
+        .env("OFFCHIP_JOURNAL_DIR", &dir);
         if resume {
             cmd.arg("--resume");
         }
@@ -212,7 +257,14 @@ fn trace_and_metrics_flags_write_artefacts() {
     let metrics = dir.join("metrics.csv");
     let out = offchip()
         .args([
-            "sweep", "IS.S", "--machine", "uma", "--scale", "128", "--jobs", "2",
+            "sweep",
+            "IS.S",
+            "--machine",
+            "uma",
+            "--scale",
+            "128",
+            "--jobs",
+            "2",
         ])
         .arg("--trace")
         .arg(&trace)
@@ -226,12 +278,22 @@ fn trace_and_metrics_flags_write_artefacts() {
         String::from_utf8_lossy(&out.stderr)
     );
     let tj = std::fs::read_to_string(&trace).expect("trace written");
-    assert!(tj.starts_with("{\"traceEvents\":["), "chrome shape: {}", &tj[..60.min(tj.len())]);
+    assert!(
+        tj.starts_with("{\"traceEvents\":["),
+        "chrome shape: {}",
+        &tj[..60.min(tj.len())]
+    );
     assert!(tj.contains("\"ph\":\"X\""), "complete events present");
-    assert!(tj.contains("\"cat\":\"dram\""), "DRAM service spans present");
+    assert!(
+        tj.contains("\"cat\":\"dram\""),
+        "DRAM service spans present"
+    );
     let mc = std::fs::read_to_string(&metrics).expect("metrics written");
     assert!(mc.starts_with("kind,name,value"), "csv header: {mc}");
-    assert!(mc.contains("dram.queue_wait_cycles"), "queue-wait histogram: {mc}");
+    assert!(
+        mc.contains("dram.queue_wait_cycles"),
+        "queue-wait histogram: {mc}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -270,7 +332,16 @@ fn torn_trace_rename_exits_5_and_leaves_no_file() {
 #[test]
 fn zero_jobs_exits_with_config_code() {
     let out = offchip()
-        .args(["sweep", "EP.S", "--machine", "uma", "--scale", "128", "--jobs", "0"])
+        .args([
+            "sweep",
+            "EP.S",
+            "--machine",
+            "uma",
+            "--scale",
+            "128",
+            "--jobs",
+            "0",
+        ])
         .output()
         .expect("spawn offchip");
     assert_eq!(out.status.code(), Some(3), "--jobs 0 is a config error");
@@ -302,7 +373,14 @@ fn non_integer_jobs_flag_is_a_usage_error() {
 #[test]
 fn malformed_chaos_spec_is_a_usage_error() {
     let out = offchip()
-        .args(["sweep", "EP.S", "--machine", "uma", "--chaos-io", "explode@write"])
+        .args([
+            "sweep",
+            "EP.S",
+            "--machine",
+            "uma",
+            "--chaos-io",
+            "explode@write",
+        ])
         .output()
         .expect("spawn offchip");
     assert_eq!(out.status.code(), Some(2), "bad --chaos-io exits 2");
@@ -319,7 +397,10 @@ fn malformed_chaos_env_is_a_usage_error() {
         .expect("spawn offchip");
     assert_eq!(out.status.code(), Some(2), "bad OFFCHIP_CHAOS_IO exits 2");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("OFFCHIP_CHAOS_IO"), "diagnosis names the variable: {err}");
+    assert!(
+        err.contains("OFFCHIP_CHAOS_IO"),
+        "diagnosis names the variable: {err}"
+    );
 }
 
 #[test]
@@ -335,11 +416,20 @@ fn torn_artefact_rename_exits_7_and_resume_recovers_byte_identical() {
     let out_path = dir.join("sweep.json");
     let sweep = |out: &std::path::Path, extra: &[&str], chaos: Option<&str>| {
         let mut cmd = offchip();
-        cmd.args(["sweep", "IS.S", "--machine", "uma", "--scale", "128", "--jobs", "2"])
-            .arg("--out")
-            .arg(out)
-            .args(extra)
-            .env("OFFCHIP_JOURNAL_DIR", dir.join("journals"));
+        cmd.args([
+            "sweep",
+            "IS.S",
+            "--machine",
+            "uma",
+            "--scale",
+            "128",
+            "--jobs",
+            "2",
+        ])
+        .arg("--out")
+        .arg(out)
+        .args(extra)
+        .env("OFFCHIP_JOURNAL_DIR", dir.join("journals"));
         if let Some(spec) = chaos {
             cmd.args(["--chaos-io", spec]);
         }

@@ -164,8 +164,7 @@ impl Mg1Fit {
     /// Predicts `C(n)`, clamping the divergence at 1000× the zero-load
     /// value (cf. [`crate::mm1::Mm1Fit::predict`]).
     pub fn predict(&self, n: usize) -> f64 {
-        self.predict_checked(n)
-            .unwrap_or(self.s * self.r * 1000.0)
+        self.predict_checked(n).unwrap_or(self.s * self.r * 1000.0)
     }
 
     /// The saturation core count `1/(L·S)`; `None` when `L = 0`.
@@ -180,14 +179,8 @@ impl Mg1Fit {
 
 /// Fits both M/M/1 (`c_s² = 1`) and M/D/1 (`c_s² = 0`) and returns them
 /// with their residuals, for the service-discipline ablation.
-pub fn compare_disciplines(
-    points: &[(usize, f64)],
-    r: f64,
-) -> Result<(Mg1Fit, Mg1Fit), Mg1Error> {
-    Ok((
-        Mg1Fit::fit(points, r, 1.0)?,
-        Mg1Fit::fit(points, r, 0.0)?,
-    ))
+pub fn compare_disciplines(points: &[(usize, f64)], r: f64) -> Result<(Mg1Fit, Mg1Fit), Mg1Error> {
+    Ok((Mg1Fit::fit(points, r, 1.0)?, Mg1Fit::fit(points, r, 0.0)?))
 }
 
 #[cfg(test)]

@@ -706,7 +706,10 @@ mod tests {
             arch: Architecture::Uma,
             homogeneous_rho: false,
         };
-        assert_eq!(ContentionModel::fit(&no_cores).unwrap_err(), FitError::NoCores);
+        assert_eq!(
+            ContentionModel::fit(&no_cores).unwrap_err(),
+            FitError::NoCores
+        );
         let too_few = FitInputs {
             points: vec![(1, 1.0)],
             r: 1.0,

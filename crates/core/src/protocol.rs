@@ -168,10 +168,7 @@ mod tests {
     fn paper_point_sets() {
         assert_eq!(FitProtocol::intel_uma().input_cores, vec![1, 4, 5]);
         assert_eq!(FitProtocol::intel_numa().input_cores, vec![1, 2, 12, 13]);
-        assert_eq!(
-            FitProtocol::amd_numa().input_cores,
-            vec![1, 12, 13, 25, 37]
-        );
+        assert_eq!(FitProtocol::amd_numa().input_cores, vec![1, 12, 13, 25, 37]);
         assert!(FitProtocol::amd_numa_homogeneous().homogeneous_rho);
     }
 
@@ -194,11 +191,10 @@ mod tests {
     #[test]
     fn inputs_selected_from_sweep() {
         let sweep: Vec<(usize, f64)> = (1..=8).map(|n| (n, 100.0 * n as f64)).collect();
-        let inputs = FitProtocol::intel_uma().inputs_from_sweep(&sweep, 5.0).unwrap();
-        assert_eq!(
-            inputs.points,
-            vec![(1, 100.0), (4, 400.0), (5, 500.0)]
-        );
+        let inputs = FitProtocol::intel_uma()
+            .inputs_from_sweep(&sweep, 5.0)
+            .unwrap();
+        assert_eq!(inputs.points, vec![(1, 100.0), (4, 400.0), (5, 500.0)]);
         assert_eq!(inputs.r, 5.0);
         assert_eq!(inputs.cores_per_processor, 4);
     }
@@ -217,8 +213,7 @@ mod tests {
     #[test]
     fn lossy_selection_degrades_and_records_losses() {
         let sweep = vec![(1, 100.0), (4, 400.0)];
-        let (inputs, missing) =
-            FitProtocol::intel_uma().inputs_from_sweep_lossy(&sweep, 1.0);
+        let (inputs, missing) = FitProtocol::intel_uma().inputs_from_sweep_lossy(&sweep, 1.0);
         assert_eq!(inputs.points, vec![(1, 100.0), (4, 400.0)]);
         assert_eq!(missing, vec![5]);
     }

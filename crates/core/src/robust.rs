@@ -310,20 +310,20 @@ pub fn fit_robust_from_sweep(
             .count()
     };
     let mut fallback_note = None;
-    let inputs = if usable(&inputs.points) < opts.min_points.max(2) && sweep.len() > inputs.points.len()
-    {
-        fallback_note = Some(format!(
-            "protocol reduced to {} usable points; falling back to all {} sweep points",
-            usable(&inputs.points),
-            sweep.len()
-        ));
-        FitInputs {
-            points: sweep.to_vec(),
-            ..inputs
-        }
-    } else {
-        inputs
-    };
+    let inputs =
+        if usable(&inputs.points) < opts.min_points.max(2) && sweep.len() > inputs.points.len() {
+            fallback_note = Some(format!(
+                "protocol reduced to {} usable points; falling back to all {} sweep points",
+                usable(&inputs.points),
+                sweep.len()
+            ));
+            FitInputs {
+                points: sweep.to_vec(),
+                ..inputs
+            }
+        } else {
+            inputs
+        };
     let mut fit = fit_robust(&inputs, opts).map_err(|e| match e {
         // Sweep points the protocol never saw still count as losses in
         // the refusal diagnosis.
@@ -441,8 +441,7 @@ mod tests {
             .map(|&n| (n, 1e9 / (0.02 - n as f64 * 0.0012)))
             .collect();
         let proto = FitProtocol::intel_uma();
-        let fit =
-            fit_robust_from_sweep(&proto, &sweep, 1e9, &RobustOptions::default()).unwrap();
+        let fit = fit_robust_from_sweep(&proto, &sweep, 1e9, &RobustOptions::default()).unwrap();
         assert!(fit.quality.is_degraded());
         assert!(fit
             .quality

@@ -34,10 +34,7 @@ pub struct Validation {
 /// Returns [`FitError::MissingBaseline`] when the sweep has no `n = 1`
 /// point — ω is undefined without it, and a thinned-out measurement
 /// campaign losing exactly that point must be reported, not panicked on.
-pub fn validate(
-    model: &ContentionModel,
-    sweep: &[(usize, u64)],
-) -> Result<Validation, FitError> {
+pub fn validate(model: &ContentionModel, sweep: &[(usize, u64)]) -> Result<Validation, FitError> {
     let c1 = sweep
         .iter()
         .find(|&&(n, _)| n == 1)

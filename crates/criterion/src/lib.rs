@@ -61,7 +61,10 @@ impl BenchmarkGroup<'_> {
         }
         samples.sort_by(|a, b| a.total_cmp(b));
         let median = samples.get(samples.len() / 2).copied().unwrap_or(f64::NAN);
-        println!("  {id:<40} {median:>12.1} ns/iter ({} samples)", samples.len());
+        println!(
+            "  {id:<40} {median:>12.1} ns/iter ({} samples)",
+            samples.len()
+        );
         self
     }
 

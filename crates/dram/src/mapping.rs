@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn rows_interleave_banks_then_advance() {
         let m = AddressMapping::new(1, 2, 64, 128); // 2 lines per row
-        // row_seq: line/2 -> bank = row_seq % 2, row = row_seq / 2.
+                                                    // row_seq: line/2 -> bank = row_seq % 2, row = row_seq / 2.
         assert_eq!(m.map(0).bank, 0);
         assert_eq!(m.map(2 * 64).bank, 1);
         assert_eq!(m.map(4 * 64).bank, 0);

@@ -130,9 +130,7 @@ impl<'a> Parser<'a> {
             self.pos += lit.len();
             Ok(value)
         } else {
-            Err(self.err(JsonErrorKind::UnexpectedByte(
-                self.peek().unwrap_or(b'?'),
-            )))
+            Err(self.err(JsonErrorKind::UnexpectedByte(self.peek().unwrap_or(b'?'))))
         }
     }
 
@@ -189,8 +187,8 @@ impl<'a> Parser<'a> {
                         .bytes
                         .get(start..end)
                         .ok_or_else(|| self.err(JsonErrorKind::UnexpectedEnd))?;
-                    let s =
-                        std::str::from_utf8(chunk).map_err(|_| self.err(JsonErrorKind::BadString))?;
+                    let s = std::str::from_utf8(chunk)
+                        .map_err(|_| self.err(JsonErrorKind::BadString))?;
                     out.push_str(s);
                     self.pos = end;
                 }
@@ -444,9 +442,7 @@ impl Json {
     /// Convenience: the number as u64, if integral and in range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && *v == v.trunc() && *v <= 2f64.powi(53) => {
-                Some(*v as u64)
-            }
+            Json::Num(v) if *v >= 0.0 && *v == v.trunc() && *v <= 2f64.powi(53) => Some(*v as u64),
             _ => None,
         }
     }

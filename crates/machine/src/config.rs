@@ -255,7 +255,10 @@ mod tests {
         let mut cfg = SimConfig::new(machines::intel_uma_8(), 9);
         assert_eq!(
             cfg.validate().unwrap_err(),
-            ConfigError::CoresOutOfRange { n_cores: 9, total: 8 }
+            ConfigError::CoresOutOfRange {
+                n_cores: 9,
+                total: 8
+            }
         );
         cfg.n_cores = 8;
         cfg.validate().unwrap();
@@ -265,7 +268,10 @@ mod tests {
         cfg.page_bytes = 100; // not a power of two
         assert!(matches!(
             cfg.validate().unwrap_err(),
-            ConfigError::BadPageSize { page_bytes: 100, .. }
+            ConfigError::BadPageSize {
+                page_bytes: 100,
+                ..
+            }
         ));
         cfg.page_bytes = 32; // smaller than a line
         assert!(cfg.validate().is_err());
@@ -276,7 +282,9 @@ mod tests {
         cfg.sampler_window = Some(0);
         assert_eq!(cfg.validate().unwrap_err(), ConfigError::ZeroSamplerWindow);
         cfg.sampler_window = None;
-        let jobs = ConfigError::BadJobs { value: "zero".into() };
+        let jobs = ConfigError::BadJobs {
+            value: "zero".into(),
+        };
         assert!(jobs.to_string().contains("OFFCHIP_JOBS"));
         cfg.machine.sockets = 0;
         assert!(matches!(

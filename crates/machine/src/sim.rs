@@ -22,9 +22,7 @@
 
 use offchip_cache::{cache::AccessKind, mshr::MshrOutcome, Hierarchy, MshrFile};
 use offchip_dram::fcfs::McConfig;
-use offchip_dram::{
-    EnqueueResult, FcfsController, FrFcfsController, McModel, Request, RequestId,
-};
+use offchip_dram::{EnqueueResult, FcfsController, FrFcfsController, McModel, Request, RequestId};
 use offchip_obs::{Histogram, McObs, ObsLevel, Span};
 use offchip_simcore::{CalendarQueue, EventSched, SimTime};
 use offchip_topology::{allocation, CoreId, McId};
@@ -360,8 +358,7 @@ impl<'a> LaneRunner<'a> {
                 // were activated simultaneously", §III-A).
                 let socket = cfg.machine.socket_of(core);
                 let first = socket.index() * cfg.machine.domains_per_socket;
-                (first..first + cfg.machine.domains_per_socket)
-                    .map(|d| cfg.machine.mc_of_domain(d))
+                (first..first + cfg.machine.domains_per_socket).map(|d| cfg.machine.mc_of_domain(d))
             })
             .collect();
         active_mcs.sort_unstable();
@@ -695,9 +692,7 @@ impl Sim<'_> {
         self.threads[thread].mshr.complete(line);
         let resume = match self.threads[thread].state {
             ThreadState::Stalled(StallKind::MshrFull) => true,
-            ThreadState::Stalled(StallKind::Drain) => {
-                self.threads[thread].mshr.in_flight() == 0
-            }
+            ThreadState::Stalled(StallKind::Drain) => self.threads[thread].mshr.in_flight() == 0,
             // A pipelined fill for a thread that kept running.
             _ => return,
         };
@@ -1081,7 +1076,6 @@ impl Sim<'_> {
             }
         }
     }
-
 }
 
 #[cfg(test)]
@@ -1393,8 +1387,7 @@ mod tests {
             ft.counters.remote_requests, 0,
             "first touch keeps private streams local"
         );
-        let frac =
-            il.counters.remote_requests as f64 / il.counters.read_requests as f64;
+        let frac = il.counters.remote_requests as f64 / il.counters.read_requests as f64;
         assert!(
             (0.3..0.7).contains(&frac),
             "interleave sends about half remote, got {frac:.2}"
@@ -1556,17 +1549,12 @@ mod tests {
     fn prefetcher_ignores_random_traffic() {
         let w = VecWorkload {
             name: "random".into(),
-            threads: vec![(0..500)
-                .map(|i| read((i * 7919) % 100_000 * 64))
-                .collect()],
+            threads: vec![(0..500).map(|i| read((i * 7919) % 100_000 * 64)).collect()],
         };
         let mut cfg = SimConfig::new(small_machine(), 1);
         cfg.prefetch_degree = 4;
         let r = run(&w, &cfg);
-        assert_eq!(
-            r.counters.prefetch_requests, 0,
-            "no stream, no prefetches"
-        );
+        assert_eq!(r.counters.prefetch_requests, 0, "no stream, no prefetches");
     }
 
     #[test]

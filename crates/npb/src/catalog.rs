@@ -78,7 +78,10 @@ pub fn program(name: &str) -> Option<ProgramInfo> {
 pub fn render_table1() -> String {
     let mut out = String::new();
     out.push_str("TABLE I — Five NPB 3.3 and one PARSEC 2.1 parallel programs\n");
-    out.push_str(&format!("{:<6} {:<10} {}\n", "Name", "Suite", "Parallel kernel"));
+    out.push_str(&format!(
+        "{:<6} {:<10} {}\n",
+        "Name", "Suite", "Parallel kernel"
+    ));
     for p in PROGRAMS {
         out.push_str(&format!("{:<6} {:<10} {}\n", p.name, p.suite, p.kernel));
     }
@@ -89,10 +92,16 @@ pub fn render_table1() -> String {
 pub fn render_table3() -> String {
     let mut out = String::new();
     out.push_str("TABLE III — Problem size description for CG and x264\n");
-    out.push_str(&format!("{:<18} {}\n", "Program and Size", "Problem Size Description"));
+    out.push_str(&format!(
+        "{:<18} {}\n",
+        "Program and Size", "Problem Size Description"
+    ));
     for class in ProblemClass::ALL {
         let n = classes::cg_order(class);
-        out.push_str(&format!("{:<18} matrix of size {n}²\n", format!("CG.{class}")));
+        out.push_str(&format!(
+            "{:<18} matrix of size {n}²\n",
+            format!("CG.{class}")
+        ));
     }
     for input in classes::X264_INPUTS {
         out.push_str(&format!(
@@ -123,10 +132,7 @@ mod tests {
         assert!(program("SP").unwrap().contention > program("CG").unwrap().contention);
         assert!(program("CG").unwrap().contention > program("IS").unwrap().contention);
         assert!(program("IS").unwrap().contention > program("EP").unwrap().contention);
-        assert_eq!(
-            program("x264").unwrap().contention,
-            ContentionTier::Low
-        );
+        assert_eq!(program("x264").unwrap().contention, ContentionTier::Low);
     }
 
     #[test]

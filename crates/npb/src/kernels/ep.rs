@@ -160,7 +160,11 @@ mod tests {
             // π/4 · 1024 ≈ 804; the exact value is pinned here.
             r.accepted
         });
-        assert!(r.accepted > 760 && r.accepted < 850, "accepted={}", r.accepted);
+        assert!(
+            r.accepted > 760 && r.accepted < 850,
+            "accepted={}",
+            r.accepted
+        );
     }
 
     #[test]

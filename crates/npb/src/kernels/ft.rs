@@ -187,14 +187,20 @@ pub fn ft_benchmark(dims: Dims, iterations: usize, threads: usize) -> FtChecksum
         let alpha = 1e-6;
         let mut evolved = spectral.clone();
         let wave = |i: usize, n: usize| -> f64 {
-            let k = if i <= n / 2 { i as f64 } else { i as f64 - n as f64 };
+            let k = if i <= n / 2 {
+                i as f64
+            } else {
+                i as f64 - n as f64
+            };
             k * k
         };
         for z in 0..dims.nz {
             for y in 0..dims.ny {
                 for x in 0..dims.nx {
                     let k2 = wave(x, dims.nx) + wave(y, dims.ny) + wave(z, dims.nz);
-                    let f = (-4.0 * std::f64::consts::PI * std::f64::consts::PI
+                    let f = (-4.0
+                        * std::f64::consts::PI
+                        * std::f64::consts::PI
                         * alpha
                         * t as f64
                         * k2)

@@ -65,11 +65,7 @@ impl Dims {
 ///
 /// # Panics
 /// Panics if `src.len() != dims.len()` or `threads == 0`.
-pub fn rotate<T: Copy + Send + Sync + Default>(
-    src: &[T],
-    dims: Dims,
-    threads: usize,
-) -> Vec<T> {
+pub fn rotate<T: Copy + Send + Sync + Default>(src: &[T], dims: Dims, threads: usize) -> Vec<T> {
     assert_eq!(src.len(), dims.len(), "size mismatch");
     assert!(threads > 0, "need at least one thread");
     let out_dims = dims.rotated();

@@ -138,11 +138,8 @@ mod tests {
         // Sum of four uniforms averages to 0.5 ⇒ mean key ≈ max/2.
         assert!((mean - 1024.0).abs() < 20.0, "mean={mean}");
         // The distribution is bell-shaped: the middle half holds most keys.
-        let central = keys
-            .iter()
-            .filter(|&&k| (512..1536).contains(&k))
-            .count() as f64
-            / keys.len() as f64;
+        let central =
+            keys.iter().filter(|&&k| (512..1536).contains(&k)).count() as f64 / keys.len() as f64;
         assert!(central > 0.9, "central mass {central}");
     }
 

@@ -108,18 +108,14 @@ pub fn motion_search(
         for dx in -range..=range {
             let rx = cx as i64 + dx as i64;
             let ry = cy as i64 + dy as i64;
-            if rx < 0
-                || ry < 0
-                || rx as usize + MB > reference.w
-                || ry as usize + MB > reference.h
+            if rx < 0 || ry < 0 || rx as usize + MB > reference.w || ry as usize + MB > reference.h
             {
                 continue;
             }
             let cost = sad(cur, reference, cx, cy, rx as usize, ry as usize);
             // Deterministic tie-break: prefer the smaller displacement.
             let better = cost < best.cost
-                || (cost == best.cost
-                    && dx * dx + dy * dy < best.dx * best.dx + best.dy * best.dy);
+                || (cost == best.cost && dx * dx + dy * dy < best.dx * best.dx + best.dy * best.dy);
             if better {
                 best = MotionVector { dx, dy, cost };
             }
@@ -145,7 +141,10 @@ pub struct EncodeStats {
 /// or `threads == 0`.
 pub fn encode_frame(cur: &Frame, reference: &Frame, range: i32, threads: usize) -> EncodeStats {
     assert_eq!((cur.w, cur.h), (reference.w, reference.h), "size mismatch");
-    assert!(cur.w >= MB && cur.h >= MB, "frame smaller than a macroblock");
+    assert!(
+        cur.w >= MB && cur.h >= MB,
+        "frame smaller than a macroblock"
+    );
     assert!(threads > 0, "need at least one thread");
     let mbs_x = cur.w / MB;
     let mbs_y = cur.h / MB;

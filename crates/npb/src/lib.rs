@@ -37,4 +37,4 @@ pub mod recorder;
 pub mod traces;
 
 pub use classes::ProblemClass;
-pub use traces::{PhaseProgram, PhaseWorkload, Phase};
+pub use traces::{Phase, PhaseProgram, PhaseWorkload};

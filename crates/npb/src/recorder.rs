@@ -190,7 +190,14 @@ mod tests {
         t.touch(60, 10, true); // straddles lines 0 and 1
         let ops = t.finish();
         assert_eq!(ops.len(), 2);
-        assert!(matches!(ops[0], Op::Access { addr: 0, write: true, .. }));
+        assert!(matches!(
+            ops[0],
+            Op::Access {
+                addr: 0,
+                write: true,
+                ..
+            }
+        ));
         assert!(matches!(ops[1], Op::Access { addr: 64, .. }));
     }
 

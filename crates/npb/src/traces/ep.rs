@@ -43,9 +43,7 @@ pub fn workload(class: ProblemClass, scale: f64, threads: usize) -> PhaseWorkloa
     let p = params(class, scale, threads);
     let line = 64u64;
     let mut layout = Layout::default();
-    let bases: Vec<u64> = (0..threads)
-        .map(|_| layout.alloc(p.buffer_bytes))
-        .collect();
+    let bases: Vec<u64> = (0..threads).map(|_| layout.alloc(p.buffer_bytes)).collect();
 
     let lines_per_batch = (p.buffer_bytes / p.batches).div_ceil(line).max(1);
     let mut all = Vec::with_capacity(threads);
@@ -97,8 +95,7 @@ mod tests {
         let machine = machines::intel_uma_8().scaled(1.0 / 64.0);
         let w = workload(ProblemClass::W, 1.0 / 64.0, 8);
         let r = run(&w, &SimConfig::new(machine, 8));
-        let stall_frac =
-            r.counters.stall_cycles as f64 / r.counters.total_cycles.max(1) as f64;
+        let stall_frac = r.counters.stall_cycles as f64 / r.counters.total_cycles.max(1) as f64;
         assert!(
             stall_frac < 0.5,
             "EP must be compute-bound, stall fraction {stall_frac:.2}"

@@ -33,8 +33,8 @@ const GRID_BYTES_CAP: u64 = 3 << 20;
 
 /// Computes the scaled parameters for `class`.
 pub fn params(class: ProblemClass, scale: f64) -> FtParams {
-    let elements = classes::scaled(classes::ft_elements(class), scale, 4096)
-        .min(GRID_BYTES_CAP / 16);
+    let elements =
+        classes::scaled(classes::ft_elements(class), scale, 4096).min(GRID_BYTES_CAP / 16);
     FtParams {
         elements,
         iterations: classes::ft_iterations(class),

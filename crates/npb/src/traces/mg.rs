@@ -66,7 +66,13 @@ pub fn workload(class: ProblemClass, scale: f64, threads: usize) -> PhaseWorkloa
     }
     let levels: Vec<[u64; 3]> = level_bytes
         .iter()
-        .map(|&bytes| [layout.alloc(bytes), layout.alloc(bytes), layout.alloc(bytes)])
+        .map(|&bytes| {
+            [
+                layout.alloc(bytes),
+                layout.alloc(bytes),
+                layout.alloc(bytes),
+            ]
+        })
         .collect();
 
     let mut all = Vec::with_capacity(threads);

@@ -94,7 +94,10 @@ fn lint(input: &str) -> Vec<String> {
                     let name = parts.next().unwrap_or("");
                     let kind = parts.next().unwrap_or("");
                     if !valid_name(name)
-                        || !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped")
+                        || !matches!(
+                            kind,
+                            "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                        )
                     {
                         errors.push(format!("line {lineno}: malformed # TYPE"));
                     } else if types.insert(name.to_string(), kind.to_string()).is_some() {
@@ -120,7 +123,9 @@ fn lint(input: &str) -> Vec<String> {
         }
         let fam = family(name, &types);
         let Some(kind) = types.get(fam) else {
-            errors.push(format!("line {lineno}: sample {name} has no preceding # TYPE"));
+            errors.push(format!(
+                "line {lineno}: sample {name} has no preceding # TYPE"
+            ));
             continue;
         };
         if kind == "counter" && !name.ends_with("_total") {
@@ -131,7 +136,11 @@ fn lint(input: &str) -> Vec<String> {
                 errors.push(format!("line {lineno}: {name} sample without an le label"));
                 continue;
             };
-            let v: f64 = if value == "+Inf" { f64::INFINITY } else { value.parse().unwrap() };
+            let v: f64 = if value == "+Inf" {
+                f64::INFINITY
+            } else {
+                value.parse().unwrap()
+            };
             let st = buckets.entry(fam.to_string()).or_insert(BucketState {
                 last: -1.0,
                 saw_inf: false,

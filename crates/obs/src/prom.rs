@@ -74,7 +74,10 @@ mod tests {
     #[test]
     fn names_sanitise_to_prom_grammar() {
         assert_eq!(prom_name("serve.http.requests"), "serve_http_requests");
-        assert_eq!(prom_name("dram.queue_wait_cycles"), "dram_queue_wait_cycles");
+        assert_eq!(
+            prom_name("dram.queue_wait_cycles"),
+            "dram_queue_wait_cycles"
+        );
         assert_eq!(prom_name("9lives"), "_lives");
         assert_eq!(prom_name(""), "_");
         assert_eq!(prom_name("a-b c"), "a_b_c");

@@ -64,8 +64,7 @@ impl BurstAnalysis {
         let as_f64: Vec<f64> = windows.iter().map(|&w| w as f64).collect();
         let summary = Summary::new(&as_f64);
         let cv = summary.coefficient_of_variation();
-        let idle = windows.iter().filter(|&&w| w == 0).count() as f64
-            / windows.len().max(1) as f64;
+        let idle = windows.iter().filter(|&&w| w == 0).count() as f64 / windows.len().max(1) as f64;
 
         let positive: Vec<f64> = as_f64.iter().copied().filter(|&v| v > 0.0).collect();
         let cv_val = cv.unwrap_or(0.0);

@@ -80,7 +80,11 @@ pub fn papiex_report(report: &RunReport, set: &EventSet) -> String {
     let _ = writeln!(out, "    IPC              {:.4}", d.ipc);
     let _ = writeln!(out, "    stall fraction   {:.4}", d.stall_fraction);
     let _ = writeln!(out, "    LLC MPKI         {:.4}", d.mpki);
-    let _ = writeln!(out, "    mean residence   {:.1} cyc/request", d.mean_residence);
+    let _ = writeln!(
+        out,
+        "    mean residence   {:.1} cyc/request",
+        d.mean_residence
+    );
     let _ = writeln!(out, "  memory controllers:");
     for (i, mc) in report.mc_stats.iter().enumerate() {
         let _ = writeln!(

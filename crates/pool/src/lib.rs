@@ -256,7 +256,11 @@ where
     }
     let workers = jobs.max(1).min(n);
     if workers == 1 {
-        return items.iter().enumerate().map(|(i, t)| run_one(i, t)).collect();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| run_one(i, t))
+            .collect();
     }
 
     let next = AtomicUsize::new(0);
@@ -383,7 +387,10 @@ mod tests {
             }
             panic!("plain &str payload");
         });
-        assert_eq!(out[0].as_ref().unwrap_err().message, "<non-string panic payload>");
+        assert_eq!(
+            out[0].as_ref().unwrap_err().message,
+            "<non-string panic payload>"
+        );
         assert_eq!(out[1].as_ref().unwrap_err().message, "plain &str payload");
     }
 

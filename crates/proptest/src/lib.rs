@@ -297,7 +297,9 @@ macro_rules! prop_assert_ne {
         $crate::prop_assert!(
             *l != *r,
             "assertion failed: {} != {}\n  both: {:?}",
-            stringify!($left), stringify!($right), l
+            stringify!($left),
+            stringify!($right),
+            l
         );
     }};
 }

@@ -146,7 +146,10 @@ mod tests {
     use super::*;
 
     fn cfg(max_queue: usize, max_conns: usize) -> AdmissionConfig {
-        AdmissionConfig { max_queue, max_conns }
+        AdmissionConfig {
+            max_queue,
+            max_conns,
+        }
     }
 
     #[test]
@@ -179,7 +182,11 @@ mod tests {
         q.close();
         assert_eq!(q.pop(), Some(7), "queued work still drains");
         assert_eq!(q.pop(), None, "then the pool winds down");
-        assert_eq!(q.admit(8), Ok(1), "close stops workers, not admission bookkeeping");
+        assert_eq!(
+            q.admit(8),
+            Ok(1),
+            "close stops workers, not admission bookkeeping"
+        );
     }
 
     #[test]

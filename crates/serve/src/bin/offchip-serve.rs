@@ -196,7 +196,10 @@ fn main() {
         }
     }
     if let Some(spec) = &parsed.server.chaos_net {
-        offchip_obs::warn!("serve: chaos-net fault schedule active: {} fault(s)", spec.faults.len());
+        offchip_obs::warn!(
+            "serve: chaos-net fault schedule active: {} fault(s)",
+            spec.faults.len()
+        );
     }
 
     signal::install();
@@ -316,7 +319,10 @@ mod tests {
         assert!(err.starts_with("--chaos-net: "), "{err}");
         // A seed count is capped, not handed to an allocation.
         let err = parse(&format!("--chaos-net seed:1:{}", u64::MAX)).unwrap_err();
-        assert!(err.starts_with("--chaos-net: ") && err.contains("cap"), "{err}");
+        assert!(
+            err.starts_with("--chaos-net: ") && err.contains("cap"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -186,12 +186,21 @@ impl<K: Eq + Hash + Clone> Breaker<K> {
                 if entry.open_seen >= entry.probe_at {
                     entry.state = BreakerState::HalfOpen;
                     offchip_obs::registry().add("serve.breaker.half_open", 1);
-                    Admission::Degrade { probe: true, info: entry.info() }
+                    Admission::Degrade {
+                        probe: true,
+                        info: entry.info(),
+                    }
                 } else {
-                    Admission::Degrade { probe: false, info: entry.info() }
+                    Admission::Degrade {
+                        probe: false,
+                        info: entry.info(),
+                    }
                 }
             }
-            BreakerState::HalfOpen => Admission::Degrade { probe: false, info: entry.info() },
+            BreakerState::HalfOpen => Admission::Degrade {
+                probe: false,
+                info: entry.info(),
+            },
         }
     }
 
@@ -323,7 +332,10 @@ mod tests {
         let first = probe_index.expect("a probe within probe_every requests");
         // Half-open: no second probe until the outcome lands.
         for _ in 0..10 {
-            assert!(matches!(b.admit(&1), Admission::Degrade { probe: false, .. }));
+            assert!(matches!(
+                b.admit(&1),
+                Admission::Degrade { probe: false, .. }
+            ));
         }
         // Probe failure reopens; the next window probes at the same
         // deterministic position.

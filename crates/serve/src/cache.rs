@@ -197,11 +197,7 @@ where
                             if now >= dl {
                                 return Fetch::Pending { started };
                             }
-                            let (g, _) = self
-                                .shared
-                                .cond
-                                .wait_timeout(guard, dl - now)
-                                .unwrap();
+                            let (g, _) = self.shared.cond.wait_timeout(guard, dl - now).unwrap();
                             guard = g;
                         }
                         None => guard = self.shared.cond.wait(guard).unwrap(),
@@ -323,8 +319,14 @@ mod tests {
     #[test]
     fn second_lookup_is_a_hit() {
         let cache = Cache::new();
-        assert_eq!(ready(cache.get_or_start(&1, None, || Ok(7))), (7, Disposition::Miss));
-        assert_eq!(ready(cache.get_or_start(&1, None, || Ok(99))), (7, Disposition::Hit));
+        assert_eq!(
+            ready(cache.get_or_start(&1, None, || Ok(7))),
+            (7, Disposition::Miss)
+        );
+        assert_eq!(
+            ready(cache.get_or_start(&1, None, || Ok(99))),
+            (7, Disposition::Hit)
+        );
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.peek(&1).as_deref(), Some(&7));
         assert_eq!(cache.peek(&2), None);
@@ -354,7 +356,10 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(fills.load(Ordering::SeqCst), 1, "exactly one fill");
         assert!(results.iter().all(|&(v, _)| v == 42));
-        let misses = results.iter().filter(|&&(_, d)| d == Disposition::Miss).count();
+        let misses = results
+            .iter()
+            .filter(|&&(_, d)| d == Disposition::Miss)
+            .count();
         assert_eq!(misses, 1, "exactly one starter");
     }
 
@@ -370,7 +375,10 @@ mod tests {
             Fetch::Pending { started: true } => {}
             other => panic!("expected Pending{{started}}, got {other:?}"),
         }
-        assert!(t0.elapsed() < Duration::from_millis(90), "did not wait for the fill");
+        assert!(
+            t0.elapsed() < Duration::from_millis(90),
+            "did not wait for the fill"
+        );
         // The background fill warms the cache for later callers.
         for _ in 0..100 {
             if cache.peek(&1).is_some() {
@@ -379,7 +387,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(cache.peek(&1).as_deref(), Some(&5));
-        assert_eq!(ready(cache.get_or_start(&1, None, || Ok(0))), (5, Disposition::Hit));
+        assert_eq!(
+            ready(cache.get_or_start(&1, None, || Ok(0))),
+            (5, Disposition::Hit)
+        );
     }
 
     #[test]
@@ -413,7 +424,10 @@ mod tests {
             other => panic!("expected Failed, got {other:?}"),
         }
         assert_eq!(cache.len(), 0);
-        assert_eq!(ready(cache.get_or_start(&1, None, || Ok(5))), (5, Disposition::Miss));
+        assert_eq!(
+            ready(cache.get_or_start(&1, None, || Ok(5))),
+            (5, Disposition::Miss)
+        );
     }
 
     #[test]
@@ -425,7 +439,10 @@ mod tests {
             Fetch::Failed(e) => assert_eq!(e, "panicked"),
             other => panic!("expected Failed, got {other:?}"),
         }
-        assert_eq!(ready(cache.get_or_start(&1, None, || Ok(6))), (6, Disposition::Miss));
+        assert_eq!(
+            ready(cache.get_or_start(&1, None, || Ok(6))),
+            (6, Disposition::Miss)
+        );
     }
 
     #[test]

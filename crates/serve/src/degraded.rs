@@ -40,7 +40,10 @@ const NOMINAL_R: f64 = 1.0e6;
 const NOMINAL_UTILISATION: f64 = 0.5;
 
 /// Analytic `C(n)` at the protocol's measurement points.
-fn analytic_points(machine: &MachineSpec, proto: &FitProtocol) -> Result<Vec<(usize, f64)>, String> {
+fn analytic_points(
+    machine: &MachineSpec,
+    proto: &FitProtocol,
+) -> Result<Vec<(usize, f64)>, String> {
     let c = proto.cores_per_processor.max(1);
     let dram = &machine.dram;
     if dram.transfer_cycles == 0 || dram.channels == 0 {

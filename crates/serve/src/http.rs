@@ -140,7 +140,9 @@ fn read_line<R: BufRead>(
     while buf.last() == Some(&b'\n') || buf.last() == Some(&b'\r') {
         buf.pop();
     }
-    String::from_utf8(buf).map(Some).map_err(|_| HttpError::BadRequest("non-UTF-8 header"))
+    String::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| HttpError::BadRequest("non-UTF-8 header"))
 }
 
 /// Fills `body` from the reader under the request read budget.
@@ -181,10 +183,7 @@ fn read_body<R: BufRead>(
 /// closed the connection cleanly between requests (normal keep-alive
 /// shutdown, not an error). `budget` bounds the wall-clock from the
 /// request's first byte to its last.
-pub fn read_request(
-    r: &mut impl BufRead,
-    budget: Duration,
-) -> Result<Option<Request>, HttpError> {
+pub fn read_request(r: &mut impl BufRead, budget: Duration) -> Result<Option<Request>, HttpError> {
     let mut started: Option<Instant> = None;
     let line = match read_line(r, &mut started, budget)? {
         Some(l) if !l.is_empty() => l,
@@ -196,9 +195,15 @@ pub fn read_request(
         None => return Ok(None),
     };
     let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or(HttpError::BadRequest("empty request line"))?;
-    let path = parts.next().ok_or(HttpError::BadRequest("missing request target"))?;
-    let version = parts.next().ok_or(HttpError::BadRequest("missing HTTP version"))?;
+    let method = parts
+        .next()
+        .ok_or(HttpError::BadRequest("empty request line"))?;
+    let path = parts
+        .next()
+        .ok_or(HttpError::BadRequest("missing request target"))?;
+    let version = parts
+        .next()
+        .ok_or(HttpError::BadRequest("missing HTTP version"))?;
     if parts.next().is_some() || !version.starts_with("HTTP/1.") {
         return Err(HttpError::BadRequest("malformed request line"));
     }
@@ -406,7 +411,9 @@ mod tests {
 
     #[test]
     fn connection_close_and_http10_are_detected() {
-        let req = parse("GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap().unwrap();
+        let req = parse("GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert!(req.close);
         let req = parse("GET / HTTP/1.0\r\n\r\n").unwrap().unwrap();
         assert!(req.close, "HTTP/1.0 without keep-alive closes");
@@ -414,7 +421,10 @@ mod tests {
 
     #[test]
     fn oversized_body_is_rejected_before_allocation() {
-        let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
+        let raw = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
         match parse(&raw) {
             Err(HttpError::TooLarge(_)) => {}
             other => panic!("expected TooLarge, got {other:?}"),
@@ -439,10 +449,14 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(req.trace, Some(0xcafe_0001));
-        let req = parse("POST / HTTP/1.1\r\nx-offchip-trace: aB3\r\n\r\n").unwrap().unwrap();
+        let req = parse("POST / HTTP/1.1\r\nx-offchip-trace: aB3\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert_eq!(req.trace, Some(0xab3));
         for bad in ["zz", "0", "", "11112222333344445", "+cafe", "-1", "ca fe"] {
-            match parse(&format!("POST / HTTP/1.1\r\nX-Offchip-Trace: {bad}\r\n\r\n")) {
+            match parse(&format!(
+                "POST / HTTP/1.1\r\nX-Offchip-Trace: {bad}\r\n\r\n"
+            )) {
                 Err(HttpError::BadRequest(_)) => {}
                 other => panic!("expected BadRequest for {bad:?}, got {other:?}"),
             }
@@ -457,7 +471,10 @@ mod tests {
         // The same rule resolves `/debug/trace/<id>`.
         assert_eq!(parse_hex_id("+cafe"), None);
         assert_eq!(parse_hex_id("00000000cafe0001"), Some(0xcafe_0001));
-        assert_eq!(parse("GET / HTTP/1.1\r\n\r\n").unwrap().unwrap().trace, None);
+        assert_eq!(
+            parse("GET / HTTP/1.1\r\n\r\n").unwrap().unwrap().trace,
+            None
+        );
     }
 
     #[test]
@@ -524,10 +541,19 @@ mod tests {
                    GET /metrics HTTP/1.1\r\n\r\n";
         let mut r = BufReader::new(raw.as_bytes());
         let first = read_request(&mut r, BUDGET).unwrap().unwrap();
-        assert_eq!((first.method.as_str(), first.body.as_slice()), ("POST", &b"hi"[..]));
+        assert_eq!(
+            (first.method.as_str(), first.body.as_slice()),
+            ("POST", &b"hi"[..])
+        );
         let second = read_request(&mut r, BUDGET).unwrap().unwrap();
-        assert_eq!((second.method.as_str(), second.path.as_str()), ("GET", "/metrics"));
-        assert!(read_request(&mut r, BUDGET).unwrap().is_none(), "then clean EOF");
+        assert_eq!(
+            (second.method.as_str(), second.path.as_str()),
+            ("GET", "/metrics")
+        );
+        assert!(
+            read_request(&mut r, BUDGET).unwrap().is_none(),
+            "then clean EOF"
+        );
     }
 
     #[test]
@@ -589,10 +615,16 @@ mod tests {
     #[test]
     fn new_status_reasons_are_spelled() {
         let mut out = Vec::new();
-        Response::error(202, "pending").write_to(&mut out, false).unwrap();
-        assert!(String::from_utf8(out).unwrap().starts_with("HTTP/1.1 202 Accepted\r\n"));
+        Response::error(202, "pending")
+            .write_to(&mut out, false)
+            .unwrap();
+        assert!(String::from_utf8(out)
+            .unwrap()
+            .starts_with("HTTP/1.1 202 Accepted\r\n"));
         let mut out = Vec::new();
-        Response::error(408, "slow").write_to(&mut out, true).unwrap();
+        Response::error(408, "slow")
+            .write_to(&mut out, true)
+            .unwrap();
         assert!(String::from_utf8(out)
             .unwrap()
             .starts_with("HTTP/1.1 408 Request Timeout\r\n"));

@@ -567,7 +567,9 @@ mod tests {
         }
         let slowest = t.snapshot();
         assert_eq!(slowest.len(), SLOWEST_TRACKED);
-        assert!(slowest.windows(2).all(|w| w[0].latency_us >= w[1].latency_us));
+        assert!(slowest
+            .windows(2)
+            .all(|w| w[0].latency_us >= w[1].latency_us));
         assert_eq!(slowest[0].latency_us, 4_900);
         assert_eq!(slowest[0].trace, 0x1000 + 49);
     }

@@ -311,15 +311,18 @@ impl PredictService {
                     // The already-expired deadline means this request
                     // never waits on it; it answers degraded like the
                     // rest of the window.
-                    let _ = self
-                        .cache
-                        .get_or_start(key, Some(Instant::now()), self.fill_closure(key));
+                    let _ =
+                        self.cache
+                            .get_or_start(key, Some(Instant::now()), self.fill_closure(key));
                 }
                 Ok(ModelOutcome::Degraded(self.degraded_entry(key)?, info))
             }
             Admission::Proceed => {
                 let t0 = Instant::now();
-                match self.cache.get_or_start(key, deadline, self.fill_closure(key)) {
+                match self
+                    .cache
+                    .get_or_start(key, deadline, self.fill_closure(key))
+                {
                     Fetch::Ready(entry, disposition) => {
                         match disposition {
                             Disposition::Hit => {
@@ -621,6 +624,9 @@ mod tests {
         assert!(parse_n(&doc(r#"{"n":1}"#), "n").is_ok());
         assert!(parse_n(&doc(r#"{"n":0}"#), "n").is_err());
         assert!(parse_n(&doc(r#"{"n":4097}"#), "n").is_err());
-        assert!(parse_n(&doc(r#"{"n":"8"}"#), "n").is_err(), "strings are not core counts");
+        assert!(
+            parse_n(&doc(r#"{"n":"8"}"#), "n").is_err(),
+            "strings are not core counts"
+        );
     }
 }

@@ -69,7 +69,10 @@ fn run_cell(dir: &Path, spec: NetSpec, label: &str, tight: bool, reference: &[u8
     // property of the schedule, not a violation — the benign cell and
     // the grid-wide check below pin down liveness.
     assert_eq!(total.hung, 0, "{label}: a client timed out — server hung");
-    assert_eq!(total.torn, 0, "{label}: a 200 body drifted from the reference");
+    assert_eq!(
+        total.torn, 0,
+        "{label}: a 200 body drifted from the reference"
+    );
     assert_eq!(
         total.malformed, 0,
         "{label}: a non-200 was not a JSON error envelope"

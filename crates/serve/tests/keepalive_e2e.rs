@@ -33,7 +33,8 @@ fn default_opts() -> ServerOptions {
 fn pipelined_requests_are_answered_in_order_on_one_connection() {
     with_server("pipeline", default_opts(), |addr| {
         let mut conn = TcpStream::connect(addr).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         // Both requests land in the worker's buffer before it writes
         // the first response; it must answer them in order on the same
         // connection, closing only after the second.
@@ -65,7 +66,8 @@ fn pipelined_requests_are_answered_in_order_on_one_connection() {
 fn a_slow_but_progressing_request_is_served_within_the_budget() {
     with_server("dribble", default_opts(), |addr| {
         let mut conn = TcpStream::connect(addr).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         // One byte every few milliseconds: never idle long enough for
         // the socket timeout, always progressing, well under the 10 s
         // request budget.
@@ -89,7 +91,8 @@ fn a_stalled_request_gets_408_not_a_worker_hang() {
     };
     with_server("slowloris", opts, |addr| {
         let mut conn = TcpStream::connect(addr).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
         // A request that starts and then stalls: distinct from an idle
         // keep-alive connection, which closes silently.
         conn.write_all(b"POST /predict HTTP/1.1\r\nHost: slo")
@@ -97,10 +100,8 @@ fn a_stalled_request_gets_408_not_a_worker_hang() {
         let mut reader = BufReader::new(conn);
         let (status, _, body) = read_response(&mut reader).unwrap();
         assert_eq!(status, 408, "{}", String::from_utf8_lossy(&body));
-        let doc = offchip_json::Json::parse(
-            std::str::from_utf8(&body).unwrap().trim(),
-        )
-        .expect("408 body is JSON");
+        let doc = offchip_json::Json::parse(std::str::from_utf8(&body).unwrap().trim())
+            .expect("408 body is JSON");
         assert!(doc.get("error").and_then(|j| j.as_str()).is_some());
         assert!(offchip_obs::registry().counter("serve.request_timeout") >= 1);
     });
@@ -110,7 +111,8 @@ fn a_stalled_request_gets_408_not_a_worker_hang() {
 fn oversized_header_block_is_rejected_with_413() {
     with_server("oversized", default_opts(), |addr| {
         let mut conn = TcpStream::connect(addr).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         // One header line past MAX_LINE (8 KiB). The server may respond
         // and close before the client finishes writing, so write errors
         // are expected, not failures.
@@ -123,10 +125,8 @@ fn oversized_header_block_is_rejected_with_413() {
         let mut reader = BufReader::new(conn);
         let (status, _, body) = read_response(&mut reader).unwrap();
         assert_eq!(status, 413, "{}", String::from_utf8_lossy(&body));
-        let doc = offchip_json::Json::parse(
-            std::str::from_utf8(&body).unwrap().trim(),
-        )
-        .expect("413 body is JSON");
+        let doc = offchip_json::Json::parse(std::str::from_utf8(&body).unwrap().trim())
+            .expect("413 body is JSON");
         assert!(doc.get("error").and_then(|j| j.as_str()).is_some());
     });
 }

@@ -32,8 +32,14 @@ fn predict_request(deadline_ms: Option<u64>) -> Request {
 }
 
 fn parse_json(body: &[u8]) -> offchip_json::Json {
-    offchip_json::Json::parse(std::str::from_utf8(body).expect("utf-8 body").trim())
-        .unwrap_or_else(|e| panic!("body is not JSON ({e:?}): {}", String::from_utf8_lossy(body)))
+    offchip_json::Json::parse(std::str::from_utf8(body).expect("utf-8 body").trim()).unwrap_or_else(
+        |e| {
+            panic!(
+                "body is not JSON ({e:?}): {}",
+                String::from_utf8_lossy(body)
+            )
+        },
+    )
 }
 
 #[test]
@@ -100,7 +106,8 @@ fn readyz_flips_to_draining_during_shutdown() {
     let server = Server::bind(&opts, test_service(&dir)).unwrap();
     serve(&server, |addr, shutdown| {
         let mut conn = TcpStream::connect(addr).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
 
         conn.write_all(b"GET /readyz HTTP/1.1\r\nHost: t\r\n\r\n")

@@ -60,7 +60,10 @@ fn cold_fill_then_warm_hit_is_byte_identical_and_does_not_resimulate() {
     let warm = svc.handle(&req);
     assert_eq!(warm.status, 200);
     assert_eq!(header(&warm.headers, "X-Offchip-Cache"), Some("hit"));
-    assert_eq!(warm.body, cold.body, "cold and warm bodies must be byte-identical");
+    assert_eq!(
+        warm.body, cold.body,
+        "cold and warm bodies must be byte-identical"
+    );
     assert_eq!(
         std::fs::read(&journal).unwrap(),
         journal_bytes,
@@ -71,9 +74,16 @@ fn cold_fill_then_warm_hit_is_byte_identical_and_does_not_resimulate() {
     let doc = offchip_json::Json::parse(std::str::from_utf8(&warm.body).unwrap().trim()).unwrap();
     assert_eq!(doc.get("n").and_then(|j| j.as_u64()), Some(8));
     assert!(doc.get("c_n").and_then(|j| j.as_f64()).unwrap() > 0.0);
-    assert!(doc.get("omega_n").and_then(|j| j.as_f64()).unwrap().is_finite());
+    assert!(doc
+        .get("omega_n")
+        .and_then(|j| j.as_f64())
+        .unwrap()
+        .is_finite());
     assert!(doc.get("speedup_n").and_then(|j| j.as_f64()).unwrap() > 0.0);
-    assert!(doc.get("fit_quality").is_some(), "FitQuality ledger present");
+    assert!(
+        doc.get("fit_quality").is_some(),
+        "FitQuality ledger present"
+    );
     assert!(doc.get("model").and_then(|m| m.get("mu")).is_some());
 
     // A sweep over the same key is answered from the same cached model.
@@ -135,7 +145,10 @@ fn concurrent_cold_requests_coalesce_into_one_campaign() {
     });
 
     let first = &results[0].2;
-    let misses = results.iter().filter(|(_, cache, _)| cache == "miss").count();
+    let misses = results
+        .iter()
+        .filter(|(_, cache, _)| cache == "miss")
+        .count();
     for (status, _, body) in &results {
         assert_eq!(*status, 200, "{}", String::from_utf8_lossy(body));
         assert_eq!(body, first, "coalesced responses must be identical");
@@ -230,7 +243,10 @@ fn server_killed_mid_fill_resumes_from_journal_and_warm_server_exits_zero_on_sig
     };
     let deadline = Instant::now() + Duration::from_secs(120);
     while journal_lines(&journal) == 0 {
-        assert!(Instant::now() < deadline, "fill campaign never journaled a point");
+        assert!(
+            Instant::now() < deadline,
+            "fill campaign never journaled a point"
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
     child.kill().expect("kill mid-fill");
@@ -256,7 +272,11 @@ fn server_killed_mid_fill_resumes_from_journal_and_warm_server_exits_zero_on_sig
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
     assert_eq!(cache, "miss", "fresh process, fresh in-memory cache");
     let complete = std::fs::read_to_string(&journal).unwrap();
-    assert_eq!(journal_lines(&journal), UMA_CG_NS * SEEDS, "campaign completed");
+    assert_eq!(
+        journal_lines(&journal),
+        UMA_CG_NS * SEEDS,
+        "campaign completed"
+    );
     // A kill mid-append may tear the last record; resume heals (drops)
     // the torn tail, so the preservation guarantee covers the intact
     // prefix: every fully appended line survives byte-for-byte.

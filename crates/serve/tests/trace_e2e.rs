@@ -40,7 +40,8 @@ fn traced_cold_predict_yields_a_span_tree_and_identical_bytes() {
         let mut conn = TcpStream::connect(addr).unwrap();
         // Generous read timeout: the cold fill runs a real (quick-seed)
         // campaign on this first request.
-        conn.set_read_timeout(Some(Duration::from_secs(600))).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(600)))
+            .unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
 
         // Cold predict, tracing requested via the inbound header.
@@ -66,10 +67,7 @@ fn traced_cold_predict_yields_a_span_tree_and_identical_bytes() {
         let (status, _, tree) = get(&mut conn, &mut reader, &format!("/debug/trace/{TRACE_ID}"));
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&tree));
         let doc = offchip_json::Json::parse(std::str::from_utf8(&tree).unwrap().trim()).unwrap();
-        assert_eq!(
-            doc.get("trace_id").and_then(|j| j.as_str()),
-            Some(TRACE_ID)
-        );
+        assert_eq!(doc.get("trace_id").and_then(|j| j.as_str()), Some(TRACE_ID));
         let spans: Vec<(u64, u64, String)> = match doc.get("spans") {
             Some(offchip_json::Json::Arr(items)) => items
                 .iter()
@@ -96,7 +94,10 @@ fn traced_cold_predict_yields_a_span_tree_and_identical_bytes() {
             find("fill").unwrap_or_else(|| panic!("missing fill span in {by_name:?}"));
         assert_eq!(fill_parent, root_id, "the fill parents under the root");
         let sim_points: Vec<_> = spans.iter().filter(|(_, _, n)| n == "sim.point").collect();
-        assert!(!sim_points.is_empty(), "at least one sim.point span: {by_name:?}");
+        assert!(
+            !sim_points.is_empty(),
+            "at least one sim.point span: {by_name:?}"
+        );
         for (_, parent, _) in &sim_points {
             assert_eq!(parent, fill_id, "sim points parent under the fill span");
         }
@@ -177,7 +178,12 @@ fn traced_cold_predict_yields_a_span_tree_and_identical_bytes() {
     let dir2 = scratch("plain");
     let svc = test_service(&dir2);
     let plain = svc.handle(&post_request("/predict", PREDICT_BODY));
-    assert_eq!(plain.status, 200, "{}", String::from_utf8_lossy(&plain.body));
+    assert_eq!(
+        plain.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&plain.body)
+    );
     assert_eq!(
         plain.body, traced_body,
         "tracing must not perturb response bytes"

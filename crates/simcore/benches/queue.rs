@@ -70,7 +70,14 @@ fn bench_queues(c: &mut Criterion) {
     // Resize stress: start at the minimum ring and let far-future pressure
     // grow it mid-churn, charging the rebuild cost to the profile.
     group.bench_function("calendar_growth_from_min_ring_occ2048", |b| {
-        b.iter(|| black_box(churn(&mut CalendarQueue::with_buckets(64), 2048, STEPS, sparse)))
+        b.iter(|| {
+            black_box(churn(
+                &mut CalendarQueue::with_buckets(64),
+                2048,
+                STEPS,
+                sparse,
+            ))
+        })
     });
     group.finish();
 }

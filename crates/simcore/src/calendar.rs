@@ -114,7 +114,10 @@ impl<E> PartialOrd for Far<E> {
 }
 impl<E> Ord for Far<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -362,7 +365,11 @@ impl<E> EventSched<E> for CalendarQueue<E> {
                 self.peek_cache.set(cycle);
             }
         } else {
-            self.overflow.push(Far { at: cycle, seq, event });
+            self.overflow.push(Far {
+                at: cycle,
+                seq,
+                event,
+            });
             // Overflow *traffic* — not the standing population — is what
             // marks the horizon as too short: a queue of 150 pending
             // events can still route most of its throughput across the

@@ -106,7 +106,21 @@ mod tests {
 
     #[test]
     fn exact_on_boundaries() {
-        for d in [1u64, 2, 3, 5, 7, 8, 12, 64, 192, 12288, 1 << 32, (1 << 32) + 1, u64::MAX] {
+        for d in [
+            1u64,
+            2,
+            3,
+            5,
+            7,
+            8,
+            12,
+            64,
+            192,
+            12288,
+            1 << 32,
+            (1 << 32) + 1,
+            u64::MAX,
+        ] {
             for n in [
                 0u64,
                 1,

@@ -223,11 +223,7 @@ mod tests {
         let samples = pareto_samples(1.5, 20_000);
         let c = Ccdf::from_samples(&samples);
         let diag = c.tail_diagnostics(5).unwrap();
-        assert!(
-            diag.loglog_r_squared > 0.98,
-            "r2={}",
-            diag.loglog_r_squared
-        );
+        assert!(diag.loglog_r_squared > 0.98, "r2={}", diag.loglog_r_squared);
         assert!(
             (diag.loglog_slope + 1.5).abs() < 0.3,
             "slope={}",

@@ -126,10 +126,7 @@ impl KsStatistic {
             let fn_lo = i as f64 / n; // F_n just before x
             d = d.max((fn_hi - f).abs()).max((f - fn_lo).abs());
         }
-        Some(KsStatistic {
-            d,
-            n: sorted.len(),
-        })
+        Some(KsStatistic { d, n: sorted.len() })
     }
 
     /// A coarse acceptance check at the 5% level using the asymptotic
@@ -238,7 +235,10 @@ mod tests {
         assert_eq!(e.cdf(-1.0), 0.0);
         assert_eq!(e.cdf(0.0), 0.0);
         assert!(e.cdf(1e9) > 0.999999);
-        let p = ParetoFit { x_min: 1.0, alpha: 2.0 };
+        let p = ParetoFit {
+            x_min: 1.0,
+            alpha: 2.0,
+        };
         assert_eq!(p.cdf(0.5), 0.0);
         assert_eq!(p.cdf(1.0), 0.0);
         assert!((p.cdf(2.0) - 0.75).abs() < 1e-12);

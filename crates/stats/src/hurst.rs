@@ -46,11 +46,7 @@ pub fn hurst_aggregated_variance(series: &[u64]) -> Option<HurstEstimate> {
             .map(|c| c.iter().sum::<f64>() / m as f64)
             .collect();
         let mean = blocks.iter().sum::<f64>() / blocks.len() as f64;
-        let var = blocks
-            .iter()
-            .map(|b| (b - mean) * (b - mean))
-            .sum::<f64>()
-            / blocks.len() as f64;
+        let var = blocks.iter().map(|b| (b - mean) * (b - mean)).sum::<f64>() / blocks.len() as f64;
         if var > 0.0 {
             log_m.push((m as f64).ln());
             log_var.push(var.ln());
@@ -98,7 +94,9 @@ mod tests {
             let mut k = s.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
             while pos < n {
                 // Inverse-transform Pareto with deterministic uniforms.
-                k = k.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                k = k
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let u = ((k >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
                 let period = (2.0 / u.powf(1.0 / 1.2)).ceil() as usize;
                 if on {
@@ -131,7 +129,11 @@ mod tests {
             "ON/OFF superposition should be long-range dependent, H = {}",
             est.h
         );
-        assert!(est.r_squared > 0.8, "scaling law should hold, R² = {}", est.r_squared);
+        assert!(
+            est.r_squared > 0.8,
+            "scaling law should hold, R² = {}",
+            est.r_squared
+        );
     }
 
     #[test]
@@ -144,6 +146,9 @@ mod tests {
     #[test]
     fn guards() {
         assert!(hurst_aggregated_variance(&[1, 2, 3]).is_none());
-        assert!(hurst_aggregated_variance(&vec![7u64; 1000]).is_none(), "no variance");
+        assert!(
+            hurst_aggregated_variance(&vec![7u64; 1000]).is_none(),
+            "no variance"
+        );
     }
 }

@@ -43,12 +43,14 @@ pub enum RegressionError {
 impl std::fmt::Display for RegressionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RegressionError::TooFewPoints { usable } => write!(
-                f,
-                "regression needs at least 2 usable points, got {usable}"
-            ),
+            RegressionError::TooFewPoints { usable } => {
+                write!(f, "regression needs at least 2 usable points, got {usable}")
+            }
             RegressionError::SingularSystem => {
-                write!(f, "all abscissae identical: the least-squares system is singular")
+                write!(
+                    f,
+                    "all abscissae identical: the least-squares system is singular"
+                )
             }
             RegressionError::NonFinite { index } => {
                 write!(f, "point {index} has a non-finite coordinate or weight")
@@ -299,9 +301,21 @@ mod tests {
     fn weights_shift_fit_toward_heavy_points() {
         // Two clusters; heavy weight on the y=x cluster should pull slope to 1.
         let pts = [
-            WeightedPoint { x: 0.0, y: 0.0, weight: 100.0 },
-            WeightedPoint { x: 1.0, y: 1.0, weight: 100.0 },
-            WeightedPoint { x: 2.0, y: 10.0, weight: 0.01 },
+            WeightedPoint {
+                x: 0.0,
+                y: 0.0,
+                weight: 100.0,
+            },
+            WeightedPoint {
+                x: 1.0,
+                y: 1.0,
+                weight: 100.0,
+            },
+            WeightedPoint {
+                x: 2.0,
+                y: 10.0,
+                weight: 0.01,
+            },
         ];
         let fit = LineFit::weighted(&pts).unwrap();
         assert!((fit.slope - 1.0).abs() < 0.01, "slope={}", fit.slope);
@@ -310,9 +324,21 @@ mod tests {
     #[test]
     fn zero_weight_points_ignored() {
         let pts = [
-            WeightedPoint { x: 0.0, y: 0.0, weight: 1.0 },
-            WeightedPoint { x: 1.0, y: 2.0, weight: 1.0 },
-            WeightedPoint { x: 50.0, y: -999.0, weight: 0.0 },
+            WeightedPoint {
+                x: 0.0,
+                y: 0.0,
+                weight: 1.0,
+            },
+            WeightedPoint {
+                x: 1.0,
+                y: 2.0,
+                weight: 1.0,
+            },
+            WeightedPoint {
+                x: 50.0,
+                y: -999.0,
+                weight: 0.0,
+            },
         ];
         let fit = LineFit::weighted(&pts).unwrap();
         assert_eq!(fit.n_points, 2);
@@ -322,8 +348,16 @@ mod tests {
     #[test]
     fn negative_weights_rejected() {
         let pts = [
-            WeightedPoint { x: 0.0, y: 0.0, weight: 1.0 },
-            WeightedPoint { x: 1.0, y: 2.0, weight: -1.0 },
+            WeightedPoint {
+                x: 0.0,
+                y: 0.0,
+                weight: 1.0,
+            },
+            WeightedPoint {
+                x: 1.0,
+                y: 2.0,
+                weight: -1.0,
+            },
         ];
         assert!(LineFit::weighted(&pts).is_none());
     }
@@ -343,8 +377,16 @@ mod tests {
             Err(RegressionError::NonFinite { index: 1 })
         );
         let pts = [
-            WeightedPoint { x: 0.0, y: 0.0, weight: 1.0 },
-            WeightedPoint { x: 1.0, y: 2.0, weight: -1.0 },
+            WeightedPoint {
+                x: 0.0,
+                y: 0.0,
+                weight: 1.0,
+            },
+            WeightedPoint {
+                x: 1.0,
+                y: 2.0,
+                weight: -1.0,
+            },
         ];
         assert_eq!(
             LineFit::try_weighted(&pts),

@@ -62,7 +62,12 @@ impl Interconnect {
     /// [`Interconnect::try_numa`] to get these as typed errors instead —
     /// the panicking form is for the static presets, where a violation is
     /// a bug, not data.
-    pub fn numa(n_mcs: usize, edges: &[(usize, usize)], hop_latency: u64, remote_base_latency: u64) -> Interconnect {
+    pub fn numa(
+        n_mcs: usize,
+        edges: &[(usize, usize)],
+        hop_latency: u64,
+        remote_base_latency: u64,
+    ) -> Interconnect {
         Self::try_numa(n_mcs, edges, hop_latency, remote_base_latency)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -300,7 +305,11 @@ mod tests {
         );
         assert_eq!(
             Interconnect::try_numa(2, &[(0, 2)], 1, 0).unwrap_err(),
-            SpecError::EdgeOutOfRange { a: 0, b: 2, n_mcs: 2 }
+            SpecError::EdgeOutOfRange {
+                a: 0,
+                b: 2,
+                n_mcs: 2
+            }
         );
         assert_eq!(
             Interconnect::try_numa(2, &[(1, 1)], 1, 0).unwrap_err(),

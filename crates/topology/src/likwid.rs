@@ -41,8 +41,7 @@ pub fn core_mappings(machine: &MachineSpec) -> Vec<CoreMapping> {
         let socket = machine.socket_of(logical).index();
         let within_domain = idx % machine.cores_per_domain;
         let physical_in_domain = within_domain / machine.smt;
-        let physical_core =
-            domain * (machine.cores_per_domain / machine.smt) + physical_in_domain;
+        let physical_core = domain * (machine.cores_per_domain / machine.smt) + physical_in_domain;
         let smt_thread = within_domain % machine.smt;
         rows.push(CoreMapping {
             logical,

@@ -173,10 +173,9 @@ impl std::fmt::Display for SpecError {
                 "hop table violates the triangle inequality: mc{a}->mc{b} is \
                  longer than the route via mc{via}"
             ),
-            SpecError::EdgeOutOfRange { a, b, n_mcs } => write!(
-                f,
-                "edge ({a},{b}) out of range for {n_mcs} controllers"
-            ),
+            SpecError::EdgeOutOfRange { a, b, n_mcs } => {
+                write!(f, "edge ({a},{b}) out of range for {n_mcs} controllers")
+            }
             SpecError::SelfLoop { mc } => write!(f, "self-loop ({mc},{mc}) is meaningless"),
             SpecError::Disconnected { from } => {
                 write!(f, "interconnect graph is disconnected from mc{from}")

@@ -260,7 +260,7 @@ mod tests {
         let ic = &m.interconnect;
         let p0 = ic.remote_penalty(McId(0), McId(0));
         let p1 = ic.remote_penalty(McId(0), McId(1)); // sibling: 1 hop
-        // Find a 2-hop target from 0.
+                                                      // Find a 2-hop target from 0.
         let far = (0..8)
             .map(McId)
             .find(|&t| ic.hops(McId(0), t) == 2)

@@ -30,9 +30,7 @@ fn main() {
         llc_misses = report.counters.llc_misses as f64;
         println!(
             "  n={n}: C(n) = {:>12} cycles, stalls = {:>12}, LLC misses = {}",
-            report.counters.total_cycles,
-            report.counters.stall_cycles,
-            report.counters.llc_misses
+            report.counters.total_cycles, report.counters.stall_cycles, report.counters.llc_misses
         );
     }
 

@@ -77,7 +77,11 @@ fn resume_from(tag: &str, body: &[u8]) -> (usize, usize, String) {
         .expect("sweep");
     assert!(cs.errors.is_empty(), "{tag}: {:?}", cs.errors);
     let _ = std::fs::remove_dir_all(&dir);
-    (cs.executed, cs.resumed, cs.sweep.to_json().to_pretty_string())
+    (
+        cs.executed,
+        cs.resumed,
+        cs.sweep.to_json().to_pretty_string(),
+    )
 }
 
 #[test]

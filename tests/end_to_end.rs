@@ -17,11 +17,7 @@ fn pool_jobs() -> usize {
 /// worker pool; results come back in `ns` order so the returned sweep
 /// (and the trailing "misses from the last run" value) is byte-identical
 /// to the old serial loop.
-fn sweep(
-    workload: &dyn Workload,
-    machine: &MachineSpec,
-    ns: &[usize],
-) -> (Vec<(usize, u64)>, f64) {
+fn sweep(workload: &dyn Workload, machine: &MachineSpec, ns: &[usize]) -> (Vec<(usize, u64)>, f64) {
     let reports = offchip_pool::scoped_map(pool_jobs(), ns, |_, &n| {
         run(workload, &SimConfig::new(machine.clone(), n))
     });

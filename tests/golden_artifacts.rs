@@ -32,7 +32,8 @@ fn check_golden(name: &str, actual: &str) {
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
     assert_eq!(
-        expected, actual,
+        expected,
+        actual,
         "artefact bytes diverged from {} — simulation semantics changed",
         path.display()
     );
@@ -106,7 +107,10 @@ fn scheduler_ablation_bytes_are_pinned() {
     let machine = machines::intel_uma_8().scaled(SCALE);
     let w = build_workload(ProgramSpec::Sp(ProblemClass::W), 8);
     let mut rows = Vec::new();
-    for (name, sched) in [("FCFS", McScheduler::Fcfs), ("FR-FCFS", McScheduler::FrFcfs)] {
+    for (name, sched) in [
+        ("FCFS", McScheduler::Fcfs),
+        ("FR-FCFS", McScheduler::FrFcfs),
+    ] {
         let mut cfg1 = SimConfig::new(machine.clone(), 1);
         cfg1.scheduler = sched;
         let mut cfg8 = SimConfig::new(machine.clone(), 8);

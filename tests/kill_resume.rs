@@ -9,10 +9,10 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use offchip_bench::{build_workload, Campaign, CampaignOptions, ProgramSpec};
-use offchip_json::ToJson;
 use offchip::npb::classes::ProblemClass;
 use offchip::topology::machines;
+use offchip_bench::{build_workload, Campaign, CampaignOptions, ProgramSpec};
+use offchip_json::ToJson;
 
 const NS: [usize; 3] = [1, 2, 4];
 const SEEDS: [u64; 2] = [3, 11];

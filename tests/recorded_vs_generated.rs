@@ -85,7 +85,10 @@ fn recorded_cg_contends_like_generator() {
 #[test]
 fn recording_is_replayable_and_deterministic() {
     let recorded = record_cg(4);
-    assert!(recorded.total_ops() > 50_000, "recording suspiciously small");
+    assert!(
+        recorded.total_ops() > 50_000,
+        "recording suspiciously small"
+    );
     let machine = machines::intel_uma_8().scaled(SCALE);
     let a = run(&recorded, &SimConfig::new(machine.clone(), 4));
     let b = run(&recorded, &SimConfig::new(machine, 4));

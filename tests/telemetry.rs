@@ -145,8 +145,8 @@ fn artefacts_identical_at_every_obs_level() {
     let ns = sweep_ns(machine.total_cores());
     let sweep_at = |level: ObsLevel| {
         obs::set_level(level);
-        let sweep = offchip_bench::run_sweep(&machine, w.as_ref(), &ns, &[7])
-            .expect("sweep succeeds");
+        let sweep =
+            offchip_bench::run_sweep(&machine, w.as_ref(), &ns, &[7]).expect("sweep succeeds");
         format!("{sweep:?}")
     };
     let off = sweep_at(ObsLevel::Off);

@@ -299,6 +299,7 @@ fn main() {
             paper_artifact: "Design-choice ablations (DESIGN.md section 5)".into(),
             data: summary,
         },
+        opts.vfs_or_real(),
         Some(campaign.journal_path()),
     );
     eprintln!("\nwrote {}", path.display());

@@ -65,6 +65,7 @@ fn main() {
             paper_artifact: "Fig. 3: CG.C cycle breakdown vs active cores".into(),
             data: all,
         },
+        opts.vfs_or_real(),
         Some(campaign.journal_path()),
     );
     eprintln!("wrote {}", path.display());

@@ -146,6 +146,7 @@ fn main() {
             paper_artifact: "Fig. 4: burstiness of off-chip memory traffic".into(),
             data: series,
         },
+        opts.vfs_or_real(),
         None,
     );
     eprintln!("wrote {}", path.display());

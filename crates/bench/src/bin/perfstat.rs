@@ -33,6 +33,7 @@
 use offchip_bench::{
     build_workload, perfcal, seeds, Campaign, CampaignOptions, ProgramSpec, SweepTiming,
 };
+use offchip_chaos::Vfs;
 use offchip_json::{json_obj, Json, ToJson};
 use offchip_npb::classes::ProblemClass;
 use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
@@ -136,10 +137,10 @@ fn baseline_norm(doc: &Json) -> Option<f64> {
 /// The trajectory to append this run to: the `--check` baseline's
 /// history when a baseline is given (the committed file is the
 /// authoritative trajectory), else whatever a previous run left in the
-/// `--out` file. A schema-1 document (no `history`) yields an empty
-/// trajectory rather than an error, so the first schema-2 run upgrades
-/// the file in place.
-fn prior_history(baseline: Option<&Json>, out_path: &str) -> Vec<Json> {
+/// `--out` file, read through `vfs`. A schema-1 document (no `history`)
+/// yields an empty trajectory rather than an error, so the first
+/// schema-2 run upgrades the file in place.
+fn prior_history(baseline: Option<&Json>, out_path: &str, vfs: &dyn Vfs) -> Vec<Json> {
     let history = |doc: &Json| {
         doc.get("history")
             .and_then(Json::as_arr)
@@ -148,7 +149,7 @@ fn prior_history(baseline: Option<&Json>, out_path: &str) -> Vec<Json> {
     if let Some(doc) = baseline {
         return history(doc).unwrap_or_default();
     }
-    offchip_json::atomic::read_to_string(std::path::Path::new(out_path))
+    vfs.read_to_string(std::path::Path::new(out_path))
         .ok()
         .and_then(|text| Json::parse(&text).ok())
         .as_ref()
@@ -234,8 +235,14 @@ fn time_reference_grid(
 }
 
 fn main() {
-    if let Err(e) = offchip_chaos::install_from_env() {
-        usage_exit(&e.to_string());
+    let journal_dir = std::env::temp_dir().join(format!("offchip-perfstat-{}", std::process::id()));
+    let mut opts = CampaignOptions {
+        journal_dir: Some(journal_dir.clone()),
+        ..CampaignOptions::default()
+    };
+    let env_chaos = std::env::var(offchip_chaos::CHAOS_ENV).ok();
+    if let Err(e) = opts.chaos_from_env(env_chaos.as_deref()) {
+        usage_exit(&e);
     }
     let (jobs, out_path, check_path) = parse_args();
     let seeds = seeds();
@@ -254,11 +261,6 @@ fn main() {
         calibration.wall.as_secs_f64() * 1e3
     );
 
-    let journal_dir = std::env::temp_dir().join(format!("offchip-perfstat-{}", std::process::id()));
-    let opts = CampaignOptions {
-        journal_dir: Some(journal_dir.clone()),
-        ..CampaignOptions::default()
-    };
     let grid = Campaign::start("perfstat", &opts)
         .map_err(|e| format!("open campaign journal in {}: {e}", journal_dir.display()))
         .and_then(|campaign| time_reference_grid(&campaign, &seeds, jobs));
@@ -277,16 +279,19 @@ fn main() {
         quick,
     );
 
+    // Every file perfstat reads or writes goes through the campaign's Vfs.
+    let vfs = opts.vfs_or_real();
     // Parse the baseline before writing anything: the new document
     // inherits the baseline's trajectory, and a corrupt baseline should
     // fail the run before it clobbers a previous result.
     let baseline = check_path.as_ref().map(|p| {
-        let text = offchip_json::atomic::read_to_string(std::path::Path::new(p))
+        let text = vfs
+            .read_to_string(std::path::Path::new(p))
             .unwrap_or_else(|e| runtime_exit(&format!("read baseline {p}: {e}")));
         Json::parse(&text).unwrap_or_else(|e| runtime_exit(&format!("parse baseline {p}: {e}")))
     });
 
-    let mut history = prior_history(baseline.as_ref(), &out_path);
+    let mut history = prior_history(baseline.as_ref(), &out_path, vfs);
     let git = git_describe();
     if extends_history(&git) {
         history.push(json_obj! {
@@ -318,9 +323,7 @@ fn main() {
     };
     // The scratch journal is gone by now (timings are not resumable), so
     // a failed artefact write is a plain runtime error.
-    if let Err(e) =
-        offchip_json::write_atomic(std::path::Path::new(&out_path), &doc.to_pretty_string())
-    {
+    if let Err(e) = vfs.write_atomic(std::path::Path::new(&out_path), &doc.to_pretty_string()) {
         runtime_exit(&format!("write benchmark file {out_path}: {e}"));
     }
     eprintln!("wrote {out_path}");

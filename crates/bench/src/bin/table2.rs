@@ -110,6 +110,7 @@ fn main() {
             paper_artifact: "Table II: normalised increase in number of cycles".into(),
             data: rows,
         },
+        opts.vfs_or_real(),
         Some(campaign.journal_path()),
     );
     eprintln!("wrote {}", path.display());

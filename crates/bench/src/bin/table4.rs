@@ -95,6 +95,7 @@ fn main() {
             paper_artifact: "Table IV: colinearity goodness-of-fit".into(),
             data: cells,
         },
+        opts.vfs_or_real(),
         Some(campaign.journal_path()),
     );
     eprintln!("wrote {}", path.display());

@@ -39,9 +39,9 @@
 //!   renamed aside to a unique `*.quarantined[.N]` name with a typed
 //!   [`JournalFault`] — instead of failing the whole campaign, and
 //!   successive quarantines never overwrite each other's evidence;
-//! * all journal I/O goes through an [`offchip_chaos::Vfs`]
-//!   (per-campaign override or the process global), so `--chaos-io`
-//!   fault schedules exercise these exact paths;
+//! * all journal I/O goes through the options' [`offchip_chaos::Vfs`]
+//!   (the binaries' artefact writes too), so `--chaos-io` fault
+//!   schedules exercise these exact paths;
 //! * an optional **wall-clock watchdog** (`--watchdog SECS`) catches a
 //!   point that stops processing events entirely — the one hang the
 //!   in-simulator deadline poll cannot see — and converts it into
@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use offchip_chaos::{ChaosSpec, ChaosVfs, Vfs};
+use offchip_chaos::{AppendFile, ChaosSpec, ChaosVfs, RealVfs, Vfs, CHAOS_ENV};
 use offchip_json::{json_obj, Json};
 use offchip_machine::{McScheduler, MemoryPolicy, RunError, Workload};
 use offchip_pool::PanicPayload;
@@ -199,9 +199,8 @@ pub fn loss_summary(errors: &[PointError]) -> String {
     parts.join(" ")
 }
 
-/// Campaign knobs, normally parsed from a binary's command line
-/// (`--resume`, `--deadline SECS`, `--retries N`, `--max-events N`,
-/// `--journal-dir DIR`).
+/// Campaign knobs, normally parsed from a binary's command line by
+/// [`CampaignOptions::parse_flag`] (the flags [`CAMPAIGN_USAGE`] lists).
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOptions {
     /// Replay the journal and skip completed points instead of starting
@@ -221,12 +220,10 @@ pub struct CampaignOptions {
     /// deadline poll can't fire) aborts the process with
     /// [`EXIT_INTERRUPTED`], journal intact.
     pub watchdog: Option<Duration>,
-    /// Fault schedule parsed from `--chaos-io` (installed process-wide
-    /// by [`CampaignOptions::from_cli_or_exit`]).
-    pub chaos: Option<ChaosSpec>,
-    /// Per-campaign Vfs override. Tests use this to inject faults into
-    /// one campaign without racing other tests on the process-global
-    /// Vfs; binaries leave it `None` and inherit the global.
+    /// The Vfs every journal read and write goes through, and in the
+    /// binaries every artefact write too, so fault indices count across
+    /// the process. `None` is [`RealVfs`]; `--chaos-io` and
+    /// `OFFCHIP_CHAOS_IO` set a [`ChaosVfs`].
     pub vfs: Option<Arc<dyn Vfs>>,
 }
 
@@ -242,6 +239,23 @@ campaign options:
   --chaos-io SPEC      inject filesystem faults (see offchip-chaos DSL;
                        also via OFFCHIP_CHAOS_IO)";
 
+/// A positive `SECS` value of `flag` as a duration. A value that is not
+/// a number, not finite, not positive, too large for a `Duration`, or
+/// small enough to round to zero nanoseconds is an error.
+fn seconds(flag: &str, value: &str) -> Result<Duration, String> {
+    let secs: f64 = value.parse().map_err(|e| format!("{flag}: {e}"))?;
+    Duration::try_from_secs_f64(secs)
+        .ok()
+        .filter(|d| !d.is_zero())
+        .ok_or_else(|| format!("{flag} must be a positive number of seconds"))
+}
+
+/// A Vfs injecting `spec`'s faults, announced on stderr.
+fn chaos_vfs(spec: ChaosSpec) -> Arc<dyn Vfs> {
+    offchip_obs::warn!("chaos-io fault schedule active: {spec}");
+    Arc::new(ChaosVfs::new(spec))
+}
+
 impl CampaignOptions {
     /// Parses the campaign flags from `args`; unknown flags are an error
     /// (the experiment binaries accept nothing else).
@@ -249,48 +263,65 @@ impl CampaignOptions {
         let mut opts = CampaignOptions::default();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-                    .cloned()
-            };
-            match flag.as_str() {
-                "--resume" => opts.resume = true,
-                "--deadline" => {
-                    let secs: f64 = value()?.parse().map_err(|e| format!("--deadline: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--deadline must be a positive number of seconds".into());
-                    }
-                    opts.deadline = Some(Duration::from_secs_f64(secs));
-                }
-                "--retries" => {
-                    opts.retries = value()?.parse().map_err(|e| format!("--retries: {e}"))?
-                }
-                "--max-events" => {
-                    let cap: u64 = value()?.parse().map_err(|e| format!("--max-events: {e}"))?;
-                    // A zero budget fails every point on its first event,
-                    // and so would every --resume.
-                    if cap == 0 {
-                        return Err("--max-events must be a positive event count".into());
-                    }
-                    opts.max_events = Some(cap);
-                }
-                "--journal-dir" => opts.journal_dir = Some(PathBuf::from(value()?)),
-                "--watchdog" => {
-                    let secs: f64 = value()?.parse().map_err(|e| format!("--watchdog: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--watchdog must be a positive number of seconds".into());
-                    }
-                    opts.watchdog = Some(Duration::from_secs_f64(secs));
-                }
-                "--chaos-io" => {
-                    opts.chaos =
-                        Some(ChaosSpec::parse(&value()?).map_err(|e| format!("--chaos-io: {e}"))?)
-                }
-                other => return Err(format!("unknown option {other:?}")),
+            if !opts.parse_flag(flag, &mut it)? {
+                return Err(format!("unknown option {flag:?}"));
             }
         }
         Ok(opts)
+    }
+
+    /// Applies `flag` if it is a campaign flag, taking its value from
+    /// `rest`, and returns whether it was one: the one parser of these
+    /// flags, for the experiment binaries and the `offchip` CLI alike.
+    pub fn parse_flag<'a>(
+        &mut self,
+        flag: &str,
+        rest: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, String> {
+        let mut value = || {
+            rest.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--resume" => self.resume = true,
+            "--deadline" => self.deadline = Some(seconds(flag, &value()?)?),
+            "--retries" => {
+                self.retries = value()?.parse().map_err(|e| format!("--retries: {e}"))?
+            }
+            "--max-events" => {
+                let cap: u64 = value()?.parse().map_err(|e| format!("--max-events: {e}"))?;
+                // A zero budget fails every point on its first event,
+                // and so would every --resume.
+                if cap == 0 {
+                    return Err("--max-events must be a positive event count".into());
+                }
+                self.max_events = Some(cap);
+            }
+            "--journal-dir" => self.journal_dir = Some(PathBuf::from(value()?)),
+            "--watchdog" => self.watchdog = Some(seconds(flag, &value()?)?),
+            "--chaos-io" => {
+                let spec = ChaosSpec::parse(&value()?).map_err(|e| format!("--chaos-io: {e}"))?;
+                self.vfs = Some(chaos_vfs(spec));
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Falls back to the schedule `env`, the value of `OFFCHIP_CHAOS_IO`,
+    /// names when no `--chaos-io` was given: the flag beats the
+    /// environment.
+    pub fn chaos_from_env(&mut self, env: Option<&str>) -> Result<(), String> {
+        if self.vfs.is_none() {
+            self.vfs = ChaosSpec::from_env(env)?.map(chaos_vfs);
+        }
+        Ok(())
+    }
+
+    /// The Vfs these options name: [`RealVfs`] when `vfs` is `None`.
+    pub fn vfs_or_real(&self) -> &dyn Vfs {
+        self.vfs.as_deref().unwrap_or(&RealVfs)
     }
 
     /// Parses the process's own arguments and resolves the sweep worker
@@ -308,22 +339,13 @@ impl CampaignOptions {
             eprintln!("{CAMPAIGN_USAGE}");
             std::process::exit(2);
         };
-        let mut opts = match CampaignOptions::parse(&args) {
-            Ok(opts) => opts,
-            Err(e) => usage_exit(e),
-        };
-        if opts.chaos.is_none() {
-            opts.chaos = match offchip_chaos::env_spec() {
-                Ok(spec) => spec,
-                Err(e) => usage_exit(format!("{}: {e}", offchip_chaos::CHAOS_ENV)),
-            };
+        let mut opts = CampaignOptions::parse(&args).unwrap_or_else(|e| usage_exit(e));
+        let env_chaos = std::env::var(CHAOS_ENV).ok();
+        if let Err(e) = opts.chaos_from_env(env_chaos.as_deref()) {
+            usage_exit(e);
         }
         let jobs = offchip_pool::resolve_jobs(None)
             .unwrap_or_else(|e| usage_exit(format!("{}: {e}", offchip_pool::JOBS_ENV)));
-        if let Some(spec) = &opts.chaos {
-            offchip_obs::warn!("chaos-io fault schedule active: {spec}");
-            offchip_chaos::install(Arc::new(ChaosVfs::new(spec.clone())));
-        }
         (opts, jobs)
     }
 
@@ -701,7 +723,7 @@ type PointKey = (u64, usize, u64);
 
 struct CampaignState {
     done: HashMap<PointKey, JournalRecord>,
-    file: offchip_json::atomic::AppendFile,
+    file: AppendFile,
     executed: usize,
     resumed: usize,
 }
@@ -711,7 +733,6 @@ pub struct Campaign {
     name: String,
     opts: CampaignOptions,
     path: PathBuf,
-    vfs: Arc<dyn Vfs>,
     watchdog: Option<Watchdog>,
     journal_fault: Option<JournalFault>,
     state: Mutex<CampaignState>,
@@ -784,7 +805,7 @@ impl Campaign {
     /// Opens (or, without `resume`, restarts) the journal of campaign
     /// `name` and loads the completed-point index.
     pub fn start(name: &str, opts: &CampaignOptions) -> std::io::Result<Campaign> {
-        let vfs: Arc<dyn Vfs> = opts.vfs.clone().unwrap_or_else(offchip_chaos::vfs);
+        let vfs = opts.vfs_or_real();
         let path = opts.journal_dir().join(format!("{name}.journal"));
         if !opts.resume {
             match std::fs::remove_file(&path) {
@@ -876,7 +897,6 @@ impl Campaign {
             opts: opts.clone(),
             path,
             watchdog: opts.watchdog.map(Watchdog::exit_on_hang),
-            vfs,
             journal_fault,
             state: Mutex::new(CampaignState {
                 done,
@@ -1086,7 +1106,7 @@ impl Campaign {
         let mut st = self.state.lock().expect("campaign state poisoned");
         st.executed += 1;
         st.done.insert((cfg, n, seed), rec);
-        if let Err(e) = self.vfs.append_line(&mut st.file, &line) {
+        if let Err(e) = self.opts.vfs_or_real().append_line(&mut st.file, &line) {
             // A dead journal must not kill the measurement: the sweep
             // still completes, only resumability degrades.
             offchip_obs::warn!(
@@ -1444,8 +1464,7 @@ mod tests {
         let machine = small_machine();
         let w = build_workload(ProgramSpec::Is(ProblemClass::S), 8);
         let mut opts = scratch("deadjournal");
-        // Per-campaign Vfs override: the first journal append write dies,
-        // without touching the process-global Vfs other tests share.
+        // The campaign's own Vfs: its first journal append write dies.
         opts.vfs = Some(Arc::new(ChaosVfs::new(
             ChaosSpec::parse("eio@write:1").unwrap(),
         )));
@@ -1774,20 +1793,47 @@ mod tests {
         assert_eq!(o.max_events, Some(1_000_000));
         assert_eq!(o.journal_dir, Some(PathBuf::from("/tmp/j")));
         assert_eq!(o.watchdog, Some(Duration::from_secs(30)));
-        assert_eq!(o.chaos.as_ref().map(|c| c.faults.len()), Some(2));
-        assert!(CampaignOptions::parse(&sv(&["--deadline", "-1"])).is_err());
+        // `--chaos-io` parses straight into the campaign's Vfs: with
+        // `eio@fsync:1`, the first artefact write fails at its fsync.
+        let dir = std::env::temp_dir().join(format!("offchip-opts-{}", std::process::id()));
+        let err = o.vfs_or_real().write_atomic(&dir.join("a.json"), "{}");
+        assert!(err
+            .unwrap_err()
+            .to_string()
+            .contains("injected EIO on fsync"));
+        let _ = std::fs::remove_dir_all(&dir);
         assert!(CampaignOptions::parse(&sv(&["--deadline"])).is_err());
         assert!(CampaignOptions::parse(&sv(&["--bogus"])).is_err());
-        assert!(CampaignOptions::parse(&sv(&["--watchdog", "0"])).is_err());
         assert!(CampaignOptions::parse(&sv(&["--max-events", "0"])).is_err());
+        // A SECS value must name a representable, nonzero duration: a
+        // huge one used to panic in `Duration::from_secs_f64`, a tiny one
+        // rounded to a zero deadline that failed every run.
+        for flag in ["--deadline", "--watchdog"] {
+            for bad in ["0", "-1", "nan", "inf", "1e300", "1e20", "1e-300", "1e-10"] {
+                assert_eq!(
+                    CampaignOptions::parse(&sv(&[flag, bad])).unwrap_err(),
+                    format!("{flag} must be a positive number of seconds"),
+                    "{flag} {bad}"
+                );
+            }
+            let o = CampaignOptions::parse(&sv(&[flag, "1e-9"])).unwrap();
+            assert_eq!(o.deadline.or(o.watchdog), Some(Duration::from_nanos(1)));
+        }
         let e = CampaignOptions::parse(&sv(&["--chaos-io", "frob@disk:1"])).unwrap_err();
         assert!(e.contains("chaos-io"), "{e}");
         let huge = format!("seed:1:{}", u64::MAX);
         let e = CampaignOptions::parse(&sv(&["--chaos-io", &huge])).unwrap_err();
         assert!(e.contains("chaos-io") && e.contains("cap"), "{e}");
-        let d = CampaignOptions::parse(&[]).unwrap();
+        let mut d = CampaignOptions::parse(&[]).unwrap();
         assert!(!d.resume);
         assert_eq!(d.retries, 0);
+        // OFFCHIP_CHAOS_IO's value is passed in; `--chaos-io` beats it.
+        let e = d.chaos_from_env(Some("garbage")).unwrap_err();
+        assert!(e.starts_with("OFFCHIP_CHAOS_IO: chaos-io clause"), "{e}");
+        d.chaos_from_env(Some("eio@fsync:1")).unwrap();
+        assert!(d.vfs.is_some());
+        let mut flag = CampaignOptions::parse(&sv(&["--chaos-io", "eio@fsync:1"])).unwrap();
+        flag.chaos_from_env(Some("garbage")).unwrap();
     }
 
     #[test]

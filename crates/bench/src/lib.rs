@@ -34,7 +34,7 @@ pub mod workloads;
 
 pub use campaign::{
     loss_summary, Campaign, CampaignOptions, CampaignSweep, JournalFault, PointConfig, PointError,
-    Watchdog, EXIT_ARTEFACT_FAILED, EXIT_INTERRUPTED,
+    Watchdog, CAMPAIGN_USAGE, EXIT_ARTEFACT_FAILED, EXIT_INTERRUPTED,
 };
 pub use report::{persist_or_exit, write_json, ExperimentResult};
 pub use sweep::{run_sweep, seeds, SweepError, SweepPoint, SweepResult, SweepTiming};

@@ -179,6 +179,7 @@ pub fn run_figure(program: ProgramSpec, figure_id: &str, artifact: &str) {
             paper_artifact: artifact.into(),
             data: all,
         },
+        opts.vfs_or_real(),
         Some(campaign.journal_path()),
     );
     eprintln!("wrote {}", path.display());

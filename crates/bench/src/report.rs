@@ -2,6 +2,7 @@
 
 use std::path::PathBuf;
 
+use offchip_chaos::Vfs;
 use offchip_json::{json_obj, ToJson};
 
 /// A named experiment result: arbitrary JSON-serialisable payload plus
@@ -32,18 +33,22 @@ pub fn experiments_dir() -> PathBuf {
     PathBuf::from(dir).join("experiments")
 }
 
-/// Writes the result as pretty JSON; returns the path. Errors are
-/// propagated so a harness binary fails loudly rather than silently
-/// dropping data. The write is atomic (tmp + rename), so a crash never
-/// leaves a half-written artefact where a complete one stood.
-pub fn write_json<T: ToJson>(result: &ExperimentResult<T>) -> std::io::Result<PathBuf> {
+/// Writes the result as pretty JSON through `vfs`; returns the path.
+/// Errors are propagated so a harness binary fails loudly rather than
+/// silently dropping data. The write is atomic (tmp + rename), so a crash
+/// never leaves a half-written artefact where a complete one stood.
+pub fn write_json<T: ToJson>(
+    result: &ExperimentResult<T>,
+    vfs: &dyn Vfs,
+) -> std::io::Result<PathBuf> {
     let path = experiments_dir().join(format!("{}.json", result.id));
-    offchip_json::write_atomic(&path, &result.to_json().to_pretty_string())?;
+    vfs.write_atomic(&path, &result.to_json().to_pretty_string())?;
     Ok(path)
 }
 
-/// Persists `result` or exits with the documented code — the shared
-/// epilogue of every experiment binary. On write failure:
+/// Persists `result` through `vfs` — the binary's one Vfs, the campaign's
+/// own — or exits with the documented code: the shared epilogue of every
+/// experiment binary. On write failure:
 ///
 /// * with `journal` (the campaign's journal path): exit
 ///   [`crate::campaign::EXIT_ARTEFACT_FAILED`] (7) — every measurement is
@@ -53,9 +58,10 @@ pub fn write_json<T: ToJson>(result: &ExperimentResult<T>) -> std::io::Result<Pa
 ///   gone with the process.
 pub fn persist_or_exit<T: ToJson>(
     result: &ExperimentResult<T>,
+    vfs: &dyn Vfs,
     journal: Option<&std::path::Path>,
 ) -> PathBuf {
-    match write_json(result) {
+    match write_json(result, vfs) {
         Ok(path) => path,
         Err(e) => {
             let path = experiments_dir().join(format!("{}.json", result.id));
@@ -101,7 +107,7 @@ mod tests {
             paper_artifact: "none".into(),
             data: vec![1.0f64, 2.5],
         };
-        let path = write_json(&r).unwrap();
+        let path = write_json(&r, &offchip_chaos::RealVfs).unwrap();
         let body = std::fs::read_to_string(path).unwrap();
         assert!(body.contains("selftest"));
         assert!(body.contains("2.5"));

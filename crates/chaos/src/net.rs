@@ -1,11 +1,9 @@
 //! The chaos-network DSL: injectable socket faults behind a stream
-//! wrapper, mirroring the filesystem fault schedule [`crate::ChaosSpec`].
+//! wrapper, on the clause grammar the filesystem DSL uses too
+//! ([`crate::Schedule`]).
 //!
-//! A network spec is a comma-separated list of clauses, each
-//! `KIND@OP:N[:PARAM]` (fault `KIND` fires on the `N`-th socket
-//! operation of class `OP`, 1-based, counted across every connection
-//! that shares one [`NetFaultPlan`]), plus the pseudorandom expansion
-//! clause `seed:S[:COUNT]` (`COUNT` at most [`crate::MAX_SEED_FAULTS`]):
+//! `N` in `KIND@OP:N[:PARAM]` counts socket operations of class `OP`
+//! across every connection that shares one [`NetFaultPlan`]:
 //!
 //! ```text
 //! stall@read:3:120      the 3rd read sleeps 120 ms before proceeding
@@ -18,11 +16,11 @@
 //!
 //! The schedule is selected with `--chaos-net SPEC` or
 //! `OFFCHIP_CHAOS_NET` and applied by wrapping each accepted connection
-//! in a [`ChaosStream`]. Unlike the filesystem Vfs there is no process
+//! in a [`ChaosStream`]. As with the filesystem Vfs there is no process
 //! global: a server owns one [`NetFaultPlan`] so in-process tests can
 //! run several independently faulted servers side by side.
 
-use crate::{crc32, MAX_SEED_FAULTS};
+use crate::schedule::{need_param, not_applicable, Dsl, Fault, Schedule, SpecError};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,6 +34,15 @@ pub const NET_CHAOS_ENV: &str = "OFFCHIP_CHAOS_NET";
 /// congested path, not a hang: the socket-level oracle asserts the
 /// server always outlives its own timeouts, so the injection must too.
 pub const MAX_STALL_MS: u64 = 5_000;
+
+/// A parsed socket fault schedule.
+pub type NetSpec = Schedule<NetFaultKind>;
+
+/// A malformed `--chaos-net` / `OFFCHIP_CHAOS_NET` clause.
+pub type NetSpecError = SpecError<NetFaultKind>;
+
+/// One scheduled socket fault.
+pub type NetFault = Fault<NetFaultKind>;
 
 /// The socket operation classes a fault can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,14 +60,6 @@ impl NetOp {
         match self {
             NetOp::Read => 0,
             NetOp::Write => 1,
-        }
-    }
-
-    fn parse(s: &str) -> Option<NetOp> {
-        match s {
-            "read" => Some(NetOp::Read),
-            "write" => Some(NetOp::Write),
-            _ => None,
         }
     }
 }
@@ -88,217 +87,60 @@ pub enum NetFaultKind {
     Short(u64),
 }
 
-impl fmt::Display for NetFaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Dsl for NetFaultKind {
+    type Op = NetOp;
+    const FLAG: &'static str = "chaos-net";
+    const EXPECTED: &'static str =
+        "stall@read|write:N:MS, reset@read|write:N, short@read:N:B or seed:S[:COUNT]";
+    const ENV: &'static str = NET_CHAOS_ENV;
+    const SEED_COUNT: usize = 3;
+
+    fn op(s: &str) -> Option<NetOp> {
+        match s {
+            "read" => Some(NetOp::Read),
+            "write" => Some(NetOp::Write),
+            _ => None,
+        }
+    }
+
+    fn kind(name: &str, op: NetOp, param: Option<u64>) -> Result<NetFaultKind, String> {
+        Ok(match (name, op) {
+            ("stall", _) => {
+                let ms = need_param(name, param)?;
+                if ms > MAX_STALL_MS {
+                    return Err(format!("stall exceeds the {MAX_STALL_MS} ms cap"));
+                }
+                NetFaultKind::Stall(ms)
+            }
+            ("reset", _) => NetFaultKind::Reset,
+            ("short", NetOp::Read) => NetFaultKind::Short(need_param(name, param)?),
+            _ => return Err(not_applicable(name, op)),
+        })
+    }
+
+    fn label(self) -> (&'static str, Option<u64>) {
         match self {
-            NetFaultKind::Stall(ms) => write!(f, "stall:{ms}"),
-            NetFaultKind::Reset => write!(f, "reset"),
-            NetFaultKind::Short(b) => write!(f, "short:{b}"),
+            NetFaultKind::Stall(ms) => ("stall", Some(ms)),
+            NetFaultKind::Reset => ("reset", None),
+            NetFaultKind::Short(b) => ("short", Some(b)),
         }
     }
-}
 
-/// One scheduled socket fault: `kind` fires on the `at`-th operation of
-/// class `op`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetFault {
-    /// Targeted operation class.
-    pub op: NetOp,
-    /// 1-based per-class operation index the fault fires at.
-    pub at: u64,
-    /// The misbehaviour.
-    pub kind: NetFaultKind,
-}
-
-impl fmt::Display for NetFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            NetFaultKind::Stall(ms) => write!(f, "stall@{}:{}:{ms}", self.op, self.at),
-            NetFaultKind::Short(b) => write!(f, "short@{}:{}:{b}", self.op, self.at),
-            NetFaultKind::Reset => write!(f, "reset@{}:{}", self.op, self.at),
-        }
-    }
-}
-
-/// A parsed socket fault schedule.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetSpec {
-    /// The scheduled faults, in clause order.
-    pub faults: Vec<NetFault>,
-}
-
-/// A malformed `--chaos-net` / `OFFCHIP_CHAOS_NET` clause.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetSpecError {
-    /// The offending clause, verbatim.
-    pub clause: String,
-    /// Why it did not parse.
-    pub reason: String,
-}
-
-impl fmt::Display for NetSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "chaos-net clause {:?}: {} (expected stall@read|write:N:MS, \
-             reset@read|write:N, short@read:N:B or seed:S[:COUNT])",
-            self.clause, self.reason
-        )
-    }
-}
-
-impl std::error::Error for NetSpecError {}
-
-fn err(clause: &str, reason: impl Into<String>) -> NetSpecError {
-    NetSpecError {
-        clause: clause.to_string(),
-        reason: reason.into(),
-    }
-}
-
-fn parse_u64(clause: &str, field: &str, v: &str) -> Result<u64, NetSpecError> {
-    v.parse().map_err(|e| err(clause, format!("{field}: {e}")))
-}
-
-impl NetSpec {
-    /// Parses a comma-separated schedule.
-    pub fn parse(input: &str) -> Result<NetSpec, NetSpecError> {
-        let mut faults = Vec::new();
-        for clause in input.split(',') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            if let Some(rest) = clause.strip_prefix("seed:") {
-                let (seed, count) = match rest.split_once(':') {
-                    Some((s, c)) => (
-                        parse_u64(clause, "seed", s)?,
-                        parse_u64(clause, "count", c)?,
-                    ),
-                    None => (parse_u64(clause, "seed", rest)?, 3),
-                };
-                if count > MAX_SEED_FAULTS {
-                    return Err(err(
-                        clause,
-                        format!("count exceeds the {MAX_SEED_FAULTS}-fault cap"),
-                    ));
-                }
-                faults.extend(NetSpec::from_seed_n(seed, count as usize).faults);
-                continue;
-            }
-            let (kind_s, rest) = clause
-                .split_once('@')
-                .ok_or_else(|| err(clause, "missing `@`"))?;
-            let mut parts = rest.split(':');
-            let op_s = parts.next().unwrap_or("");
-            let op = NetOp::parse(op_s)
-                .ok_or_else(|| err(clause, format!("unknown op class {op_s:?}")))?;
-            let at_s = parts
-                .next()
-                .ok_or_else(|| err(clause, "missing operation index `:N`"))?;
-            let at = parse_u64(clause, "operation index", at_s)?;
-            if at == 0 {
-                return Err(err(clause, "operation index is 1-based"));
-            }
-            let param = parts
-                .next()
-                .map(|p| parse_u64(clause, "parameter", p))
-                .transpose()?;
-            if parts.next().is_some() {
-                return Err(err(clause, "too many `:` fields"));
-            }
-            let need_param = |kind: &str| {
-                param.ok_or_else(|| err(clause, format!("{kind} needs a `:PARAM` value")))
-            };
-            let kind = match (kind_s, op) {
-                ("stall", _) => {
-                    let ms = need_param("stall")?;
-                    if ms > MAX_STALL_MS {
-                        return Err(err(
-                            clause,
-                            format!("stall exceeds the {MAX_STALL_MS} ms cap"),
-                        ));
-                    }
-                    NetFaultKind::Stall(ms)
-                }
-                ("reset", _) => NetFaultKind::Reset,
-                ("short", NetOp::Read) => NetFaultKind::Short(need_param("short")?),
-                (k, op) => {
-                    return Err(err(
-                        clause,
-                        format!("fault kind {k:?} does not apply to op class `{op}`"),
-                    ))
-                }
-            };
-            if param.is_some() && matches!(kind, NetFaultKind::Reset) {
-                return Err(err(clause, "reset takes no `:PARAM`"));
-            }
-            faults.push(NetFault { op, at, kind });
-        }
-        Ok(NetSpec { faults })
-    }
-
-    /// Expands `seed` into a small pseudorandom schedule — the `seed:S`
-    /// clause, and the generator behind the socket-level oracle's
-    /// seeded schedules. Deterministic: the same seed always yields the
-    /// same schedule. Stalls stay short (≤ 160 ms) so oracle runs are
-    /// fast while still crossing request boundaries.
-    pub fn from_seed(seed: u64) -> NetSpec {
-        NetSpec::from_seed_n(seed, 3)
-    }
-
-    /// [`NetSpec::from_seed`] with an explicit fault count.
-    pub fn from_seed_n(seed: u64, count: usize) -> NetSpec {
-        // Same xorshift64* over a crc-whitened seed as ChaosSpec, so
-        // adjacent seeds produce unrelated schedules.
-        let mut x = u64::from(crc32(&seed.to_le_bytes())) << 32 | seed | 1;
-        let mut next = move || {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    fn draw(next: &mut impl FnMut() -> u64) -> NetFault {
+        // Low indices so the schedule fires within the handful of
+        // requests an oracle case drives; reads weighted up because a
+        // request costs more reads than writes. Stalls stay short
+        // (at most 160 ms) so oracle runs are fast while still crossing
+        // request boundaries.
+        let at = 1 + next() % 8;
+        let (op, kind) = match next() % 6 {
+            0 | 1 => (NetOp::Read, NetFaultKind::Stall(10 + next() % 150)),
+            2 => (NetOp::Write, NetFaultKind::Stall(10 + next() % 150)),
+            3 => (NetOp::Read, NetFaultKind::Reset),
+            4 => (NetOp::Write, NetFaultKind::Reset),
+            _ => (NetOp::Read, NetFaultKind::Short(next() % 6)),
         };
-        let mut faults = Vec::with_capacity(count);
-        for _ in 0..count {
-            // Low indices so the schedule fires within the handful of
-            // requests an oracle case drives; reads weighted up because
-            // a request costs more reads than writes.
-            let at = 1 + next() % 8;
-            let (op, kind) = match next() % 6 {
-                0 | 1 => (NetOp::Read, NetFaultKind::Stall(10 + next() % 150)),
-                2 => (NetOp::Write, NetFaultKind::Stall(10 + next() % 150)),
-                3 => (NetOp::Read, NetFaultKind::Reset),
-                4 => (NetOp::Write, NetFaultKind::Reset),
-                _ => (NetOp::Read, NetFaultKind::Short(next() % 6)),
-            };
-            faults.push(NetFault { op, at, kind });
-        }
-        NetSpec { faults }
-    }
-
-    /// Whether the schedule contains no faults.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-}
-
-impl fmt::Display for NetSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, fault) in self.faults.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{fault}")?;
-        }
-        Ok(())
-    }
-}
-
-/// The socket fault schedule requested by [`NET_CHAOS_ENV`], if any.
-pub fn env_net_spec() -> Result<Option<NetSpec>, NetSpecError> {
-    match std::env::var(NET_CHAOS_ENV) {
-        Ok(s) if !s.trim().is_empty() => NetSpec::parse(&s).map(Some),
-        _ => Ok(None),
+        Fault { op, at, kind }
     }
 }
 
@@ -520,64 +362,6 @@ mod tests {
             assert_eq!(NetSpec::parse(&a.to_string()).unwrap(), a);
         }
         assert_ne!(NetSpec::from_seed(1), NetSpec::from_seed(2));
-    }
-
-    #[test]
-    fn hostile_specs_parse_or_fail_typed() {
-        // A seed count past the cap is a typed error, not an allocation
-        // sized by the input.
-        assert_eq!(NetSpec::parse("seed:1:64").unwrap().faults.len(), 64);
-        for count in ["65".to_string(), u64::MAX.to_string()] {
-            let e = NetSpec::parse(&format!("seed:1:{count}")).unwrap_err();
-            assert!(e.reason.contains("cap"), "{e}");
-        }
-        // Every printable single-byte substitution and every truncation
-        // of a valid multi-clause spec, plus seeded garbage, parses or
-        // fails typed; a spec that parses keeps its stalls under the cap
-        // and prints back to itself.
-        let valid = "stall@read:3:120,stall@write:2:80,seed:42:5,reset@write:5,reset@read:4,\
-                     short@read:2:3";
-        let check = |input: &str| {
-            if let Ok(spec) = NetSpec::parse(input) {
-                for f in &spec.faults {
-                    assert!(f.at >= 1, "{input:?}");
-                    if let NetFaultKind::Stall(ms) = f.kind {
-                        assert!(ms <= MAX_STALL_MS, "{input:?}");
-                    }
-                }
-                assert_eq!(NetSpec::parse(&spec.to_string()), Ok(spec), "{input:?}");
-            }
-        };
-        check(valid);
-        for i in 0..valid.len() {
-            for b in b' '..=b'~' {
-                let mut bytes = valid.as_bytes().to_vec();
-                bytes[i] = b;
-                check(std::str::from_utf8(&bytes).expect("ASCII stays UTF-8"));
-            }
-        }
-        for cut in 0..valid.len() {
-            check(&valid[..cut]);
-        }
-        // Three bytes in four come from the valid spec, so the parser
-        // gets past its first checks.
-        let mut x: u64 = 0x0BAD_5EED;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..20_000 {
-            let len = (next() % (2 * valid.len() as u64)) as usize;
-            let junk: Vec<u8> = (0..len)
-                .map(|_| match next() % 4 {
-                    0 => next() as u8,
-                    _ => valid.as_bytes()[(next() % valid.len() as u64) as usize],
-                })
-                .collect();
-            check(&String::from_utf8_lossy(&junk));
-        }
     }
 
     #[test]

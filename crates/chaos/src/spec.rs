@@ -1,11 +1,9 @@
-//! The fault-schedule DSL: which primitive I/O operation fails, when,
-//! and how.
+//! The filesystem fault DSL (`--chaos-io`): which primitive I/O
+//! operation fails, when, and how.
 //!
-//! A spec is a comma-separated list of clauses, each `KIND@OP:N[:PARAM]`
-//! (fault `KIND` fires on the `N`-th operation of class `OP`, 1-based,
-//! counted per process across the whole Vfs), plus the pseudorandom
-//! expansion clause `seed:S[:COUNT]` (`COUNT` at most
-//! [`MAX_SEED_FAULTS`]). Examples:
+//! Clauses follow the grammar both fault DSLs share ([`crate::Schedule`]);
+//! `N` counts operations of one class across the whole Vfs, in program
+//! order. Examples:
 //!
 //! ```text
 //! enospc@write:3                  the 3rd write fails with ENOSPC
@@ -15,14 +13,17 @@
 //! seed:1234                       4 pseudorandom faults derived from 1234
 //! ```
 
-use crate::crc32;
+use crate::schedule::{need_param, not_applicable, Dsl, Fault, Schedule, SpecError};
 use std::fmt;
 
-/// Most faults one `seed:S:COUNT` clause may expand to, in this DSL and in
-/// [`crate::NetSpec`]'s. A larger count is a malformed clause: the
-/// expansion allocates one fault per count, so an unchecked count near
-/// `u64::MAX` overflowed the allocation.
-pub const MAX_SEED_FAULTS: u64 = 64;
+/// Environment variable naming the filesystem fault schedule.
+pub const CHAOS_ENV: &str = "OFFCHIP_CHAOS_IO";
+
+/// A parsed filesystem fault schedule.
+pub type ChaosSpec = Schedule<FaultKind>;
+
+/// A malformed `--chaos-io` / `OFFCHIP_CHAOS_IO` clause.
+pub type ChaosSpecError = SpecError<FaultKind>;
 
 /// The primitive operation classes a fault can target. Indices count
 /// per class, across every file the Vfs touches, in program order.
@@ -47,16 +48,6 @@ impl OpClass {
             OpClass::Fsync => 1,
             OpClass::Rename => 2,
             OpClass::Read => 3,
-        }
-    }
-
-    fn parse(s: &str) -> Option<OpClass> {
-        match s {
-            "write" => Some(OpClass::Write),
-            "fsync" => Some(OpClass::Fsync),
-            "rename" => Some(OpClass::Rename),
-            "read" => Some(OpClass::Read),
-            _ => None,
         }
     }
 }
@@ -103,227 +94,85 @@ pub enum FaultKind {
 
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.label() {
+            (name, Some(p)) => write!(f, "{name}:{p}"),
+            (name, None) => f.write_str(name),
+        }
+    }
+}
+
+impl Dsl for FaultKind {
+    type Op = OpClass;
+    const FLAG: &'static str = "chaos-io";
+    const EXPECTED: &'static str = "KIND@write|fsync|rename|read:N[:PARAM] or seed:S[:COUNT]";
+    const ENV: &'static str = CHAOS_ENV;
+    const SEED_COUNT: usize = 4;
+
+    fn op(s: &str) -> Option<OpClass> {
+        match s {
+            "write" => Some(OpClass::Write),
+            "fsync" => Some(OpClass::Fsync),
+            "rename" => Some(OpClass::Rename),
+            "read" => Some(OpClass::Read),
+            _ => None,
+        }
+    }
+
+    fn kind(name: &str, op: OpClass, param: Option<u64>) -> Result<FaultKind, String> {
+        Ok(match (name, op) {
+            ("enospc", OpClass::Write | OpClass::Fsync) => FaultKind::Enospc,
+            ("eio", _) => FaultKind::Eio,
+            ("short", OpClass::Write) => FaultKind::Short(need_param(name, param)?),
+            ("lyingfsync", OpClass::Fsync) => FaultKind::LyingFsync,
+            ("torn", OpClass::Rename) => FaultKind::Torn,
+            ("bitflip", OpClass::Read) => FaultKind::BitFlip(need_param(name, param)?),
+            ("trunc", OpClass::Read) => FaultKind::Truncate(need_param(name, param)?),
+            _ => return Err(not_applicable(name, op)),
+        })
+    }
+
+    fn label(self) -> (&'static str, Option<u64>) {
         match self {
-            FaultKind::Enospc => write!(f, "enospc"),
-            FaultKind::Eio => write!(f, "eio"),
-            FaultKind::Short(b) => write!(f, "short:{b}"),
-            FaultKind::LyingFsync => write!(f, "lyingfsync"),
-            FaultKind::Torn => write!(f, "torn"),
-            FaultKind::BitFlip(p) => write!(f, "bitflip:{p}"),
-            FaultKind::Truncate(b) => write!(f, "trunc:{b}"),
+            FaultKind::Enospc => ("enospc", None),
+            FaultKind::Eio => ("eio", None),
+            FaultKind::Short(b) => ("short", Some(b)),
+            FaultKind::LyingFsync => ("lyingfsync", None),
+            FaultKind::Torn => ("torn", None),
+            FaultKind::BitFlip(p) => ("bitflip", Some(p)),
+            FaultKind::Truncate(b) => ("trunc", Some(b)),
         }
     }
-}
 
-/// One scheduled fault: `kind` fires on the `at`-th operation of `op`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fault {
-    /// Targeted operation class.
-    pub op: OpClass,
-    /// 1-based per-class operation index the fault fires at.
-    pub at: u64,
-    /// The misbehaviour.
-    pub kind: FaultKind,
-}
-
-impl fmt::Display for Fault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            FaultKind::Short(b) => write!(f, "short@{}:{}:{b}", self.op, self.at),
-            FaultKind::BitFlip(p) => write!(f, "bitflip@{}:{}:{p}", self.op, self.at),
-            FaultKind::Truncate(b) => write!(f, "trunc@{}:{}:{b}", self.op, self.at),
-            kind => write!(f, "{kind}@{}:{}", self.op, self.at),
-        }
-    }
-}
-
-/// A parsed fault schedule.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChaosSpec {
-    /// The scheduled faults, in clause order.
-    pub faults: Vec<Fault>,
-}
-
-/// A malformed `--chaos-io` / `OFFCHIP_CHAOS_IO` clause.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosSpecError {
-    /// The offending clause, verbatim.
-    pub clause: String,
-    /// Why it did not parse.
-    pub reason: String,
-}
-
-impl fmt::Display for ChaosSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "chaos-io clause {:?}: {} (expected KIND@write|fsync|rename|read:N[:PARAM] \
-             or seed:S[:COUNT])",
-            self.clause, self.reason
-        )
-    }
-}
-
-impl std::error::Error for ChaosSpecError {}
-
-fn err(clause: &str, reason: impl Into<String>) -> ChaosSpecError {
-    ChaosSpecError {
-        clause: clause.to_string(),
-        reason: reason.into(),
-    }
-}
-
-fn parse_u64(clause: &str, field: &str, v: &str) -> Result<u64, ChaosSpecError> {
-    v.parse().map_err(|e| err(clause, format!("{field}: {e}")))
-}
-
-impl ChaosSpec {
-    /// Parses a comma-separated schedule.
-    pub fn parse(input: &str) -> Result<ChaosSpec, ChaosSpecError> {
-        let mut faults = Vec::new();
-        for clause in input.split(',') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            if let Some(rest) = clause.strip_prefix("seed:") {
-                let (seed, count) = match rest.split_once(':') {
-                    Some((s, c)) => (
-                        parse_u64(clause, "seed", s)?,
-                        parse_u64(clause, "count", c)?,
-                    ),
-                    None => (parse_u64(clause, "seed", rest)?, 4),
-                };
-                if count > MAX_SEED_FAULTS {
-                    return Err(err(
-                        clause,
-                        format!("count exceeds the {MAX_SEED_FAULTS}-fault cap"),
-                    ));
-                }
-                faults.extend(ChaosSpec::from_seed_n(seed, count as usize).faults);
-                continue;
-            }
-            let (kind_s, rest) = clause
-                .split_once('@')
-                .ok_or_else(|| err(clause, "missing `@`"))?;
-            let mut parts = rest.split(':');
-            let op_s = parts.next().unwrap_or("");
-            let op = OpClass::parse(op_s)
-                .ok_or_else(|| err(clause, format!("unknown op class {op_s:?}")))?;
-            let at_s = parts
-                .next()
-                .ok_or_else(|| err(clause, "missing operation index `:N`"))?;
-            let at = parse_u64(clause, "operation index", at_s)?;
-            if at == 0 {
-                return Err(err(clause, "operation index is 1-based"));
-            }
-            let param = parts
-                .next()
-                .map(|p| parse_u64(clause, "parameter", p))
-                .transpose()?;
-            if parts.next().is_some() {
-                return Err(err(clause, "too many `:` fields"));
-            }
-            let need_param = |kind: &str| {
-                param.ok_or_else(|| err(clause, format!("{kind} needs a `:PARAM` value")))
-            };
-            let kind = match (kind_s, op) {
-                ("enospc", OpClass::Write | OpClass::Fsync) => FaultKind::Enospc,
-                ("eio", _) => FaultKind::Eio,
-                ("short", OpClass::Write) => FaultKind::Short(need_param("short")?),
-                ("lyingfsync", OpClass::Fsync) => FaultKind::LyingFsync,
-                ("torn", OpClass::Rename) => FaultKind::Torn,
-                ("bitflip", OpClass::Read) => FaultKind::BitFlip(need_param("bitflip")?),
-                ("trunc", OpClass::Read) => FaultKind::Truncate(need_param("trunc")?),
-                (k, op) => {
-                    return Err(err(
-                        clause,
-                        format!("fault kind {k:?} does not apply to op class `{op}`"),
-                    ))
-                }
-            };
-            if param.is_some()
-                && !matches!(
-                    kind,
-                    FaultKind::Short(_) | FaultKind::BitFlip(_) | FaultKind::Truncate(_)
-                )
-            {
-                return Err(err(clause, format!("{kind_s} takes no `:PARAM`")));
-            }
-            faults.push(Fault { op, at, kind });
-        }
-        Ok(ChaosSpec { faults })
-    }
-
-    /// Expands `seed` into a small pseudorandom schedule (the
-    /// `seed:S` clause, and the generator behind the crash-consistency
-    /// oracle's "thousands of seeded fault schedules"). Deterministic:
-    /// the same seed always yields the same schedule.
-    pub fn from_seed(seed: u64) -> ChaosSpec {
-        ChaosSpec::from_seed_n(seed, 4)
-    }
-
-    /// [`ChaosSpec::from_seed`] with an explicit fault count.
-    pub fn from_seed_n(seed: u64, count: usize) -> ChaosSpec {
-        // xorshift64* over a crc-whitened seed so adjacent seeds produce
-        // unrelated schedules.
-        let mut x = u64::from(crc32(&seed.to_le_bytes())) << 32 | seed | 1;
-        let mut next = move || {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    fn draw(next: &mut impl FnMut() -> u64) -> Fault<FaultKind> {
+        // Low indices so the schedule actually fires inside the small
+        // runs the crash-consistency oracle drives; writes and reads
+        // weighted up because they are the most frequent operations.
+        let at = 1 + next() % 6;
+        let (op, kind) = match next() % 8 {
+            0 => (OpClass::Write, FaultKind::Enospc),
+            1 => (OpClass::Write, FaultKind::Eio),
+            2 => (OpClass::Write, FaultKind::Short(next() % 48)),
+            3 => (OpClass::Fsync, FaultKind::Eio),
+            4 => (OpClass::Fsync, FaultKind::LyingFsync),
+            5 => (
+                OpClass::Rename,
+                if next().is_multiple_of(2) {
+                    FaultKind::Eio
+                } else {
+                    FaultKind::Torn
+                },
+            ),
+            6 => (OpClass::Read, FaultKind::BitFlip(next() % 1024)),
+            _ => (
+                OpClass::Read,
+                if next().is_multiple_of(2) {
+                    FaultKind::Truncate(next() % 160)
+                } else {
+                    FaultKind::Eio
+                },
+            ),
         };
-        let mut faults = Vec::with_capacity(count);
-        for _ in 0..count {
-            // Low indices so the schedule actually fires inside the small
-            // runs the oracle drives; writes and reads weighted up because
-            // they are the most frequent operations.
-            let at = 1 + next() % 6;
-            let (op, kind) = match next() % 8 {
-                0 => (OpClass::Write, FaultKind::Enospc),
-                1 => (OpClass::Write, FaultKind::Eio),
-                2 => (OpClass::Write, FaultKind::Short(next() % 48)),
-                3 => (OpClass::Fsync, FaultKind::Eio),
-                4 => (OpClass::Fsync, FaultKind::LyingFsync),
-                5 => (
-                    OpClass::Rename,
-                    if next() % 2 == 0 {
-                        FaultKind::Eio
-                    } else {
-                        FaultKind::Torn
-                    },
-                ),
-                6 => (OpClass::Read, FaultKind::BitFlip(next() % 1024)),
-                _ => (
-                    OpClass::Read,
-                    if next() % 2 == 0 {
-                        FaultKind::Truncate(next() % 160)
-                    } else {
-                        FaultKind::Eio
-                    },
-                ),
-            };
-            faults.push(Fault { op, at, kind });
-        }
-        ChaosSpec { faults }
-    }
-
-    /// Whether the schedule contains no faults.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-}
-
-impl fmt::Display for ChaosSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, fault) in self.faults.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{fault}")?;
-        }
-        Ok(())
+        Fault { op, at, kind }
     }
 }
 
@@ -428,56 +277,5 @@ mod tests {
     fn empty_spec_is_empty() {
         assert!(ChaosSpec::parse("").unwrap().is_empty());
         assert!(ChaosSpec::parse(" , ").unwrap().is_empty());
-    }
-
-    #[test]
-    fn hostile_specs_parse_or_fail_typed() {
-        // A seed count past the cap is a typed error, not an allocation
-        // sized by the input.
-        assert_eq!(ChaosSpec::parse("seed:1:64").unwrap().faults.len(), 64);
-        for count in ["65".to_string(), u64::MAX.to_string()] {
-            let e = ChaosSpec::parse(&format!("seed:1:{count}")).unwrap_err();
-            assert!(e.reason.contains("cap"), "{e}");
-        }
-        // Every printable single-byte substitution and every truncation
-        // of a valid multi-clause spec, plus seeded garbage, parses or
-        // fails typed; a spec that parses prints back to itself.
-        let valid = "enospc@write:3,short@write:2:17,seed:42:9,lyingfsync@fsync:4,\
-                     torn@rename:1,bitflip@read:2:40,trunc@read:3:8";
-        let check = |input: &str| {
-            if let Ok(spec) = ChaosSpec::parse(input) {
-                assert_eq!(ChaosSpec::parse(&spec.to_string()), Ok(spec), "{input:?}");
-            }
-        };
-        check(valid);
-        for i in 0..valid.len() {
-            for b in b' '..=b'~' {
-                let mut bytes = valid.as_bytes().to_vec();
-                bytes[i] = b;
-                check(std::str::from_utf8(&bytes).expect("ASCII stays UTF-8"));
-            }
-        }
-        for cut in 0..valid.len() {
-            check(&valid[..cut]);
-        }
-        // Three bytes in four come from the valid spec, so the parser
-        // gets past its first checks.
-        let mut x: u64 = 0x0BAD_5EED;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..20_000 {
-            let len = (next() % (2 * valid.len() as u64)) as usize;
-            let junk: Vec<u8> = (0..len)
-                .map(|_| match next() % 4 {
-                    0 => next() as u8,
-                    _ => valid.as_bytes()[(next() % valid.len() as u64) as usize],
-                })
-                .collect();
-            check(&String::from_utf8_lossy(&junk));
-        }
     }
 }

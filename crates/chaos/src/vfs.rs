@@ -10,7 +10,8 @@
 //! one place, every fault the schedule can raise exercises the exact
 //! code production runs.
 
-use crate::spec::{ChaosSpec, Fault, FaultKind, OpClass};
+use crate::spec::{ChaosSpec, FaultKind, OpClass};
+use crate::Fault;
 use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -48,9 +49,10 @@ pub enum SyncTarget {
 }
 
 /// Every durable I/O operation the experiment stack performs, as a
-/// substitutable interface. Production code fetches the process-global
-/// instance with [`crate::vfs`]; tests hand a [`ChaosVfs`] directly to
-/// the component under test.
+/// substitutable interface. A binary builds one instance — [`RealVfs`],
+/// or a [`ChaosVfs`] from `--chaos-io` / `OFFCHIP_CHAOS_IO` — and passes
+/// it to every component that touches the disk; tests hand a
+/// [`ChaosVfs`] directly to the component under test.
 pub trait Vfs: Send + Sync + std::fmt::Debug {
     /// One whole-buffer write to an open file. Default: `write_all`.
     fn prim_write(&self, file: &File, buf: &[u8], _path: &Path) -> io::Result<()> {
@@ -188,7 +190,7 @@ impl Vfs for RealVfs {}
 #[derive(Debug)]
 struct ChaosState {
     /// `(fault, fired)` — each scheduled fault fires at most once.
-    faults: Vec<(Fault, bool)>,
+    faults: Vec<(Fault<FaultKind>, bool)>,
     /// 1-based per-class operation counters.
     counters: [u64; OpClass::COUNT],
     /// Human-readable log of the faults that actually fired.
@@ -377,6 +379,25 @@ mod tests {
 
     fn chaos(spec: &str) -> ChaosVfs {
         ChaosVfs::new(ChaosSpec::parse(spec).unwrap())
+    }
+
+    #[test]
+    fn atomic_write_replaces_previous_contents() {
+        let dir = tmp_dir("atomic");
+        let path = dir.join("artefact.json");
+        RealVfs.write_atomic(&path, "{\"v\":1}").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"v\":1}");
+        RealVfs.write_atomic(&path, "{\"v\":2}").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"v\":2}");
+        // No temp litter left behind on the success path.
+        assert!(tmp_litter(&dir).is_empty(), "{:?}", tmp_litter(&dir));
+    }
+
+    #[test]
+    fn atomic_write_creates_parent_directories() {
+        let path = tmp_dir("mkdirs").join("a/b/deep.json");
+        RealVfs.write_atomic(&path, "[]").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "[]");
     }
 
     #[test]

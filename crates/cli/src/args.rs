@@ -1,13 +1,14 @@
 //! Hand-rolled argument parsing (the CLI's surface is small enough that a
 //! parser dependency would outweigh it).
 
-use offchip_bench::ProgramSpec;
+use offchip_bench::{CampaignOptions, ProgramSpec};
 use offchip_chaos::ChaosSpec;
 use offchip_machine::{McScheduler, MemoryPolicy};
 use offchip_npb::classes::ProblemClass;
 use offchip_perf::FaultSpec;
 
-/// Usage text shown on parse errors.
+/// Usage text shown on parse errors, followed by
+/// [`offchip_bench::CAMPAIGN_USAGE`].
 pub const USAGE: &str = "\
 usage: offchip <command> [options]
 
@@ -36,23 +37,10 @@ options:
   --jobs N                     sweep-engine workers (sweep/fit; default:
                                OFFCHIP_JOBS, else available parallelism)
   --seed N                     simulation seed
-  --resume                     skip sweep points already journaled under
-                               results/ (sweep/fit); exit 6 means the
-                               campaign was interrupted but journaled
-  --deadline SECS              per-run wall-clock deadline (fractional ok)
-  --retries N                  re-runs granted to a failed sweep point
-  --journal-dir DIR            campaign journal directory (default:
-                               OFFCHIP_JOURNAL_DIR, else results/)
-  --watchdog SECS              abort if a sweep point hangs this long
-                               (exit 6; completed points stay journaled)
   --out PATH                   also write the sweep result JSON here
                                (sweep); exit 7 = artefact write failed
                                but the journal is intact (--resume
                                regenerates it without re-simulating)
-  --chaos-io SPEC              inject filesystem faults, e.g.
-                               enospc@write:3,eio@fsync:1,torn@rename:1,
-                               bitflip@read:2:40,seed:7 (also read from
-                               OFFCHIP_CHAOS_IO when unset)
   --obs off|metrics|trace      observability level (default: OFFCHIP_OBS,
                                else off; --trace/--metrics imply it)
   --trace PATH                 write a Chrome trace_event JSON of the run(s)
@@ -104,22 +92,15 @@ pub struct RunOptions {
     pub jobs: Option<usize>,
     /// Simulation seed.
     pub seed: u64,
-    /// Resume an interrupted sweep/fit campaign from its journal.
-    pub resume: bool,
-    /// Per-run wall-clock deadline.
-    pub deadline: Option<std::time::Duration>,
-    /// Re-runs granted to a failed sweep point (sweep/fit).
-    pub retries: u32,
-    /// Campaign journal directory (`None`: `OFFCHIP_JOURNAL_DIR`, else
-    /// `results/`).
-    pub journal_dir: Option<std::path::PathBuf>,
-    /// Wall-clock watchdog limit for a hung sweep point.
-    pub watchdog: Option<std::time::Duration>,
+    /// The campaign flags (`--resume`, `--deadline`, `--retries`,
+    /// `--max-events`, `--journal-dir`, `--watchdog`, `--chaos-io`, with
+    /// `OFFCHIP_CHAOS_IO` as the fault-schedule default), parsed by the
+    /// campaign layer. `sweep`/`fit` run their campaign under them;
+    /// `run`/`burst` take the deadline and event budget; every command's
+    /// artefact writes go through their Vfs.
+    pub campaign: CampaignOptions,
     /// Sweep artefact output path (`sweep` only).
     pub out: Option<std::path::PathBuf>,
-    /// Filesystem fault schedule (`--chaos-io`; `OFFCHIP_CHAOS_IO` when
-    /// unset, resolved in the command layer).
-    pub chaos_io: Option<ChaosSpec>,
     /// Observability level (`None`: `OFFCHIP_OBS`, raised as needed by
     /// `--trace`/`--metrics`).
     pub obs: Option<offchip_obs::ObsLevel>,
@@ -148,13 +129,8 @@ impl Default for RunOptions {
             faults: None,
             jobs: None,
             seed: 0x0FF_C41B,
-            resume: false,
-            deadline: None,
-            retries: 0,
-            journal_dir: None,
-            watchdog: None,
+            campaign: CampaignOptions::default(),
             out: None,
-            chaos_io: None,
             obs: None,
             trace_out: None,
             metrics_out: None,
@@ -206,12 +182,18 @@ fn parse_options(mut opts: RunOptions, rest: &[String]) -> Result<RunOptions, St
             "--machine" => opts.machine = parse_machine(&value()?)?,
             "--cores" => opts.cores = Some(value()?.parse().map_err(|e| format!("--cores: {e}"))?),
             "--threads" => {
-                opts.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
+                let n: usize = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
+                if n == 0 {
+                    return Err("--threads must be at least 1".into());
+                }
+                opts.threads = Some(n);
             }
             "--scale" => {
                 opts.scale_denom = value()?.parse().map_err(|e| format!("--scale: {e}"))?;
-                if opts.scale_denom < 1.0 {
-                    return Err("--scale must be ≥ 1".into());
+                // `!(x >= 1)` also catches NaN; the machine scales by the
+                // reciprocal, which must be positive.
+                if !(opts.scale_denom >= 1.0 && opts.scale_denom.is_finite()) {
+                    return Err("--scale must be a finite number ≥ 1".into());
                 }
             }
             "--prefetch" => {
@@ -244,30 +226,7 @@ fn parse_options(mut opts: RunOptions, rest: &[String]) -> Result<RunOptions, St
             }
             "--jobs" => opts.jobs = Some(value()?.parse().map_err(|e| format!("--jobs: {e}"))?),
             "--seed" => opts.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--resume" => opts.resume = true,
-            "--deadline" => {
-                let secs: f64 = value()?.parse().map_err(|e| format!("--deadline: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--deadline must be a positive number of seconds".into());
-                }
-                opts.deadline = Some(std::time::Duration::from_secs_f64(secs));
-            }
-            "--retries" => {
-                opts.retries = value()?.parse().map_err(|e| format!("--retries: {e}"))?
-            }
-            "--journal-dir" => opts.journal_dir = Some(std::path::PathBuf::from(value()?)),
-            "--watchdog" => {
-                let secs: f64 = value()?.parse().map_err(|e| format!("--watchdog: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--watchdog must be a positive number of seconds".into());
-                }
-                opts.watchdog = Some(std::time::Duration::from_secs_f64(secs));
-            }
             "--out" => opts.out = Some(std::path::PathBuf::from(value()?)),
-            "--chaos-io" => {
-                opts.chaos_io =
-                    Some(ChaosSpec::parse(&value()?).map_err(|e| format!("--chaos-io: {e}"))?)
-            }
             "--obs" => {
                 let v = value()?;
                 opts.obs = Some(
@@ -291,33 +250,43 @@ fn parse_options(mut opts: RunOptions, rest: &[String]) -> Result<RunOptions, St
                         .ok_or_else(|| format!("unknown log format {v:?} (kv|json)"))?,
                 );
             }
-            other => return Err(format!("unknown option {other:?}")),
+            other => {
+                if !opts.campaign.parse_flag(other, &mut it)? {
+                    return Err(format!("unknown option {other:?}"));
+                }
+            }
         }
     }
     Ok(opts)
 }
 
-/// Parses the whole command line.
-pub fn parse(argv: &[String]) -> Result<Command, String> {
+/// Parses the whole command line; `env_chaos` is the value of
+/// `OFFCHIP_CHAOS_IO`, the `--chaos-io` default. A malformed value is a
+/// usage error for every command, even one that writes nothing.
+pub fn parse(argv: &[String], env_chaos: Option<&str>) -> Result<Command, String> {
     let Some(cmd) = argv.first() else {
         return Err("no command given".into());
     };
     match cmd.as_str() {
-        "topology" => match argv.get(1) {
-            Some(m) => Ok(Command::Topology(Some(parse_machine(m)?))),
-            None => Ok(Command::Topology(None)),
-        },
+        "topology" => {
+            ChaosSpec::from_env(env_chaos)?;
+            match argv.get(1) {
+                Some(m) => Ok(Command::Topology(Some(parse_machine(m)?))),
+                None => Ok(Command::Topology(None)),
+            }
+        }
         "run" | "sweep" | "fit" | "burst" => {
             let program = argv
                 .get(1)
                 .ok_or_else(|| format!("{cmd} needs a program (e.g. CG.C)"))?;
-            let opts = parse_options(
+            let mut opts = parse_options(
                 RunOptions {
                     program: parse_program(program)?,
                     ..RunOptions::default()
                 },
                 &argv[2..],
             )?;
+            opts.campaign.chaos_from_env(env_chaos)?;
             Ok(match cmd.as_str() {
                 "run" => Command::Run(opts),
                 "sweep" => Command::Sweep(opts),
@@ -358,24 +327,27 @@ mod tests {
 
     #[test]
     fn parses_full_command_line() {
-        let cmd = parse(&sv(&[
-            "sweep",
-            "SP.C",
-            "--machine",
-            "numa",
-            "--prefetch",
-            "2",
-            "--scale",
-            "32",
-            "--scheduler",
-            "frfcfs",
-            "--placement",
-            "firsttouch",
-            "--jobs",
-            "4",
-            "--seed",
-            "7",
-        ]))
+        let cmd = parse(
+            &sv(&[
+                "sweep",
+                "SP.C",
+                "--machine",
+                "numa",
+                "--prefetch",
+                "2",
+                "--scale",
+                "32",
+                "--scheduler",
+                "frfcfs",
+                "--placement",
+                "firsttouch",
+                "--jobs",
+                "4",
+                "--seed",
+                "7",
+            ]),
+            None,
+        )
         .unwrap();
         let Command::Sweep(o) = cmd else {
             panic!("wrong command")
@@ -389,17 +361,15 @@ mod tests {
         assert_eq!(o.seed, 7);
         // --jobs 0 parses here; the command layer rejects it as a typed
         // configuration error (exit 3), tested in cli_smoke.rs.
-        assert!(parse(&sv(&["sweep", "SP.C", "--jobs", "x"])).is_err());
+        assert!(parse(&sv(&["sweep", "SP.C", "--jobs", "x"]), None).is_err());
     }
 
     #[test]
     fn parses_fault_spec() {
-        let cmd = parse(&sv(&[
-            "fit",
-            "CG.C",
-            "--faults",
-            "drop=0.2,jitter=0.05,seed=9",
-        ]))
+        let cmd = parse(
+            &sv(&["fit", "CG.C", "--faults", "drop=0.2,jitter=0.05,seed=9"]),
+            None,
+        )
         .unwrap();
         let Command::Fit(o) = cmd else {
             panic!("wrong command")
@@ -408,83 +378,106 @@ mod tests {
         assert_eq!(f.drop, 0.2);
         assert_eq!(f.jitter, 0.05);
         assert_eq!(f.seed, 9);
-        assert!(parse(&sv(&["fit", "CG.C", "--faults", "drop=2"])).is_err());
-        assert!(parse(&sv(&["fit", "CG.C", "--faults", "bogus=1"])).is_err());
+        assert!(parse(&sv(&["fit", "CG.C", "--faults", "drop=2"]), None).is_err());
+        assert!(parse(&sv(&["fit", "CG.C", "--faults", "bogus=1"]), None).is_err());
     }
 
     #[test]
     fn parses_campaign_flags() {
-        let cmd = parse(&sv(&[
-            "sweep",
-            "CG.C",
+        // The campaign layer owns these flags' grammar (its
+        // `options_parse_contract`); the CLI hands them over, interleaved
+        // with its own, and passes their errors through verbatim.
+        let flags = [
             "--resume",
             "--deadline",
             "1.5",
             "--retries",
             "2",
+            "--max-events",
+            "500",
             "--journal-dir",
             "/tmp/j",
-        ]))
-        .unwrap();
-        let Command::Sweep(o) = cmd else {
-            panic!("wrong command")
-        };
-        assert!(o.resume);
-        assert_eq!(o.deadline, Some(std::time::Duration::from_secs_f64(1.5)));
-        assert_eq!(o.retries, 2);
-        assert_eq!(
-            o.journal_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/j"))
-        );
-        assert!(parse(&sv(&["sweep", "CG.C", "--deadline", "0"])).is_err());
-        assert!(parse(&sv(&["sweep", "CG.C", "--deadline", "nan"])).is_err());
-        assert!(parse(&sv(&["sweep", "CG.C", "--retries", "-1"])).is_err());
-    }
-
-    #[test]
-    fn parses_chaos_flags() {
-        let cmd = parse(&sv(&[
-            "sweep",
-            "CG.C",
-            "--chaos-io",
-            "enospc@write:3,eio@fsync:1",
             "--watchdog",
             "30",
-            "--out",
-            "/tmp/sweep.json",
-        ]))
-        .unwrap();
-        let Command::Sweep(o) = cmd else {
+        ];
+        let mut line = vec!["sweep", "CG.C", "--seed", "7"];
+        line.extend(flags);
+        line.extend(["--out", "/tmp/sweep.json"]);
+        let Ok(Command::Sweep(o)) = parse(&sv(&line), None) else {
             panic!("wrong command")
         };
-        assert_eq!(o.chaos_io.as_ref().map(|c| c.faults.len()), Some(2));
-        assert_eq!(o.watchdog, Some(std::time::Duration::from_secs(30)));
+        let want = CampaignOptions::parse(&sv(&flags)).unwrap();
+        assert_eq!(o.seed, 7);
         assert_eq!(
             o.out.as_deref(),
             Some(std::path::Path::new("/tmp/sweep.json"))
         );
-        // A malformed schedule is a usage error (exit 2 in main).
-        assert!(parse(&sv(&["sweep", "CG.C", "--chaos-io", "frob@disk:1"])).is_err());
-        assert!(parse(&sv(&["sweep", "CG.C", "--chaos-io", "short@write:1"])).is_err());
-        assert!(parse(&sv(&["sweep", "CG.C", "--watchdog", "0"])).is_err());
+        assert!(o.campaign.resume);
+        assert_eq!(o.campaign.deadline, want.deadline);
+        assert_eq!(o.campaign.retries, want.retries);
+        assert_eq!(o.campaign.max_events, want.max_events);
+        assert_eq!(o.campaign.journal_dir, want.journal_dir);
+        assert_eq!(o.campaign.watchdog, want.watchdog);
+        for bad in [
+            ["--deadline", "1e300"],
+            ["--retries", "-1"],
+            ["--watchdog", "0"],
+        ] {
+            let mut line = vec!["sweep", "CG.C"];
+            line.extend(bad);
+            assert_eq!(
+                parse(&sv(&line), None).unwrap_err(),
+                CampaignOptions::parse(&sv(&bad)).unwrap_err()
+            );
+        }
+    }
+
+    #[test]
+    fn parses_chaos_flags() {
+        // `--chaos-io` becomes the campaign's Vfs; OFFCHIP_CHAOS_IO, passed
+        // in, is its default, and a malformed value is a usage error for
+        // every command.
+        let vfs_set = |line: &[&str], env: Option<&str>| match parse(&sv(line), env) {
+            Ok(Command::Sweep(o)) => o.campaign.vfs.is_some(),
+            other => panic!("{other:?}"),
+        };
+        assert!(vfs_set(
+            &["sweep", "CG.C", "--chaos-io", "eio@fsync:1"],
+            None
+        ));
+        assert!(vfs_set(&["sweep", "CG.C"], Some("eio@fsync:1")));
+        assert!(!vfs_set(&["sweep", "CG.C"], None));
+        assert!(vfs_set(
+            &["sweep", "CG.C", "--chaos-io", "eio@fsync:1"],
+            Some("garbage")
+        ));
+        let e = parse(&sv(&["sweep", "CG.C", "--chaos-io", "frob@disk:1"]), None).unwrap_err();
+        assert!(e.starts_with("--chaos-io: chaos-io clause"), "{e}");
+        for line in [&["sweep", "CG.C"][..], &["topology"]] {
+            let e = parse(&sv(line), Some("eio@write")).unwrap_err();
+            assert!(e.starts_with("OFFCHIP_CHAOS_IO: "), "{line:?}: {e}");
+        }
     }
 
     #[test]
     fn parses_obs_flags() {
-        let cmd = parse(&sv(&[
-            "sweep",
-            "CG.A",
-            "--obs",
-            "metrics",
-            "--trace",
-            "/tmp/t.json",
-            "--metrics",
-            "/tmp/m.csv",
-            "--log-level",
-            "debug",
-            "--log-format",
-            "json",
-        ]))
+        let cmd = parse(
+            &sv(&[
+                "sweep",
+                "CG.A",
+                "--obs",
+                "metrics",
+                "--trace",
+                "/tmp/t.json",
+                "--metrics",
+                "/tmp/m.csv",
+                "--log-level",
+                "debug",
+                "--log-format",
+                "json",
+            ]),
+            None,
+        )
         .unwrap();
         let Command::Sweep(o) = cmd else {
             panic!("wrong command")
@@ -500,29 +493,38 @@ mod tests {
         );
         assert_eq!(o.log_level, Some(offchip_obs::LogLevel::Debug));
         assert_eq!(o.log_format, Some(offchip_obs::LogFormat::Json));
-        assert!(parse(&sv(&["run", "CG.A", "--obs", "verbose"])).is_err());
-        assert!(parse(&sv(&["run", "CG.A", "--log-level", "chatty"])).is_err());
-        assert!(parse(&sv(&["run", "CG.A", "--log-format", "yaml"])).is_err());
+        assert!(parse(&sv(&["run", "CG.A", "--obs", "verbose"]), None).is_err());
+        assert!(parse(&sv(&["run", "CG.A", "--log-level", "chatty"]), None).is_err());
+        assert!(parse(&sv(&["run", "CG.A", "--log-format", "yaml"]), None).is_err());
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse(&sv(&[])).is_err());
-        assert!(parse(&sv(&["frobnicate"])).is_err());
-        assert!(parse(&sv(&["run"])).is_err());
-        assert!(parse(&sv(&["run", "CG.C", "--cores"])).is_err());
-        assert!(parse(&sv(&["run", "CG.C", "--machine", "sparc"])).is_err());
-        assert!(parse(&sv(&["run", "CG.C", "--scale", "0.5"])).is_err());
+        assert!(parse(&sv(&[]), None).is_err());
+        assert!(parse(&sv(&["frobnicate"]), None).is_err());
+        assert!(parse(&sv(&["run"]), None).is_err());
+        assert!(parse(&sv(&["run", "CG.C", "--cores"]), None).is_err());
+        assert!(parse(&sv(&["run", "CG.C", "--machine", "sparc"]), None).is_err());
+        for bad in [
+            ["--scale", "0.5"],
+            ["--scale", "nan"],
+            ["--scale", "inf"],
+            ["--threads", "0"],
+        ] {
+            let mut line = vec!["run", "CG.C"];
+            line.extend(bad);
+            assert!(parse(&sv(&line), None).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
     fn topology_variants() {
         assert!(matches!(
-            parse(&sv(&["topology"])),
+            parse(&sv(&["topology"]), None),
             Ok(Command::Topology(None))
         ));
         assert!(matches!(
-            parse(&sv(&["topology", "amd"])),
+            parse(&sv(&["topology", "amd"]), None),
             Ok(Command::Topology(Some(MachineChoice::Amd)))
         ));
     }

@@ -2,7 +2,7 @@
 
 use offchip_bench::build_workload_scaled;
 use offchip_bench::plot::{linear_plot, Series};
-use offchip_bench::{Campaign, CampaignOptions, PointConfig, SweepResult, SweepTiming};
+use offchip_bench::{Campaign, PointConfig, SweepResult, SweepTiming};
 use offchip_json::ToJson;
 use offchip_machine::{try_run_bounded, ConfigError, RunError, RunReport, SimConfig, Workload};
 use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
@@ -35,6 +35,8 @@ fn config_of(opts: &RunOptions, machine: &MachineSpec, n: usize) -> SimConfig {
     cfg.prefetch_degree = opts.prefetch;
     cfg.scheduler = opts.scheduler;
     cfg.memory_policy = opts.placement;
+    cfg.deadline = opts.campaign.deadline;
+    cfg.max_events = opts.campaign.max_events;
     cfg
 }
 
@@ -49,9 +51,9 @@ fn run_one(
     if sampler {
         cfg = cfg.with_sampler_5us_scaled();
     }
-    cfg.deadline = opts.deadline;
-    // A single run has nothing journaled, so a blown deadline is a plain
-    // runtime failure (exit 5), not the campaign's "interrupted" (exit 6).
+    // A single run has nothing journaled, so a blown deadline or event
+    // budget is a plain runtime failure (exit 5), not the campaign's
+    // "interrupted" (exit 6).
     try_run_bounded(w.as_ref(), &cfg).map_err(|e| match e {
         RunError::Config(c) => CliError::Config(c),
         budget => CliError::Runtime(budget.to_string()),
@@ -77,6 +79,8 @@ fn jobs_of(opts: &RunOptions) -> Result<usize, CliError> {
 /// journaled under `results/<kind>-<program>-<machine>.journal`, `--resume`
 /// replays it, and a lost point (panic, blown `--deadline`) surfaces as
 /// [`CliError::Interrupted`] (exit 6) after the survivors are journaled.
+/// A configuration the simulator would reject fails first, as
+/// [`CliError::Config`] (exit 3), before the journal opens.
 fn campaign_sweep(
     kind: &str,
     opts: &RunOptions,
@@ -84,23 +88,14 @@ fn campaign_sweep(
     ns: &[usize],
     jobs: usize,
 ) -> Result<(SweepResult, SweepTiming, std::path::PathBuf), CliError> {
-    let copts = CampaignOptions {
-        resume: opts.resume,
-        deadline: opts.deadline,
-        retries: opts.retries,
-        max_events: None,
-        journal_dir: opts.journal_dir.clone(),
-        watchdog: opts.watchdog,
-        chaos: None, // `--chaos-io` is installed process-wide in execute()
-        vfs: None,
-    };
+    config_of(opts, machine, machine.total_cores()).validate()?;
     let tag = match opts.machine {
         MachineChoice::Uma => "uma",
         MachineChoice::Numa => "numa",
         MachineChoice::Amd => "amd",
     };
     let name = format!("{kind}-{}-{tag}", opts.program.name());
-    let campaign = Campaign::start(&name, &copts)
+    let campaign = Campaign::start(&name, &opts.campaign)
         .map_err(|e| CliError::Runtime(format!("open campaign journal for {name}: {e}")))?;
     let tune = PointConfig {
         scheduler: opts.scheduler,
@@ -170,20 +165,20 @@ fn init_obs(opts: &RunOptions) -> offchip_obs::TraceRef {
     offchip_obs::trace_begin(RUN_TRACE, "offchip", command, true)
 }
 
-/// Writes the requested observability artefacts after a command ran.
-fn finish_obs(
-    trace_out: Option<&std::path::Path>,
-    metrics_out: Option<&std::path::Path>,
-) -> Result<(), CliError> {
+/// Writes the requested observability artefacts after a command ran,
+/// through the command's Vfs.
+fn finish_obs(opts: &RunOptions) -> Result<(), CliError> {
     let write = |path: &std::path::Path, contents: &str| {
-        offchip_json::write_atomic(path, contents)
+        opts.campaign
+            .vfs_or_real()
+            .write_atomic(path, contents)
             .map_err(|e| CliError::Runtime(format!("write {}: {e}", path.display())))
     };
-    if let Some(path) = metrics_out {
+    if let Some(path) = &opts.metrics_out {
         write(path, &offchip_obs::registry().snapshot().to_csv())?;
         offchip_obs::info!("wrote metrics csv={}", path.display());
     }
-    if let Some(path) = trace_out {
+    if let Some(path) = &opts.trace_out {
         let json = offchip_obs::trace_chrome_json(RUN_TRACE)
             .expect("init_obs begins the run trace and a CLI process begins no other");
         write(path, &json)?;
@@ -196,46 +191,28 @@ fn finish_obs(
     Ok(())
 }
 
-/// Installs the fault schedule in force as the process-global Vfs:
-/// `--chaos-io` beats `OFFCHIP_CHAOS_IO` (already installed by `main`
-/// before parsing). Every durable I/O path below — journal appends,
-/// artefact writes, recording reads — then runs under it.
-fn init_chaos(opts: &RunOptions) {
-    if let Some(spec) = &opts.chaos_io {
-        offchip_obs::warn!("chaos-io fault schedule active: {spec}");
-        offchip_chaos::install(std::sync::Arc::new(offchip_chaos::ChaosVfs::new(
-            spec.clone(),
-        )));
-    }
-}
-
 /// Executes a parsed command.
-pub fn execute(cmd: Command) -> Result<(), CliError> {
-    let (ctx, obs_outputs) = match &cmd {
-        Command::Topology(_) => (offchip_obs::TraceRef::NONE, None),
-        Command::Run(o) | Command::Sweep(o) | Command::Fit(o) | Command::Burst(o) => {
-            let ctx = init_obs(o);
-            init_chaos(o);
-            (ctx, Some((o.trace_out.clone(), o.metrics_out.clone())))
-        }
+pub fn execute(cmd: &Command) -> Result<(), CliError> {
+    let (Command::Run(opts) | Command::Sweep(opts) | Command::Fit(opts) | Command::Burst(opts)) =
+        cmd
+    else {
+        return execute_inner(cmd);
     };
+    let ctx = init_obs(opts);
     let scope = offchip_obs::TraceScope::enter(ctx);
     let result = execute_inner(cmd);
     drop(scope);
     offchip_obs::span_close(ctx);
     // Artefacts are written even when the command failed: a partial trace
     // of an interrupted sweep is exactly what one debugs with.
-    let finish = match obs_outputs {
-        Some((trace, metrics)) => finish_obs(trace.as_deref(), metrics.as_deref()),
-        None => Ok(()),
-    };
+    let finish = finish_obs(opts);
     result.and(finish)
 }
 
-fn execute_inner(cmd: Command) -> Result<(), CliError> {
+fn execute_inner(cmd: &Command) -> Result<(), CliError> {
     match cmd {
         Command::Topology(choice) => {
-            let targets = match choice {
+            let targets = match *choice {
                 Some(c) => vec![machine_of(c, 1.0)],
                 None => machines::paper_machines(),
             };
@@ -247,31 +224,32 @@ fn execute_inner(cmd: Command) -> Result<(), CliError> {
         Command::Run(opts) => {
             let machine = machine_of(opts.machine, opts.scale_denom);
             let n = opts.cores.unwrap_or_else(|| machine.total_cores());
-            let report = run_one(&opts, &machine, n, false)?;
+            let report = run_one(opts, &machine, n, false)?;
             print!("{}", papiex_report_default(&report));
         }
         Command::Sweep(opts) => {
             let machine = machine_of(opts.machine, opts.scale_denom);
             let total = machine.total_cores();
-            let jobs = jobs_of(&opts)?;
+            let jobs = jobs_of(opts)?;
             println!(
                 "sweeping {} on {} (1..={total} cores, jobs={jobs})",
                 opts.program.name(),
                 machine.name
             );
             let ns: Vec<usize> = (1..=total).collect();
-            let (sweep, timing, journal) = campaign_sweep("sweep", &opts, &machine, &ns, jobs)?;
+            let (sweep, timing, journal) = campaign_sweep("sweep", opts, &machine, &ns, jobs)?;
             if let Some(out) = &opts.out {
                 // Every point is already journaled, so a failed artefact
                 // write degrades gracefully: exit 7, and `--resume`
                 // regenerates the file without re-simulating.
-                offchip_json::write_atomic(out, &sweep.to_json().to_pretty_string()).map_err(
-                    |e| CliError::ArtefactWrite {
+                opts.campaign
+                    .vfs_or_real()
+                    .write_atomic(out, &sweep.to_json().to_pretty_string())
+                    .map_err(|e| CliError::ArtefactWrite {
                         path: out.clone(),
                         journal: journal.clone(),
                         error: e.to_string(),
-                    },
-                )?;
+                    })?;
                 offchip_obs::info!("wrote sweep artefact json={}", out.display());
             }
             let omega = sweep.omega()?;
@@ -304,7 +282,7 @@ fn execute_inner(cmd: Command) -> Result<(), CliError> {
         Command::Fit(opts) => {
             let machine = machine_of(opts.machine, opts.scale_denom);
             let total = machine.total_cores();
-            let jobs = jobs_of(&opts)?;
+            let jobs = jobs_of(opts)?;
             let mut proto = FitProtocol::for_machine(&machine.name);
             if opts.extended_protocol && machine.name.contains("Intel NUMA") {
                 proto = FitProtocol::intel_numa_extended();
@@ -316,7 +294,7 @@ fn execute_inner(cmd: Command) -> Result<(), CliError> {
                 proto.input_cores
             );
             let ns: Vec<usize> = (1..=total).collect();
-            let (points, timing, _journal) = campaign_sweep("fit", &opts, &machine, &ns, jobs)?;
+            let (points, timing, _journal) = campaign_sweep("fit", opts, &machine, &ns, jobs)?;
             let sweep: Vec<(usize, u64)> = points.cycles_sweep()?;
             // The paper's r: the full-core run's miss count (the last
             // point; single-seed, so its f64 is the counter exactly).
@@ -333,7 +311,7 @@ fn execute_inner(cmd: Command) -> Result<(), CliError> {
             );
             let mut sweep_f: Vec<(usize, f64)> =
                 sweep.iter().map(|&(n, c)| (n, c as f64)).collect();
-            if let Some(spec) = faults_in_force(&opts)? {
+            if let Some(spec) = faults_in_force(opts)? {
                 if spec.is_active() {
                     let before = sweep_f.len();
                     sweep_f = spec.injector().corrupt_sweep(&sweep_f);
@@ -372,7 +350,7 @@ fn execute_inner(cmd: Command) -> Result<(), CliError> {
         Command::Burst(opts) => {
             let machine = machine_of(opts.machine, opts.scale_denom);
             let n = opts.cores.unwrap_or_else(|| machine.total_cores());
-            let report = run_one(&opts, &machine, n, true)?;
+            let report = run_one(opts, &machine, n, true)?;
             let windows = report
                 .miss_windows
                 .ok_or_else(|| CliError::Runtime("run produced no sampler windows".into()))?;

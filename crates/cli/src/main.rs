@@ -16,11 +16,13 @@
 //! `--protocol paper|extended` (fit only), `--faults drop=…,jitter=…`
 //! (fit only; also read from `OFFCHIP_FAULTS`), `--jobs N` (sweep/fit
 //! worker count; also read from `OFFCHIP_JOBS`, default: all cores),
-//! `--resume` / `--deadline SECS` / `--retries N` / `--journal-dir DIR`
-//! (crash-safe campaign layer; sweep/fit journal completed points under
-//! `results/`), `--out PATH` (sweep artefact), `--watchdog SECS`,
-//! `--chaos-io SPEC` (inject filesystem faults; also read from
-//! `OFFCHIP_CHAOS_IO`).
+//! `--out PATH` (sweep artefact), and the campaign flags every experiment
+//! binary takes, parsed by `offchip_bench::CampaignOptions`: `--resume`,
+//! `--deadline SECS`, `--retries N`, `--max-events N`, `--journal-dir
+//! DIR`, `--watchdog SECS` (sweep/fit journal completed points under
+//! `results/`; run/burst honour the deadline and event budget) and
+//! `--chaos-io SPEC` (inject filesystem faults into every durable write;
+//! also read from `OFFCHIP_CHAOS_IO`).
 //!
 //! Exit codes: 0 success, 2 usage, 3 invalid configuration, 4 model fit
 //! failure, 5 runtime failure, 6 campaign interrupted but journaled
@@ -35,22 +37,10 @@ mod commands;
 mod error;
 
 fn main() -> ExitCode {
-    // A malformed OFFCHIP_CHAOS_IO is a usage error, same as a malformed
-    // --chaos-io flag (which beats the environment; see commands).
-    match offchip_chaos::install_from_env() {
-        Ok(true) => offchip_obs::warn!(
-            "chaos-io fault schedule active from {}",
-            offchip_chaos::CHAOS_ENV
-        ),
-        Ok(false) => {}
-        Err(e) => {
-            eprintln!("error: {}: {e}", offchip_chaos::CHAOS_ENV);
-            return ExitCode::from(error::EXIT_USAGE);
-        }
-    }
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match args::parse(&argv) {
-        Ok(cmd) => match commands::execute(cmd) {
+    let env_chaos = std::env::var(offchip_chaos::CHAOS_ENV).ok();
+    match args::parse(&argv, env_chaos.as_deref()) {
+        Ok(cmd) => match commands::execute(&cmd) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -59,7 +49,7 @@ fn main() -> ExitCode {
         },
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprintln!("{}", args::USAGE);
+            eprintln!("{}\n{}", args::USAGE, offchip_bench::CAMPAIGN_USAGE);
             ExitCode::from(error::EXIT_USAGE)
         }
     }

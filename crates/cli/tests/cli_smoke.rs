@@ -371,6 +371,58 @@ fn non_integer_jobs_flag_is_a_usage_error() {
 }
 
 #[test]
+fn unrepresentable_durations_are_usage_errors() {
+    // `--deadline`/`--watchdog` SECS beyond `Duration`'s range used to
+    // panic (exit 101); one that rounds to zero nanoseconds used to
+    // become a zero deadline that failed every run.
+    for args in [
+        ["run", "CG.S", "--deadline", "1e300"],
+        ["sweep", "CG.S", "--watchdog", "1e300"],
+        ["run", "CG.S", "--deadline", "1e-300"],
+    ] {
+        let out = offchip().args(args).output().expect("spawn offchip");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("must be a positive number of seconds"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn hostile_numeric_flags_exit_2_or_3_never_panic() {
+    // A non-finite scale and zero threads are usage errors (they used to
+    // trip asserts, exit 101); a prefetch degree past the LLC's lines is
+    // a configuration error, caught before a run or a campaign journal
+    // starts (it used to grow the event queue without bound).
+    let huge_prefetch = ["--scale", "128", "--prefetch", "99999999999"];
+    let cases: [(&[&str], &[&str], i32); 7] = [
+        (&["run", "CG.S"], &["--scale", "nan"], 2),
+        (&["run", "CG.S"], &["--scale", "inf"], 2),
+        (&["run", "CG.S"], &["--threads", "0"], 2),
+        (&["run", "CG.S"], &huge_prefetch, 3),
+        (&["burst", "CG.S"], &huge_prefetch, 3),
+        (&["sweep", "CG.S"], &huge_prefetch, 3),
+        (&["fit", "CG.S"], &huge_prefetch, 3),
+    ];
+    for (command, flags, code) in cases {
+        let out = offchip()
+            .args(command)
+            .args(flags)
+            .output()
+            .expect("spawn offchip");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "{command:?} {flags:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{command:?} {flags:?}: {err}");
+    }
+}
+
+#[test]
 fn malformed_chaos_spec_is_a_usage_error() {
     let out = offchip()
         .args([

@@ -1,4 +1,4 @@
-//! A small dependency-free JSON library.
+//! A small JSON library with no external dependencies.
 //!
 //! The experiment harness persists results and journals as JSON and the
 //! service renders its answers in it. The build must work with no
@@ -9,7 +9,8 @@
 //! * [`Json::parse`] — a recursive-descent parser returning a typed
 //!   [`JsonError`] with byte-offset diagnostics (never a panic);
 //! * [`ToJson`] — a trait mapping Rust values onto [`Json`], implemented
-//!   for the primitives, tuples, `Vec`, and `Option` the harness uses.
+//!   for the primitives, tuples, `Vec`, and `Option` the harness uses;
+//! * [`atomic`] — fsync'd journal appends on the real filesystem.
 //!
 //! Numbers are kept as `f64`, which is lossless for the counter magnitudes
 //! involved (< 2^53) and matches what the figures consume.
@@ -18,8 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod atomic;
-
-pub use atomic::write_atomic;
 
 use std::collections::BTreeMap;
 use std::fmt;

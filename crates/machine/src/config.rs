@@ -29,6 +29,15 @@ pub enum ConfigError {
     },
     /// The sampler window is zero.
     ZeroSamplerWindow,
+    /// The stream prefetcher would run further ahead than the LLC holds
+    /// lines: a line fetched that far ahead is evicted before its use,
+    /// and one detected stream would queue `degree` requests at once.
+    PrefetchBeyondLlc {
+        /// The configured prefetch degree.
+        degree: usize,
+        /// Lines one LLC holds.
+        llc_lines: u64,
+    },
     /// The sweep-engine worker budget (`--jobs` / `OFFCHIP_JOBS`) is zero
     /// or not an integer.
     BadJobs {
@@ -56,6 +65,11 @@ impl std::fmt::Display for ConfigError {
                 "page size {page_bytes} must be a power of two >= line size {line_bytes}"
             ),
             ConfigError::ZeroSamplerWindow => write!(f, "sampler window must be positive"),
+            ConfigError::PrefetchBeyondLlc { degree, llc_lines } => write!(
+                f,
+                "prefetch degree {degree} exceeds the {llc_lines} lines the LLC holds — \
+                 pass --prefetch at most {llc_lines}"
+            ),
             ConfigError::BadJobs { value } => write!(
                 f,
                 "jobs value {value:?} invalid — pass a positive integer to \
@@ -227,6 +241,14 @@ impl SimConfig {
                 return Err(ConfigError::ZeroSamplerWindow);
             }
         }
+        let llc = self.machine.llc();
+        let llc_lines = llc.size_bytes / u64::from(llc.line_bytes);
+        if self.prefetch_degree as u64 > llc_lines {
+            return Err(ConfigError::PrefetchBeyondLlc {
+                degree: self.prefetch_degree,
+                llc_lines,
+            });
+        }
         Ok(())
     }
 }
@@ -248,6 +270,38 @@ mod tests {
             .with_sampler_5us_scaled();
         // 2.66 GHz × 5 µs × 1/64 ≈ 208 cycles.
         assert_eq!(cfg.sampler_window, Some(208));
+    }
+
+    #[test]
+    fn prefetch_degree_is_bounded_by_the_llc() {
+        // The smallest LLC a preset scales to holds one set of lines; the
+        // degrees in use (0, 2, 4) stay far below every bound.
+        for machine in machines::paper_machines() {
+            for scale in [1.0, 1.0 / 64.0, 1e-9] {
+                let mut cfg = SimConfig::new(machine.scaled(scale), 1);
+                let llc = cfg.machine.llc();
+                let lines = llc.size_bytes / u64::from(llc.line_bytes);
+                assert!(lines >= 4, "{} at {scale}: {lines} lines", machine.name);
+                cfg.prefetch_degree = 4;
+                cfg.validate().unwrap();
+                cfg.prefetch_degree = lines as usize;
+                cfg.validate().unwrap();
+                cfg.prefetch_degree = lines as usize + 1;
+                assert_eq!(
+                    cfg.validate().unwrap_err(),
+                    ConfigError::PrefetchBeyondLlc {
+                        degree: lines as usize + 1,
+                        llc_lines: lines
+                    }
+                );
+            }
+        }
+        // The value that used to grow the event queue without bound.
+        let mut cfg = SimConfig::new(machines::intel_uma_8().scaled(1.0 / 64.0), 8);
+        cfg.prefetch_degree = 99_999_999_999;
+        let e = cfg.validate().unwrap_err();
+        assert!(matches!(e, ConfigError::PrefetchBeyondLlc { .. }), "{e}");
+        assert!(e.to_string().contains("--prefetch"), "{e}");
     }
 
     #[test]

@@ -57,9 +57,32 @@ struct Parsed {
     log_format: Option<offchip_obs::LogFormat>,
 }
 
-/// Parses the command line; `env_jobs` is `OFFCHIP_JOBS`, the `--jobs`
-/// default.
-fn parse_args(args: &[String], env_jobs: Option<&str>) -> Result<Parsed, String> {
+/// The environment variables the parser reads. `main` passes the
+/// process's values in, so the parser reads no process state.
+#[derive(Debug, Default)]
+struct Env {
+    /// `OFFCHIP_JOBS`, the `--jobs` default.
+    jobs: Option<String>,
+    /// `OFFCHIP_CHAOS_IO`, the fill campaigns' filesystem fault schedule.
+    chaos_io: Option<String>,
+    /// `OFFCHIP_CHAOS_NET`, the `--chaos-net` default.
+    chaos_net: Option<String>,
+}
+
+impl Env {
+    fn of_process() -> Env {
+        let var = |name| std::env::var(name).ok();
+        Env {
+            jobs: var(offchip_pool::JOBS_ENV),
+            chaos_io: var(offchip_chaos::CHAOS_ENV),
+            chaos_net: var(offchip_chaos::NET_CHAOS_ENV),
+        }
+    }
+}
+
+/// Parses the command line, with `env` supplying the defaults the flags
+/// override.
+fn parse_args(args: &[String], env: &Env) -> Result<Parsed, String> {
     let mut server = ServerOptions::default();
     let mut service = ServiceConfig::default();
     let mut jobs = None;
@@ -156,11 +179,11 @@ fn parse_args(args: &[String], env_jobs: Option<&str>) -> Result<Parsed, String>
     if server.admission.max_conns < server.admission.max_queue {
         return Err("--max-conns must be at least --max-queue".into());
     }
-    service.jobs = offchip_pool::resolve_jobs_from(jobs, env_jobs)
+    service.jobs = offchip_pool::resolve_jobs_from(jobs, env.jobs.as_deref())
         .map_err(|e| format!("{}: {e}", offchip_pool::JOBS_ENV))?;
+    service.chaos_io = offchip_chaos::ChaosSpec::from_env(env.chaos_io.as_deref())?;
     if server.chaos_net.is_none() {
-        server.chaos_net = offchip_chaos::env_net_spec()
-            .map_err(|e| format!("{}: {e}", offchip_chaos::NET_CHAOS_ENV))?;
+        server.chaos_net = offchip_chaos::NetSpec::from_env(env.chaos_net.as_deref())?;
     }
     Ok(Parsed {
         server,
@@ -171,8 +194,7 @@ fn parse_args(args: &[String], env_jobs: Option<&str>) -> Result<Parsed, String>
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let env_jobs = std::env::var(offchip_pool::JOBS_ENV).ok();
-    let parsed = match parse_args(&args, env_jobs.as_deref()) {
+    let parsed = match parse_args(&args, &Env::of_process()) {
         Ok(p) => p,
         Err(e) => {
             if !e.is_empty() {
@@ -187,13 +209,8 @@ fn main() {
     }
     // Filesystem fault schedules hit the fill campaigns' journals — the
     // route by which e2e tests trip the circuit breaker.
-    match offchip_chaos::install_from_env() {
-        Ok(true) => offchip_obs::warn!("serve: chaos-io fault schedule installed"),
-        Ok(false) => {}
-        Err(e) => {
-            eprintln!("offchip-serve: {}: {e}", offchip_chaos::CHAOS_ENV);
-            std::process::exit(2);
-        }
+    if let Some(spec) = &parsed.service.chaos_io {
+        offchip_obs::warn!("serve: chaos-io fault schedule active: {spec}");
     }
     if let Some(spec) = &parsed.server.chaos_net {
         offchip_obs::warn!(
@@ -266,12 +283,19 @@ mod tests {
     use offchip_serve::{AdmissionConfig, BreakerConfig};
 
     fn parse(line: &str) -> Result<Parsed, String> {
-        parse_with_jobs_env(line, None)
+        parse_in(line, Env::default())
     }
 
-    fn parse_with_jobs_env(line: &str, env_jobs: Option<&str>) -> Result<Parsed, String> {
+    fn parse_in(line: &str, env: Env) -> Result<Parsed, String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        parse_args(&args, env_jobs)
+        parse_args(&args, &env)
+    }
+
+    fn jobs_env(value: &str) -> Env {
+        Env {
+            jobs: Some(value.into()),
+            ..Env::default()
+        }
     }
 
     /// Every flag that takes a count or a millisecond budget; 0 is never
@@ -328,15 +352,45 @@ mod tests {
     #[test]
     fn jobs_default_to_the_environment_and_reject_its_garbage() {
         for bad in ["abc", "0", ""] {
-            let err = parse_with_jobs_env("", Some(bad)).unwrap_err();
+            let err = parse_in("", jobs_env(bad)).unwrap_err();
             assert!(err.starts_with("OFFCHIP_JOBS: "), "{bad:?}: {err}");
         }
-        let parsed = parse_with_jobs_env("", Some("3")).unwrap();
+        let parsed = parse_in("", jobs_env("3")).unwrap();
         assert_eq!(parsed.service.jobs, 3);
-        let parsed = parse_with_jobs_env("--jobs 2", Some("abc")).unwrap();
+        let parsed = parse_in("--jobs 2", jobs_env("abc")).unwrap();
         assert_eq!(parsed.service.jobs, 2, "--jobs wins over the environment");
         let parsed = parse("").unwrap();
         assert_eq!(parsed.service.jobs, offchip_pool::default_jobs());
+    }
+
+    #[test]
+    fn chaos_schedules_default_to_the_environment_and_reject_its_garbage() {
+        let io = |value: &str| Env {
+            chaos_io: Some(value.into()),
+            ..Env::default()
+        };
+        let err = parse_in("", io("explode@write")).unwrap_err();
+        assert!(
+            err.starts_with("OFFCHIP_CHAOS_IO: chaos-io clause"),
+            "{err}"
+        );
+        let parsed = parse_in("", io("eio@write:2")).unwrap();
+        assert_eq!(
+            parsed.service.chaos_io,
+            Some(offchip_chaos::ChaosSpec::parse("eio@write:2").unwrap())
+        );
+        assert_eq!(parse_in("", io(" ")).unwrap().service.chaos_io, None);
+        let net = |value: &str| Env {
+            chaos_net: Some(value.into()),
+            ..Env::default()
+        };
+        let err = parse_in("", net("explode@read")).unwrap_err();
+        assert!(
+            err.starts_with("OFFCHIP_CHAOS_NET: chaos-net clause"),
+            "{err}"
+        );
+        let parsed = parse_in("--chaos-net reset@read:1", net("explode@read")).unwrap();
+        assert!(parsed.server.chaos_net.is_some(), "--chaos-net wins");
     }
 
     #[test]
@@ -368,7 +422,6 @@ mod tests {
 
     #[test]
     fn a_full_command_line_sets_every_field() {
-        // `--chaos-net` is given, so the environment is never consulted.
         let parsed = parse(
             "--addr 0.0.0.0:9000 --workers 3 --jobs 2 --journal-dir journals \
              --max-queue 16 --max-conns 64 --header-deadline 250 \

@@ -20,6 +20,7 @@ use crate::http::{Request, Response};
 use offchip_bench::{
     build_workload, loss_summary, Campaign, CampaignOptions, PointError, ProgramSpec,
 };
+use offchip_chaos::{ChaosSpec, ChaosVfs, Vfs};
 use offchip_json::Json;
 use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
 use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
@@ -64,6 +65,9 @@ pub struct ServiceConfig {
     pub request_deadline: Duration,
     /// Circuit-breaker tuning for the fill path.
     pub breaker: BreakerConfig,
+    /// Filesystem fault schedule for the fill campaigns' journals
+    /// (`OFFCHIP_CHAOS_IO`); `None` runs them on the real filesystem.
+    pub chaos_io: Option<ChaosSpec>,
 }
 
 impl Default for ServiceConfig {
@@ -74,6 +78,7 @@ impl Default for ServiceConfig {
             jobs: offchip_pool::default_jobs(),
             request_deadline: Duration::from_secs(600),
             breaker: BreakerConfig::default(),
+            chaos_io: None,
         }
     }
 }
@@ -143,10 +148,14 @@ pub enum ModelOutcome {
     Pending,
 }
 
-/// The shared service state: config, the single-flight model cache and
-/// the per-key fill breaker.
+/// The shared service state: config, the fill campaigns' options, the
+/// single-flight model cache and the per-key fill breaker.
 pub struct PredictService {
     config: ServiceConfig,
+    /// Every fill campaign's options: resumed from the journal directory,
+    /// on the service's one Vfs, so `chaos_io` fault indices count across
+    /// every fill.
+    fill: CampaignOptions,
     cache: SingleFlight<ModelKey, FittedEntry, ServiceError>,
     breaker: Arc<Breaker<ModelKey>>,
 }
@@ -155,7 +164,17 @@ impl PredictService {
     /// A service with an empty cache and an all-closed breaker.
     pub fn new(config: ServiceConfig) -> PredictService {
         let breaker = Arc::new(Breaker::new(config.breaker.clone()));
+        let vfs = config
+            .chaos_io
+            .clone()
+            .map(|spec| -> Arc<dyn Vfs> { Arc::new(ChaosVfs::new(spec)) });
         PredictService {
+            fill: CampaignOptions {
+                resume: true,
+                journal_dir: config.journal_dir.clone(),
+                vfs,
+                ..CampaignOptions::default()
+            },
             config,
             cache: SingleFlight::new(),
             breaker,
@@ -382,6 +401,7 @@ impl PredictService {
         key: &ModelKey,
     ) -> impl FnOnce() -> Result<FittedEntry, ServiceError> + Send + 'static {
         let config = self.config.clone();
+        let opts = self.fill.clone();
         let breaker = Arc::clone(&self.breaker);
         let key = key.clone();
         let ctx = offchip_obs::current();
@@ -389,7 +409,7 @@ impl PredictService {
             let detail = || format!("key={}/{}", key.machine, key.program);
             let fill = offchip_obs::span_open(ctx, "fill", detail);
             let _scope = offchip_obs::TraceScope::enter(fill);
-            let result = fill_model(&config, &key);
+            let result = fill_model(&config, &opts, &key);
             offchip_obs::span_close(fill);
             match &result {
                 Ok(_) => breaker.on_success(&key),
@@ -426,9 +446,14 @@ fn sweep(entry: &FittedEntry, doc: &Json, extra: &[Field<'_>]) -> Result<Vec<u8>
 }
 
 /// The fill path: journaled sweep → robust fit → validation. A free
-/// function (config + key only) because it runs on the background
-/// single-flight fill thread, which cannot borrow the service.
-fn fill_model(config: &ServiceConfig, key: &ModelKey) -> Result<FittedEntry, ServiceError> {
+/// function (config, campaign options and key only) because it runs on
+/// the background single-flight fill thread, which cannot borrow the
+/// service.
+fn fill_model(
+    config: &ServiceConfig,
+    opts: &CampaignOptions,
+    key: &ModelKey,
+) -> Result<FittedEntry, ServiceError> {
     let spec = ProgramSpec::parse(&key.program).map_err(ServiceError::BadRequest)?;
     let machine = machine_for(&key.machine)?;
     let total = machine.total_cores();
@@ -443,12 +468,7 @@ fn fill_model(config: &ServiceConfig, key: &ModelKey) -> Result<FittedEntry, Ser
     ns.dedup();
 
     let campaign_name = format!("serve-{}-{}", key.machine, key.program);
-    let opts = CampaignOptions {
-        resume: true,
-        journal_dir: config.journal_dir.clone(),
-        ..CampaignOptions::default()
-    };
-    let campaign = Campaign::start(&campaign_name, &opts)
+    let campaign = Campaign::start(&campaign_name, opts)
         .map_err(|e| ServiceError::Internal(format!("campaign journal: {e}")))?;
     if let Some(fault) = campaign.journal_fault() {
         offchip_obs::warn!("serve: fill campaign {campaign_name}: {fault}");

@@ -250,12 +250,6 @@ fn seconds(flag: &str, value: &str) -> Result<Duration, String> {
         .ok_or_else(|| format!("{flag} must be a positive number of seconds"))
 }
 
-/// A Vfs injecting `spec`'s faults, announced on stderr.
-fn chaos_vfs(spec: ChaosSpec) -> Arc<dyn Vfs> {
-    offchip_obs::warn!("chaos-io fault schedule active: {spec}");
-    Arc::new(ChaosVfs::new(spec))
-}
-
 impl CampaignOptions {
     /// Parses the campaign flags from `args`; unknown flags are an error
     /// (the experiment binaries accept nothing else).
@@ -302,7 +296,7 @@ impl CampaignOptions {
             "--watchdog" => self.watchdog = Some(seconds(flag, &value()?)?),
             "--chaos-io" => {
                 let spec = ChaosSpec::parse(&value()?).map_err(|e| format!("--chaos-io: {e}"))?;
-                self.vfs = Some(chaos_vfs(spec));
+                self.vfs = Some(Arc::new(ChaosVfs::new(spec)));
             }
             _ => return Ok(false),
         }
@@ -314,9 +308,19 @@ impl CampaignOptions {
     /// environment.
     pub fn chaos_from_env(&mut self, env: Option<&str>) -> Result<(), String> {
         if self.vfs.is_none() {
-            self.vfs = ChaosSpec::from_env(env)?.map(chaos_vfs);
+            if let Some(spec) = ChaosSpec::from_env(env)? {
+                self.vfs = Some(Arc::new(ChaosVfs::new(spec)));
+            }
         }
         Ok(())
+    }
+
+    /// Warns on stderr that a fault schedule is in force, if one is;
+    /// binaries call it once their log settings apply.
+    pub fn warn_if_chaos(&self) {
+        if let Some(spec) = self.vfs.as_ref().and_then(|vfs| vfs.schedule()) {
+            offchip_obs::warn!("chaos-io fault schedule active: {spec}");
+        }
     }
 
     /// The Vfs these options name: [`RealVfs`] when `vfs` is `None`.
@@ -346,6 +350,7 @@ impl CampaignOptions {
         }
         let jobs = offchip_pool::resolve_jobs(None)
             .unwrap_or_else(|e| usage_exit(format!("{}: {e}", offchip_pool::JOBS_ENV)));
+        opts.warn_if_chaos();
         (opts, jobs)
     }
 

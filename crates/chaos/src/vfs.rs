@@ -179,6 +179,12 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         self.prim_rename(from, to, None)
     }
+
+    /// The fault schedule this Vfs injects, for logs; `None` for the
+    /// real filesystem.
+    fn schedule(&self) -> Option<String> {
+        None
+    }
 }
 
 /// The production passthrough: every primitive is the real syscall.
@@ -262,6 +268,12 @@ fn injected(kind: io::ErrorKind, what: &str, op: OpClass, path: &Path) -> io::Er
 }
 
 impl Vfs for ChaosVfs {
+    fn schedule(&self) -> Option<String> {
+        let st = self.state.lock().expect("chaos state lock poisoned");
+        let faults = st.faults.iter().map(|&(fault, _)| fault).collect();
+        Some(ChaosSpec { faults }.to_string())
+    }
+
     fn prim_write(&self, file: &File, buf: &[u8], path: &Path) -> io::Result<()> {
         match self.arm(OpClass::Write, path) {
             None => RealVfs.prim_write(file, buf, path),
@@ -525,6 +537,12 @@ mod tests {
         // The fired log names the file physically written — the temp file.
         let fired = v.fired();
         assert_eq!(fired.len(), 1);
+        assert_eq!(
+            v.schedule().as_deref(),
+            Some("eio@write:2"),
+            "fired faults stay listed"
+        );
+        assert_eq!(RealVfs.schedule(), None);
         assert!(fired[0].starts_with("eio@write:2 path="), "{fired:?}");
         assert!(fired[0].contains(".a.json.tmp."), "{fired:?}");
     }

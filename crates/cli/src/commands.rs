@@ -199,6 +199,7 @@ pub fn execute(cmd: &Command) -> Result<(), CliError> {
         return execute_inner(cmd);
     };
     let ctx = init_obs(opts);
+    opts.campaign.warn_if_chaos();
     let scope = offchip_obs::TraceScope::enter(ctx);
     let result = execute_inner(cmd);
     drop(scope);

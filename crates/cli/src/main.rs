@@ -49,7 +49,7 @@ fn main() -> ExitCode {
         },
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprintln!("{}\n{}", args::USAGE, offchip_bench::CAMPAIGN_USAGE);
+            eprintln!("{}\n\n{}", args::USAGE, offchip_bench::CAMPAIGN_USAGE);
             ExitCode::from(error::EXIT_USAGE)
         }
     }

@@ -57,6 +57,7 @@ use std::time::{Duration, Instant};
 use offchip_chaos::{AppendFile, ChaosSpec, ChaosVfs, RealVfs, Vfs, CHAOS_ENV};
 use offchip_json::{json_obj, Json};
 use offchip_machine::{McScheduler, MemoryPolicy, RunError, Workload};
+use offchip_obs::Registry;
 use offchip_pool::PanicPayload;
 use offchip_simcore::FxHasher;
 use offchip_topology::MachineSpec;
@@ -225,6 +226,10 @@ pub struct CampaignOptions {
     /// the process. `None` is [`RealVfs`]; `--chaos-io` and
     /// `OFFCHIP_CHAOS_IO` set a [`ChaosVfs`].
     pub vfs: Option<Arc<dyn Vfs>>,
+    /// The registry every simulated run records its metrics into; `None`
+    /// (every experiment binary) observes nothing. A run under a trace
+    /// that takes runs records its spans only when this is set.
+    pub metrics: Option<Arc<Registry>>,
 }
 
 /// Usage text for the campaign flags every experiment binary accepts.
@@ -1139,15 +1144,7 @@ impl Campaign {
             ))
         });
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            sample_bounded(
-                machine,
-                workload,
-                n,
-                seed,
-                tune,
-                self.opts.deadline,
-                self.opts.max_events,
-            )
+            sample_bounded(machine, workload, n, seed, tune, &self.opts)
         }));
         match caught {
             Ok(Ok(s)) => Ok(s),

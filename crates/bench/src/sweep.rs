@@ -16,7 +16,7 @@ use offchip_json::{json_obj, Json, ToJson};
 use offchip_machine::{run, try_run_bounded, RunError, RunReport, SimConfig, Workload};
 use offchip_topology::MachineSpec;
 
-use crate::campaign::PointConfig;
+use crate::campaign::{CampaignOptions, PointConfig};
 
 /// Why a sweep could not answer a question about itself.
 ///
@@ -253,17 +253,16 @@ impl RunSample {
     }
 }
 
-/// One campaign run: the point's tuning and budget guards applied, with
-/// deadline/event-cap enforcement reported as typed errors instead of a
-/// hung or panicking run.
+/// One campaign run: the point's tuning, the campaign's budget guards and
+/// its metrics registry applied, with deadline/event-cap enforcement
+/// reported as typed errors instead of a hung or panicking run.
 pub(crate) fn sample_bounded(
     machine: &MachineSpec,
     workload: &dyn Workload,
     n: usize,
     seed: u64,
     tune: &PointConfig,
-    deadline: Option<Duration>,
-    max_events: Option<u64>,
+    opts: &CampaignOptions,
 ) -> Result<RunSample, RunError> {
     let t0 = Instant::now();
     let mut cfg = SimConfig::new(machine.clone(), n);
@@ -271,8 +270,9 @@ pub(crate) fn sample_bounded(
     cfg.scheduler = tune.scheduler;
     cfg.memory_policy = tune.memory_policy;
     cfg.prefetch_degree = tune.prefetch_degree;
-    cfg.deadline = deadline;
-    cfg.max_events = max_events;
+    cfg.deadline = opts.deadline;
+    cfg.max_events = opts.max_events;
+    cfg.metrics = opts.metrics.clone();
     let r = try_run_bounded(workload, &cfg)?;
     Ok(RunSample::from_report(&r, t0.elapsed()))
 }

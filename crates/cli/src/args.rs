@@ -6,6 +6,11 @@ use offchip_chaos::ChaosSpec;
 use offchip_machine::{McScheduler, MemoryPolicy};
 use offchip_npb::classes::ProblemClass;
 use offchip_perf::FaultSpec;
+use std::sync::Arc;
+
+/// The environment variable `fit` reads its fault spec from when
+/// `--faults` is absent.
+pub const FAULTS_ENV: &str = "OFFCHIP_FAULTS";
 
 /// Usage text shown on parse errors, followed by
 /// [`offchip_bench::CAMPAIGN_USAGE`].
@@ -41,16 +46,17 @@ options:
                                (sweep); exit 7 = artefact write failed
                                but the journal is intact (--resume
                                regenerates it without re-simulating)
-  --obs off|metrics|trace      observability level (default: OFFCHIP_OBS,
-                               else off; --trace/--metrics imply it)
   --trace PATH                 write a Chrome trace_event JSON of the run(s)
-  --metrics PATH               write the metrics-registry snapshot as CSV
+  --metrics PATH               write the run(s)' metrics as CSV
   --log-level error|warn|info|debug
                                stderr log threshold (default: OFFCHIP_LOG,
                                else info)
   --log-format kv|json         log record format: key-value text or structured
                                JSON with trace-id stamping (default:
-                               OFFCHIP_LOG_FORMAT, else kv)";
+                               OFFCHIP_LOG_FORMAT, else kv)
+
+run/burst take only --deadline, --max-events and --chaos-io of the
+campaign options below; an option scoped to other commands exits 2.";
 
 /// Which machine preset to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +90,8 @@ pub struct RunOptions {
     pub placement: MemoryPolicy,
     /// Use the extended fit protocol.
     pub extended_protocol: bool,
-    /// Counter faults to inject before fitting (`fit` only).
+    /// Counter faults to inject before fitting (`fit` only): `--faults`,
+    /// else `OFFCHIP_FAULTS`.
     pub faults: Option<FaultSpec>,
     /// Sweep-engine worker budget (`None`: `OFFCHIP_JOBS`, else the
     /// machine's parallelism). Validated in the command layer so that a
@@ -97,16 +104,14 @@ pub struct RunOptions {
     /// `OFFCHIP_CHAOS_IO` as the fault-schedule default), parsed by the
     /// campaign layer. `sweep`/`fit` run their campaign under them;
     /// `run`/`burst` take the deadline and event budget; every command's
-    /// artefact writes go through their Vfs.
+    /// artefact writes go through their Vfs. `--trace`/`--metrics` give
+    /// them the registry every run records into.
     pub campaign: CampaignOptions,
     /// Sweep artefact output path (`sweep` only).
     pub out: Option<std::path::PathBuf>,
-    /// Observability level (`None`: `OFFCHIP_OBS`, raised as needed by
-    /// `--trace`/`--metrics`).
-    pub obs: Option<offchip_obs::ObsLevel>,
-    /// Chrome trace_event JSON output path (implies at least trace level).
+    /// Chrome trace_event JSON output path.
     pub trace_out: Option<std::path::PathBuf>,
-    /// Metrics-snapshot CSV output path (implies at least metrics level).
+    /// Metrics-snapshot CSV output path.
     pub metrics_out: Option<std::path::PathBuf>,
     /// stderr log threshold (`None`: `OFFCHIP_LOG`, else info).
     pub log_level: Option<offchip_obs::LogLevel>,
@@ -131,7 +136,6 @@ impl Default for RunOptions {
             seed: 0x0FF_C41B,
             campaign: CampaignOptions::default(),
             out: None,
-            obs: None,
             trace_out: None,
             metrics_out: None,
             log_level: None,
@@ -170,9 +174,33 @@ fn parse_machine(name: &str) -> Result<MachineChoice, String> {
     }
 }
 
-fn parse_options(mut opts: RunOptions, rest: &[String]) -> Result<RunOptions, String> {
+/// The options `cmd` refuses: the usage text scopes each to other
+/// commands, and a flag accepted but never read hides a mistake.
+fn refused(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "run" | "burst" => &[
+            "--jobs",
+            "--out",
+            "--protocol",
+            "--faults",
+            "--resume",
+            "--retries",
+            "--journal-dir",
+            "--watchdog",
+        ],
+        "sweep" => &["--cores", "--protocol", "--faults"],
+        "fit" => &["--cores", "--out"],
+        _ => &[],
+    }
+}
+
+fn parse_options(cmd: &str, mut opts: RunOptions, rest: &[String]) -> Result<RunOptions, String> {
+    let refused = refused(cmd);
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
+        if refused.contains(&flag.as_str()) {
+            return Err(format!("{cmd} does not take {flag}"));
+        }
         let mut value = || {
             it.next()
                 .ok_or_else(|| format!("{flag} needs a value"))
@@ -227,13 +255,6 @@ fn parse_options(mut opts: RunOptions, rest: &[String]) -> Result<RunOptions, St
             "--jobs" => opts.jobs = Some(value()?.parse().map_err(|e| format!("--jobs: {e}"))?),
             "--seed" => opts.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--out" => opts.out = Some(std::path::PathBuf::from(value()?)),
-            "--obs" => {
-                let v = value()?;
-                opts.obs = Some(
-                    offchip_obs::ObsLevel::parse(&v)
-                        .ok_or_else(|| format!("unknown obs level {v:?} (off|metrics|trace)"))?,
-                );
-            }
             "--trace" => opts.trace_out = Some(std::path::PathBuf::from(value()?)),
             "--metrics" => opts.metrics_out = Some(std::path::PathBuf::from(value()?)),
             "--log-level" => {
@@ -260,16 +281,28 @@ fn parse_options(mut opts: RunOptions, rest: &[String]) -> Result<RunOptions, St
     Ok(opts)
 }
 
-/// Parses the whole command line; `env_chaos` is the value of
-/// `OFFCHIP_CHAOS_IO`, the `--chaos-io` default. A malformed value is a
+/// Parses the whole command line. `env_chaos` is the value of
+/// `OFFCHIP_CHAOS_IO`, the `--chaos-io` default: a malformed value is a
 /// usage error for every command, even one that writes nothing.
-pub fn parse(argv: &[String], env_chaos: Option<&str>) -> Result<Command, String> {
+/// `env_faults` is the value of [`FAULTS_ENV`], the `--faults` default
+/// of `fit`: a malformed value is a usage error there, caught before any
+/// journal opens.
+pub fn parse(
+    argv: &[String],
+    env_chaos: Option<&str>,
+    env_faults: Option<&str>,
+) -> Result<Command, String> {
     let Some(cmd) = argv.first() else {
         return Err("no command given".into());
     };
     match cmd.as_str() {
         "topology" => {
             ChaosSpec::from_env(env_chaos)?;
+            if let Some(extra) = argv.get(2) {
+                return Err(format!(
+                    "topology takes nothing after its machine, got {extra:?}"
+                ));
+            }
             match argv.get(1) {
                 Some(m) => Ok(Command::Topology(Some(parse_machine(m)?))),
                 None => Ok(Command::Topology(None)),
@@ -280,6 +313,7 @@ pub fn parse(argv: &[String], env_chaos: Option<&str>) -> Result<Command, String
                 .get(1)
                 .ok_or_else(|| format!("{cmd} needs a program (e.g. CG.C)"))?;
             let mut opts = parse_options(
+                cmd,
                 RunOptions {
                     program: parse_program(program)?,
                     ..RunOptions::default()
@@ -287,6 +321,15 @@ pub fn parse(argv: &[String], env_chaos: Option<&str>) -> Result<Command, String
                 &argv[2..],
             )?;
             opts.campaign.chaos_from_env(env_chaos)?;
+            if cmd == "fit" && opts.faults.is_none() {
+                if let Some(v) = env_faults.filter(|v| !v.trim().is_empty()) {
+                    let spec = FaultSpec::parse(v).map_err(|e| format!("{FAULTS_ENV}: {e}"))?;
+                    opts.faults = Some(spec);
+                }
+            }
+            if opts.trace_out.is_some() || opts.metrics_out.is_some() {
+                opts.campaign.metrics = Some(Arc::default());
+            }
             Ok(match cmd.as_str() {
                 "run" => Command::Run(opts),
                 "sweep" => Command::Sweep(opts),
@@ -347,6 +390,7 @@ mod tests {
                 "7",
             ]),
             None,
+            None,
         )
         .unwrap();
         let Command::Sweep(o) = cmd else {
@@ -361,13 +405,14 @@ mod tests {
         assert_eq!(o.seed, 7);
         // --jobs 0 parses here; the command layer rejects it as a typed
         // configuration error (exit 3), tested in cli_smoke.rs.
-        assert!(parse(&sv(&["sweep", "SP.C", "--jobs", "x"]), None).is_err());
+        assert!(parse(&sv(&["sweep", "SP.C", "--jobs", "x"]), None, None).is_err());
     }
 
     #[test]
     fn parses_fault_spec() {
         let cmd = parse(
             &sv(&["fit", "CG.C", "--faults", "drop=0.2,jitter=0.05,seed=9"]),
+            None,
             None,
         )
         .unwrap();
@@ -378,8 +423,24 @@ mod tests {
         assert_eq!(f.drop, 0.2);
         assert_eq!(f.jitter, 0.05);
         assert_eq!(f.seed, 9);
-        assert!(parse(&sv(&["fit", "CG.C", "--faults", "drop=2"]), None).is_err());
-        assert!(parse(&sv(&["fit", "CG.C", "--faults", "bogus=1"]), None).is_err());
+        assert!(parse(&sv(&["fit", "CG.C", "--faults", "drop=2"]), None, None).is_err());
+        assert!(parse(&sv(&["fit", "CG.C", "--faults", "bogus=1"]), None, None).is_err());
+        // OFFCHIP_FAULTS is fit's default: the flag beats it, a malformed
+        // value names the variable, and no other command reads it.
+        let faults = |line: &[&str], env: &str| match parse(&sv(line), None, Some(env)) {
+            Ok(Command::Fit(o)) => Ok(o.faults.map(|f| f.drop)),
+            Ok(_) => Ok(None),
+            Err(e) => Err(e),
+        };
+        assert_eq!(faults(&["fit", "CG.C"], "drop=0.5"), Ok(Some(0.5)));
+        assert_eq!(faults(&["fit", "CG.C"], " "), Ok(None));
+        assert_eq!(
+            faults(&["fit", "CG.C", "--faults", "drop=0.25"], "bogus"),
+            Ok(Some(0.25))
+        );
+        assert_eq!(faults(&["sweep", "CG.C"], "bogus"), Ok(None));
+        let e = faults(&["fit", "CG.C"], "bogus").unwrap_err();
+        assert!(e.starts_with("OFFCHIP_FAULTS: "), "{e}");
     }
 
     #[test]
@@ -403,7 +464,7 @@ mod tests {
         let mut line = vec!["sweep", "CG.C", "--seed", "7"];
         line.extend(flags);
         line.extend(["--out", "/tmp/sweep.json"]);
-        let Ok(Command::Sweep(o)) = parse(&sv(&line), None) else {
+        let Ok(Command::Sweep(o)) = parse(&sv(&line), None, None) else {
             panic!("wrong command")
         };
         let want = CampaignOptions::parse(&sv(&flags)).unwrap();
@@ -426,7 +487,7 @@ mod tests {
             let mut line = vec!["sweep", "CG.C"];
             line.extend(bad);
             assert_eq!(
-                parse(&sv(&line), None).unwrap_err(),
+                parse(&sv(&line), None, None).unwrap_err(),
                 CampaignOptions::parse(&sv(&bad)).unwrap_err()
             );
         }
@@ -437,7 +498,7 @@ mod tests {
         // `--chaos-io` becomes the campaign's Vfs; OFFCHIP_CHAOS_IO, passed
         // in, is its default, and a malformed value is a usage error for
         // every command.
-        let vfs_set = |line: &[&str], env: Option<&str>| match parse(&sv(line), env) {
+        let vfs_set = |line: &[&str], env: Option<&str>| match parse(&sv(line), env, None) {
             Ok(Command::Sweep(o)) => o.campaign.vfs.is_some(),
             other => panic!("{other:?}"),
         };
@@ -451,10 +512,15 @@ mod tests {
             &["sweep", "CG.C", "--chaos-io", "eio@fsync:1"],
             Some("garbage")
         ));
-        let e = parse(&sv(&["sweep", "CG.C", "--chaos-io", "frob@disk:1"]), None).unwrap_err();
+        let e = parse(
+            &sv(&["sweep", "CG.C", "--chaos-io", "frob@disk:1"]),
+            None,
+            None,
+        )
+        .unwrap_err();
         assert!(e.starts_with("--chaos-io: chaos-io clause"), "{e}");
         for line in [&["sweep", "CG.C"][..], &["topology"]] {
-            let e = parse(&sv(line), Some("eio@write")).unwrap_err();
+            let e = parse(&sv(line), Some("eio@write"), None).unwrap_err();
             assert!(e.starts_with("OFFCHIP_CHAOS_IO: "), "{line:?}: {e}");
         }
     }
@@ -465,8 +531,6 @@ mod tests {
             &sv(&[
                 "sweep",
                 "CG.A",
-                "--obs",
-                "metrics",
                 "--trace",
                 "/tmp/t.json",
                 "--metrics",
@@ -477,12 +541,16 @@ mod tests {
                 "json",
             ]),
             None,
+            None,
         )
         .unwrap();
         let Command::Sweep(o) = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(o.obs, Some(offchip_obs::ObsLevel::Metrics));
+        assert!(
+            o.campaign.metrics.is_some(),
+            "--trace/--metrics build a registry"
+        );
         assert_eq!(
             o.trace_out.as_deref(),
             Some(std::path::Path::new("/tmp/t.json"))
@@ -493,18 +561,25 @@ mod tests {
         );
         assert_eq!(o.log_level, Some(offchip_obs::LogLevel::Debug));
         assert_eq!(o.log_format, Some(offchip_obs::LogFormat::Json));
-        assert!(parse(&sv(&["run", "CG.A", "--obs", "verbose"]), None).is_err());
-        assert!(parse(&sv(&["run", "CG.A", "--log-level", "chatty"]), None).is_err());
-        assert!(parse(&sv(&["run", "CG.A", "--log-format", "yaml"]), None).is_err());
+        let Ok(Command::Run(o)) = parse(&sv(&["run", "CG.A"]), None, None) else {
+            panic!("wrong command")
+        };
+        assert!(o.campaign.metrics.is_none(), "unobserved by default");
+        assert_eq!(
+            parse(&sv(&["run", "CG.A", "--obs", "trace"]), None, None).unwrap_err(),
+            "unknown option \"--obs\""
+        );
+        assert!(parse(&sv(&["run", "CG.A", "--log-level", "chatty"]), None, None).is_err());
+        assert!(parse(&sv(&["run", "CG.A", "--log-format", "yaml"]), None, None).is_err());
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse(&sv(&[]), None).is_err());
-        assert!(parse(&sv(&["frobnicate"]), None).is_err());
-        assert!(parse(&sv(&["run"]), None).is_err());
-        assert!(parse(&sv(&["run", "CG.C", "--cores"]), None).is_err());
-        assert!(parse(&sv(&["run", "CG.C", "--machine", "sparc"]), None).is_err());
+        assert!(parse(&sv(&[]), None, None).is_err());
+        assert!(parse(&sv(&["frobnicate"]), None, None).is_err());
+        assert!(parse(&sv(&["run"]), None, None).is_err());
+        assert!(parse(&sv(&["run", "CG.C", "--cores"]), None, None).is_err());
+        assert!(parse(&sv(&["run", "CG.C", "--machine", "sparc"]), None, None).is_err());
         for bad in [
             ["--scale", "0.5"],
             ["--scale", "nan"],
@@ -513,19 +588,20 @@ mod tests {
         ] {
             let mut line = vec!["run", "CG.C"];
             line.extend(bad);
-            assert!(parse(&sv(&line), None).is_err(), "{bad:?}");
+            assert!(parse(&sv(&line), None, None).is_err(), "{bad:?}");
         }
     }
 
     #[test]
     fn topology_variants() {
         assert!(matches!(
-            parse(&sv(&["topology"]), None),
+            parse(&sv(&["topology"]), None, None),
             Ok(Command::Topology(None))
         ));
         assert!(matches!(
-            parse(&sv(&["topology", "amd"]), None),
+            parse(&sv(&["topology", "amd"]), None, None),
             Ok(Command::Topology(Some(MachineChoice::Amd)))
         ));
+        assert!(parse(&sv(&["topology", "uma", "extra"]), None, None).is_err());
     }
 }

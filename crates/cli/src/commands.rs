@@ -7,7 +7,7 @@ use offchip_json::ToJson;
 use offchip_machine::{try_run_bounded, ConfigError, RunError, RunReport, SimConfig, Workload};
 use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
 use offchip_perf::papiex::papiex_report_default;
-use offchip_perf::{BurstAnalysis, FaultSpec};
+use offchip_perf::BurstAnalysis;
 use offchip_pool::JobsError;
 use offchip_topology::likwid::topology_report;
 use offchip_topology::{machines, MachineSpec};
@@ -37,6 +37,7 @@ fn config_of(opts: &RunOptions, machine: &MachineSpec, n: usize) -> SimConfig {
     cfg.memory_policy = opts.placement;
     cfg.deadline = opts.campaign.deadline;
     cfg.max_events = opts.campaign.max_events;
+    cfg.metrics = opts.campaign.metrics.clone();
     cfg
 }
 
@@ -118,45 +119,21 @@ fn campaign_sweep(
     Ok((cs.sweep, cs.timing, journal))
 }
 
-/// The fault spec in force: the `--faults` flag, else `OFFCHIP_FAULTS`.
-fn faults_in_force(opts: &RunOptions) -> Result<Option<FaultSpec>, CliError> {
-    match opts.faults {
-        Some(spec) => Ok(Some(spec)),
-        None => {
-            FaultSpec::from_env().map_err(|e| CliError::Runtime(format!("OFFCHIP_FAULTS: {e}")))
-        }
-    }
-}
-
 /// The id of the run trace `--trace` writes: the one trace a CLI process
 /// begins.
 const RUN_TRACE: u64 = 1;
 
 /// Applies the observability options before a command runs: `--log-level`
-/// beats `OFFCHIP_LOG`; the obs level is the strongest of `--obs` and what
-/// `--trace`/`--metrics` imply, else the `OFFCHIP_OBS` environment stands.
-/// With `--trace`, begins the run trace and returns the context the
-/// command runs in: each simulator run lands in it as one lane.
+/// beats `OFFCHIP_LOG`, `--log-format` beats `OFFCHIP_LOG_FORMAT`. With
+/// `--trace`, begins the run trace and returns the context the command
+/// runs in: each simulator run lands in it as one lane (the parser gave
+/// the runs a registry, without which they record nothing).
 fn init_obs(opts: &RunOptions) -> offchip_obs::TraceRef {
     if let Some(l) = opts.log_level {
         offchip_obs::set_log_level(l);
     }
     if let Some(f) = opts.log_format {
         offchip_obs::set_log_format(f);
-    }
-    let implied = if opts.trace_out.is_some() {
-        Some(offchip_obs::ObsLevel::Trace)
-    } else if opts.metrics_out.is_some() {
-        Some(offchip_obs::ObsLevel::Metrics)
-    } else {
-        None
-    };
-    let level = match (opts.obs, implied) {
-        (Some(l), Some(i)) => Some(if (l as u8) < (i as u8) { i } else { l }),
-        (l, i) => l.or(i),
-    };
-    if let Some(l) = level {
-        offchip_obs::set_level(l);
     }
     if opts.trace_out.is_none() {
         return offchip_obs::TraceRef::NONE;
@@ -174,8 +151,8 @@ fn finish_obs(opts: &RunOptions) -> Result<(), CliError> {
             .write_atomic(path, contents)
             .map_err(|e| CliError::Runtime(format!("write {}: {e}", path.display())))
     };
-    if let Some(path) = &opts.metrics_out {
-        write(path, &offchip_obs::registry().snapshot().to_csv())?;
+    if let (Some(path), Some(reg)) = (&opts.metrics_out, &opts.campaign.metrics) {
+        write(path, &reg.snapshot().to_csv())?;
         offchip_obs::info!("wrote metrics csv={}", path.display());
     }
     if let Some(path) = &opts.trace_out {
@@ -312,7 +289,7 @@ fn execute_inner(cmd: &Command) -> Result<(), CliError> {
             );
             let mut sweep_f: Vec<(usize, f64)> =
                 sweep.iter().map(|&(n, c)| (n, c as f64)).collect();
-            if let Some(spec) = faults_in_force(opts)? {
+            if let Some(spec) = opts.faults {
                 if spec.is_active() {
                     let before = sweep_f.len();
                     sweep_f = spec.injector().corrupt_sweep(&sweep_f);

@@ -16,13 +16,16 @@
 //! `--protocol paper|extended` (fit only), `--faults drop=…,jitter=…`
 //! (fit only; also read from `OFFCHIP_FAULTS`), `--jobs N` (sweep/fit
 //! worker count; also read from `OFFCHIP_JOBS`, default: all cores),
-//! `--out PATH` (sweep artefact), and the campaign flags every experiment
-//! binary takes, parsed by `offchip_bench::CampaignOptions`: `--resume`,
+//! `--out PATH` (sweep artefact), `--trace PATH` and `--metrics PATH`
+//! (observe the runs: a Chrome trace and a metrics CSV; without either,
+//! no run is observed), and the campaign flags every experiment binary
+//! takes, parsed by `offchip_bench::CampaignOptions`: `--resume`,
 //! `--deadline SECS`, `--retries N`, `--max-events N`, `--journal-dir
 //! DIR`, `--watchdog SECS` (sweep/fit journal completed points under
-//! `results/`; run/burst honour the deadline and event budget) and
+//! `results/`; run/burst take only the deadline and event budget) and
 //! `--chaos-io SPEC` (inject filesystem faults into every durable write;
-//! also read from `OFFCHIP_CHAOS_IO`).
+//! also read from `OFFCHIP_CHAOS_IO`). An option the usage scopes to
+//! other commands is a usage error, not silently ignored.
 //!
 //! Exit codes: 0 success, 2 usage, 3 invalid configuration, 4 model fit
 //! failure, 5 runtime failure, 6 campaign interrupted but journaled
@@ -39,7 +42,8 @@ mod error;
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let env_chaos = std::env::var(offchip_chaos::CHAOS_ENV).ok();
-    match args::parse(&argv, env_chaos.as_deref()) {
+    let env_faults = std::env::var(args::FAULTS_ENV).ok();
+    match args::parse(&argv, env_chaos.as_deref(), env_faults.as_deref()) {
         Ok(cmd) => match commands::execute(&cmd) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {

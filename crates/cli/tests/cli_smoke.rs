@@ -95,6 +95,81 @@ fn malformed_fault_spec_is_a_usage_error() {
 }
 
 #[test]
+fn malformed_fault_env_exits_2_before_any_journal_opens() {
+    // OFFCHIP_FAULTS is parsed with the command line, like --faults: a
+    // malformed value costs no sweep.
+    let dir = std::env::temp_dir().join(format!("offchip-cli-faults-env-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = offchip()
+        .args(["fit", "CG.S", "--machine", "uma", "--scale", "128"])
+        .arg("--journal-dir")
+        .arg(&dir)
+        .env("OFFCHIP_FAULTS", "bogus")
+        .output()
+        .expect("spawn offchip");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("OFFCHIP_FAULTS"), "names the variable: {err}");
+    let journals = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    assert_eq!(journals, 0, "no journal written under {}", dir.display());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn options_scoped_to_other_commands_exit_2() {
+    // Each option the usage scopes to other commands is refused by name,
+    // never accepted and ignored.
+    let dir = std::env::temp_dir().join(format!("offchip-cli-scoped-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out_file = dir.join("out.json");
+    let out_path = out_file.to_str().expect("utf-8 temp path");
+    let journal_dir = dir.join("journals");
+    let journal_path = journal_dir.to_str().expect("utf-8 temp path");
+    let run_refuses = [
+        vec!["--jobs", "3"],
+        vec!["--out", out_path],
+        vec!["--protocol", "extended"],
+        vec!["--faults", "drop=0.5"],
+        vec!["--resume"],
+        vec!["--retries", "5"],
+        vec!["--journal-dir", journal_path],
+        vec!["--watchdog", "0.000001"],
+    ];
+    let mut cases = Vec::new();
+    for flags in &run_refuses {
+        cases.push((vec!["run", "IS.S", "--cores", "2"], flags.clone()));
+        cases.push((vec!["burst", "CG.S", "--cores", "4"], flags.clone()));
+    }
+    for flags in [
+        vec!["--cores", "3"],
+        vec!["--protocol", "extended"],
+        vec!["--faults", "drop=0.5"],
+    ] {
+        cases.push((vec!["sweep", "EP.S", "--scale", "128"], flags));
+    }
+    for flags in [vec!["--cores", "3"], vec!["--out", out_path]] {
+        cases.push((vec!["fit", "CG.S", "--scale", "128"], flags));
+    }
+    cases.push((vec!["topology", "uma"], vec!["bogus", "extra"]));
+    for (command, flags) in &cases {
+        let named = flags[0];
+        let out = offchip()
+            .args(command)
+            .args(flags)
+            .output()
+            .expect("spawn offchip");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command:?} {flags:?}: {err}");
+        let first = err.lines().next().unwrap_or_default();
+        assert!(
+            first.contains(command[0]) && first.contains(named),
+            "{command:?} {flags:?}: the error names the command and {named}: {err}"
+        );
+    }
+    assert!(!dir.exists(), "no file or journal directory was written");
+}
+
+#[test]
 fn faulted_fit_reports_quality_or_typed_error() {
     // Heavy but survivable faults: the robust pipeline must either fit
     // (printing its degradation ledger) or refuse with exit code 4 — and

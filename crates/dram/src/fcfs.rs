@@ -73,8 +73,8 @@ pub struct FcfsController {
     /// `bus_free[channel]`: when the data bus can begin a new transfer.
     bus_free: Vec<SimTime>,
     stats: McStats,
-    /// Per-run telemetry observer; `None` at `ObsLevel::Off`, so the hot
-    /// path pays one predictable branch.
+    /// Per-run telemetry observer; `None` when the run has no registry,
+    /// so the hot path pays one predictable branch.
     obs: Option<Box<offchip_obs::McObs>>,
 }
 

@@ -167,7 +167,7 @@ pub struct FrFcfsController {
     /// absolute priority.
     starvation_cap: u32,
     stats: McStats,
-    /// Per-run telemetry observer; `None` at `ObsLevel::Off`.
+    /// Per-run telemetry observer; `None` when the run has no registry.
     obs: Option<Box<offchip_obs::McObs>>,
 }
 

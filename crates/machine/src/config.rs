@@ -1,7 +1,9 @@
 //! Simulation configuration.
 
+use std::sync::Arc;
+
 use offchip_cache::ReplacementPolicy;
-use offchip_obs::ObsLevel;
+use offchip_obs::Registry;
 use offchip_topology::{AllocationPolicy, MachineSpec, SpecError};
 
 /// Why a [`SimConfig`] cannot be simulated.
@@ -168,13 +170,14 @@ pub struct SimConfig {
     /// guard costs nothing measurable; exceeding it surfaces as
     /// [`crate::sim::RunError::DeadlineExceeded`].
     pub deadline: Option<std::time::Duration>,
-    /// Observation level of this run. Captured from the process-wide
-    /// [`offchip_obs::level()`] (`--obs` / `OFFCHIP_OBS`) at construction,
-    /// so every sweep/campaign path inherits it without plumbing. At
-    /// [`ObsLevel::Off`] (the default) no observer objects exist and the
-    /// hot paths pay one predictable branch; counters — and therefore
-    /// every experiment artefact — are identical at every level.
-    pub obs: ObsLevel,
+    /// The registry this run records its metrics into; `None` (the
+    /// default) observes nothing. With a registry the run builds its
+    /// observers and merges them into it at end of run, and it also
+    /// records spans when its thread's trace takes runs
+    /// ([`offchip_obs::run_room`]). Without one no observer objects exist
+    /// and the hot paths pay one predictable branch; counters — and
+    /// therefore every experiment artefact — are identical either way.
+    pub metrics: Option<Arc<Registry>>,
 }
 
 impl SimConfig {
@@ -197,7 +200,7 @@ impl SimConfig {
             prefetch_degree: 0,
             max_events: None,
             deadline: None,
-            obs: offchip_obs::level(),
+            metrics: None,
         }
     }
 

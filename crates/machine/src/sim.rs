@@ -23,7 +23,7 @@
 use offchip_cache::{cache::AccessKind, mshr::MshrOutcome, Hierarchy, MshrFile};
 use offchip_dram::fcfs::McConfig;
 use offchip_dram::{EnqueueResult, FcfsController, FrFcfsController, McModel, Request, RequestId};
-use offchip_obs::{Histogram, McObs, ObsLevel, Span};
+use offchip_obs::{Histogram, McObs, Span};
 use offchip_simcore::{CalendarQueue, EventSched, SimTime};
 use offchip_topology::{allocation, CoreId, McId};
 
@@ -107,12 +107,11 @@ const DEADLINE_POLL_MASK: u64 = (1 << 16) - 1;
 /// without bound.
 const MAX_SIM_SPANS: usize = 1 << 19;
 
-/// Per-run machine-layer observer; `None` at [`ObsLevel::Off`], so every
-/// hot-path hook is one predictable branch on an absent `Option`.
+/// Per-run machine-layer observer; `None` when the run has no registry,
+/// so every hot-path hook is one predictable branch on an absent `Option`.
 struct SimObs {
-    /// Most spans the run collects: `Some` only at [`ObsLevel::Trace`]
-    /// under a current trace that takes runs, capped by the room that
-    /// trace has left.
+    /// Most spans the run collects: `Some` only under a current trace
+    /// that takes runs, capped by the room that trace has left.
     span_cap: Option<usize>,
     /// Cycles threads spent blocked on off-chip fills, one sample per
     /// stall episode.
@@ -419,15 +418,12 @@ impl<'a> LaneRunner<'a> {
                 }
             })
             .collect();
-        // Spans go to the thread's current trace, so a run collects them
-        // only when that trace takes runs, and no more than it has room
-        // for: a full trace would only drop them.
-        let span_room = cfg
-            .obs
-            .at_least(ObsLevel::Trace)
-            .then(offchip_obs::run_room)
-            .flatten();
-        if cfg.obs.at_least(ObsLevel::Metrics) {
+        // Spans go to the thread's current trace, so an observed run
+        // collects them only when that trace takes runs, and no more than
+        // it has room for: a full trace would only drop them.
+        let observed = cfg.metrics.is_some();
+        let span_room = observed.then(offchip_obs::run_room).flatten();
+        if observed {
             for (i, mc) in mcs.iter_mut().enumerate() {
                 mc.attach_obs(Box::new(McObs::new(i, span_room)));
             }
@@ -457,10 +453,7 @@ impl<'a> LaneRunner<'a> {
             counters: Counters::default(),
             sampler: cfg.sampler_window.map(WindowSampler::new),
             max_end: SimTime::ZERO,
-            obs: cfg
-                .obs
-                .at_least(ObsLevel::Metrics)
-                .then(|| Box::new(SimObs::new(span_room))),
+            obs: observed.then(|| Box::new(SimObs::new(span_room))),
         };
 
         for slot in 0..sim.cores.len() {
@@ -580,15 +573,14 @@ impl<'a> LaneRunner<'a> {
     }
 }
 
-/// Drains every per-run observer into the process-global metrics registry
-/// and the current trace's next lane. A no-op below
-/// [`ObsLevel::Metrics`], so runs at [`ObsLevel::Off`] touch no global
-/// state at all.
+/// Drains every per-run observer into the run's registry and the current
+/// trace's next lane. A no-op for a run without a registry, which touches
+/// no shared state at all.
 fn flush_obs(sim: &mut Sim<'_>) {
-    if !sim.cfg.obs.at_least(ObsLevel::Metrics) {
+    let cfg = sim.cfg;
+    let Some(reg) = cfg.metrics.as_deref() else {
         return;
-    }
-    let reg = offchip_obs::registry();
+    };
 
     let mut mshr_peak = 0u64;
     for th in &sim.threads {
@@ -1711,10 +1703,15 @@ mod tests {
     fn observation_never_perturbs_the_simulation() {
         let w = obs_workload();
         let mut cfg = SimConfig::new(small_machine(), 2);
-        cfg.obs = offchip_obs::ObsLevel::Off;
         let off = run(&w, &cfg);
-        cfg.obs = offchip_obs::ObsLevel::Trace;
+        let reg = std::sync::Arc::new(offchip_obs::Registry::default());
+        cfg.metrics = Some(std::sync::Arc::clone(&reg));
+        let trace = offchip_obs::trace_begin(0x5e1f_0b5e, "test", String::new(), true);
+        let scope = offchip_obs::TraceScope::enter(trace);
         let on = run(&w, &cfg);
+        drop(scope);
+        assert!(reg.histogram("machine.mem_stall_cycles").is_some());
+        assert!(offchip_obs::trace_chrome_json(trace.trace).is_some_and(|j| j.contains("dram")));
         assert_eq!(off.counters, on.counters, "counters must be obs-invariant");
         assert_eq!(off.makespan, on.makespan);
         assert_eq!(off.mc_stats, on.mc_stats);

@@ -1,15 +1,13 @@
 //! Zero-overhead-when-off instrumentation for the offchip stack.
 //!
-//! Six pieces, all dependency-free:
+//! Five pieces, all dependency-free:
 //!
-//! - [`level`](mod@level): the process-wide [`ObsLevel`] (`Off`/`Metrics`/`Trace`),
-//!   resolved once per run from `--obs`/`OFFCHIP_OBS`. Every producer
-//!   captures it at construction time, so the hot-path cost when off is a
-//!   single well-predicted branch on an `Option` that is `None`.
-//! - [`metrics`]: a process-global registry of counters, gauges and
-//!   log2-bucketed [`Histogram`]s with p50/p95/p99/max. Hot paths never
-//!   touch the registry; they record into plain per-run structs and merge
-//!   once at end of run.
+//! - [`metrics`]: a [`Registry`] of counters, gauges and log2-bucketed
+//!   [`Histogram`]s with p50/p95/p99/max. There is no process-global
+//!   registry: whoever wants metrics builds one and hands it down (a
+//!   simulator run records into `SimConfig.metrics`, a service into its
+//!   own). Hot paths never touch a registry; they record into plain
+//!   per-run structs and merge once at end of run.
 //! - [`telemetry`]: per-memory-controller observers ([`McObs`]) feeding
 //!   queue-wait/queue-depth histograms and DRAM service spans from the
 //!   DRAM service paths.
@@ -22,17 +20,18 @@
 //!   `OFFCHIP_LOG`) with [`error!`]/[`warn!`]/[`info!`]/[`debug!`] macros,
 //!   a structured JSON mode (`--log-format json`, `OFFCHIP_LOG_FORMAT`)
 //!   and a [`warn_rate_limited!`] variant for flood-prone paths.
-//! - [`prom`]: Prometheus text exposition of the metrics registry
+//! - [`prom`]: Prometheus text exposition of a registry
 //!   (log2 histograms → cumulative `le` buckets).
 //!
 //! # The zero-cost contract
 //!
-//! Nothing in this crate allocates, locks, or formats unless the
-//! corresponding level is enabled: at `ObsLevel::Off` the simulator
-//! constructs no observer objects. Two checks pin what being off costs:
-//! experiment artefacts are byte-identical at every level (the golden
-//! artefact tests, and CI's `cmp` of `table2.json` across levels), and
-//! the repository benchmark (`perfbench`, obs off) bounds every
+//! A run observes itself exactly when its caller hands it a registry:
+//! without one the simulator constructs no observer objects, and its hot
+//! paths pay one well-predicted branch on an `Option` that is `None`.
+//! Two checks pin what being off costs: experiment artefacts are
+//! byte-identical observed or not (the golden artefact tests, the
+//! telemetry tests, and CI's `cmp` of a plain and an observed sweep),
+//! and the repository benchmark (`perfbench`, unobserved) bounds every
 //! end-to-end time at 0.25 of the parent's. The perfstat gate is coarser
 //! still (25 %, and CI runs it in quick mode against a full-mode
 //! baseline), so it cannot see a branch.
@@ -40,19 +39,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod level;
 pub mod log;
 pub mod metrics;
 pub mod prom;
 pub mod telemetry;
 pub mod trace;
 
-pub use level::{level, set_level, ObsLevel};
 pub use log::{
     log_emit, log_enabled, log_format, log_level, set_log_format, set_log_level, LogFormat,
     LogLevel,
 };
-pub use metrics::{registry, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use prom::{prom_name, render_prometheus};
 pub use telemetry::McObs;
 pub use trace::{

@@ -1,4 +1,4 @@
-//! The process-global metrics registry.
+//! The metrics registry.
 //!
 //! Hot paths never write here. The simulator records into plain per-run
 //! structs ([`Histogram`], local `u64`s) and merges them into the registry
@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, RwLock};
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -272,7 +272,8 @@ impl MetricsSnapshot {
     }
 }
 
-/// The process-global metrics registry.
+/// A metrics registry: one per observer that wants metrics (a CLI
+/// command, a service), shared by reference with whatever records into it.
 ///
 /// Counter/gauge updates take a read lock plus one atomic RMW; histogram
 /// merges serialise on a mutex (they happen once per run, not per event).
@@ -379,13 +380,6 @@ impl Registry {
             .collect()
     }
 
-    /// Clears everything (test isolation).
-    pub fn reset(&self) {
-        self.counters.write().unwrap().clear();
-        self.gauges.write().unwrap().clear();
-        self.histograms.lock().unwrap().clear();
-    }
-
     /// A point-in-time copy of every metric, name-sorted.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = self
@@ -427,12 +421,6 @@ impl Registry {
             histograms,
         }
     }
-}
-
-/// The process-global registry.
-pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
 }
 
 #[cfg(test)]
@@ -546,7 +534,6 @@ mod tests {
         let csv = snap.to_csv();
         assert!(csv.starts_with("kind,name,value"));
         assert!(csv.contains("counter,x.count,5"));
-        r.reset();
-        assert!(r.snapshot().is_empty());
+        assert!(Registry::default().snapshot().is_empty());
     }
 }

@@ -1,5 +1,5 @@
 //! Per-memory-controller observers: queue-wait and queue-depth
-//! histograms, plus DRAM service spans at `Trace` level.
+//! histograms, plus DRAM service spans when the run is traced.
 //!
 //! A [`McObs`] is owned by one memory-controller model for one run (so
 //! recording is plain, non-atomic work) and drained at end of run into
@@ -11,14 +11,14 @@ use std::collections::BinaryHeap;
 use crate::metrics::Histogram;
 use crate::trace::Span;
 
-/// Hard cap on per-controller DRAM service spans kept at `Trace` level.
+/// Hard cap on per-controller DRAM service spans kept per traced run.
 const MAX_MC_SPANS: usize = 1 << 18;
 
 /// Per-run, per-controller observer: fed from the DRAM service path.
 ///
 /// The controller calls [`McObs::record`] once per serviced request; the
-/// observer maintains queue-wait and queue-depth histograms and (at
-/// `Trace` level) one `"dram"` span per request.
+/// observer maintains queue-wait and queue-depth histograms and (when
+/// the run is traced) one `"dram"` span per request.
 #[derive(Debug, Clone)]
 pub struct McObs {
     mc: usize,

@@ -148,15 +148,6 @@ impl FaultSpec {
         Ok(spec)
     }
 
-    /// Reads the spec from the `OFFCHIP_FAULTS` environment variable;
-    /// `Ok(None)` when unset.
-    pub fn from_env() -> Result<Option<FaultSpec>, FaultSpecError> {
-        match std::env::var("OFFCHIP_FAULTS") {
-            Ok(s) if !s.trim().is_empty() => FaultSpec::parse(&s).map(Some),
-            _ => Ok(None),
-        }
-    }
-
     /// Whether any fault knob is active.
     pub fn is_active(&self) -> bool {
         self.drop > 0.0 || self.jitter > 0.0 || self.garbage > 0.0 || self.zero > 0.0

@@ -23,7 +23,6 @@
 use offchip_serve::{signal, PredictService, Server, ServerOptions, ServiceConfig};
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -249,32 +248,11 @@ fn main() {
         parsed.service.request_deadline,
     );
 
-    // Bridge the signal flag into the server's shutdown flag.
-    let shutdown = AtomicBool::new(false);
-    let rc = std::thread::scope(|s| {
-        let shutdown = &shutdown;
-        let poller = s.spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                if signal::requested() {
-                    shutdown.store(true, Ordering::SeqCst);
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-        });
-        let rc = match server.run(shutdown) {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("offchip-serve: server failed: {e}");
-                5
-            }
-        };
-        // Unblock the poller if run() returned on its own.
-        shutdown.store(true, Ordering::SeqCst);
-        let _ = poller.join();
-        rc
-    });
-    std::process::exit(rc);
+    // The signal handlers' flag is the server's shutdown flag.
+    if let Err(e) = server.run(signal::flag()) {
+        eprintln!("offchip-serve: server failed: {e}");
+        std::process::exit(5);
+    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+use offchip_obs::Registry;
 
 /// Seed hashed with each key into its probe position.
 const PROBE_SEED: u64 = 0x0FFC_8175;
@@ -151,14 +153,18 @@ impl Entry {
 pub struct Breaker<K> {
     cfg: BreakerConfig,
     slots: Mutex<HashMap<K, Entry>>,
+    /// Where state transitions are counted (`serve.breaker.*`).
+    metrics: Arc<Registry>,
 }
 
 impl<K: Eq + Hash + Clone> Breaker<K> {
-    /// An all-closed breaker registry.
-    pub fn new(cfg: BreakerConfig) -> Breaker<K> {
+    /// An all-closed breaker registry that counts its transitions in
+    /// `metrics`.
+    pub fn new(cfg: BreakerConfig, metrics: Arc<Registry>) -> Breaker<K> {
         Breaker {
             cfg,
             slots: Mutex::new(HashMap::new()),
+            metrics,
         }
     }
 
@@ -185,7 +191,7 @@ impl<K: Eq + Hash + Clone> Breaker<K> {
                 entry.open_seen += 1;
                 if entry.open_seen >= entry.probe_at {
                     entry.state = BreakerState::HalfOpen;
-                    offchip_obs::registry().add("serve.breaker.half_open", 1);
+                    self.metrics.add("serve.breaker.half_open", 1);
                     Admission::Degrade {
                         probe: true,
                         info: entry.info(),
@@ -221,7 +227,7 @@ impl<K: Eq + Hash + Clone> Breaker<K> {
             entry.state = BreakerState::Open;
             entry.open_seen = 0;
             entry.probe_at = self.probe_at(key);
-            offchip_obs::registry().add("serve.breaker.open", 1);
+            self.metrics.add("serve.breaker.open", 1);
             offchip_obs::warn!(
                 "serve: breaker OPEN after {} consecutive {kind} failure(s): {message}",
                 entry.consecutive_failures
@@ -235,7 +241,7 @@ impl<K: Eq + Hash + Clone> Breaker<K> {
         let mut slots = self.slots.lock().unwrap();
         if let Some(entry) = slots.get_mut(key) {
             if entry.state != BreakerState::Closed {
-                offchip_obs::registry().add("serve.breaker.close", 1);
+                self.metrics.add("serve.breaker.close", 1);
                 offchip_obs::info!("serve: breaker CLOSED — probe fill succeeded");
             }
             *entry = Entry::new();
@@ -284,7 +290,7 @@ mod tests {
 
     #[test]
     fn opens_after_threshold_consecutive_failures() {
-        let b: Breaker<u32> = Breaker::new(cfg(3, 4));
+        let b: Breaker<u32> = Breaker::new(cfg(3, 4), Arc::default());
         for _ in 0..2 {
             b.on_failure(&1, "internal", "disk on fire");
             assert!(matches!(b.admit(&1), Admission::Proceed), "below threshold");
@@ -302,7 +308,7 @@ mod tests {
 
     #[test]
     fn success_resets_the_streak() {
-        let b: Breaker<u32> = Breaker::new(cfg(3, 4));
+        let b: Breaker<u32> = Breaker::new(cfg(3, 4), Arc::default());
         b.on_failure(&1, "fit", "x");
         b.on_failure(&1, "fit", "x");
         b.on_success(&1);
@@ -315,7 +321,7 @@ mod tests {
 
     #[test]
     fn probe_fires_at_a_deterministic_position_then_half_open_holds() {
-        let b: Breaker<u32> = Breaker::new(cfg(1, 5));
+        let b: Breaker<u32> = Breaker::new(cfg(1, 5), Arc::default());
         b.on_failure(&1, "internal", "x");
         assert!(b.is_open(&1));
         let mut probe_index = None;
@@ -356,7 +362,7 @@ mod tests {
 
     #[test]
     fn keys_are_independent() {
-        let b: Breaker<u32> = Breaker::new(cfg(1, 4));
+        let b: Breaker<u32> = Breaker::new(cfg(1, 4), Arc::default());
         b.on_failure(&1, "internal", "x");
         assert!(b.is_open(&1));
         assert!(!b.is_open(&2));

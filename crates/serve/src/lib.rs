@@ -15,7 +15,7 @@
 //!
 //! * `POST /predict` — `C(n)`, `ω(n)` and speedup at one core count;
 //! * `POST /sweep` — the same over an inclusive `n` range;
-//! * `GET /metrics` — the process's metrics registry as CSV, or
+//! * `GET /metrics` — the service's metrics registry as CSV, or
 //!   Prometheus text exposition with `?fmt=prom`;
 //! * `GET /healthz` — liveness;
 //! * `GET /readyz` — readiness (drain / admission high-water);

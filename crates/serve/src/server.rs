@@ -26,9 +26,9 @@ use crate::admission::{AdmissionConfig, ConnQueue};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::service::PredictService;
 use offchip_chaos::{ChaosStream, NetFaultPlan, NetSpec};
-use offchip_obs::ObsLevel;
+use offchip_obs::Registry;
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -36,9 +36,9 @@ use std::time::{Duration, Instant};
 /// Per-connection socket timeout: bounds how long an idle keep-alive
 /// connection can delay worker exit during shutdown drain.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
-/// Accept-loop poll interval (the listener is non-blocking so the loop
-/// can notice the shutdown flag).
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// How often the watcher thread reads the shutdown flag (and how long
+/// the accept loop backs off after a failed accept).
+const SHUTDOWN_POLL: Duration = Duration::from_millis(20);
 /// Heartbeat log cadence.
 const HEARTBEAT: Duration = Duration::from_secs(10);
 /// Connection-setup failures warn on the first, then once per this many.
@@ -180,11 +180,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener (non-blocking, so the accept loop can poll the
-    /// shutdown flag) and wraps the service.
+    /// Binds the listener and wraps the service.
     pub fn bind(opts: &ServerOptions, service: PredictService) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let mut opts = opts.clone();
         opts.workers = opts.workers.max(1);
@@ -203,6 +201,12 @@ impl Server {
         self.addr
     }
 
+    /// The service's metrics registry, which the server's own counters
+    /// (connections, shed, timeouts) share.
+    pub fn metrics(&self) -> &Registry {
+        self.service.metrics()
+    }
+
     /// Wraps an accepted socket in the chaos-net layer when configured.
     fn wrap(&self, stream: TcpStream) -> ServeStream {
         match &self.opts.chaos_net {
@@ -216,12 +220,18 @@ impl Server {
 
     /// Serves until `shutdown` reads true, then drains: stops accepting,
     /// lets workers finish in-flight requests, joins them and returns.
+    ///
+    /// The accept loop blocks in `accept`, so a fresh connection reaches a
+    /// worker at once. A watcher thread reads `shutdown` every 20 ms,
+    /// writes the heartbeat, and on shutdown connects to the listener to
+    /// wake the blocked `accept`.
     pub fn run(&self, shutdown: &AtomicBool) -> std::io::Result<()> {
         let queue: ConnQueue<Conn> = ConnQueue::new(self.opts.admission.clone());
-        let reg = offchip_obs::registry();
+        let reg = self.metrics();
         // 1-based accept counter: the high bits of every derived trace id
         // (DESIGN.md §15) — deterministic for a replayed accept order.
         let conn_counter = AtomicU64::new(0);
+        let accepting = AtomicBool::new(true);
         std::thread::scope(|s| {
             for _ in 0..self.opts.workers {
                 let queue = &queue;
@@ -232,77 +242,58 @@ impl Server {
                     }
                 });
             }
+            s.spawn(|| self.watch(shutdown, &accepting, &queue));
 
-            let mut last_beat = Instant::now();
             while !shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        reg.add("serve.connections", 1);
-                        // Workers use ordinary blocking reads with a
-                        // timeout; undo the listener's non-blocking mode
-                        // the stream inherits on some platforms.
-                        let ok = stream
-                            .set_nonblocking(false)
-                            .and_then(|_| stream.set_read_timeout(Some(SOCKET_TIMEOUT)))
-                            .and_then(|_| stream.set_write_timeout(Some(SOCKET_TIMEOUT)))
-                            .and_then(|_| stream.set_nodelay(true));
-                        if let Err(e) = ok {
-                            // A connection we cannot configure would hang
-                            // a worker without its timeouts; drop it, but
-                            // never silently — the old accept loop ate
-                            // these and the counter never moved.
-                            reg.add("serve.conn_setup_failed", 1);
-                            let n = reg.counter("serve.conn_setup_failed");
-                            offchip_obs::warn_rate_limited!(
-                                SETUP_WARN_EVERY,
-                                "serve: connection setup failed ({n} so far): {e}"
-                            );
-                            continue;
-                        }
-                        let conn = Conn {
-                            stream: self.wrap(stream),
-                            id: conn_counter.fetch_add(1, Ordering::Relaxed) + 1,
-                            admitted: Instant::now(),
-                        };
-                        match queue.admit(conn) {
-                            Ok(depth) => reg.observe("serve.queue_depth", depth as u64),
-                            Err((mut conn, reason)) => {
-                                reg.add("serve.shed", 1);
-                                // One small write on the accept thread;
-                                // the worker pool never sees the
-                                // connection.
-                                let _ = Response::error(503, "server overloaded — retry shortly")
-                                    .with_header("Retry-After", "1")
-                                    .with_header("X-Offchip-Shed", reason.as_str())
-                                    .write_to(&mut conn.stream, true);
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
+                let stream = match self.listener.accept() {
+                    // The watcher's wake-up, or a client arriving as the
+                    // drain starts: either way, accept no more.
+                    Ok(_) if shutdown.load(Ordering::SeqCst) => break,
+                    Ok((stream, _peer)) => stream,
                     Err(e) => {
                         offchip_obs::warn!("serve: accept failed: {e}");
-                        std::thread::sleep(ACCEPT_POLL);
+                        std::thread::sleep(SHUTDOWN_POLL);
+                        continue;
+                    }
+                };
+                reg.add("serve.connections", 1);
+                // Workers use blocking reads with a timeout.
+                let ok = stream
+                    .set_read_timeout(Some(SOCKET_TIMEOUT))
+                    .and_then(|_| stream.set_write_timeout(Some(SOCKET_TIMEOUT)))
+                    .and_then(|_| stream.set_nodelay(true));
+                if let Err(e) = ok {
+                    // A connection we cannot configure would hang a
+                    // worker without its timeouts; drop it, but never
+                    // silently — the old accept loop ate these and the
+                    // counter never moved.
+                    reg.add("serve.conn_setup_failed", 1);
+                    let n = reg.counter("serve.conn_setup_failed");
+                    offchip_obs::warn_rate_limited!(
+                        SETUP_WARN_EVERY,
+                        "serve: connection setup failed ({n} so far): {e}"
+                    );
+                    continue;
+                }
+                let conn = Conn {
+                    stream: self.wrap(stream),
+                    id: conn_counter.fetch_add(1, Ordering::Relaxed) + 1,
+                    admitted: Instant::now(),
+                };
+                match queue.admit(conn) {
+                    Ok(depth) => reg.observe("serve.queue_depth", depth as u64),
+                    Err((mut conn, reason)) => {
+                        reg.add("serve.shed", 1);
+                        // One small write on the accept thread; the
+                        // worker pool never sees the connection.
+                        let _ = Response::error(503, "server overloaded — retry shortly")
+                            .with_header("Retry-After", "1")
+                            .with_header("X-Offchip-Shed", reason.as_str())
+                            .write_to(&mut conn.stream, true);
                     }
                 }
-                if last_beat.elapsed() >= HEARTBEAT {
-                    last_beat = Instant::now();
-                    let (queued, active) = queue.depth();
-                    offchip_obs::info!(
-                        "serve: heartbeat — {} connection(s), {} predict, {} sweep, \
-                         cache {} hit / {} miss, {} model(s) cached, {} shed, \
-                         queue {queued} waiting / {active} active",
-                        reg.counter("serve.connections"),
-                        reg.counter("serve.requests.predict"),
-                        reg.counter("serve.requests.sweep"),
-                        reg.counter("serve.cache.hit"),
-                        reg.counter("serve.cache.miss"),
-                        self.service.cached_models(),
-                        reg.counter("serve.shed"),
-                    );
-                }
             }
+            accepting.store(false, Ordering::SeqCst);
             offchip_obs::info!("serve: shutdown requested — draining workers");
             queue.close();
         });
@@ -313,14 +304,53 @@ impl Server {
         );
         Ok(())
     }
+
+    /// The watcher: writes the heartbeat every [`HEARTBEAT`] until
+    /// `shutdown` reads true, then connects to the listener until the
+    /// accept loop, woken by one of those connections, has stopped.
+    fn watch(&self, shutdown: &AtomicBool, accepting: &AtomicBool, queue: &ConnQueue<Conn>) {
+        let reg = self.metrics();
+        let mut last_beat = Instant::now();
+        while !shutdown.load(Ordering::SeqCst) {
+            std::thread::sleep(SHUTDOWN_POLL);
+            if last_beat.elapsed() >= HEARTBEAT {
+                last_beat = Instant::now();
+                let (queued, active) = queue.depth();
+                offchip_obs::info!(
+                    "serve: heartbeat — {} connection(s), {} predict, {} sweep, \
+                     cache {} hit / {} miss, {} model(s) cached, {} shed, \
+                     queue {queued} waiting / {active} active",
+                    reg.counter("serve.connections"),
+                    reg.counter("serve.requests.predict"),
+                    reg.counter("serve.requests.sweep"),
+                    reg.counter("serve.cache.hit"),
+                    reg.counter("serve.cache.miss"),
+                    self.service.cached_models(),
+                    reg.counter("serve.shed"),
+                );
+            }
+        }
+        // A listener bound to 0.0.0.0 or [::] is reached over loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        while accepting.load(Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&wake, SHUTDOWN_POLL);
+            std::thread::sleep(SHUTDOWN_POLL);
+        }
+    }
 }
 
 /// `GET /readyz`: ready only while accepting and below high-water.
 /// Server-level (unlike `/healthz` in the service) because readiness is
 /// a property of the queue and the drain flag, which the service cannot
 /// see.
-fn readyz<T>(queue: &ConnQueue<T>, shutdown: &AtomicBool) -> Response {
-    offchip_obs::registry().add("serve.requests.readyz", 1);
+fn readyz<T>(queue: &ConnQueue<T>, shutdown: &AtomicBool, reg: &Registry) -> Response {
+    reg.add("serve.requests.readyz", 1);
     let (queued, _active) = queue.depth();
     if shutdown.load(Ordering::SeqCst) {
         Response::error(503, "draining")
@@ -336,7 +366,7 @@ fn readyz<T>(queue: &ConnQueue<T>, shutdown: &AtomicBool) -> Response {
 /// requests with their trace ids.
 fn statusz<T>(server: &Server, queue: &ConnQueue<T>) -> Response {
     use std::fmt::Write as _;
-    let reg = offchip_obs::registry();
+    let reg = server.metrics();
     reg.add("serve.requests.statusz", 1);
     let (queued, active) = queue.depth();
     let hits = reg.counter("serve.cache.hit");
@@ -409,8 +439,8 @@ fn statusz<T>(server: &Server, queue: &ConnQueue<T>) -> Response {
 
 /// `GET /debug/trace/<id>`: the buffered span tree of a recent traced
 /// request — JSON by default, Chrome `trace_event` with `?fmt=perfetto`.
-fn debug_trace(id_hex: &str, query: &str) -> Response {
-    offchip_obs::registry().add("serve.requests.debug_trace", 1);
+fn debug_trace(id_hex: &str, query: &str, reg: &Registry) -> Response {
+    reg.add("serve.requests.debug_trace", 1);
     let Some(id) = crate::http::parse_hex_id(id_hex) else {
         return Response::error(400, "trace id must be hex");
     };
@@ -436,11 +466,11 @@ fn route(
     let (path, query) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
     if req.method == "GET" {
         match path {
-            "/readyz" => return readyz(queue, shutdown),
+            "/readyz" => return readyz(queue, shutdown, server.metrics()),
             "/statusz" => return statusz(server, queue),
             _ => {
                 if let Some(id_hex) = path.strip_prefix("/debug/trace/") {
-                    return debug_trace(id_hex, query);
+                    return debug_trace(id_hex, query, server.metrics());
                 }
             }
         }
@@ -454,9 +484,9 @@ fn route(
 /// Per-request trace lifecycle (DESIGN.md §15): the id is the inbound
 /// `X-Offchip-Trace` when present, else derived from
 /// `(connection counter, request sequence)`; spans are buffered only when
-/// the client asked for tracing or the process runs at `--obs trace`, but
-/// the id is *echoed* on every response either way — correlation is free,
-/// buffering is opt-in.
+/// the client asked for tracing by sending that header, but the id is
+/// *echoed* on every response either way — correlation is free, buffering
+/// is opt-in.
 fn handle_connection(conn: Conn, server: &Server, shutdown: &AtomicBool, queue: &ConnQueue<Conn>) {
     let conn_id = conn.id;
     let queue_wait_us = conn.admitted.elapsed().as_micros() as u64;
@@ -471,9 +501,7 @@ fn handle_connection(conn: Conn, server: &Server, shutdown: &AtomicBool, queue: 
                 let id = req
                     .trace
                     .unwrap_or_else(|| offchip_obs::derive_trace_id(conn_id, seq));
-                let buffered =
-                    req.trace.is_some() || offchip_obs::level().at_least(ObsLevel::Trace);
-                let root = if buffered {
+                let root = if req.trace.is_some() {
                     let detail = format!("{} {} conn={conn_id} seq={seq}", req.method, req.path);
                     offchip_obs::trace_begin(id, "request", detail, false)
                 } else {
@@ -517,7 +545,7 @@ fn handle_connection(conn: Conn, server: &Server, shutdown: &AtomicBool, queue: 
                 // The request *started* and then stalled (slow-loris or
                 // a chaos stall): a clean 408, distinct from the silent
                 // close an idle keep-alive connection gets.
-                offchip_obs::registry().add("serve.request_timeout", 1);
+                server.metrics().add("serve.request_timeout", 1);
                 let _ = Response::error(408, what).write_to(reader.get_mut(), true);
                 return;
             }
@@ -538,13 +566,14 @@ mod tests {
         };
         let queue: ConnQueue<u8> = ConnQueue::new(cfg.clone());
         let shutdown = AtomicBool::new(false);
-        assert_eq!(readyz(&queue, &shutdown).status, 200);
+        let reg = Registry::default();
+        assert_eq!(readyz(&queue, &shutdown, &reg).status, 200);
 
         // Queue at the high-water mark: not ready, but still accepting.
         for i in 0..cfg.high_water() {
             queue.admit(i as u8).unwrap();
         }
-        let resp = readyz(&queue, &shutdown);
+        let resp = readyz(&queue, &shutdown, &reg);
         assert_eq!(resp.status, 503);
         assert!(
             String::from_utf8_lossy(&resp.body).contains("high-water"),
@@ -554,7 +583,7 @@ mod tests {
 
         // Draining wins over everything else.
         shutdown.store(true, Ordering::SeqCst);
-        let resp = readyz(&queue, &shutdown);
+        let resp = readyz(&queue, &shutdown, &reg);
         assert_eq!(resp.status, 503);
         assert!(String::from_utf8_lossy(&resp.body).contains("draining"));
     }

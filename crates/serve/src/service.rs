@@ -23,6 +23,7 @@ use offchip_bench::{
 use offchip_chaos::{ChaosSpec, ChaosVfs, Vfs};
 use offchip_json::Json;
 use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
+use offchip_obs::Registry;
 use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -149,7 +150,8 @@ pub enum ModelOutcome {
 }
 
 /// The shared service state: config, the fill campaigns' options, the
-/// single-flight model cache and the per-key fill breaker.
+/// single-flight model cache, the per-key fill breaker and the service's
+/// own metrics registry.
 pub struct PredictService {
     config: ServiceConfig,
     /// Every fill campaign's options: resumed from the journal directory,
@@ -158,12 +160,17 @@ pub struct PredictService {
     fill: CampaignOptions,
     cache: SingleFlight<ModelKey, FittedEntry, ServiceError>,
     breaker: Arc<Breaker<ModelKey>>,
+    /// The `serve.*` metrics: what `/metrics`, `/statusz` and the
+    /// heartbeat read. Fills record no simulator metrics into it.
+    metrics: Arc<Registry>,
 }
 
 impl PredictService {
-    /// A service with an empty cache and an all-closed breaker.
+    /// A service with an empty cache, an all-closed breaker and an empty
+    /// registry.
     pub fn new(config: ServiceConfig) -> PredictService {
-        let breaker = Arc::new(Breaker::new(config.breaker.clone()));
+        let metrics = Arc::new(Registry::default());
+        let breaker = Arc::new(Breaker::new(config.breaker.clone(), Arc::clone(&metrics)));
         let vfs = config
             .chaos_io
             .clone()
@@ -178,7 +185,13 @@ impl PredictService {
             config,
             cache: SingleFlight::new(),
             breaker,
+            metrics,
         }
+    }
+
+    /// The service's metrics registry.
+    pub fn metrics(&self) -> &Registry {
+        &self.metrics
     }
 
     /// Routes one parsed request to a handler. Infallible: errors become
@@ -187,7 +200,7 @@ impl PredictService {
     /// thread's trace context ([`offchip_obs::current`]), if any.
     pub fn handle(&self, req: &Request) -> Response {
         let t0 = Instant::now();
-        let reg = offchip_obs::registry();
+        let reg = self.metrics();
         let (path, query) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
         let resp = match (req.method.as_str(), path) {
             ("POST", "/predict") => {
@@ -239,7 +252,7 @@ impl PredictService {
         counter: &'static str,
         body: RenderBody,
     ) -> Response {
-        let reg = offchip_obs::registry();
+        let reg = self.metrics();
         reg.add(counter, 1);
         let deadline = self.deadline_for(req);
         let outcome = (|| {

@@ -1,10 +1,12 @@
 //! Graceful-shutdown signals without a libc crate dependency.
 //!
-//! `SIGTERM`/`SIGINT` set a process-wide atomic flag that the accept
-//! loop polls; the handler does nothing else (an atomic store is on the
-//! short list of async-signal-safe operations). The server then drains
-//! in-flight connections and exits 0 — `kill -TERM` is the supported
-//! way to stop the service, and CI asserts the clean exit code.
+//! `SIGTERM`/`SIGINT` set a process-wide atomic flag, the one the binary
+//! hands to [`Server::run`](crate::Server::run) as its shutdown flag; the
+//! handler does nothing else (an atomic store is on the short list of
+//! async-signal-safe operations). The server's watcher thread polls the
+//! flag and wakes the accept loop; the server then drains in-flight
+//! connections and exits 0 — `kill -TERM` is the supported way to stop
+//! the service, and CI asserts the clean exit code.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -37,25 +39,7 @@ pub fn install() {
     }
 }
 
-/// Whether shutdown has been requested (by a signal or by [`request`]).
-pub fn requested() -> bool {
-    SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Requests shutdown programmatically (tests, fatal errors).
-pub fn request() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-#[cfg(test)]
-mod tests {
-    // `requested`/`request` only; raising real signals in the test
-    // process would race the harness. The end-to-end test exercises the
-    // real SIGTERM path against a spawned server binary.
-    #[test]
-    fn request_flag_round_trips() {
-        assert!(!super::requested() || super::requested());
-        super::request();
-        assert!(super::requested());
-    }
+/// The flag the handlers set: the server's shutdown flag.
+pub fn flag() -> &'static AtomicBool {
+    &SHUTDOWN
 }

@@ -1,6 +1,7 @@
-//! Socket-level keep-alive edge cases: pipelined requests in one
+//! Socket-level connection edge cases: pipelined requests in one
 //! segment, byte-by-byte clients that stay under the request budget,
-//! stalled clients that blow it (408), and oversized headers (413).
+//! stalled clients that blow it (408), oversized headers (413), and
+//! fresh connections to an idle server, which no accept poll delays.
 //!
 //! These complement the in-crate `http.rs` unit tests by driving the
 //! full accept-queue-worker path over real TCP connections.
@@ -10,14 +11,14 @@ mod support;
 use offchip_serve::{Server, ServerOptions};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use support::{read_response, scratch, serve, test_service};
 
 /// Runs `case` against a freshly bound server, then drains it.
-fn with_server(tag: &str, opts: ServerOptions, case: impl FnOnce(&str)) {
+fn with_server(tag: &str, opts: ServerOptions, case: impl FnOnce(&str, &Server)) {
     let dir = scratch(tag);
     let server = Server::bind(&opts, test_service(&dir)).unwrap();
-    serve(&server, |addr, _| case(addr));
+    serve(&server, |addr, _| case(addr, &server));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -31,7 +32,7 @@ fn default_opts() -> ServerOptions {
 
 #[test]
 fn pipelined_requests_are_answered_in_order_on_one_connection() {
-    with_server("pipeline", default_opts(), |addr| {
+    with_server("pipeline", default_opts(), |addr, _| {
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
@@ -64,7 +65,7 @@ fn pipelined_requests_are_answered_in_order_on_one_connection() {
 
 #[test]
 fn a_slow_but_progressing_request_is_served_within_the_budget() {
-    with_server("dribble", default_opts(), |addr| {
+    with_server("dribble", default_opts(), |addr, _| {
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
@@ -89,7 +90,7 @@ fn a_stalled_request_gets_408_not_a_worker_hang() {
         header_deadline: Duration::from_millis(300),
         ..default_opts()
     };
-    with_server("slowloris", opts, |addr| {
+    with_server("slowloris", opts, |addr, server| {
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
@@ -103,13 +104,13 @@ fn a_stalled_request_gets_408_not_a_worker_hang() {
         let doc = offchip_json::Json::parse(std::str::from_utf8(&body).unwrap().trim())
             .expect("408 body is JSON");
         assert!(doc.get("error").and_then(|j| j.as_str()).is_some());
-        assert!(offchip_obs::registry().counter("serve.request_timeout") >= 1);
+        assert_eq!(server.metrics().counter("serve.request_timeout"), 1);
     });
 }
 
 #[test]
 fn oversized_header_block_is_rejected_with_413() {
-    with_server("oversized", default_opts(), |addr| {
+    with_server("oversized", default_opts(), |addr, _| {
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
@@ -128,5 +129,35 @@ fn oversized_header_block_is_rejected_with_413() {
         let doc = offchip_json::Json::parse(std::str::from_utf8(&body).unwrap().trim())
             .expect("413 body is JSON");
         assert!(doc.get("error").and_then(|j| j.as_str()).is_some());
+    });
+}
+
+#[test]
+fn fresh_connections_to_an_idle_server_are_served_at_once() {
+    // The accept loop blocks in `accept`, so a connection to an idle
+    // server waits for no poll interval. (A loop that slept 20 ms each
+    // time `accept` would block put up to 20 ms in front of every fresh
+    // connection, and about 10 ms at this spacing.)
+    with_server("accept", default_opts(), |addr, _| {
+        let mut waits: Vec<Duration> = (0..20)
+            .map(|_| {
+                std::thread::sleep(Duration::from_millis(50));
+                let t0 = Instant::now();
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+                    .unwrap();
+                let (status, _, body) = read_response(&mut BufReader::new(conn)).unwrap();
+                assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+                t0.elapsed()
+            })
+            .collect();
+        waits.sort();
+        let median = waits[waits.len() / 2];
+        assert!(
+            median < Duration::from_millis(5),
+            "median {median:?} over {waits:?}"
+        );
     });
 }

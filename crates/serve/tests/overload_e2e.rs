@@ -88,7 +88,7 @@ fn conns_full_overflow_is_shed_with_a_well_formed_503() {
             "shed body is a JSON error envelope: {}",
             String::from_utf8_lossy(&body)
         );
-        assert!(offchip_obs::registry().counter("serve.shed") >= 1);
+        assert_eq!(server.metrics().counter("serve.shed"), 1);
         // The pinned connection closes as the case ends, so the drain is
         // clean.
     });
@@ -150,7 +150,7 @@ fn expired_deadline_answers_202_while_the_fill_completes() {
     let doc = parse_json(&first.body);
     assert!(doc.get("error").and_then(|j| j.as_str()).is_some());
     assert_eq!(doc.get("retry_after_s").and_then(|j| j.as_u64()), Some(5));
-    assert!(offchip_obs::registry().counter("serve.deadline_miss") >= 1);
+    assert_eq!(svc.metrics().counter("serve.deadline_miss"), 1);
 
     // An immediate retry with the same tiny budget coalesces onto the
     // in-flight fill and gets the same answer.
@@ -241,8 +241,8 @@ fn breaker_opens_onto_degraded_tier_and_recovers_when_fills_heal() {
         .expect("fallback provenance");
     assert!(fallback.contains("no simulation"), "{fallback}");
     assert!(doc.get("c_n").and_then(|j| j.as_f64()).unwrap() > 0.0);
-    assert!(offchip_obs::registry().counter("serve.degraded") >= 1);
-    assert!(offchip_obs::registry().counter("serve.breaker.open") >= 1);
+    assert_eq!(svc.metrics().counter("serve.degraded"), 1);
+    assert_eq!(svc.metrics().counter("serve.breaker.open"), 1);
 
     // While the fill path stays broken every request is served
     // degraded: seeded half-open probes fail and re-open the breaker.
@@ -289,6 +289,6 @@ fn breaker_opens_onto_degraded_tier_and_recovers_when_fills_heal() {
         journal_dir.join("serve-uma-CG.S.journal").exists(),
         "the recovering fill journaled its campaign"
     );
-    assert!(offchip_obs::registry().counter("serve.breaker.close") >= 1);
+    assert_eq!(svc.metrics().counter("serve.breaker.close"), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,14 +10,13 @@
 # A failing experiment aborts the script with its exit code — exit 6
 # means "interrupted but journaled": rerun with --resume.
 #
-# Observability (both off by default; artefact bytes are identical either
-# way — see DESIGN.md §10):
-#   OFFCHIP_OBS=metrics|trace  collect simulator metrics/spans per run
+# Logging (the experiment binaries observe no runs; to record a run's
+# metrics or trace, use the offchip CLI's --metrics/--trace, see
+# DESIGN.md §10):
 #   OFFCHIP_LOG=error|warn|info|debug
 #                              stderr log threshold (campaign heartbeats
 #                              and sweep timings land in results/*.log)
 set -euo pipefail
-export OFFCHIP_OBS="${OFFCHIP_OBS:-off}"
 export OFFCHIP_LOG="${OFFCHIP_LOG:-info}"
 cd "$(dirname "$0")"
 BIN=target/release

@@ -1,21 +1,18 @@
 //! Integration tests of the observability layer: the zero-overhead-when-
-//! off contract (experiment artefacts must be byte-identical at every
-//! `ObsLevel`), the metrics registry fed by real sweeps, and the Chrome
+//! off contract (experiment artefacts must be byte-identical observed or
+//! not), the metrics registry fed by real sweeps, and the Chrome
 //! trace_event export.
 //!
-//! The obs level in `SimConfig::new` is captured from a **process-global**
-//! knob and the metrics registry is process-global, so the tests that
-//! read either serialise on one mutex. The trace tests pin `cfg.obs`
-//! themselves and each record into a trace id of their own, so they take
-//! no lock.
+//! A run observes itself only when it is handed a registry, so each test
+//! builds its own registry and records into a trace id of its own: the
+//! tests share no state and take no lock.
 
-use std::sync::Mutex;
+use std::sync::Arc;
 
-use offchip::obs::{self, ObsLevel, TraceRef, TraceScope};
+use offchip::obs::{self, Registry, TraceRef, TraceScope};
 use offchip::prelude::*;
-
-/// Serialises tests that touch the process-global obs level or registry.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
+use offchip_bench::{Campaign, CampaignOptions};
+use offchip_json::ToJson;
 
 const SCALE: f64 = 1.0 / 64.0;
 
@@ -43,16 +40,15 @@ fn sweep_ns(total: usize) -> Vec<usize> {
 
 #[test]
 fn cg_sweep_feeds_queue_wait_histogram_with_ordered_quantiles() {
-    let _g = OBS_LOCK.lock().unwrap();
-    obs::registry().reset();
+    let reg = Arc::new(Registry::default());
     let machine = small_machine();
     let w = cg_a_workload(machine.total_cores());
     for n in sweep_ns(machine.total_cores()) {
         let mut cfg = SimConfig::new(machine.clone(), n);
-        cfg.obs = ObsLevel::Metrics;
+        cfg.metrics = Some(Arc::clone(&reg));
         run(w.as_ref(), &cfg);
     }
-    let snap = obs::registry().snapshot();
+    let snap = reg.snapshot();
     let (_, h) = snap
         .histograms
         .iter()
@@ -75,15 +71,14 @@ fn cg_sweep_feeds_queue_wait_histogram_with_ordered_quantiles() {
             snap.counters.iter().map(|c| &c.0).collect::<Vec<_>>()
         );
     }
-    obs::registry().reset();
 }
 
-/// Runs CG.A on `n` cores at `ObsLevel::Trace` in the context `ctx`.
+/// Runs CG.A on `n` cores, observed, in the context `ctx`.
 fn traced_run(ctx: TraceRef, n: usize) {
     let machine = small_machine();
     let w = cg_a_workload(machine.total_cores());
     let mut cfg = SimConfig::new(machine, n);
-    cfg.obs = ObsLevel::Trace;
+    cfg.metrics = Some(Arc::default());
     let _scope = TraceScope::enter(ctx);
     run(w.as_ref(), &cfg);
 }
@@ -121,9 +116,9 @@ fn trace_export_is_valid_chrome_json() {
 
 #[test]
 fn traced_run_outside_a_run_trace_keeps_no_spans() {
-    // Only a trace that takes runs gets lanes: a run under a request
-    // trace (a server at `OBS=trace`) collects nothing, and a run trace
-    // nobody entered stays empty.
+    // Only a trace that takes runs gets lanes: an observed run under a
+    // request trace collects nothing, and a run trace nobody entered
+    // stays empty.
     let request = obs::trace_begin(0x7e1e_0002, "request", String::new(), false);
     let bystander = obs::trace_begin(0x7e1e_0003, "test", String::new(), true);
     traced_run(request, 2);
@@ -137,23 +132,45 @@ fn traced_run_outside_a_run_trace_keeps_no_spans() {
 
 #[test]
 fn artefacts_identical_at_every_obs_level() {
-    let _g = OBS_LOCK.lock().unwrap();
-    // The sweep layer inherits the global level through SimConfig::new, so
-    // drive the comparison through the global knob — exactly the CLI path.
+    // The same campaign sweep three ways: unobserved, recording into a
+    // registry, and recording into a registry under a run trace. The
+    // sweep artefact must come out byte for byte the same.
     let machine = small_machine();
     let w = cg_a_workload(machine.total_cores());
     let ns = sweep_ns(machine.total_cores());
-    let sweep_at = |level: ObsLevel| {
-        obs::set_level(level);
-        let sweep =
-            offchip_bench::run_sweep(&machine, w.as_ref(), &ns, &[7]).expect("sweep succeeds");
-        format!("{sweep:?}")
+    let root = std::env::temp_dir().join(format!("offchip-telemetry-{}", std::process::id()));
+    let sweep = |tag: &str, metrics: Option<Arc<Registry>>| {
+        let opts = CampaignOptions {
+            journal_dir: Some(root.join(tag)),
+            metrics,
+            ..CampaignOptions::default()
+        };
+        let campaign = Campaign::start("telemetry-obs", &opts).expect("journal opens");
+        let cs = campaign
+            .run_sweep(&machine, w.as_ref(), &ns, &[7], 2)
+            .expect("sweep succeeds");
+        assert!(cs.errors.is_empty(), "{:?}", cs.errors);
+        cs.sweep.to_json().to_pretty_string()
     };
-    let off = sweep_at(ObsLevel::Off);
-    let metrics = sweep_at(ObsLevel::Metrics);
-    let trace = sweep_at(ObsLevel::Trace);
-    assert_eq!(off, metrics, "metrics level must not perturb results");
-    assert_eq!(off, trace, "trace level must not perturb results");
-    obs::set_level(ObsLevel::Off);
-    obs::registry().reset();
+    let plain = sweep("plain", None);
+    let reg = Arc::new(Registry::default());
+    let observed = sweep("observed", Some(Arc::clone(&reg)));
+    let traced_reg = Arc::new(Registry::default());
+    let trace = obs::trace_begin(0x7e1e_0004, "test", String::new(), true);
+    let scope = TraceScope::enter(trace);
+    let traced = sweep("traced", Some(Arc::clone(&traced_reg)));
+    drop(scope);
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(plain, observed, "a registry must not perturb results");
+    assert_eq!(plain, traced, "a run trace must not perturb results");
+    for r in [&reg, &traced_reg] {
+        assert!(r
+            .histogram("dram.queue_wait_cycles")
+            .is_some_and(|h| h.count() > 0));
+    }
+    let json = obs::trace_chrome_json(trace.trace).expect("trace is in the store");
+    assert!(
+        json.contains("\"cat\":\"dram\""),
+        "the traced runs kept lanes"
+    );
 }

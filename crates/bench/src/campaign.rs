@@ -994,7 +994,7 @@ impl Campaign {
         let heartbeat_every = (total / 10).max(1);
         let ctx = offchip_obs::current();
         let outcomes = offchip_pool::scoped_map(jobs, &grid, |_, &(n, seed)| {
-            let _scope = offchip_obs::TraceScope::enter(ctx);
+            let _scope = offchip_obs::TraceScope::enter(ctx.clone());
             let outcome = (|| {
                 if let Some(rec) = self.lookup(cfg_hash, n, seed) {
                     return Ok((rec.to_sample(), true));
@@ -1009,14 +1009,14 @@ impl Campaign {
                         Ok(s) => {
                             let detail = || format!("n={n} seed={seed:x} attempt={attempt}");
                             let us = pt0.elapsed().as_micros() as u64;
-                            offchip_obs::span_event(ctx, "sim.point", detail, us);
+                            offchip_obs::span_event(&ctx, "sim.point", detail, us);
                             self.record(cfg_hash, n, seed, &s);
                             return Ok((s, false));
                         }
                         Err(e) => {
                             let detail = || format!("n={n} seed={seed:x} kind={}", e.kind());
                             let us = pt0.elapsed().as_micros() as u64;
-                            offchip_obs::span_event(ctx, "sim.point.lost", detail, us);
+                            offchip_obs::span_event(&ctx, "sim.point.lost", detail, us);
                             last = Some(e);
                         }
                     }

@@ -35,7 +35,8 @@ options:
   --prefetch D                 stream-prefetch degree (default 0)
   --scheduler fcfs|frfcfs      memory-controller scheduler (default fcfs)
   --placement interleave|firsttouch   page placement (default interleave)
-  --protocol paper|extended    fit input points (fit; default paper)
+  --protocol paper|extended    fit input points (fit; default paper;
+                               extended needs --machine numa)
   --faults SPEC                inject counter faults before fitting (fit):
                                drop=P,jitter=S,garbage=P,zero=P,seed=N
                                (also read from OFFCHIP_FAULTS when unset)
@@ -88,7 +89,7 @@ pub struct RunOptions {
     pub scheduler: McScheduler,
     /// Page placement.
     pub placement: MemoryPolicy,
-    /// Use the extended fit protocol.
+    /// Use the extended fit protocol (`--machine numa` only).
     pub extended_protocol: bool,
     /// Counter faults to inject before fitting (`fit` only): `--faults`,
     /// else `OFFCHIP_FAULTS`.
@@ -321,6 +322,9 @@ pub fn parse(
                 &argv[2..],
             )?;
             opts.campaign.chaos_from_env(env_chaos)?;
+            if opts.extended_protocol && opts.machine != MachineChoice::Numa {
+                return Err("fit --protocol extended needs --machine numa".into());
+            }
             if cmd == "fit" && opts.faults.is_none() {
                 if let Some(v) = env_faults.filter(|v| !v.trim().is_empty()) {
                     let spec = FaultSpec::parse(v).map_err(|e| format!("{FAULTS_ENV}: {e}"))?;
@@ -406,6 +410,24 @@ mod tests {
         // --jobs 0 parses here; the command layer rejects it as a typed
         // configuration error (exit 3), tested in cli_smoke.rs.
         assert!(parse(&sv(&["sweep", "SP.C", "--jobs", "x"]), None, None).is_err());
+    }
+
+    #[test]
+    fn extended_protocol_needs_the_numa_machine() {
+        let fit = |flags: &[&str]| parse(&sv(&[&["fit", "CG.S"], flags].concat()), None, None);
+        for machine in ["numa", "uma", "amd"] {
+            let got = fit(&["--protocol", "extended", "--machine", machine]);
+            match got {
+                Ok(Command::Fit(o)) => assert!(machine == "numa" && o.extended_protocol),
+                Ok(_) => panic!("wrong command"),
+                Err(e) => assert!(machine != "numa" && e.contains("--machine numa"), "{e}"),
+            }
+        }
+        assert!(
+            fit(&["--protocol", "extended"]).is_err(),
+            "uma is the default"
+        );
+        assert!(fit(&["--machine", "amd", "--protocol", "paper"]).is_ok());
     }
 
     #[test]

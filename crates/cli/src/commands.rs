@@ -119,16 +119,17 @@ fn campaign_sweep(
     Ok((cs.sweep, cs.timing, journal))
 }
 
-/// The id of the run trace `--trace` writes: the one trace a CLI process
-/// begins.
+/// The id of the run trace `--trace` writes: the one trace in the
+/// command's store.
 const RUN_TRACE: u64 = 1;
 
 /// Applies the observability options before a command runs: `--log-level`
 /// beats `OFFCHIP_LOG`, `--log-format` beats `OFFCHIP_LOG_FORMAT`. With
-/// `--trace`, begins the run trace and returns the context the command
-/// runs in: each simulator run lands in it as one lane (the parser gave
-/// the runs a registry, without which they record nothing).
-fn init_obs(opts: &RunOptions) -> offchip_obs::TraceRef {
+/// `--trace`, builds the command's store and begins the run trace in it,
+/// the context the command runs in: each simulator run lands in it as one
+/// lane (the parser gave the runs a registry, without which they record
+/// nothing).
+fn init_obs(opts: &RunOptions) -> (Option<offchip_obs::TraceStore>, offchip_obs::TraceRef) {
     if let Some(l) = opts.log_level {
         offchip_obs::set_log_level(l);
     }
@@ -136,15 +137,17 @@ fn init_obs(opts: &RunOptions) -> offchip_obs::TraceRef {
         offchip_obs::set_log_format(f);
     }
     if opts.trace_out.is_none() {
-        return offchip_obs::TraceRef::NONE;
+        return (None, offchip_obs::TraceRef::NONE);
     }
+    let traces = offchip_obs::TraceStore::default();
     let command = std::env::args().skip(1).collect::<Vec<_>>().join(" ");
-    offchip_obs::trace_begin(RUN_TRACE, "offchip", command, true)
+    let ctx = traces.begin(RUN_TRACE, "offchip", command, true);
+    (Some(traces), ctx)
 }
 
 /// Writes the requested observability artefacts after a command ran,
 /// through the command's Vfs.
-fn finish_obs(opts: &RunOptions) -> Result<(), CliError> {
+fn finish_obs(opts: &RunOptions, traces: Option<&offchip_obs::TraceStore>) -> Result<(), CliError> {
     let write = |path: &std::path::Path, contents: &str| {
         opts.campaign
             .vfs_or_real()
@@ -155,11 +158,10 @@ fn finish_obs(opts: &RunOptions) -> Result<(), CliError> {
         write(path, &reg.snapshot().to_csv())?;
         offchip_obs::info!("wrote metrics csv={}", path.display());
     }
-    if let Some(path) = &opts.trace_out {
-        let json = offchip_obs::trace_chrome_json(RUN_TRACE)
-            .expect("init_obs begins the run trace and a CLI process begins no other");
+    if let (Some(path), Some(traces)) = (&opts.trace_out, traces) {
+        let json = traces.chrome_json(RUN_TRACE).expect("begun by init_obs");
         write(path, &json)?;
-        let dropped = offchip_obs::trace_dropped(RUN_TRACE);
+        let dropped = traces.dropped(RUN_TRACE);
         if dropped > 0 {
             offchip_obs::warn!("trace full: {dropped} span(s) dropped");
         }
@@ -175,15 +177,15 @@ pub fn execute(cmd: &Command) -> Result<(), CliError> {
     else {
         return execute_inner(cmd);
     };
-    let ctx = init_obs(opts);
+    let (traces, ctx) = init_obs(opts);
     opts.campaign.warn_if_chaos();
-    let scope = offchip_obs::TraceScope::enter(ctx);
+    let scope = offchip_obs::TraceScope::enter(ctx.clone());
     let result = execute_inner(cmd);
     drop(scope);
-    offchip_obs::span_close(ctx);
+    offchip_obs::span_close(&ctx);
     // Artefacts are written even when the command failed: a partial trace
     // of an interrupted sweep is exactly what one debugs with.
-    let finish = finish_obs(opts);
+    let finish = finish_obs(opts, traces.as_ref());
     result.and(finish)
 }
 
@@ -262,7 +264,7 @@ fn execute_inner(cmd: &Command) -> Result<(), CliError> {
             let total = machine.total_cores();
             let jobs = jobs_of(opts)?;
             let mut proto = FitProtocol::for_machine(&machine.name);
-            if opts.extended_protocol && machine.name.contains("Intel NUMA") {
+            if opts.extended_protocol {
                 proto = FitProtocol::intel_numa_extended();
             }
             println!(

@@ -116,6 +116,30 @@ fn malformed_fault_env_exits_2_before_any_journal_opens() {
 }
 
 #[test]
+fn extended_protocol_off_numa_exits_2_before_any_journal_opens() {
+    // The extended protocol adds the Intel NUMA machine's full-machine
+    // point; on any other machine it would silently fit the paper's.
+    let dir = std::env::temp_dir().join(format!("offchip-cli-protocol-{}", std::process::id()));
+    for machine in ["uma", "amd"] {
+        let out = offchip()
+            .args(["fit", "CG.S", "--scale", "128", "--protocol", "extended"])
+            .args(["--machine", machine])
+            .arg("--journal-dir")
+            .arg(&dir)
+            .output()
+            .expect("spawn offchip");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{machine}: {err}");
+        assert!(err.contains("--machine numa"), "{machine}: {err}");
+        assert!(
+            !dir.exists(),
+            "{machine}: no journal under {}",
+            dir.display()
+        );
+    }
+}
+
+#[test]
 fn options_scoped_to_other_commands_exit_2() {
     // Each option the usage scopes to other commands is refused by name,
     // never accepted and ignored.

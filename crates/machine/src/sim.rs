@@ -1706,12 +1706,12 @@ mod tests {
         let off = run(&w, &cfg);
         let reg = std::sync::Arc::new(offchip_obs::Registry::default());
         cfg.metrics = Some(std::sync::Arc::clone(&reg));
-        let trace = offchip_obs::trace_begin(0x5e1f_0b5e, "test", String::new(), true);
-        let scope = offchip_obs::TraceScope::enter(trace);
+        let traces = offchip_obs::TraceStore::default();
+        let scope = offchip_obs::TraceScope::enter(traces.begin(1, "test", String::new(), true));
         let on = run(&w, &cfg);
         drop(scope);
         assert!(reg.histogram("machine.mem_stall_cycles").is_some());
-        assert!(offchip_obs::trace_chrome_json(trace.trace).is_some_and(|j| j.contains("dram")));
+        assert!(traces.chrome_json(1).is_some_and(|j| j.contains("dram")));
         assert_eq!(off.counters, on.counters, "counters must be obs-invariant");
         assert_eq!(off.makespan, on.makespan);
         assert_eq!(off.mc_stats, on.mc_stats);

@@ -11,11 +11,14 @@
 //! - [`telemetry`]: per-memory-controller observers ([`McObs`]) feeding
 //!   queue-wait/queue-depth histograms and DRAM service spans from the
 //!   DRAM service paths.
-//! - [`trace`]: the span store. A trace holds a span tree and, when its
-//!   beginner asks for runs, one lane of simulator [`Span`]s per run;
-//!   the thread's [`TraceScope`] carries the context work is done for.
-//!   Traces render as Chrome `trace_event` JSON (Perfetto,
-//!   `chrome://tracing`) or as span trees (`/debug/trace/<id>`).
+//! - [`trace`]: the span store. A [`TraceStore`] is a value with its own
+//!   bounds and clock: a server owns one, the CLI builds one for
+//!   `--trace`, and each test builds its own. A trace holds a span tree
+//!   and, when its beginner asks for runs, one lane of simulator
+//!   [`Span`]s per run; the thread's [`TraceScope`] carries the context
+//!   work is done for, and that context points into its store. Traces
+//!   render as Chrome `trace_event` JSON (Perfetto, `chrome://tracing`)
+//!   or as span trees (`/debug/trace/<id>`).
 //! - [`log`]: a leveled `key=value` logger on stderr (`--log-level`,
 //!   `OFFCHIP_LOG`) with [`error!`]/[`warn!`]/[`info!`]/[`debug!`] macros,
 //!   a structured JSON mode (`--log-format json`, `OFFCHIP_LOG_FORMAT`)
@@ -53,6 +56,6 @@ pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use prom::{prom_name, render_prometheus};
 pub use telemetry::McObs;
 pub use trace::{
-    current, derive_trace_id, push_run, run_room, span_close, span_event, span_open, trace_begin,
-    trace_chrome_json, trace_dropped, trace_tree_json, Span, TraceRef, TraceScope,
+    current, derive_trace_id, push_run, run_room, span_close, span_event, span_open, Span,
+    TraceRef, TraceScope, TraceStore,
 };

@@ -1,41 +1,44 @@
-//! The span store: one bounded cross-thread map of traces, rendered as
+//! The span store: bounded cross-thread maps of traces, rendered as
 //! Chrome `trace_event` JSON (Perfetto, `chrome://tracing`) or as a span
 //! tree.
 //!
-//! Whoever begins a trace chooses what it holds ([`trace_begin`]). A
-//! *request trace* (a served request) holds a span tree. A *run trace*
-//! (the CLI's `--trace`) holds a tree too, plus one *lane* of simulator
-//! spans per run that finished under it. Work done for a trace finds it
-//! through the thread's context, a [`TraceRef`] entered with
+//! A [`TraceStore`] is a value: a server owns one, the CLI builds one for
+//! `--trace`, and each test builds its own. Whoever begins a trace
+//! chooses what it holds ([`TraceStore::begin`]). A *request trace* (a
+//! served request) holds a span tree. A *run trace* (the CLI's `--trace`)
+//! holds a tree too, plus one *lane* of simulator spans per run that
+//! finished under it. Work done for a trace finds it through the thread's
+//! context, a [`TraceRef`] (which points into its store) entered with
 //! [`TraceScope`]; a run collects spans only when that trace takes runs,
 //! and only as many as it has room for ([`run_room`]).
 //!
-//! Trace ids contain no wall clock and no randomness ([`derive_trace_id`]),
-//! so traced and untraced runs produce the same artefacts and response
-//! bodies. Tree spans are wall-clock microseconds since the process's
-//! first span, on `pid` 0 of the Chrome export; run spans are core-clock
-//! cycles, the k-th run to finish on `pid` k.
+//! Trace ids contain no wall clock and no randomness
+//! ([`derive_trace_id`]), so traced and untraced runs produce the same
+//! artefacts and response bodies. Tree spans are wall-clock microseconds
+//! since the store's creation, on `pid` 0 of the Chrome export; run spans
+//! are core-clock cycles, the k-th run to finish on `pid` k.
 //!
 //! # Bounds
 //!
-//! At most [`MAX_TRACES`] traces: beginning another evicts the oldest
-//! finished trace, or the oldest trace when none is finished. Per trace,
-//! at most [`MAX_SPANS`] tree spans and [`MAX_RUN_SPANS`] run spans: two
-//! budgets, so lanes cannot crowd out the tree. A trace counts every span
-//! it refused and every span its runs dropped (`otherData.dropped`). A
-//! trace is finished when a root span closes; it still accepts spans, so
-//! a fill that outlives its request completes the tree. Spans for an
-//! unknown (never begun or evicted) trace are discarded.
+//! Per store, at most [`MAX_TRACES`] traces: beginning another evicts the
+//! oldest finished trace, or the oldest trace when none is finished. Per
+//! trace, at most [`MAX_SPANS`] tree spans and [`MAX_RUN_SPANS`] run
+//! spans: two budgets, so lanes cannot crowd out the tree. A trace counts
+//! every span it refused and every span its runs dropped
+//! (`otherData.dropped`). A trace is finished when a root span closes; it
+//! still accepts spans, so a fill that outlives its request completes the
+//! tree. Spans for an unknown (never begun or evicted) trace are
+//! discarded.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::log::json_escape_into;
 
-/// Most traces the store retains.
+/// Most traces one store retains.
 pub const MAX_TRACES: usize = 256;
 
 /// Most tree spans one trace retains; later ones are counted as dropped.
@@ -62,11 +65,9 @@ pub fn derive_trace_id(conn: u64, req_seq: u64) -> u64 {
     }
 }
 
-/// Microseconds since the process trace epoch (first call wins).
-fn now_us() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    epoch.elapsed().as_micros() as u64
+/// Microseconds since `origin` (a store's creation).
+fn micros_since(origin: Instant) -> u64 {
+    origin.elapsed().as_micros() as u64
 }
 
 /// A completed-duration (`"ph":"X"`) span: a tree span (lane 0) or a run
@@ -104,10 +105,12 @@ impl Span {
     }
 }
 
-/// A place in a trace: the trace id, and the span that work done there
-/// parents under. The thread's context is one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A place in a trace: its store and id, and the span that work done
+/// there parents under. The thread's context is one of these.
+#[derive(Debug, Clone)]
 pub struct TraceRef {
+    /// `None`: no trace.
+    store: Option<TraceStore>,
     /// Trace id (0: no trace).
     pub trace: u64,
     /// Parent span id within that trace.
@@ -117,24 +120,20 @@ pub struct TraceRef {
 impl TraceRef {
     /// No trace: every span call under it is a no-op.
     pub const NONE: TraceRef = TraceRef {
+        store: None,
         trace: 0,
         parent: 0,
     };
-
-    /// True when this points into a trace.
-    pub fn is_active(&self) -> bool {
-        self.trace != 0
-    }
 }
 
 thread_local! {
-    static CURRENT: Cell<TraceRef> = const { Cell::new(TraceRef::NONE) };
+    static CURRENT: RefCell<TraceRef> = const { RefCell::new(TraceRef::NONE) };
 }
 
 /// This thread's trace context ([`TraceRef::NONE`] outside any
 /// [`TraceScope`]).
 pub fn current() -> TraceRef {
-    CURRENT.with(Cell::get)
+    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// Guard holding a thread's trace context; the previous one is restored
@@ -157,7 +156,8 @@ impl TraceScope {
 
 impl Drop for TraceScope {
     fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
+        let prev = std::mem::replace(&mut self.prev, TraceRef::NONE);
+        CURRENT.with(|c| c.replace(prev));
     }
 }
 
@@ -236,7 +236,7 @@ impl Trace {
     }
 }
 
-/// The store's capacity limits.
+/// A store's capacity limits.
 #[derive(Debug, Clone, Copy)]
 struct Bounds {
     traces: usize,
@@ -247,6 +247,8 @@ struct Bounds {
 #[derive(Debug)]
 struct Store {
     bounds: Bounds,
+    /// Tree timestamps count µs from here, the store's creation.
+    origin: Instant,
     traces: BTreeMap<u64, Trace>,
     /// Trace ids in begin order: the eviction order.
     order: VecDeque<u64>,
@@ -258,16 +260,23 @@ const BOUNDS: Bounds = Bounds {
     run_spans: MAX_RUN_SPANS,
 };
 
-static STORE: Mutex<Store> = Mutex::new(Store::new(BOUNDS));
+/// A bounded store of traces with its own clock (see the module docs).
+/// Cloning shares the store, as every [`TraceRef`] into it does.
+#[derive(Debug, Clone)]
+pub struct TraceStore(Arc<Mutex<Store>>);
 
-fn store() -> MutexGuard<'static, Store> {
-    STORE.lock().expect("span store lock poisoned")
+impl Default for TraceStore {
+    /// An empty store whose clock starts now.
+    fn default() -> TraceStore {
+        TraceStore(Arc::new(Mutex::new(Store::new(BOUNDS))))
+    }
 }
 
 impl Store {
-    const fn new(bounds: Bounds) -> Store {
+    fn new(bounds: Bounds) -> Store {
         Store {
             bounds,
+            origin: Instant::now(),
             traces: BTreeMap::new(),
             order: VecDeque::new(),
         }
@@ -299,7 +308,7 @@ impl Store {
 
     /// Records a tree span that started `dur` µs ago; returns its id, 0
     /// when the trace is unknown or its tree is full.
-    fn record(&mut self, at: TraceRef, name: &'static str, detail: String, dur: u64) -> u32 {
+    fn record(&mut self, at: &TraceRef, name: &'static str, detail: String, dur: u64) -> u32 {
         let Some(t) = self.traces.get_mut(&at.trace) else {
             return 0;
         };
@@ -308,7 +317,7 @@ impl Store {
             return 0;
         }
         let id = t.tree.len() as u32 + 1;
-        let ts = now_us().saturating_sub(dur);
+        let ts = micros_since(self.origin).saturating_sub(dur);
         t.tree.push(Span {
             name,
             ts,
@@ -324,13 +333,13 @@ impl Store {
         id
     }
 
-    fn close(&mut self, span: TraceRef) {
+    fn close(&mut self, span: &TraceRef) {
         let Some(t) = self.traces.get_mut(&span.trace) else {
             return;
         };
         let i = (span.parent as usize).checked_sub(1);
         if let Some(s) = i.and_then(|i| t.tree.get_mut(i)) {
-            s.dur = now_us().saturating_sub(s.ts);
+            s.dur = micros_since(self.origin).saturating_sub(s.ts);
             t.finished |= s.parent == 0;
         }
     }
@@ -354,50 +363,82 @@ impl Store {
     }
 }
 
-/// Begins trace `trace` (creating it if new) with a root span, and
-/// returns the place under that root. `runs` chooses what a new trace
-/// holds: a run trace (`true`) takes one lane per simulator run finished
-/// under it, a request trace (`false`) takes none. `trace` 0 is a no-op
-/// returning [`TraceRef::NONE`].
-pub fn trace_begin(trace: u64, name: &'static str, detail: String, runs: bool) -> TraceRef {
-    if trace == 0 {
-        return TraceRef::NONE;
+impl TraceStore {
+    fn lock(&self) -> MutexGuard<'_, Store> {
+        self.0.lock().expect("span store lock poisoned")
     }
-    let mut s = store();
-    s.begin(trace, runs);
-    let root = TraceRef { trace, parent: 0 };
-    TraceRef {
-        trace,
-        parent: s.record(root, name, detail, 0),
+
+    /// Begins trace `trace` (creating it if new) with a root span, and
+    /// returns the place under that root. `runs` chooses what a new trace
+    /// holds: a run trace (`true`) takes one lane per simulator run
+    /// finished under it, a request trace (`false`) takes none. `trace` 0
+    /// is a no-op returning [`TraceRef::NONE`].
+    pub fn begin(&self, trace: u64, name: &'static str, detail: String, runs: bool) -> TraceRef {
+        if trace == 0 {
+            return TraceRef::NONE;
+        }
+        let mut root = TraceRef {
+            store: Some(self.clone()),
+            trace,
+            parent: 0,
+        };
+        let mut s = self.lock();
+        s.begin(trace, runs);
+        root.parent = s.record(&root, name, detail, 0);
+        root
+    }
+
+    /// Spans trace `trace` refused or its runs dropped (0 for unknown ids).
+    pub fn dropped(&self, trace: u64) -> u64 {
+        self.lock().traces.get(&trace).map_or(0, |t| t.dropped)
+    }
+
+    /// Renders a trace's span tree as JSON:
+    ///
+    /// ```json
+    /// {"trace_id":"0000000000100000","spans":[{"id":1,"parent":0,...}]}
+    /// ```
+    ///
+    /// `None` for unknown ids.
+    pub fn tree_json(&self, trace: u64) -> Option<String> {
+        self.lock().traces.get(&trace).map(|t| t.tree_json(trace))
+    }
+
+    /// Renders a trace as Chrome `trace_event` JSON: the tree on `pid` 0
+    /// in microseconds (`tid` = parent span, ids and details in `args`),
+    /// each run lane on its own `pid` in cycles, and the drop count in
+    /// `otherData.dropped`. `None` for unknown ids.
+    pub fn chrome_json(&self, trace: u64) -> Option<String> {
+        self.lock().traces.get(&trace).map(|t| t.chrome_json(trace))
     }
 }
 
 /// Opens a tree span at `at` and returns the place under it, for children
 /// and for [`span_close`]. `detail` runs only when `at` is in a trace.
-pub fn span_open(at: TraceRef, name: &'static str, detail: impl FnOnce() -> String) -> TraceRef {
-    if !at.is_active() {
+pub fn span_open(at: &TraceRef, name: &'static str, detail: impl FnOnce() -> String) -> TraceRef {
+    let Some(store) = &at.store else {
         return TraceRef::NONE;
-    }
+    };
     TraceRef {
-        trace: at.trace,
-        parent: store().record(at, name, detail(), 0),
+        parent: store.lock().record(at, name, detail(), 0),
+        ..at.clone()
     }
 }
 
 /// Closes the span `span` points under (as returned by [`span_open`] or
-/// [`trace_begin`]), fixing its duration. Closing a root finishes the
-/// trace.
-pub fn span_close(span: TraceRef) {
-    if span.is_active() {
-        store().close(span);
+/// [`TraceStore::begin`]), fixing its duration. Closing a root finishes
+/// the trace.
+pub fn span_close(span: &TraceRef) {
+    if let Some(store) = &span.store {
+        store.lock().close(span);
     }
 }
 
 /// Records a tree span at `at` that ends now and lasted `dur_us` (0 for
 /// instant events). `detail` runs only when `at` is in a trace.
-pub fn span_event(at: TraceRef, name: &'static str, detail: impl FnOnce() -> String, dur_us: u64) {
-    if at.is_active() {
-        store().record(at, name, detail(), dur_us);
+pub fn span_event(at: &TraceRef, name: &'static str, detail: impl FnOnce() -> String, dur_us: u64) {
+    if let Some(store) = &at.store {
+        store.lock().record(at, name, detail(), dur_us);
     }
 }
 
@@ -408,10 +449,7 @@ pub fn span_event(at: TraceRef, name: &'static str, detail: impl FnOnce() -> Str
 /// [`push_run`] would keep anyway.
 pub fn run_room() -> Option<usize> {
     let ctx = current();
-    if !ctx.is_active() {
-        return None;
-    }
-    let s = store();
+    let s = ctx.store.as_ref()?.lock();
     let runs = s.traces.get(&ctx.trace)?.runs.as_ref()?;
     Some(s.bounds.run_spans.saturating_sub(runs.len()))
 }
@@ -421,33 +459,9 @@ pub fn run_room() -> Option<usize> {
 /// A no-op unless the current trace takes runs.
 pub fn push_run(spans: &[Span], dropped: u64) {
     let ctx = current();
-    if ctx.is_active() {
-        store().push_run(ctx.trace, spans, dropped);
+    if let Some(store) = &ctx.store {
+        store.lock().push_run(ctx.trace, spans, dropped);
     }
-}
-
-/// Spans trace `trace` refused or its runs dropped (0 for unknown ids).
-pub fn trace_dropped(trace: u64) -> u64 {
-    store().traces.get(&trace).map_or(0, |t| t.dropped)
-}
-
-/// Renders a trace's span tree as JSON:
-///
-/// ```json
-/// {"trace_id":"0000000000100000","spans":[{"id":1,"parent":0,...}]}
-/// ```
-///
-/// `None` for unknown ids.
-pub fn trace_tree_json(trace: u64) -> Option<String> {
-    store().traces.get(&trace).map(|t| t.tree_json(trace))
-}
-
-/// Renders a trace as Chrome `trace_event` JSON: the tree on `pid` 0 in
-/// microseconds (`tid` = parent span, ids and details in `args`), each run
-/// lane on its own `pid` in cycles, and the drop count in
-/// `otherData.dropped`. `None` for unknown ids.
-pub fn trace_chrome_json(trace: u64) -> Option<String> {
-    store().traces.get(&trace).map(|t| t.chrome_json(trace))
 }
 
 #[cfg(test)]
@@ -455,8 +469,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn events(trace: u64) -> usize {
-        trace_chrome_json(trace)
+    fn events(store: &TraceStore, trace: u64) -> usize {
+        store
+            .chrome_json(trace)
             .unwrap()
             .matches("\"ph\":\"X\"")
             .count()
@@ -480,25 +495,20 @@ mod tests {
 
     #[test]
     fn span_tree_parentage_round_trips() {
+        let store = TraceStore::default();
         let id = derive_trace_id(900, 1);
-        let root = trace_begin(id, "request", "POST /predict".into(), false);
-        assert_eq!(
-            root,
-            TraceRef {
-                trace: id,
-                parent: 1
-            }
-        );
-        span_close(span_open(root, "http.parse", String::new));
-        let fill = span_open(root, "fill", || "key=uma/CG.S".into());
-        span_event(fill, "sim.point", || "n=8 seed=1".into(), 12);
-        span_close(fill);
-        span_close(root);
-        let tree = trace_tree_json(id).unwrap();
+        let root = store.begin(id, "request", "POST /predict".into(), false);
+        assert_eq!((root.trace, root.parent), (id, 1));
+        span_close(&span_open(&root, "http.parse", String::new));
+        let fill = span_open(&root, "fill", || "key=uma/CG.S".into());
+        span_event(&fill, "sim.point", || "n=8 seed=1".into(), 12);
+        span_close(&fill);
+        span_close(&root);
+        let tree = store.tree_json(id).unwrap();
         assert!(tree
             .contains("{\"id\":4,\"parent\":3,\"name\":\"sim.point\",\"detail\":\"n=8 seed=1\""));
-        let chrome = trace_chrome_json(id).unwrap();
-        assert_eq!(events(id), 4);
+        let chrome = store.chrome_json(id).unwrap();
+        assert_eq!(events(&store, id), 4);
         // The tree is pid 0, with the parent as tid.
         assert!(chrome.contains("\"name\":\"sim.point\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":"));
         assert!(chrome.contains(
@@ -508,72 +518,93 @@ mod tests {
     }
 
     #[test]
+    fn tree_times_count_from_the_store_origin() {
+        // A span that began before its root keeps its true start: the
+        // clock starts with the store, not with the first span.
+        let store = TraceStore::default();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let root = store.begin(1, "request", String::new(), false);
+        span_event(&root, "http.parse", String::new, 2_000);
+        span_close(&root);
+        let tree = store.tree_json(1).unwrap();
+        assert!(!tree.contains("\"start_us\":0,"), "{tree}");
+    }
+
+    #[test]
+    fn stores_keep_their_traces_apart() {
+        let (a, b) = (TraceStore::default(), TraceStore::default());
+        span_close(&a.begin(7, "request", String::new(), false));
+        assert!(
+            b.tree_json(7).is_none(),
+            "a trace begun at a is unknown at b"
+        );
+        let at_b = b.begin(7, "request", String::new(), false);
+        span_event(&at_b, "http.parse", String::new, 0);
+        assert_eq!((events(&a, 7), events(&b, 7)), (1, 2));
+    }
+
+    #[test]
     fn spans_land_after_finish() {
-        let id = derive_trace_id(901, 7);
-        let root = trace_begin(id, "request", String::new(), false);
-        span_close(root);
-        span_event(root, "sim.point", || "late".into(), 3);
-        assert_eq!(events(id), 2);
+        let store = TraceStore::default();
+        let root = store.begin(1, "request", String::new(), false);
+        span_close(&root);
+        span_event(&root, "sim.point", || "late".into(), 3);
+        assert_eq!(events(&store, 1), 2);
     }
 
     #[test]
     fn unknown_and_zero_traces_are_inert() {
+        let store = TraceStore::default();
+        let root = store.begin(1, "request", String::new(), false);
         let unknown = TraceRef {
             trace: 0xdead_beef_0000_0001,
-            parent: 1,
+            ..root
         };
-        assert_eq!(
-            span_open(unknown, "x", String::new),
-            TraceRef {
-                parent: 0,
-                ..unknown
-            }
-        );
-        assert!(trace_tree_json(unknown.trace).is_none());
+        let under = span_open(&unknown, "x", String::new);
+        assert_eq!((under.trace, under.parent), (unknown.trace, 0));
+        assert!(store.tree_json(unknown.trace).is_none());
+        assert_eq!(events(&store, 1), 1);
         span_event(
-            TraceRef::NONE,
+            &TraceRef::NONE,
             "x",
             || unreachable!("no detail built untraced"),
             0,
         );
-        assert_eq!(trace_begin(0, "x", String::new(), true), TraceRef::NONE);
+        assert_eq!(store.begin(0, "x", String::new(), true).trace, 0);
     }
 
     #[test]
     fn scope_restores_previous_trace() {
-        let a = TraceRef {
-            trace: 42,
-            parent: 1,
-        };
-        let b = TraceRef {
-            trace: 43,
-            parent: 2,
-        };
-        assert_eq!(current(), TraceRef::NONE);
+        let store = TraceStore::default();
+        let a = store.begin(42, "a", String::new(), false);
+        let b = store.begin(43, "b", String::new(), false);
+        let ids = || (current().trace, current().parent);
+        assert_eq!(ids(), (0, 0));
         {
             let _g = TraceScope::enter(a);
-            assert_eq!(current(), a);
+            assert_eq!(ids(), (42, 1));
             {
                 let _h = TraceScope::enter(b);
-                assert_eq!(current(), b);
+                assert_eq!(ids(), (43, 1));
             }
-            assert_eq!(current(), a);
+            assert_eq!(ids(), (42, 1));
         }
-        assert_eq!(current(), TraceRef::NONE);
+        assert_eq!(ids(), (0, 0));
     }
 
     #[test]
     fn runs_land_as_lanes_only_in_a_run_trace() {
-        let (run_trace, req_trace) = (derive_trace_id(903, 0), derive_trace_id(903, 1));
+        let store = TraceStore::default();
+        let (run_trace, req_trace) = (1, 2);
         let spans = [Span::run("compute", 5, 10, 1), Span::run("dram", 7, 3, 0)];
         for (id, runs) in [(run_trace, true), (req_trace, false)] {
-            let _g = TraceScope::enter(trace_begin(id, "root", String::new(), runs));
+            let _g = TraceScope::enter(store.begin(id, "root", String::new(), runs));
             assert_eq!(run_room(), runs.then_some(MAX_RUN_SPANS));
             push_run(&spans, 4);
             push_run(&spans[..1], 0);
             assert_eq!(run_room(), runs.then_some(MAX_RUN_SPANS - 3));
         }
-        let chrome = trace_chrome_json(run_trace).unwrap();
+        let chrome = store.chrome_json(run_trace).unwrap();
         for lane in [
             "\"compute\",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":5,\"dur\":10,\"pid\":1,\"tid\":1}",
             "\"dram\",\"cat\":\"dram\",\"ph\":\"X\",\"ts\":7,\"dur\":3,\"pid\":1,\"tid\":0}",
@@ -581,22 +612,26 @@ mod tests {
         ] {
             assert!(chrome.contains(lane), "{lane} missing from {chrome}");
         }
-        assert_eq!(events(run_trace), 4);
+        assert_eq!(events(&store, run_trace), 4);
         assert!(
             chrome.ends_with("\"dropped\":4}}"),
             "the runs' own drops count"
         );
-        assert_eq!((events(req_trace), trace_dropped(req_trace)), (1, 0));
+        assert_eq!(
+            (events(&store, req_trace), store.dropped(req_trace)),
+            (1, 0)
+        );
     }
 
     #[test]
     fn span_cap_drops_but_counts() {
-        let root = trace_begin(derive_trace_id(902, 0), "request", String::new(), false);
+        let store = TraceStore::default();
+        let root = store.begin(1, "request", String::new(), false);
         for _ in 0..(MAX_SPANS + 10) {
-            span_event(root, "sim.point", String::new, 1);
+            span_event(&root, "sim.point", String::new, 1);
         }
-        assert_eq!(events(root.trace), MAX_SPANS);
-        assert_eq!(trace_dropped(root.trace), 11);
+        assert_eq!(events(&store, 1), MAX_SPANS);
+        assert_eq!(store.dropped(1), 11);
     }
 
     /// Small bounds, so a few hundred random operations overflow each.
@@ -622,18 +657,19 @@ mod tests {
             // Per live id: whether it takes runs, and the spans offered.
             let mut model: BTreeMap<u64, (bool, u64)> = BTreeMap::new();
             for (step, &(op, id, arg)) in ops.iter().enumerate() {
-                let at = TraceRef { trace: id, parent: arg };
+                let at = TraceRef { trace: id, parent: arg, ..TraceRef::NONE };
                 let finished: Vec<u64> =
                     s.traces.iter().filter(|(_, t)| t.finished).map(|(&i, _)| i).collect();
                 let live: Vec<u64> = s.traces.keys().copied().collect();
                 match op {
                     0 | 1 => {
                         s.begin(id, op == 1);
-                        s.record(TraceRef { trace: id, parent: 0 }, "root", format!("{arg}"), 0);
+                        let root = TraceRef { trace: id, parent: 0, ..TraceRef::NONE };
+                        s.record(&root, "root", format!("{arg}"), 0);
                         model.entry(id).or_insert((op == 1, 0)).1 += 1;
                     }
                     2 => {
-                        s.record(at, "span", String::new(), u64::from(arg % 3));
+                        s.record(&at, "span", String::new(), u64::from(arg % 3));
                         if let Some(m) = model.get_mut(&id) {
                             m.1 += 1;
                         }
@@ -647,7 +683,7 @@ mod tests {
                             let span = i.and_then(|i| t.tree.get(i));
                             t.finished || span.is_some_and(|s| s.parent == 0)
                         });
-                        s.close(TraceRef { trace: id, parent: span });
+                        s.close(&TraceRef { trace: id, parent: span, ..TraceRef::NONE });
                         prop_assert_eq!(s.traces.get(&id).map(|t| t.finished), want);
                     }
                     _ => {

@@ -161,27 +161,6 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// Cumulative counters of the process-global pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Items executed through [`scoped_map`] since process start.
-    pub executed: usize,
-    /// Peak simultaneously running items across all concurrent maps.
-    pub peak_in_flight: usize,
-}
-
-static EXECUTED: AtomicUsize = AtomicUsize::new(0);
-static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-static PEAK_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-
-/// Snapshot of the global pool counters.
-pub fn stats() -> PoolStats {
-    PoolStats {
-        executed: EXECUTED.load(Ordering::Relaxed),
-        peak_in_flight: PEAK_IN_FLIGHT.load(Ordering::Relaxed),
-    }
-}
-
 /// The size of the process-global permit budget that concurrent maps
 /// share (frozen at first use from `OFFCHIP_JOBS`, else the machine's
 /// parallelism).
@@ -195,16 +174,6 @@ fn shared() -> &'static (usize, Semaphore) {
         let n = resolve_jobs(None).unwrap_or_else(|_| default_jobs());
         (n, Semaphore::new(n))
     })
-}
-
-fn count_start() {
-    EXECUTED.fetch_add(1, Ordering::Relaxed);
-    let now = IN_FLIGHT.fetch_add(1, Ordering::Relaxed) + 1;
-    PEAK_IN_FLIGHT.fetch_max(now, Ordering::Relaxed);
-}
-
-fn count_end() {
-    IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// Applies `f` to every item on up to `jobs` workers and returns the
@@ -242,12 +211,7 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let run_one = |i: usize, t: &T| -> Result<R, PanicPayload> {
-        count_start();
-        let r = catch_unwind(AssertUnwindSafe(|| f(i, t)));
-        count_end();
-        r.map_err(|payload| PanicPayload {
-            message: payload_message(payload),
-        })
+        catch_unwind(AssertUnwindSafe(|| f(i, t))).map_err(PanicPayload::from_any)
     };
 
     let n = items.len();
@@ -326,15 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_executions() {
-        let before = stats().executed;
-        scoped_map(4, &[1, 2, 3, 4, 5], |_, &x: &i32| x);
-        let after = stats().executed;
-        assert!(after >= before + 5, "executed {before} -> {after}");
-        assert!(stats().peak_in_flight >= 1);
-    }
-
-    #[test]
     fn jobs_resolution_contract() {
         assert_eq!(resolve_jobs(Some(3)), Ok(3));
         assert_eq!(resolve_jobs(Some(0)), Err(JobsError::Zero));
@@ -407,14 +362,36 @@ mod tests {
 
     #[test]
     fn concurrent_maps_share_the_budget() {
-        // Two maps racing: both finish, order within each preserved.
-        let a: Vec<usize> = (0..40).collect();
-        let b: Vec<usize> = (40..80).collect();
+        // Two maps racing, each wider than the whole budget, on items
+        // that overlap in time: both finish with their order preserved,
+        // and no more items ever run at once than the shared permits
+        // plus one budget-exempt leader per map. Other tests' maps may
+        // hold permits too, which only lowers this peak.
+        let jobs = shared_limit() + 2;
+        let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let item = |x: usize| {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(3));
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            x + 1
+        };
+        let a: Vec<usize> = (0..4 * jobs).collect();
+        let b: Vec<usize> = (4 * jobs..8 * jobs).collect();
         std::thread::scope(|s| {
-            let ha = s.spawn(|| scoped_map(4, &a, |_, &x| x + 1));
-            let hb = s.spawn(|| scoped_map(4, &b, |_, &x| x + 1));
-            assert_eq!(ha.join().unwrap(), (1..41).collect::<Vec<_>>());
-            assert_eq!(hb.join().unwrap(), (41..81).collect::<Vec<_>>());
+            let ha = s.spawn(|| scoped_map(jobs, &a, |_, &x| item(x)));
+            let hb = s.spawn(|| scoped_map(jobs, &b, |_, &x| item(x)));
+            assert_eq!(ha.join().unwrap(), (1..=4 * jobs).collect::<Vec<_>>());
+            assert_eq!(
+                hb.join().unwrap(),
+                (4 * jobs + 1..=8 * jobs).collect::<Vec<_>>()
+            );
         });
+        let peak = peak.into_inner();
+        assert!(
+            peak <= shared_limit() + 2,
+            "{peak} items ran at once over {} permits and 2 leaders",
+            shared_limit()
+        );
     }
 }

@@ -249,10 +249,7 @@ fn main() {
     );
 
     // The signal handlers' flag is the server's shutdown flag.
-    if let Err(e) = server.run(signal::flag()) {
-        eprintln!("offchip-serve: server failed: {e}");
-        std::process::exit(5);
-    }
+    server.run(signal::flag());
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use crate::admission::{AdmissionConfig, ConnQueue};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::service::PredictService;
 use offchip_chaos::{ChaosStream, NetFaultPlan, NetSpec};
-use offchip_obs::Registry;
+use offchip_obs::{Registry, TraceRef, TraceStore};
 use std::io::{BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -177,6 +177,8 @@ pub struct Server {
     /// When the server bound: `/statusz` uptime.
     started: Instant,
     slowest: Slowest,
+    /// Traced requests' span trees, for `/debug/trace/<id>`.
+    traces: TraceStore,
 }
 
 impl Server {
@@ -193,6 +195,7 @@ impl Server {
             opts,
             started: Instant::now(),
             slowest: Slowest::default(),
+            traces: TraceStore::default(),
         })
     }
 
@@ -225,7 +228,7 @@ impl Server {
     /// worker at once. A watcher thread reads `shutdown` every 20 ms,
     /// writes the heartbeat, and on shutdown connects to the listener to
     /// wake the blocked `accept`.
-    pub fn run(&self, shutdown: &AtomicBool) -> std::io::Result<()> {
+    pub fn run(&self, shutdown: &AtomicBool) {
         let queue: ConnQueue<Conn> = ConnQueue::new(self.opts.admission.clone());
         let reg = self.metrics();
         // 1-based accept counter: the high bits of every derived trace id
@@ -302,7 +305,6 @@ impl Server {
             reg.counter("serve.connections"),
             reg.counter("serve.shed")
         );
-        Ok(())
     }
 
     /// The watcher: writes the heartbeat every [`HEARTBEAT`] until
@@ -437,17 +439,18 @@ fn statusz<T>(server: &Server, queue: &ConnQueue<T>) -> Response {
     Response::text(200, out)
 }
 
-/// `GET /debug/trace/<id>`: the buffered span tree of a recent traced
-/// request — JSON by default, Chrome `trace_event` with `?fmt=perfetto`.
-fn debug_trace(id_hex: &str, query: &str, reg: &Registry) -> Response {
-    reg.add("serve.requests.debug_trace", 1);
+/// `GET /debug/trace/<id>`: the buffered span tree of a recent request
+/// this server traced — JSON by default, Chrome `trace_event` with
+/// `?fmt=perfetto`.
+fn debug_trace(id_hex: &str, query: &str, server: &Server) -> Response {
+    server.metrics().add("serve.requests.debug_trace", 1);
     let Some(id) = crate::http::parse_hex_id(id_hex) else {
         return Response::error(400, "trace id must be hex");
     };
     let body = if query.split('&').any(|kv| kv == "fmt=perfetto") {
-        offchip_obs::trace_chrome_json(id)
+        server.traces.chrome_json(id)
     } else {
-        offchip_obs::trace_tree_json(id)
+        server.traces.tree_json(id)
     };
     match body {
         Some(json) => Response::json(200, format!("{json}\n")),
@@ -470,7 +473,7 @@ fn route(
             "/statusz" => return statusz(server, queue),
             _ => {
                 if let Some(id_hex) = path.strip_prefix("/debug/trace/") {
-                    return debug_trace(id_hex, query, server.metrics());
+                    return debug_trace(id_hex, query, server);
                 }
             }
         }
@@ -503,29 +506,29 @@ fn handle_connection(conn: Conn, server: &Server, shutdown: &AtomicBool, queue: 
                     .unwrap_or_else(|| offchip_obs::derive_trace_id(conn_id, seq));
                 let root = if req.trace.is_some() {
                     let detail = format!("{} {} conn={conn_id} seq={seq}", req.method, req.path);
-                    offchip_obs::trace_begin(id, "request", detail, false)
+                    server.traces.begin(id, "request", detail, false)
                 } else {
-                    offchip_obs::TraceRef::NONE
+                    TraceRef::NONE
                 };
-                offchip_obs::span_event(root, "http.parse", String::new, parse_us);
+                offchip_obs::span_event(&root, "http.parse", String::new, parse_us);
                 if seq == 0 {
                     // Admission wait is a connection-level cost; bill it
                     // to the first request, which actually paid it.
-                    offchip_obs::span_event(root, "queue.wait", String::new, queue_wait_us);
+                    offchip_obs::span_event(&root, "queue.wait", String::new, queue_wait_us);
                 }
                 seq += 1;
                 // Work done for this request (log records, model-path
                 // spans, a fill it leads) finds its trace here.
-                let _scope = offchip_obs::TraceScope::enter(root);
+                let _scope = offchip_obs::TraceScope::enter(root.clone());
                 // Close after this response if the client asked to or
                 // the server is draining.
                 let close = req.close || shutdown.load(Ordering::SeqCst);
                 let resp = route(&req, server, shutdown, queue)
                     .with_header("X-Offchip-Trace", &format!("{id:016x}"));
-                let write = offchip_obs::span_open(root, "response.write", String::new);
+                let write = offchip_obs::span_open(&root, "response.write", String::new);
                 let wrote = resp.write_to(reader.get_mut(), close);
-                offchip_obs::span_close(write);
-                offchip_obs::span_close(root);
+                offchip_obs::span_close(&write);
+                offchip_obs::span_close(&root);
                 let total_us = parse_us + t0.elapsed().as_micros() as u64;
                 server.slowest.record(resp.status, total_us, root.trace);
                 if wrote.is_err() || close {

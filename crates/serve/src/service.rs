@@ -330,14 +330,14 @@ impl PredictService {
         let trace = offchip_obs::current();
         let detail = || format!("key={}/{}", key.machine, key.program);
         if let Some(entry) = self.cache.peek(key) {
-            offchip_obs::span_event(trace, "cache.hit", detail, 0);
+            offchip_obs::span_event(&trace, "cache.hit", detail, 0);
             return Ok(ModelOutcome::Fitted(entry, Disposition::Hit));
         }
         match self.breaker.admit(key) {
             Admission::Degrade { probe, info } => {
                 let state = info.state.as_str();
                 let detail = || format!("{} state={state} probe={probe}", detail());
-                offchip_obs::span_event(trace, "breaker.degraded", detail, 0);
+                offchip_obs::span_event(&trace, "breaker.degraded", detail, 0);
                 if probe {
                     // Launch the half-open probe fill in the background.
                     // The already-expired deadline means this request
@@ -358,7 +358,7 @@ impl PredictService {
                     Fetch::Ready(entry, disposition) => {
                         match disposition {
                             Disposition::Hit => {
-                                offchip_obs::span_event(trace, "cache.hit", detail, 0)
+                                offchip_obs::span_event(&trace, "cache.hit", detail, 0)
                             }
                             // Leader and coalesced waiter both spent this
                             // long blocked on the fill; the fill's own
@@ -367,14 +367,14 @@ impl PredictService {
                                 let how = disposition.as_str();
                                 let detail = || format!("{} disposition={how}", detail());
                                 let waited = t0.elapsed().as_micros() as u64;
-                                offchip_obs::span_event(trace, "fill.wait", detail, waited);
+                                offchip_obs::span_event(&trace, "fill.wait", detail, waited);
                             }
                         }
                         Ok(ModelOutcome::Fitted(entry, disposition))
                     }
                     Fetch::Pending { .. } => {
                         let waited = t0.elapsed().as_micros() as u64;
-                        offchip_obs::span_event(trace, "fill.pending", detail, waited);
+                        offchip_obs::span_event(&trace, "fill.pending", detail, waited);
                         Ok(ModelOutcome::Pending)
                     }
                     Fetch::Failed(e) => {
@@ -420,10 +420,10 @@ impl PredictService {
         let ctx = offchip_obs::current();
         move || {
             let detail = || format!("key={}/{}", key.machine, key.program);
-            let fill = offchip_obs::span_open(ctx, "fill", detail);
-            let _scope = offchip_obs::TraceScope::enter(fill);
+            let fill = offchip_obs::span_open(&ctx, "fill", detail);
+            let _scope = offchip_obs::TraceScope::enter(fill.clone());
             let result = fill_model(&config, &opts, &key);
-            offchip_obs::span_close(fill);
+            offchip_obs::span_close(&fill);
             match &result {
                 Ok(_) => breaker.on_success(&key),
                 // A malformed key is the caller's bug, not fill-path
@@ -645,9 +645,9 @@ mod tests {
             seed: 2,
         }];
         let untraced = campaign_loss(&errors).message().to_string();
-        let trace = offchip_obs::derive_trace_id(7, 3);
-        let root = offchip_obs::trace_begin(trace, "request", String::new(), false);
-        let _scope = offchip_obs::TraceScope::enter(root);
+        let traces = offchip_obs::TraceStore::default();
+        let _scope =
+            offchip_obs::TraceScope::enter(traces.begin(1, "request", String::new(), false));
         assert_eq!(campaign_loss(&errors).message(), untraced);
         assert!(untraced.starts_with("fill campaign lost 1 point(s) (panicked=1);"));
     }

@@ -63,7 +63,7 @@ pub fn serve<R>(server: &Server, case: impl FnOnce(&str, &AtomicBool) -> R) -> R
         let stop = StopOnDrop(&shutdown);
         let out = case(&addr, &shutdown);
         drop(stop);
-        run.join().unwrap().unwrap();
+        run.join().unwrap();
         out
     })
 }

@@ -7,7 +7,7 @@
 //! `response.write`) have consistent parentage, the Perfetto export is
 //! well-formed `trace_event` JSON, and — the determinism contract — the
 //! traced cold body is byte-identical to an untraced cold run of the
-//! same key.
+//! same key. Two servers in one process keep their traces apart.
 
 mod support;
 
@@ -25,6 +25,57 @@ fn get(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, path: &str) -> H
     conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
         .unwrap();
     read_response(reader).unwrap()
+}
+
+#[test]
+fn two_servers_keep_their_traces_apart() {
+    // Each server owns its span store: a trace begun at one is unknown at
+    // the other, and one inbound id sent to both begins one tree at each.
+    let opts = ServerOptions {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..ServerOptions::default()
+    };
+    let (dir_a, dir_b) = (scratch("apart-a"), scratch("apart-b"));
+    let a = Server::bind(&opts, test_service(&dir_a)).unwrap();
+    let b = Server::bind(&opts, test_service(&dir_b)).unwrap();
+    let connect = |addr: &str| {
+        let conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let reader = BufReader::new(conn.try_clone().unwrap());
+        (conn, reader)
+    };
+    let traced_healthz = |(conn, reader): &mut (TcpStream, BufReader<TcpStream>)| {
+        let req =
+            format!("GET /healthz HTTP/1.1\r\nHost: t\r\nX-Offchip-Trace: {TRACE_ID}\r\n\r\n");
+        conn.write_all(req.as_bytes()).unwrap();
+        read_response(reader).unwrap().0
+    };
+    let tree_path = format!("/debug/trace/{TRACE_ID}");
+    serve(&a, |addr_a, _| {
+        serve(&b, |addr_b, _| {
+            let (mut at_a, mut at_b) = (connect(addr_a), connect(addr_b));
+            assert_eq!(traced_healthz(&mut at_a), 200);
+            let (status, _, body) = get(&mut at_b.0, &mut at_b.1, &tree_path);
+            assert_eq!(
+                status,
+                404,
+                "a trace begun at A is unknown at B: {}",
+                String::from_utf8_lossy(&body)
+            );
+            assert_eq!(traced_healthz(&mut at_b), 200);
+            for (name, (conn, reader)) in [("A", &mut at_a), ("B", &mut at_b)] {
+                let (status, _, tree) = get(conn, reader, &tree_path);
+                let tree = String::from_utf8_lossy(&tree);
+                assert_eq!(status, 200, "{name}: {tree}");
+                let roots = tree.matches("\"parent\":0,\"name\":\"request\"").count();
+                assert_eq!(roots, 1, "{name} holds one request root: {tree}");
+            }
+        })
+    });
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
 }
 
 #[test]

@@ -234,26 +234,3 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn sweep_tests_share_the_global_worker_budget() {
-    // Every sweep-shaped test in this binary draws from one process-wide
-    // permit pool, so however many tests the harness runs concurrently,
-    // at most `shared_limit()` non-leader items execute at once (each
-    // concurrent map may add one budget-exempt leader, and the harness
-    // runs at most `default_jobs()` tests — hence maps — at a time).
-    let machine = machines::intel_uma_8().scaled(SCALE);
-    let w = traces::ep::workload(ProblemClass::W, SCALE, 8);
-    let (s, _) = sweep(&w, &machine, &[1, 2, 4, 8]);
-    assert_eq!(s.len(), 4);
-    let stats = offchip_pool::stats();
-    assert!(stats.executed >= 4, "pool never executed: {stats:?}");
-    let ceiling = offchip_pool::shared_limit() + offchip_pool::default_jobs();
-    assert!(
-        stats.peak_in_flight <= ceiling,
-        "worker budget not shared: peak {} > limit {} + leaders {}",
-        stats.peak_in_flight,
-        offchip_pool::shared_limit(),
-        offchip_pool::default_jobs()
-    );
-}

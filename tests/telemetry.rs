@@ -3,13 +3,14 @@
 //! not), the metrics registry fed by real sweeps, and the Chrome
 //! trace_event export.
 //!
-//! A run observes itself only when it is handed a registry, so each test
-//! builds its own registry and records into a trace id of its own: the
-//! tests share no state and take no lock.
+//! A run observes itself only when it is handed a registry, and its spans
+//! land in the store its thread's trace points into, so each test builds
+//! its own registry and trace store: the tests share no state and take no
+//! lock.
 
 use std::sync::Arc;
 
-use offchip::obs::{self, Registry, TraceRef, TraceScope};
+use offchip::obs::{Registry, TraceRef, TraceScope, TraceStore};
 use offchip::prelude::*;
 use offchip_bench::{Campaign, CampaignOptions};
 use offchip_json::ToJson;
@@ -85,9 +86,12 @@ fn traced_run(ctx: TraceRef, n: usize) {
 
 #[test]
 fn trace_export_is_valid_chrome_json() {
-    let trace = obs::trace_begin(0x7e1e_0001, "test", String::new(), true);
-    traced_run(trace, small_machine().total_cores());
-    let json = obs::trace_chrome_json(trace.trace).expect("trace is in the store");
+    let traces = TraceStore::default();
+    traced_run(
+        traces.begin(1, "test", String::new(), true),
+        small_machine().total_cores(),
+    );
+    let json = traces.chrome_json(1).expect("trace is in the store");
     let doc = offchip_json::Json::parse(&json).expect("trace output parses as JSON");
     let events = doc
         .get("traceEvents")
@@ -119,14 +123,15 @@ fn traced_run_outside_a_run_trace_keeps_no_spans() {
     // Only a trace that takes runs gets lanes: an observed run under a
     // request trace collects nothing, and a run trace nobody entered
     // stays empty.
-    let request = obs::trace_begin(0x7e1e_0002, "request", String::new(), false);
-    let bystander = obs::trace_begin(0x7e1e_0003, "test", String::new(), true);
-    traced_run(request, 2);
-    for ctx in [request, bystander] {
-        let json = obs::trace_chrome_json(ctx.trace).expect("trace is in the store");
+    let traces = TraceStore::default();
+    let (request, bystander) = (1, 2);
+    traced_run(traces.begin(request, "request", String::new(), false), 2);
+    traces.begin(bystander, "test", String::new(), true);
+    for id in [request, bystander] {
+        let json = traces.chrome_json(id).expect("trace is in the store");
         let events = json.matches("\"ph\":\"X\"").count();
         assert_eq!(events, 1, "only the root: {json}");
-        assert_eq!(obs::trace_dropped(ctx.trace), 0);
+        assert_eq!(traces.dropped(id), 0);
     }
 }
 
@@ -156,8 +161,8 @@ fn artefacts_identical_at_every_obs_level() {
     let reg = Arc::new(Registry::default());
     let observed = sweep("observed", Some(Arc::clone(&reg)));
     let traced_reg = Arc::new(Registry::default());
-    let trace = obs::trace_begin(0x7e1e_0004, "test", String::new(), true);
-    let scope = TraceScope::enter(trace);
+    let traces = TraceStore::default();
+    let scope = TraceScope::enter(traces.begin(1, "test", String::new(), true));
     let traced = sweep("traced", Some(Arc::clone(&traced_reg)));
     drop(scope);
     let _ = std::fs::remove_dir_all(&root);
@@ -168,7 +173,7 @@ fn artefacts_identical_at_every_obs_level() {
             .histogram("dram.queue_wait_cycles")
             .is_some_and(|h| h.count() > 0));
     }
-    let json = obs::trace_chrome_json(trace.trace).expect("trace is in the store");
+    let json = traces.chrome_json(1).expect("trace is in the store");
     assert!(
         json.contains("\"cat\":\"dram\""),
         "the traced runs kept lanes"

@@ -125,11 +125,10 @@ const RUN_TRACE: u64 = 1;
 
 /// Applies the observability options before a command runs: `--log-level`
 /// beats `OFFCHIP_LOG`, `--log-format` beats `OFFCHIP_LOG_FORMAT`. With
-/// `--trace`, builds the command's store and begins the run trace in it,
-/// the context the command runs in: each simulator run lands in it as one
-/// lane (the parser gave the runs a registry, without which they record
-/// nothing).
-fn init_obs(opts: &RunOptions) -> (Option<offchip_obs::TraceStore>, offchip_obs::TraceRef) {
+/// `--trace`, begins the run trace in the command's store, the context the
+/// command runs in: each simulator run lands in it as one lane (the parser
+/// gave the runs a registry, without which they record nothing).
+fn init_obs(opts: &RunOptions, traces: &offchip_obs::TraceStore) -> offchip_obs::TraceRef {
     if let Some(l) = opts.log_level {
         offchip_obs::set_log_level(l);
     }
@@ -137,17 +136,15 @@ fn init_obs(opts: &RunOptions) -> (Option<offchip_obs::TraceStore>, offchip_obs:
         offchip_obs::set_log_format(f);
     }
     if opts.trace_out.is_none() {
-        return (None, offchip_obs::TraceRef::NONE);
+        return offchip_obs::TraceRef::NONE;
     }
-    let traces = offchip_obs::TraceStore::default();
     let command = std::env::args().skip(1).collect::<Vec<_>>().join(" ");
-    let ctx = traces.begin(RUN_TRACE, "offchip", command, true);
-    (Some(traces), ctx)
+    traces.begin(RUN_TRACE, "offchip", command, true)
 }
 
 /// Writes the requested observability artefacts after a command ran,
 /// through the command's Vfs.
-fn finish_obs(opts: &RunOptions, traces: Option<&offchip_obs::TraceStore>) -> Result<(), CliError> {
+fn finish_obs(opts: &RunOptions, traces: &offchip_obs::TraceStore) -> Result<(), CliError> {
     let write = |path: &std::path::Path, contents: &str| {
         opts.campaign
             .vfs_or_real()
@@ -158,8 +155,7 @@ fn finish_obs(opts: &RunOptions, traces: Option<&offchip_obs::TraceStore>) -> Re
         write(path, &reg.snapshot().to_csv())?;
         offchip_obs::info!("wrote metrics csv={}", path.display());
     }
-    if let (Some(path), Some(traces)) = (&opts.trace_out, traces) {
-        let json = traces.chrome_json(RUN_TRACE).expect("begun by init_obs");
+    if let (Some(path), Some(json)) = (&opts.trace_out, traces.chrome_json(RUN_TRACE)) {
         write(path, &json)?;
         let dropped = traces.dropped(RUN_TRACE);
         if dropped > 0 {
@@ -177,7 +173,8 @@ pub fn execute(cmd: &Command) -> Result<(), CliError> {
     else {
         return execute_inner(cmd);
     };
-    let (traces, ctx) = init_obs(opts);
+    let traces = offchip_obs::TraceStore::default();
+    let ctx = init_obs(opts, &traces);
     opts.campaign.warn_if_chaos();
     let scope = offchip_obs::TraceScope::enter(ctx.clone());
     let result = execute_inner(cmd);
@@ -185,7 +182,7 @@ pub fn execute(cmd: &Command) -> Result<(), CliError> {
     offchip_obs::span_close(&ctx);
     // Artefacts are written even when the command failed: a partial trace
     // of an interrupted sweep is exactly what one debugs with.
-    let finish = finish_obs(opts, traces.as_ref());
+    let finish = finish_obs(opts, &traces);
     result.and(finish)
 }
 

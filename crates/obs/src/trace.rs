@@ -2,8 +2,8 @@
 //! Chrome `trace_event` JSON (Perfetto, `chrome://tracing`) or as a span
 //! tree.
 //!
-//! A [`TraceStore`] is a value: a server owns one, the CLI builds one for
-//! `--trace`, and each test builds its own. Whoever begins a trace
+//! A [`TraceStore`] is a value: a server owns one, the CLI builds one per
+//! command (for its `--trace`), and each test builds its own. Whoever begins a trace
 //! chooses what it holds ([`TraceStore::begin`]). A *request trace* (a
 //! served request) holds a span tree. A *run trace* (the CLI's `--trace`)
 //! holds a tree too, plus one *lane* of simulator spans per run that

@@ -125,8 +125,8 @@ fn traced_run_outside_a_run_trace_keeps_no_spans() {
     // stays empty.
     let traces = TraceStore::default();
     let (request, bystander) = (1, 2);
-    traced_run(traces.begin(request, "request", String::new(), false), 2);
     traces.begin(bystander, "test", String::new(), true);
+    traced_run(traces.begin(request, "request", String::new(), false), 2);
     for id in [request, bystander] {
         let json = traces.chrome_json(id).expect("trace is in the store");
         let events = json.matches("\"ph\":\"X\"").count();

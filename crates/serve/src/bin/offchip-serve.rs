@@ -3,14 +3,16 @@
 //! ```text
 //! offchip-serve [--addr HOST:PORT] [--workers N] [--jobs N] [--journal-dir DIR]
 //!               [--max-queue N] [--max-conns N] [--header-deadline MS]
-//!               [--request-deadline MS] [--breaker-threshold K]
-//!               [--breaker-probe-every N] [--chaos-net SPEC]
-//!               [--log-format kv|json]
+//!               [--chaos-net SPEC] [--log-format kv|json]
 //! ```
 //!
 //! Binds (port 0 = ephemeral), prints `offchip-serve listening on
 //! HOST:PORT` on stdout (tests and CI parse that line for the port),
 //! and serves until SIGTERM/SIGINT, then drains and exits 0.
+//!
+//! A request's fill budget is its `X-Offchip-Deadline-Ms` header, else
+//! 600 s. A key's circuit breaker opens after 3 consecutive failed fills
+//! and probes once per 8 requests while open.
 //!
 //! Environment: `OFFCHIP_SEEDS`/`OFFCHIP_QUICK` set the fill-campaign
 //! seed count, `OFFCHIP_JOBS` the default simulation worker budget,
@@ -28,9 +30,7 @@ use std::time::Duration;
 const USAGE: &str = "\
 usage: offchip-serve [--addr HOST:PORT] [--workers N] [--jobs N] [--journal-dir DIR]
                      [--max-queue N] [--max-conns N] [--header-deadline MS]
-                     [--request-deadline MS] [--breaker-threshold K]
-                     [--breaker-probe-every N] [--chaos-net SPEC]
-                     [--log-format kv|json]
+                     [--chaos-net SPEC] [--log-format kv|json]
   --addr HOST:PORT        bind address (default 127.0.0.1:7071; port 0 = ephemeral)
   --workers N             HTTP worker threads (default 8)
   --jobs N                simulation worker budget for fill campaigns (default OFFCHIP_JOBS,
@@ -39,10 +39,6 @@ usage: offchip-serve [--addr HOST:PORT] [--workers N] [--jobs N] [--journal-dir 
   --max-queue N           connections waiting for a worker before shedding (default 128)
   --max-conns N           queued + in-service connections before shedding (default 1024)
   --header-deadline MS    budget to read one full request after its first byte (default 10000)
-  --request-deadline MS   default fill budget per request, overridable per request
-                          via X-Offchip-Deadline-Ms (default 600000)
-  --breaker-threshold K   consecutive fill failures that open a key's breaker (default 3)
-  --breaker-probe-every N while open, probe once per N requests (seeded position; default 8)
   --chaos-net SPEC        socket fault schedule, e.g. stall@read:2:300,reset@write:3
                           or seed:42 (default OFFCHIP_CHAOS_NET)
   --log-format kv|json    log record format: key-value text or structured JSON with
@@ -133,33 +129,6 @@ fn parse_args(args: &[String], env: &Env) -> Result<Parsed, String> {
                 }
                 server.header_deadline = Duration::from_millis(ms);
             }
-            "--request-deadline" => {
-                let ms: u64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--request-deadline: {e}"))?;
-                if ms == 0 {
-                    return Err("--request-deadline must be at least 1 ms".into());
-                }
-                service.request_deadline = Duration::from_millis(ms);
-            }
-            "--breaker-threshold" => {
-                let k: u32 = value()?
-                    .parse()
-                    .map_err(|e| format!("--breaker-threshold: {e}"))?;
-                if k == 0 {
-                    return Err("--breaker-threshold must be at least 1".into());
-                }
-                service.breaker.threshold = k;
-            }
-            "--breaker-probe-every" => {
-                let n: u64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--breaker-probe-every: {e}"))?;
-                if n == 0 {
-                    return Err("--breaker-probe-every must be at least 1".into());
-                }
-                service.breaker.probe_every = n;
-            }
             "--chaos-net" => {
                 let spec = offchip_chaos::NetSpec::parse(&value()?)
                     .map_err(|e| format!("--chaos-net: {e}"))?;
@@ -233,7 +202,7 @@ fn main() {
     let _ = std::io::stdout().flush();
     offchip_obs::info!(
         "serve: {} worker(s), {} fill job(s), journal dir {}, queue {} (high-water {}), \
-         {} conn(s) max, request deadline {:?}",
+         {} conn(s) max",
         parsed.server.workers,
         parsed.service.jobs,
         parsed
@@ -245,7 +214,6 @@ fn main() {
         parsed.server.admission.max_queue,
         parsed.server.admission.high_water(),
         parsed.server.admission.max_conns,
-        parsed.service.request_deadline,
     );
 
     // The signal handlers' flag is the server's shutdown flag.
@@ -255,7 +223,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use offchip_serve::{AdmissionConfig, BreakerConfig};
+    use offchip_serve::AdmissionConfig;
 
     fn parse(line: &str) -> Result<Parsed, String> {
         parse_in(line, Env::default())
@@ -275,15 +243,12 @@ mod tests {
 
     /// Every flag that takes a count or a millisecond budget; 0 is never
     /// meaningful for any of them.
-    const NUMERIC: [&str; 8] = [
+    const NUMERIC: [&str; 5] = [
         "--workers",
         "--jobs",
         "--max-queue",
         "--max-conns",
         "--header-deadline",
-        "--request-deadline",
-        "--breaker-threshold",
-        "--breaker-probe-every",
     ];
 
     #[test]
@@ -370,13 +335,19 @@ mod tests {
 
     #[test]
     fn unknown_and_removed_flags_are_unknown_options() {
-        // The three `--slo-*` flags left with the burn-rate tracker; a
+        // The three `--slo-*` flags left with the burn-rate tracker, and
+        // the breaker and request-deadline flags became constants; a
         // script still passing one must fail loudly, not be ignored.
-        let removed =
-            ["availability 0.99", "p99-ms 500", "gate-readyz"].map(|f| format!("--slo-{f}"));
+        let slo = ["availability 0.99", "p99-ms 500", "gate-readyz"].map(|f| format!("--slo-{f}"));
+        let constants = [
+            "--breaker-threshold 3",
+            "--breaker-probe-every 2",
+            "--request-deadline 100",
+        ];
         let lines = ["--bogus", "serve"]
             .into_iter()
-            .chain(removed.iter().map(String::as_str));
+            .chain(slo.iter().map(String::as_str))
+            .chain(constants);
         for line in lines {
             let flag = line.split_whitespace().next().unwrap();
             assert_eq!(
@@ -400,7 +371,6 @@ mod tests {
         let parsed = parse(
             "--addr 0.0.0.0:9000 --workers 3 --jobs 2 --journal-dir journals \
              --max-queue 16 --max-conns 64 --header-deadline 250 \
-             --request-deadline 1500 --breaker-threshold 5 --breaker-probe-every 4 \
              --chaos-net stall@read:2:300 --log-format json",
         )
         .unwrap();
@@ -422,11 +392,6 @@ mod tests {
             ServiceConfig {
                 journal_dir: Some(PathBuf::from("journals")),
                 jobs: 2,
-                request_deadline: Duration::from_millis(1500),
-                breaker: BreakerConfig {
-                    threshold: 5,
-                    probe_every: 4,
-                },
                 ..ServiceConfig::default()
             }
         );

@@ -1,7 +1,7 @@
 //! The degraded analytic tier: a contention model built from machine
 //! first principles when the simulation-backed fill path is broken.
 //!
-//! When a key's circuit breaker is open (see [`crate::breaker`]) the
+//! When a key's circuit breaker is open (see [`crate::cache`]) the
 //! service cannot run — or keeps failing to run — the measurement
 //! campaign that normally feeds [`ContentionModel::fit`]. Rather than
 //! 503 every caller, it serves an *analytic prior*: protocol-point
@@ -27,9 +27,10 @@
 //!   has a single controller).
 
 use crate::entry::{FitSummary, FittedEntry};
-use crate::service::ServiceError;
+use crate::service::{machine_for, ModelKey, ServiceError};
 use offchip_model::{ContentionModel, FitProtocol, FitQuality};
 use offchip_topology::{ids::McId, MachineSpec};
+use std::sync::Arc;
 
 /// Nominal off-chip request count the analytic points are expressed
 /// against. `C(n)` scales linearly in `r`, and ω — the quantity callers
@@ -137,6 +138,13 @@ pub fn analytic_entry(
         mean_relative_error: None,
         mean_absolute_error: 0.0,
     }))
+}
+
+/// The degraded-analytic entry for `key`'s machine.
+pub(crate) fn for_key(key: &ModelKey) -> Result<Arc<FittedEntry>, ServiceError> {
+    let machine = machine_for(&key.machine)?;
+    let proto = FitProtocol::for_machine(&machine.name);
+    Ok(Arc::new(analytic_entry(&machine, &proto)?))
 }
 
 #[cfg(test)]

@@ -7,9 +7,10 @@
 //! experiment binaries. The fitted model for each `(machine, program)`
 //! pair is computed once, through the crash-safe campaign layer (so a
 //! killed fill resumes from its journal instead of re-simulating), and
-//! cached in memory behind a single-flight gate: concurrent cache misses
-//! for the same key coalesce into one campaign, with every waiter handed
-//! the same [`std::sync::Arc`]'d entry.
+//! cached in memory by one model store: concurrent cache misses for the
+//! same key coalesce into one campaign, with every waiter handed the same
+//! [`std::sync::Arc`]'d entry, and the same store keeps each key's
+//! circuit breaker.
 //!
 //! Endpoints (see DESIGN.md §12 for the wire format):
 //!
@@ -55,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod breaker;
 pub mod cache;
 pub mod degraded;
 pub mod entry;
@@ -65,9 +65,8 @@ pub mod service;
 pub mod signal;
 
 pub use admission::{AdmissionConfig, ShedReason};
-pub use breaker::{Breaker, BreakerConfig, BreakerInfo, BreakerState};
-pub use cache::{Disposition, Fetch, FillError, SingleFlight};
+pub use cache::{BreakerInfo, BreakerState, Disposition, ModelOutcome};
 pub use entry::{FitSummary, FittedEntry};
 pub use http::{Request, Response};
 pub use server::{Server, ServerOptions};
-pub use service::{ModelKey, ModelOutcome, PredictService, ServiceConfig, ServiceError};
+pub use service::{ModelKey, PredictService, ServiceConfig, ServiceError};

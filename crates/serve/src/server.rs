@@ -130,7 +130,8 @@ pub(crate) struct Conn {
 /// One finished request in the `/statusz` slowest table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SlowTrace {
-    /// Trace id (0 when the request ran untraced).
+    /// The id echoed in the response's `X-Offchip-Trace`: the inbound
+    /// id of a traced request, the derived one of an untraced request.
     trace: u64,
     /// Total latency in microseconds.
     latency_us: u64,
@@ -530,7 +531,7 @@ fn handle_connection(conn: Conn, server: &Server, shutdown: &AtomicBool, queue: 
                 offchip_obs::span_close(&write);
                 offchip_obs::span_close(&root);
                 let total_us = parse_us + t0.elapsed().as_micros() as u64;
-                server.slowest.record(resp.status, total_us, root.trace);
+                server.slowest.record(resp.status, total_us, id);
                 if wrote.is_err() || close {
                     return;
                 }

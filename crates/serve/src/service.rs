@@ -1,20 +1,22 @@
-//! The prediction service proper: request routing, the fitted-model
-//! cache, and the campaign-backed fill path.
+//! The prediction service proper: request routing and the
+//! campaign-backed fill path.
 //!
 //! A model is keyed by `(machine, program)`. The first request for a key
 //! runs a measurement campaign — a core-count sweep at the paper's
 //! protocol points plus the full machine — through the crash-safe
 //! campaign layer, fits the analytical model robustly, and caches the
 //! result. Every later request (and every concurrent request while the
-//! fill runs, via the single-flight gate) is answered from the cached
+//! fill runs, which waits on that one fill) is answered from the cached
 //! fit in microseconds, simulator untouched. Because the fill is
 //! journaled under a stable campaign name (`serve-<machine>-<program>`),
 //! a server killed mid-fill resumes the campaign from the journal on the
 //! next request instead of re-simulating completed points.
+//!
+//! The model store ([`crate::cache`]) decides what a key's fill history
+//! means for its next request; this module routes requests and runs the
+//! fill.
 
-use crate::breaker::{Admission, Breaker, BreakerConfig, BreakerInfo};
-use crate::cache::{Disposition, Fetch, FillError, SingleFlight};
-use crate::degraded;
+use crate::cache::{BreakerInfo, Disposition, ModelOutcome, ModelStore};
 use crate::entry::{Field, FitSummary, FittedEntry};
 use crate::http::{Request, Response};
 use offchip_bench::{
@@ -38,6 +40,11 @@ pub const MAX_N: usize = 4096;
 /// for a week.
 pub const DEADLINE_CLAMP_MS: (u64, u64) = (1, 3_600_000);
 
+/// The fill budget of a request that sends no `X-Offchip-Deadline-Ms`.
+/// A request whose budget expires first gets `202 + Retry-After` while
+/// the fill keeps warming the cache.
+pub const DEFAULT_DEADLINE_MS: u64 = 600_000;
+
 /// `Retry-After` seconds quoted on `202 Accepted` while a fill runs.
 const PENDING_RETRY_AFTER_S: u64 = 5;
 
@@ -60,12 +67,6 @@ pub struct ServiceConfig {
     pub seeds: Vec<u64>,
     /// Simulation worker budget for fill campaigns.
     pub jobs: usize,
-    /// Default per-request fill budget when the client sends no
-    /// `X-Offchip-Deadline-Ms`. A request whose budget expires first
-    /// gets `202 + Retry-After` while the fill keeps warming the cache.
-    pub request_deadline: Duration,
-    /// Circuit-breaker tuning for the fill path.
-    pub breaker: BreakerConfig,
     /// Filesystem fault schedule for the fill campaigns' journals
     /// (`OFFCHIP_CHAOS_IO`); `None` runs them on the real filesystem.
     pub chaos_io: Option<ChaosSpec>,
@@ -77,8 +78,6 @@ impl Default for ServiceConfig {
             journal_dir: None,
             seeds: offchip_bench::seeds(),
             jobs: offchip_pool::default_jobs(),
-            request_deadline: Duration::from_secs(600),
-            breaker: BreakerConfig::default(),
             chaos_io: None,
         }
     }
@@ -108,7 +107,7 @@ impl ServiceError {
         }
     }
 
-    fn message(&self) -> &str {
+    pub(crate) fn message(&self) -> &str {
         match self {
             ServiceError::BadRequest(m)
             | ServiceError::CampaignLoss(m)
@@ -128,63 +127,50 @@ impl ServiceError {
     }
 }
 
-impl FillError for ServiceError {
-    fn from_panic(msg: &str) -> ServiceError {
-        ServiceError::Internal(format!("fill panicked: {msg}"))
-    }
-}
-
 /// A model endpoint's body writer: the entry, the request document and
 /// any extra members (the degraded tier's provenance) to merge in.
 type RenderBody = fn(&FittedEntry, &Json, &[Field<'_>]) -> Result<Vec<u8>, ServiceError>;
 
-/// How [`PredictService::model_for`] answered.
-pub enum ModelOutcome {
-    /// A simulation-backed fit, from cache or a completed fill.
-    Fitted(Arc<FittedEntry>, Disposition),
-    /// The key's breaker is open: an analytic prior with provenance.
-    Degraded(Arc<FittedEntry>, BreakerInfo),
-    /// The request's deadline expired while the fill was in flight; the
-    /// fill continues in the background.
-    Pending,
-}
-
-/// The shared service state: config, the fill campaigns' options, the
-/// single-flight model cache, the per-key fill breaker and the service's
-/// own metrics registry.
+/// The shared service state: the model store and the service's own
+/// metrics registry.
 pub struct PredictService {
-    config: ServiceConfig,
-    /// Every fill campaign's options: resumed from the journal directory,
-    /// on the service's one Vfs, so `chaos_io` fault indices count across
-    /// every fill.
-    fill: CampaignOptions,
-    cache: SingleFlight<ModelKey, FittedEntry, ServiceError>,
-    breaker: Arc<Breaker<ModelKey>>,
+    store: ModelStore,
     /// The `serve.*` metrics: what `/metrics`, `/statusz` and the
     /// heartbeat read. Fills record no simulator metrics into it.
     metrics: Arc<Registry>,
 }
 
 impl PredictService {
-    /// A service with an empty cache, an all-closed breaker and an empty
-    /// registry.
+    /// A service with an empty model store and an empty registry.
     pub fn new(config: ServiceConfig) -> PredictService {
         let metrics = Arc::new(Registry::default());
-        let breaker = Arc::new(Breaker::new(config.breaker.clone(), Arc::clone(&metrics)));
+        // Every fill campaign resumes from the journal directory, on the
+        // service's one Vfs, so `chaos_io` fault indices count across
+        // every fill.
         let vfs = config
             .chaos_io
             .clone()
             .map(|spec| -> Arc<dyn Vfs> { Arc::new(ChaosVfs::new(spec)) });
+        let opts = CampaignOptions {
+            resume: true,
+            journal_dir: config.journal_dir.clone(),
+            vfs,
+            ..CampaignOptions::default()
+        };
+        // The store runs a fill in the trace context of the request that
+        // started it. The fill opens its `fill` span there and enters it,
+        // so its log lines stay stamped and the campaign's per-point
+        // spans parent under it.
+        let fill = move |key: &ModelKey| {
+            let detail = || format!("key={}/{}", key.machine, key.program);
+            let span = offchip_obs::span_open(&offchip_obs::current(), "fill", detail);
+            let _scope = offchip_obs::TraceScope::enter(span.clone());
+            let result = fill_model(&config, &opts, key);
+            offchip_obs::span_close(&span);
+            result
+        };
         PredictService {
-            fill: CampaignOptions {
-                resume: true,
-                journal_dir: config.journal_dir.clone(),
-                vfs,
-                ..CampaignOptions::default()
-            },
-            config,
-            cache: SingleFlight::new(),
-            breaker,
+            store: ModelStore::new(Arc::clone(&metrics), fill),
             metrics,
         }
     }
@@ -232,16 +218,6 @@ impl PredictService {
         resp
     }
 
-    /// The request's fill deadline: the clamped `X-Offchip-Deadline-Ms`
-    /// header when present, the configured default otherwise.
-    fn deadline_for(&self, req: &Request) -> Instant {
-        let budget = match req.deadline_ms {
-            Some(ms) => Duration::from_millis(ms.clamp(DEADLINE_CLAMP_MS.0, DEADLINE_CLAMP_MS.1)),
-            None => self.config.request_deadline,
-        };
-        Instant::now() + budget
-    }
-
     /// Shared wrapper for the two model endpoints: count the request
     /// under `counter`, parse the key, get or fill the cached model, run
     /// the endpoint body, stamp the cache disposition header and metrics.
@@ -254,7 +230,10 @@ impl PredictService {
     ) -> Response {
         let reg = self.metrics();
         reg.add(counter, 1);
-        let deadline = self.deadline_for(req);
+        let budget_ms = req.deadline_ms.map_or(DEFAULT_DEADLINE_MS, |ms| {
+            ms.clamp(DEADLINE_CLAMP_MS.0, DEADLINE_CLAMP_MS.1)
+        });
+        let deadline = Instant::now() + Duration::from_millis(budget_ms);
         let outcome = (|| {
             let doc = parse_body(&req.body)?;
             let key = parse_key(&doc)?;
@@ -284,7 +263,6 @@ impl PredictService {
                     Disposition::Miss => reg.add("serve.cache.miss", 1),
                     Disposition::Hit | Disposition::Coalesced => reg.add("serve.cache.hit", 1),
                 }
-                reg.gauge_set("serve.cache.entries", self.cache.len() as u64);
                 // The disposition travels only in this header: cold and
                 // warm response bodies must stay byte-identical.
                 Response::json(200, bytes.expect("fitted body"))
@@ -312,134 +290,27 @@ impl PredictService {
         }
     }
 
-    /// Cached fitted model for `key`. The first caller starts a
-    /// journaled background fill; concurrent callers coalesce onto it.
-    /// A caller whose `deadline` passes first gets [`ModelOutcome::Pending`]
-    /// while the fill keeps warming the cache; a key whose breaker is
-    /// open gets the degraded analytic tier.
-    ///
-    /// Under a trace context the cache decision, breaker decision and
-    /// fill wait each record a span, and a fill this caller *leads* runs
-    /// under its trace (spans from the fill thread, campaign sim points
-    /// included, parent under it).
+    /// Answers a model request for `key` from the model store: the
+    /// cached or freshly filled model, the degraded tier while the key's
+    /// breaker is open, or [`ModelOutcome::Pending`] once `deadline`
+    /// (`None`: no limit) passes with the fill still running.
     pub fn model_for(
         &self,
         key: &ModelKey,
         deadline: Option<Instant>,
     ) -> Result<ModelOutcome, ServiceError> {
-        let trace = offchip_obs::current();
-        let detail = || format!("key={}/{}", key.machine, key.program);
-        if let Some(entry) = self.cache.peek(key) {
-            offchip_obs::span_event(&trace, "cache.hit", detail, 0);
-            return Ok(ModelOutcome::Fitted(entry, Disposition::Hit));
-        }
-        match self.breaker.admit(key) {
-            Admission::Degrade { probe, info } => {
-                let state = info.state.as_str();
-                let detail = || format!("{} state={state} probe={probe}", detail());
-                offchip_obs::span_event(&trace, "breaker.degraded", detail, 0);
-                if probe {
-                    // Launch the half-open probe fill in the background.
-                    // The already-expired deadline means this request
-                    // never waits on it; it answers degraded like the
-                    // rest of the window.
-                    let _ =
-                        self.cache
-                            .get_or_start(key, Some(Instant::now()), self.fill_closure(key));
-                }
-                Ok(ModelOutcome::Degraded(self.degraded_entry(key)?, info))
-            }
-            Admission::Proceed => {
-                let t0 = Instant::now();
-                match self
-                    .cache
-                    .get_or_start(key, deadline, self.fill_closure(key))
-                {
-                    Fetch::Ready(entry, disposition) => {
-                        match disposition {
-                            Disposition::Hit => {
-                                offchip_obs::span_event(&trace, "cache.hit", detail, 0)
-                            }
-                            // Leader and coalesced waiter both spent this
-                            // long blocked on the fill; the fill's own
-                            // span (leader's trace only) shows the work.
-                            Disposition::Miss | Disposition::Coalesced => {
-                                let how = disposition.as_str();
-                                let detail = || format!("{} disposition={how}", detail());
-                                let waited = t0.elapsed().as_micros() as u64;
-                                offchip_obs::span_event(&trace, "fill.wait", detail, waited);
-                            }
-                        }
-                        Ok(ModelOutcome::Fitted(entry, disposition))
-                    }
-                    Fetch::Pending { .. } => {
-                        let waited = t0.elapsed().as_micros() as u64;
-                        offchip_obs::span_event(&trace, "fill.pending", detail, waited);
-                        Ok(ModelOutcome::Pending)
-                    }
-                    Fetch::Failed(e) => {
-                        // The failure we just observed may have tripped
-                        // the breaker; if so this caller already gets
-                        // the degraded tier instead of a 5xx.
-                        if self.breaker.is_open(key) {
-                            let info = self.breaker.info(key);
-                            Ok(ModelOutcome::Degraded(self.degraded_entry(key)?, info))
-                        } else {
-                            Err(e)
-                        }
-                    }
-                }
-            }
-        }
+        self.store.get(key, deadline)
     }
 
     /// Number of fitted models currently cached.
     pub fn cached_models(&self) -> usize {
-        self.cache.len()
+        self.store.len()
     }
 
     /// Breaker snapshot for `/statusz`: every key that ever recorded a
     /// fill failure, with its current state.
     pub fn breaker_entries(&self) -> Vec<(ModelKey, BreakerInfo)> {
-        self.breaker.entries()
-    }
-
-    /// The `'static` fill closure handed to the single-flight cache:
-    /// runs the campaign and records the outcome on the breaker. The
-    /// leading request's trace context rides along: the fill thread
-    /// enters it under a `fill` span, so its log lines stay stamped and
-    /// the campaign's per-point spans parent under that span.
-    fn fill_closure(
-        &self,
-        key: &ModelKey,
-    ) -> impl FnOnce() -> Result<FittedEntry, ServiceError> + Send + 'static {
-        let config = self.config.clone();
-        let opts = self.fill.clone();
-        let breaker = Arc::clone(&self.breaker);
-        let key = key.clone();
-        let ctx = offchip_obs::current();
-        move || {
-            let detail = || format!("key={}/{}", key.machine, key.program);
-            let fill = offchip_obs::span_open(&ctx, "fill", detail);
-            let _scope = offchip_obs::TraceScope::enter(fill.clone());
-            let result = fill_model(&config, &opts, &key);
-            offchip_obs::span_close(&fill);
-            match &result {
-                Ok(_) => breaker.on_success(&key),
-                // A malformed key is the caller's bug, not fill-path
-                // health — it must not open the breaker.
-                Err(ServiceError::BadRequest(_)) => {}
-                Err(e) => breaker.on_failure(&key, e.kind(), e.message()),
-            }
-            result
-        }
-    }
-
-    /// The degraded analytic entry for `key`, rebuilt per request.
-    fn degraded_entry(&self, key: &ModelKey) -> Result<Arc<FittedEntry>, ServiceError> {
-        let machine = machine_for(&key.machine)?;
-        let proto = FitProtocol::for_machine(&machine.name);
-        Ok(Arc::new(degraded::analytic_entry(&machine, &proto)?))
+        self.store.breakers()
     }
 }
 
@@ -460,8 +331,7 @@ fn sweep(entry: &FittedEntry, doc: &Json, extra: &[Field<'_>]) -> Result<Vec<u8>
 
 /// The fill path: journaled sweep → robust fit → validation. A free
 /// function (config, campaign options and key only) because it runs on
-/// the background single-flight fill thread, which cannot borrow the
-/// service.
+/// the store's background fill thread, which cannot borrow the service.
 fn fill_model(
     config: &ServiceConfig,
     opts: &CampaignOptions,
@@ -599,7 +469,7 @@ fn parse_n(doc: &Json, field: &str) -> Result<usize, ServiceError> {
     Ok(n as usize)
 }
 
-fn machine_for(key: &str) -> Result<offchip_topology::MachineSpec, ServiceError> {
+pub(crate) fn machine_for(key: &str) -> Result<offchip_topology::MachineSpec, ServiceError> {
     let spec = match key {
         "uma" => machines::intel_uma_8(),
         "numa" => machines::intel_numa_24(),

@@ -13,9 +13,7 @@
 mod support;
 
 use offchip_serve::http::Request;
-use offchip_serve::{
-    AdmissionConfig, BreakerConfig, PredictService, Server, ServerOptions, ServiceConfig,
-};
+use offchip_serve::{AdmissionConfig, PredictService, Server, ServerOptions, ServiceConfig};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -187,10 +185,6 @@ fn breaker_opens_onto_degraded_tier_and_recovers_when_fills_heal() {
         journal_dir: Some(journal_dir.clone()),
         seeds: SEEDS.to_vec(),
         jobs: 2,
-        breaker: BreakerConfig {
-            threshold: 3,
-            probe_every: 2,
-        },
         ..ServiceConfig::default()
     });
     let req = predict_request(None);
@@ -260,7 +254,7 @@ fn breaker_opens_onto_degraded_tier_and_recovers_when_fills_heal() {
     std::fs::remove_file(&journal_dir).unwrap();
     std::fs::create_dir_all(&journal_dir).unwrap();
 
-    // Keep knocking. A seeded probe lands within probe_every requests,
+    // Keep knocking. A seeded probe lands within 8 requests of a window,
     // its background fill now succeeds, the breaker closes, and the
     // fitted model takes over from the analytic prior.
     let give_up = Instant::now() + Duration::from_secs(120);

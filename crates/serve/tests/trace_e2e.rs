@@ -216,12 +216,17 @@ fn traced_cold_predict_yields_a_span_tree_and_identical_bytes() {
         assert!(prom.contains("serve_requests_predict_total 1"), "{prom}");
         assert!(prom.contains("le=\"+Inf\""), "{prom}");
 
-        // An untraced request still gets a (derived) correlation id, but
-        // no tree: buffering stays opt-in.
+        // An untraced request still gets a (derived) correlation id, and
+        // /statusz lists it, but no tree: buffering stays opt-in. This
+        // connection's seven requests so far all fit in the 8-row
+        // slowest table, so the fast /healthz cannot be displaced yet.
         let (_, headers, _) = get(&mut conn, &mut reader, "/healthz");
         let echoed = header(&headers, "X-Offchip-Trace").expect("derived id echoed");
         assert_ne!(echoed, TRACE_ID);
         assert_ne!(u64::from_str_radix(echoed, 16).unwrap(), 0);
+        let (_, _, statusz) = get(&mut conn, &mut reader, "/statusz");
+        let text = String::from_utf8_lossy(&statusz);
+        assert!(text.contains(&format!("trace={echoed} ")), "{text}");
         let path = format!("/debug/trace/{echoed}");
         assert_eq!(get(&mut conn, &mut reader, &path).0, 404);
         traced_body

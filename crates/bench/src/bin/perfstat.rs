@@ -31,7 +31,8 @@
 //! regression. `OFFCHIP_QUICK=1` shrinks the run for CI smoke use.
 
 use offchip_bench::{
-    build_workload, perfcal, seeds, Campaign, CampaignOptions, ProgramSpec, SweepTiming,
+    build_workload, perfcal, seeds_from, Campaign, CampaignOptions, ProgramSpec, SweepTiming,
+    SEEDS_ENV,
 };
 use offchip_chaos::Vfs;
 use offchip_json::{json_obj, Json, ToJson};
@@ -74,9 +75,10 @@ fn runtime_exit(msg: &str) -> ! {
     std::process::exit(5);
 }
 
-/// `(jobs, out, check)`: `--jobs` wins, else `OFFCHIP_JOBS`, else the
-/// machine's parallelism; a bad value of either is a usage error.
-fn parse_args() -> (usize, String, Option<String>) {
+/// `(jobs, out, check, seeds)`: `--jobs` wins, else `OFFCHIP_JOBS`, else
+/// the machine's parallelism; a bad value of either, or of
+/// `OFFCHIP_SEEDS`, is a usage error.
+fn parse_args() -> (usize, String, Option<String>, Vec<u64>) {
     let mut jobs_override = None;
     let mut out = "BENCH_sim.json".to_string();
     let mut check = None;
@@ -113,7 +115,10 @@ fn parse_args() -> (usize, String, Option<String>) {
     };
     let jobs = offchip_pool::resolve_jobs(jobs_override)
         .unwrap_or_else(|e| usage_exit(&format!("{source}: {e}")));
-    (jobs, out, check)
+    let var = |name| std::env::var(name).ok();
+    let seeds = seeds_from(var("OFFCHIP_QUICK").as_deref(), var(SEEDS_ENV).as_deref())
+        .unwrap_or_else(|e| usage_exit(&e));
+    (jobs, out, check, seeds)
 }
 
 fn normalised_throughput(doc: &Json) -> Option<f64> {
@@ -244,8 +249,7 @@ fn main() {
     if let Err(e) = opts.chaos_from_env(env_chaos.as_deref()) {
         usage_exit(&e);
     }
-    let (jobs, out_path, check_path) = parse_args();
-    let seeds = seeds();
+    let (jobs, out_path, check_path, seeds) = parse_args();
     let quick = std::env::var("OFFCHIP_QUICK").is_ok_and(|v| v == "1");
 
     eprintln!("calibrating host...");

@@ -333,10 +333,11 @@ impl CampaignOptions {
         self.vfs.as_deref().unwrap_or(&RealVfs)
     }
 
-    /// Parses the process's own arguments and resolves the sweep worker
-    /// budget (`OFFCHIP_JOBS`, else the machine's parallelism), exiting 2
-    /// with usage on a bad flag or environment value — the standard
-    /// prologue of every experiment binary, run before any campaign opens.
+    /// Parses the process's own arguments, checks `OFFCHIP_SEEDS` and
+    /// resolves the sweep worker budget (`OFFCHIP_JOBS`, else the
+    /// machine's parallelism), exiting 2 with usage on a bad flag or
+    /// environment value — the standard prologue of every experiment
+    /// binary, run before any campaign opens.
     pub fn from_cli_or_exit(binary: &str) -> (CampaignOptions, usize) {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let usage_exit = |e: String| -> ! {
@@ -349,8 +350,11 @@ impl CampaignOptions {
             std::process::exit(2);
         };
         let mut opts = CampaignOptions::parse(&args).unwrap_or_else(|e| usage_exit(e));
-        let env_chaos = std::env::var(CHAOS_ENV).ok();
-        if let Err(e) = opts.chaos_from_env(env_chaos.as_deref()) {
+        let var = |name| std::env::var(name).ok();
+        if let Err(e) = opts.chaos_from_env(var(CHAOS_ENV).as_deref()) {
+            usage_exit(e);
+        }
+        if let Err(e) = crate::sweep::seeds_from(None, var(crate::sweep::SEEDS_ENV).as_deref()) {
             usage_exit(e);
         }
         let jobs = offchip_pool::resolve_jobs(None)

@@ -16,7 +16,8 @@
 //! Environment knobs:
 //!
 //! * `OFFCHIP_QUICK=1` — single seed and coarser sweeps, for smoke runs;
-//! * `OFFCHIP_SEEDS=k` — number of seeds averaged (default 3);
+//! * `OFFCHIP_SEEDS=k` — number of seeds averaged, from 1 to
+//!   [`MAX_SEEDS`] (default 3; anything else is a usage error, exit 2);
 //! * `OFFCHIP_JOBS=j` — worker budget of the campaign sweep engine
 //!   (default: the machine's available parallelism; zero or garbage is a
 //!   usage error, exit 2).
@@ -37,5 +38,8 @@ pub use campaign::{
     Watchdog, CAMPAIGN_USAGE, EXIT_ARTEFACT_FAILED, EXIT_INTERRUPTED,
 };
 pub use report::{persist_or_exit, write_json, ExperimentResult};
-pub use sweep::{run_sweep, seeds, SweepError, SweepPoint, SweepResult, SweepTiming};
+pub use sweep::{
+    run_sweep, seeds, seeds_from, SweepError, SweepPoint, SweepResult, SweepTiming, MAX_SEEDS,
+    SEEDS_ENV,
+};
 pub use workloads::{build_workload, build_workload_scaled, experiment_scale, ProgramSpec};

@@ -84,11 +84,6 @@ pub fn persist_or_exit<T: ToJson>(
     }
 }
 
-/// Formats a ratio like the paper's Table II entries (two decimals).
-pub fn fmt_omega(v: f64) -> String {
-    format!("{v:.2}")
-}
-
 /// Renders the sweep engine's timing/throughput line as every experiment
 /// binary prints it: `sweep timing [table2]: 90 runs in 4.11 s wall
 /// (21.9 runs/s, 14.52 Mev/s, 3.8x vs serial, jobs=4)`.
@@ -111,12 +106,6 @@ mod tests {
         let body = std::fs::read_to_string(path).unwrap();
         assert!(body.contains("selftest"));
         assert!(body.contains("2.5"));
-    }
-
-    #[test]
-    fn omega_formatting() {
-        assert_eq!(fmt_omega(11.589), "11.59");
-        assert_eq!(fmt_omega(0.0), "0.00");
     }
 
     #[test]

@@ -203,20 +203,48 @@ impl ToJson for SweepResult {
     }
 }
 
-/// The seeds runs are averaged over: the paper conducts each experiment
-/// five times; the default here is 3 (`OFFCHIP_SEEDS` overrides,
-/// `OFFCHIP_QUICK=1` forces 1).
-pub fn seeds() -> Vec<u64> {
-    if std::env::var("OFFCHIP_QUICK").is_ok_and(|v| v == "1") {
-        return vec![0x0FF_C41B];
-    }
-    let k: usize = std::env::var("OFFCHIP_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    (0..k.max(1) as u64)
+/// The environment variable that sets how many seeds each sweep point
+/// averages over.
+pub const SEEDS_ENV: &str = "OFFCHIP_SEEDS";
+
+/// The most seeds [`SEEDS_ENV`] may ask for. The paper repeats each run
+/// five times; a count far past that only sizes a grid out of memory.
+pub const MAX_SEEDS: u64 = 64;
+
+/// The seeds runs are averaged over, given the values of `OFFCHIP_QUICK`
+/// and [`SEEDS_ENV`]: 3 by default, `count` when it is an integer from 1
+/// to [`MAX_SEEDS`], and one under `OFFCHIP_QUICK=1`. Any other `count` is
+/// an error that names the variable, under `OFFCHIP_QUICK=1` too.
+pub fn seeds_from(quick: Option<&str>, count: Option<&str>) -> Result<Vec<u64>, String> {
+    let k = match count {
+        None => 3,
+        Some(v) => v
+            .trim()
+            .parse()
+            .ok()
+            .filter(|k| (1..=MAX_SEEDS).contains(k))
+            .ok_or_else(|| {
+                format!("{SEEDS_ENV}: expected a seed count from 1 to {MAX_SEEDS}, got {v:?}")
+            })?,
+    };
+    let k = if quick == Some("1") { 1 } else { k };
+    Ok((0..k)
         .map(|i| 0x0FF_C41B ^ (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-        .collect()
+        .collect())
+}
+
+/// [`seeds_from`] over the process's environment.
+///
+/// # Panics
+/// Panics on a [`SEEDS_ENV`] value that [`seeds_from`] rejects. The
+/// binaries reject one first, with exit 2, while they parse their
+/// arguments ([`CampaignOptions::from_cli_or_exit`]).
+///
+/// [`CampaignOptions::from_cli_or_exit`]: crate::CampaignOptions::from_cli_or_exit
+pub fn seeds() -> Vec<u64> {
+    let var = |name| std::env::var(name).ok();
+    seeds_from(var("OFFCHIP_QUICK").as_deref(), var(SEEDS_ENV).as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One run's counter readings, kept in `f64` exactly as the serial
@@ -436,6 +464,24 @@ mod tests {
             stall_cycles: 0.0,
             llc_misses: misses,
             makespan: cycles,
+        }
+    }
+
+    #[test]
+    fn seed_counts_are_checked() {
+        let three = seeds_from(None, None).unwrap();
+        assert_eq!(three.len(), 3);
+        assert_eq!(three[0], 0x0FF_C41B);
+        assert_eq!(seeds_from(None, Some("5")).unwrap()[..3], three[..]);
+        assert_eq!(seeds_from(None, Some("64")).unwrap().len(), 64);
+        assert_eq!(seeds_from(Some("1"), None).unwrap(), vec![0x0FF_C41B]);
+        assert_eq!(seeds_from(Some("1"), Some("7")).unwrap().len(), 1);
+        assert_eq!(seeds_from(Some("0"), Some("2")).unwrap().len(), 2);
+        for bad in ["abc", "0", "65", "", "-1", "2.5", "99999999999"] {
+            for quick in [None, Some("1")] {
+                let err = seeds_from(quick, Some(bad)).unwrap_err();
+                assert!(err.starts_with("OFFCHIP_SEEDS: "), "{bad:?}: {err}");
+            }
         }
     }
 

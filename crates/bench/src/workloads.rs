@@ -129,6 +129,46 @@ mod tests {
     }
 
     #[test]
+    fn hostile_program_names_parse_or_fail_typed() {
+        // A name that parses is the program's own name in some letter
+        // case, and that name parses back to the same program.
+        let check = |input: &str| match ProgramSpec::parse(input) {
+            Ok(spec) => {
+                assert!(spec.name().eq_ignore_ascii_case(input), "{input:?}");
+                assert_eq!(ProgramSpec::parse(&spec.name()), Ok(spec), "{input:?}");
+            }
+            Err(e) => assert!(!e.is_empty(), "{input:?}"),
+        };
+        let mut rng = offchip_simcore::Rng::new(0x0BAD_5EED);
+        for valid in ["CG.C", "mg.w", "x264.native"] {
+            check(valid);
+            // Every printable single-byte substitution, and every
+            // truncation.
+            for i in 0..valid.len() {
+                for b in b' '..=b'~' {
+                    let mut bytes = valid.as_bytes().to_vec();
+                    bytes[i] = b;
+                    check(std::str::from_utf8(&bytes).expect("ASCII stays UTF-8"));
+                }
+            }
+            for cut in 0..valid.len() {
+                check(&valid[..cut]);
+            }
+            // Seeded garbage, three bytes in four from the valid name.
+            for _ in 0..20_000 {
+                let len = rng.next_below(2 * valid.len() as u64) as usize;
+                let junk: Vec<u8> = (0..len)
+                    .map(|_| match rng.next_below(4) {
+                        0 => rng.next_u64() as u8,
+                        _ => valid.as_bytes()[rng.next_below(valid.len() as u64) as usize],
+                    })
+                    .collect();
+                check(&String::from_utf8_lossy(&junk));
+            }
+        }
+    }
+
+    #[test]
     fn workloads_build_with_requested_threads() {
         for spec in ProgramSpec::npb_suite(ProblemClass::S) {
             let w = build_workload(spec, 4);

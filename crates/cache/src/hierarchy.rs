@@ -190,11 +190,6 @@ impl Hierarchy {
         self.llc.iter().map(|c| c.stats().accesses()).sum()
     }
 
-    /// Private-level statistics of one physical core, per level.
-    pub fn private_stats(&self, phys_core: usize) -> Vec<CacheStats> {
-        self.private[phys_core].iter().map(|c| c.stats()).collect()
-    }
-
     /// Number of domains (LLC instances).
     pub fn n_domains(&self) -> usize {
         self.llc.len()

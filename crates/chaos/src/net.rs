@@ -214,11 +214,6 @@ impl<S> ChaosStream<S> {
         ChaosStream { inner, plan }
     }
 
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     /// The wrapped stream, mutably.
     pub fn get_mut(&mut self) -> &mut S {
         &mut self.inner

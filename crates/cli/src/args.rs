@@ -12,6 +12,11 @@ use std::sync::Arc;
 /// `--faults` is absent.
 pub const FAULTS_ENV: &str = "OFFCHIP_FAULTS";
 
+/// The most program threads `--threads` accepts: 85× the 48-core AMD
+/// machine. A count far past that only spends memory and time building
+/// per-thread state before the run starts.
+pub const MAX_THREADS: usize = 4096;
+
 /// Usage text shown on parse errors, followed by
 /// [`offchip_bench::CAMPAIGN_USAGE`].
 pub const USAGE: &str = "\
@@ -30,7 +35,8 @@ commands:
 options:
   --machine uma|numa|amd       target machine (default uma)
   --cores N                    active cores (run/burst; default: all)
-  --threads N                  program threads (default: machine cores)
+  --threads N                  program threads, 1 to 4096 (default: machine
+                               cores)
   --scale DENOM                geometric scale 1/DENOM (default 64)
   --prefetch D                 stream-prefetch degree (default 0)
   --scheduler fcfs|frfcfs      memory-controller scheduler (default fcfs)
@@ -212,8 +218,8 @@ fn parse_options(cmd: &str, mut opts: RunOptions, rest: &[String]) -> Result<Run
             "--cores" => opts.cores = Some(value()?.parse().map_err(|e| format!("--cores: {e}"))?),
             "--threads" => {
                 let n: usize = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
+                if !(1..=MAX_THREADS).contains(&n) {
+                    return Err(format!("--threads must be from 1 to {MAX_THREADS}"));
                 }
                 opts.threads = Some(n);
             }
@@ -602,16 +608,22 @@ mod tests {
         assert!(parse(&sv(&["run"]), None, None).is_err());
         assert!(parse(&sv(&["run", "CG.C", "--cores"]), None, None).is_err());
         assert!(parse(&sv(&["run", "CG.C", "--machine", "sparc"]), None, None).is_err());
+        let max = MAX_THREADS.to_string();
+        let over = (MAX_THREADS + 1).to_string();
         for bad in [
             ["--scale", "0.5"],
             ["--scale", "nan"],
             ["--scale", "inf"],
             ["--threads", "0"],
+            ["--threads", &over],
         ] {
             let mut line = vec!["run", "CG.C"];
             line.extend(bad);
             assert!(parse(&sv(&line), None, None).is_err(), "{bad:?}");
         }
+        // The thread cap is inclusive, and the usage text states it.
+        assert!(parse(&sv(&["run", "CG.C", "--threads", &max]), None, None).is_ok());
+        assert!(USAGE.contains(&format!("program threads, 1 to {MAX_THREADS} ")));
     }
 
     #[test]

@@ -53,13 +53,6 @@ impl McConfig {
             transfer_cycles: spec.transfer_cycles,
         }
     }
-
-    /// The controller's peak line throughput (lines per cycle) when every
-    /// access hits the row buffer and all channels stream — the bus-limited
-    /// bound.
-    pub fn peak_throughput(&self) -> f64 {
-        self.mapping.channels() as f64 / self.transfer_cycles as f64
-    }
 }
 
 /// The in-order controller.
@@ -311,16 +304,6 @@ mod tests {
         }
         let mean = mc.stats().mean_residence();
         assert!((mean - 118.0).abs() < 1.0, "mean={mean}");
-    }
-
-    #[test]
-    fn peak_throughput_formula() {
-        let cfg = McConfig {
-            mapping: AddressMapping::new(3, 8, 64, 2048),
-            transfer_cycles: 5,
-            ..cfg_1ch()
-        };
-        assert!((cfg.peak_throughput() - 0.6).abs() < 1e-12);
     }
 
     #[test]

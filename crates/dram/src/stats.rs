@@ -54,15 +54,6 @@ impl McStats {
             self.row_hits as f64 / total as f64
         }
     }
-
-    /// Data-bus utilisation over `[0, horizon]` for a controller with
-    /// `channels` channels.
-    pub fn bus_utilisation(&self, channels: u32, horizon: SimTime) -> f64 {
-        if horizon.cycles() == 0 {
-            return 0.0;
-        }
-        self.bus_busy_cycles as f64 / (channels as u64 * horizon.cycles()) as f64
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +66,6 @@ mod tests {
         assert_eq!(s.mean_residence(), 0.0);
         assert_eq!(s.mean_queueing(), 0.0);
         assert_eq!(s.row_hit_rate(), 0.0);
-        assert_eq!(s.bus_utilisation(2, SimTime(0)), 0.0);
     }
 
     #[test]
@@ -93,6 +83,5 @@ mod tests {
         assert_eq!(s.mean_residence(), 100.0);
         assert_eq!(s.mean_queueing(), 25.0);
         assert_eq!(s.row_hit_rate(), 0.75);
-        assert!((s.bus_utilisation(1, SimTime(1000)) - 0.05).abs() < 1e-12);
     }
 }

@@ -82,12 +82,6 @@ impl WindowSampler {
         self.counts[idx] += lines;
     }
 
-    /// Window length in cycles.
-    #[inline]
-    pub fn window_cycles(&self) -> u64 {
-        self.window
-    }
-
     /// Pads the count vector out to `end` (windows with no misses at the
     /// tail of the run must still be observations) and returns it.
     pub fn finish(mut self, end: SimTime) -> Vec<u64> {
@@ -122,14 +116,6 @@ pub struct RunReport {
     pub miss_windows: Option<Vec<u64>>,
     /// The thread/core placement that was simulated.
     pub placement: Placement,
-}
-
-impl RunReport {
-    /// The paper's `C(n)`: total cycles across active cores.
-    #[inline]
-    pub fn c_of_n(&self) -> u64 {
-        self.counters.total_cycles
-    }
 }
 
 #[cfg(test)]

@@ -2,18 +2,12 @@
 //!
 //! NPB benchmarks share one generator: the 46-bit linear congruential
 //! scheme `x_{k+1} = a·x_k mod 2^46` with `a = 5^13`, returning
-//! `x_k · 2^-46 ∈ (0, 1)`. EP is *defined* by this sequence (its verified
-//! counts depend on it), and IS/CG use it to build inputs, so the port
-//! implements it exactly — including the split-multiply arithmetic that
-//! keeps every intermediate below 2^46, and the `O(log k)` jump-ahead that
-//! lets threads generate disjoint subsequences independently (this is how
-//! the OpenMP NPB parallelises EP).
+//! `x_k · 2^-46 ∈ (0, 1)`. The CG port builds its matrix from it, so the
+//! crate implements it exactly, including the split-multiply arithmetic
+//! that keeps every intermediate below 2^46.
 
 /// Multiplier `a = 5^13 = 1220703125`.
 pub const A: f64 = 1_220_703_125.0;
-
-/// The default seed NPB uses for EP.
-pub const EP_SEED: f64 = 271_828_183.0;
 
 const R23: f64 = 1.0 / 8_388_608.0; // 2^-23
 const T23: f64 = 8_388_608.0; // 2^23
@@ -44,28 +38,6 @@ pub fn randlc(x: &mut f64, a: f64) -> f64 {
     R46 * *x
 }
 
-/// Computes `a^exp mod 2^46` by binary exponentiation — the NPB
-/// `ipow46`, used to jump a generator ahead by `exp` steps.
-pub fn ipow46(a: f64, mut exp: u64) -> f64 {
-    let mut result = 1.0;
-    if exp == 0 {
-        return result;
-    }
-    let mut q = a;
-    // Square-and-multiply; randlc(&mut x, a) sets x ← a·x mod 2^46, which
-    // doubles as our modular multiply.
-    while exp > 1 {
-        if exp % 2 == 1 {
-            randlc(&mut result, q);
-        }
-        let q_copy = q;
-        randlc(&mut q, q_copy);
-        exp /= 2;
-    }
-    randlc(&mut result, q);
-    result
-}
-
 /// A stateful NPB generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NpbRng {
@@ -80,20 +52,6 @@ impl NpbRng {
             "seed must be a positive 46-bit integer"
         );
         NpbRng { x: seed }
-    }
-
-    /// Creates a generator positioned `offset` steps after `seed` — the
-    /// jump-ahead threads use to own disjoint subsequences.
-    pub fn with_offset(seed: f64, offset: u64) -> NpbRng {
-        let mut rng = NpbRng::new(seed);
-        if offset > 0 {
-            let jump = ipow46(A, offset);
-            randlc(&mut rng.x, jump);
-            // randlc both multiplies the state and *advances* once, so the
-            // state is now seed·a^(offset+1)·... — no: randlc sets
-            // x ← jump·x mod 2^46 = seed·a^offset, exactly offset steps in.
-        }
-        rng
     }
 
     /// Next uniform value in (0, 1).
@@ -114,10 +72,13 @@ impl NpbRng {
 mod tests {
     use super::*;
 
+    /// The seed NPB uses for EP; any positive 46-bit integer would do.
+    const SEED: f64 = 271_828_183.0;
+
     #[test]
     fn values_in_unit_interval_and_deterministic() {
-        let mut a = NpbRng::new(EP_SEED);
-        let mut b = NpbRng::new(EP_SEED);
+        let mut a = NpbRng::new(SEED);
+        let mut b = NpbRng::new(SEED);
         for _ in 0..10_000 {
             let va = a.next();
             assert!(va > 0.0 && va < 1.0);
@@ -127,7 +88,7 @@ mod tests {
 
     #[test]
     fn state_stays_integral_46_bit() {
-        let mut rng = NpbRng::new(EP_SEED);
+        let mut rng = NpbRng::new(SEED);
         for _ in 0..1000 {
             rng.next();
             let x = rng.state();
@@ -137,52 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn jump_ahead_matches_stepping() {
-        for offset in [1u64, 2, 7, 100, 12345] {
-            let mut stepped = NpbRng::new(EP_SEED);
-            for _ in 0..offset {
-                stepped.next();
-            }
-            let jumped = NpbRng::with_offset(EP_SEED, offset);
-            assert_eq!(
-                jumped.state(),
-                stepped.state(),
-                "offset {offset} must match sequential stepping"
-            );
-        }
-    }
-
-    #[test]
-    fn ipow46_matches_repeated_multiplication() {
-        // a^5 mod 2^46 via 5 explicit modular multiplies.
-        let mut x = 1.0;
-        for _ in 0..5 {
-            randlc(&mut x, A);
-        }
-        assert_eq!(ipow46(A, 5), x);
-        assert_eq!(ipow46(A, 0), 1.0);
-        assert_eq!(ipow46(A, 1), A);
-    }
-
-    #[test]
     fn mean_is_about_half() {
-        let mut rng = NpbRng::new(EP_SEED);
+        let mut rng = NpbRng::new(SEED);
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.next()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean={mean}");
-    }
-
-    #[test]
-    fn disjoint_thread_streams() {
-        // Two threads with offsets 0 and 1000 generating 1000 values each
-        // reproduce the first 2000 values of the master sequence.
-        let mut master = NpbRng::new(EP_SEED);
-        let reference: Vec<f64> = (0..2000).map(|_| master.next()).collect();
-        let mut t0 = NpbRng::with_offset(EP_SEED, 0);
-        let mut t1 = NpbRng::with_offset(EP_SEED, 1000);
-        let first: Vec<f64> = (0..1000).map(|_| t0.next()).collect();
-        let second: Vec<f64> = (0..1000).map(|_| t1.next()).collect();
-        assert_eq!(first, reference[..1000]);
-        assert_eq!(second, reference[1000..]);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! The trace generators in [`crate::traces`] are hand-derived from kernel
 //! loop structure; this module provides the ground truth to check them
-//! against. A real kernel run (see [`crate::kernels`]) is instrumented
-//! with a [`Tracer`] per thread: every array helper reports the cache
-//! lines it touches, and the per-thread recordings replay through the
-//! simulator as a [`RecordedWorkload`].
+//! against. The CG port's run ([`crate::kernels::cg::conj_grad_recorded`])
+//! is instrumented with a [`Tracer`] per thread: every array access reports
+//! the cache lines it touches, and the per-thread recordings replay through
+//! the simulator as a [`RecordedWorkload`].
 //!
 //! Recordings are kept at cache-line granularity and deduplicate
 //! *consecutive* touches of the same line (the within-loop reuse that
@@ -65,21 +65,6 @@ impl Tracer {
                 // Recorded streams are replayed access-by-access; marking
                 // them independent lets the simulator rediscover the MLP.
                 dependent: false,
-            });
-        }
-    }
-
-    /// Records a serialising touch (pointer chase / reduction carry).
-    pub fn touch_dependent(&mut self, addr: u64, bytes: u64, write: bool) {
-        self.flush_compute();
-        self.last_line = None;
-        let first = addr / LINE;
-        let last = (addr + bytes.max(1) - 1) / LINE;
-        for l in first..=last {
-            self.ops.push(Op::Access {
-                addr: l * LINE,
-                write,
-                dependent: true,
             });
         }
     }
@@ -212,20 +197,6 @@ mod tests {
         assert!(matches!(ops[0], Op::Compute { cycles: 15, .. }));
         assert!(matches!(ops[1], Op::Access { .. }));
         assert!(matches!(ops[2], Op::Compute { cycles: 3, .. }));
-    }
-
-    #[test]
-    fn dependent_touches_marked() {
-        let mut t = Tracer::new();
-        t.touch_dependent(128, 8, false);
-        let ops = t.finish();
-        assert!(matches!(
-            ops[0],
-            Op::Access {
-                dependent: true,
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -252,6 +252,45 @@ mod tests {
     }
 
     #[test]
+    fn hostile_specs_parse_or_fail_typed() {
+        // A spec that parses holds probabilities in [0, 1] and a finite,
+        // non-negative jitter; anything else is a `FaultSpecError`.
+        let check = |input: &str| {
+            if let Ok(spec) = FaultSpec::parse(input) {
+                for p in [spec.drop, spec.garbage, spec.zero] {
+                    assert!((0.0..=1.0).contains(&p), "{input:?}");
+                }
+                assert!(spec.jitter.is_finite() && spec.jitter >= 0.0, "{input:?}");
+            }
+        };
+        let valid = "drop=0.2,jitter=0.05,garbage=0.1,zero=0.05,seed=42";
+        check(valid);
+        // Every printable single-byte substitution, and every truncation.
+        for i in 0..valid.len() {
+            for b in b' '..=b'~' {
+                let mut bytes = valid.as_bytes().to_vec();
+                bytes[i] = b;
+                check(std::str::from_utf8(&bytes).expect("ASCII stays UTF-8"));
+            }
+        }
+        for cut in 0..valid.len() {
+            check(&valid[..cut]);
+        }
+        // Seeded garbage, three bytes in four from the valid spec.
+        let mut rng = Rng::new(0x0BAD_5EED);
+        for _ in 0..20_000 {
+            let len = rng.next_below(2 * valid.len() as u64) as usize;
+            let junk: Vec<u8> = (0..len)
+                .map(|_| match rng.next_below(4) {
+                    0 => rng.next_u64() as u8,
+                    _ => valid.as_bytes()[rng.next_below(valid.len() as u64) as usize],
+                })
+                .collect();
+            check(&String::from_utf8_lossy(&junk));
+        }
+    }
+
+    #[test]
     fn injection_is_deterministic() {
         let spec = FaultSpec::parse("drop=0.3,jitter=0.1,garbage=0.2,seed=7").unwrap();
         let sweep: Vec<(usize, f64)> = (1..=24).map(|n| (n, 1e9 + n as f64)).collect();

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 use offchip_machine::RunReport;
 
-use crate::papi::{EventSet, PapiEvent};
+use crate::papi::EventSet;
 
 /// Derived metrics papiex prints next to the raw counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,19 +112,6 @@ pub fn papiex_report_default(report: &RunReport) -> String {
     papiex_report(report, &EventSet::paper_default(kind, amd))
 }
 
-/// Returns the event whose value equals the run's LLC misses under the
-/// report's machine conventions — a helper for table builders.
-pub fn llc_event_of(report: &RunReport) -> PapiEvent {
-    let amd = report.machine.contains("AMD");
-    // "NUMA" contains "UMA" as a substring, so test for NUMA.
-    let kind = if report.machine.contains("NUMA") {
-        offchip_topology::InterconnectKind::Numa
-    } else {
-        offchip_topology::InterconnectKind::Uma
-    };
-    PapiEvent::llc_event_for(kind, amd)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,11 +154,5 @@ mod tests {
         assert!(text.contains("PAPI_L2_TCM"), "UMA uses the L2 event");
         assert!(text.contains("IPC"));
         assert!(text.contains("mc0:"));
-    }
-
-    #[test]
-    fn llc_event_inference() {
-        let r = report();
-        assert_eq!(llc_event_of(&r), PapiEvent::L2Tcm);
     }
 }

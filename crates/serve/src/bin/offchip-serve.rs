@@ -14,13 +14,13 @@
 //! 600 s. A key's circuit breaker opens after 3 consecutive failed fills
 //! and probes once per 8 requests while open.
 //!
-//! Environment: `OFFCHIP_SEEDS`/`OFFCHIP_QUICK` set the fill-campaign
-//! seed count, `OFFCHIP_JOBS` the default simulation worker budget,
-//! `OFFCHIP_JOURNAL_DIR` the default journal directory, `OFFCHIP_LOG`
-//! the log level, `OFFCHIP_LOG_FORMAT` the log format (overridden by
-//! `--log-format`), `OFFCHIP_CHAOS_IO` a filesystem fault schedule for
-//! the fill campaigns, `OFFCHIP_CHAOS_NET` a socket fault schedule
-//! (overridden by `--chaos-net`).
+//! Environment: `OFFCHIP_SEEDS` (1 to 64) and `OFFCHIP_QUICK` set the
+//! fill-campaign seed count, `OFFCHIP_JOBS` the default simulation
+//! worker budget, `OFFCHIP_JOURNAL_DIR` the default journal directory,
+//! `OFFCHIP_LOG` the log level, `OFFCHIP_LOG_FORMAT` the log format
+//! (overridden by `--log-format`), `OFFCHIP_CHAOS_IO` a filesystem fault
+//! schedule for the fill campaigns, `OFFCHIP_CHAOS_NET` a socket fault
+//! schedule (overridden by `--chaos-net`).
 
 use offchip_serve::{signal, PredictService, Server, ServerOptions, ServiceConfig};
 use std::io::Write;
@@ -56,6 +56,10 @@ struct Parsed {
 /// process's values in, so the parser reads no process state.
 #[derive(Debug, Default)]
 struct Env {
+    /// `OFFCHIP_SEEDS`, the fill campaigns' seed count.
+    seeds: Option<String>,
+    /// `OFFCHIP_QUICK`, whose `1` cuts the fill campaigns to one seed.
+    quick: Option<String>,
     /// `OFFCHIP_JOBS`, the `--jobs` default.
     jobs: Option<String>,
     /// `OFFCHIP_CHAOS_IO`, the fill campaigns' filesystem fault schedule.
@@ -68,6 +72,8 @@ impl Env {
     fn of_process() -> Env {
         let var = |name| std::env::var(name).ok();
         Env {
+            seeds: var(offchip_bench::SEEDS_ENV),
+            quick: var("OFFCHIP_QUICK"),
             jobs: var(offchip_pool::JOBS_ENV),
             chaos_io: var(offchip_chaos::CHAOS_ENV),
             chaos_net: var(offchip_chaos::NET_CHAOS_ENV),
@@ -147,6 +153,7 @@ fn parse_args(args: &[String], env: &Env) -> Result<Parsed, String> {
     if server.admission.max_conns < server.admission.max_queue {
         return Err("--max-conns must be at least --max-queue".into());
     }
+    service.seeds = offchip_bench::seeds_from(env.quick.as_deref(), env.seeds.as_deref())?;
     service.jobs = offchip_pool::resolve_jobs_from(jobs, env.jobs.as_deref())
         .map_err(|e| format!("{}: {e}", offchip_pool::JOBS_ENV))?;
     service.chaos_io = offchip_chaos::ChaosSpec::from_env(env.chaos_io.as_deref())?;
@@ -301,6 +308,26 @@ mod tests {
         assert_eq!(parsed.service.jobs, 2, "--jobs wins over the environment");
         let parsed = parse("").unwrap();
         assert_eq!(parsed.service.jobs, offchip_pool::default_jobs());
+    }
+
+    #[test]
+    fn seeds_come_from_the_environment_and_reject_its_garbage() {
+        let seeds_env = |seeds: &str, quick: Option<&str>| Env {
+            seeds: Some(seeds.into()),
+            quick: quick.map(String::from),
+            ..Env::default()
+        };
+        let cap_plus_one = (offchip_bench::MAX_SEEDS + 1).to_string();
+        for bad in ["abc", "0", cap_plus_one.as_str()] {
+            for quick in [None, Some("1")] {
+                let err = parse_in("", seeds_env(bad, quick)).unwrap_err();
+                assert!(err.starts_with("OFFCHIP_SEEDS: "), "{bad:?}: {err}");
+            }
+        }
+        let seeds = |env| parse_in("", env).unwrap().service.seeds;
+        assert_eq!(seeds(seeds_env("2", None)).len(), 2);
+        assert_eq!(seeds(seeds_env("5", Some("1"))).len(), 1);
+        assert_eq!(seeds(Env::default()), ServiceConfig::default().seeds);
     }
 
     #[test]

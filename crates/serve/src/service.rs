@@ -63,7 +63,9 @@ pub struct ServiceConfig {
     /// Journal directory for fill campaigns (`None` = campaign default,
     /// `results/` or `OFFCHIP_JOURNAL_DIR`).
     pub journal_dir: Option<PathBuf>,
-    /// Seeds averaged per sweep point.
+    /// Seeds averaged per sweep point (default: the 3 of
+    /// `offchip_bench::seeds_from(None, None)`; the binary reads
+    /// `OFFCHIP_SEEDS` and `OFFCHIP_QUICK` instead).
     pub seeds: Vec<u64>,
     /// Simulation worker budget for fill campaigns.
     pub jobs: usize,
@@ -76,7 +78,7 @@ impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             journal_dir: None,
-            seeds: offchip_bench::seeds(),
+            seeds: offchip_bench::seeds_from(None, None).expect("the default seed count"),
             jobs: offchip_pool::default_jobs(),
             chaos_io: None,
         }

@@ -6,10 +6,8 @@
 //!
 //! * [`rng`] — SplitMix64 seeding and xoshiro256\*\* generation, plus
 //!   samplers for the distributions the workload generators need
-//!   (uniform, exponential, Pareto, Zipf, normal).
-//! * [`time`] — the simulation clock type ([`SimTime`], in core cycles) and
-//!   frequency-aware conversions to wall-clock units (the 5 µs sampler
-//!   window is defined in wall time).
+//!   (uniform, exponential, Pareto, normal).
+//! * [`time`] — the simulation clock type ([`SimTime`], in core cycles).
 //! * [`events`] — the [`EventSched`] scheduler contract: time order with
 //!   stable FIFO tie-breaking, pinned.
 //! * [`calendar`] — [`CalendarQueue`], the O(1)-amortised bucketed
@@ -38,5 +36,5 @@ pub use events::EventSched;
 pub use fastdiv::FastDiv;
 pub use hashing::{FxBuildHasher, FxHashMap, FxHasher};
 pub use rng::Rng;
-pub use time::{Frequency, SimTime};
+pub use time::SimTime;
 pub use traffic::{OnOffPareto, Poisson};

@@ -34,21 +34,6 @@ impl Rng {
         Rng { s }
     }
 
-    /// Derives an independent child generator; used to give each simulated
-    /// core / thread its own stream so that adding a component never
-    /// perturbs the random stream of another.
-    pub fn fork(&mut self, stream: u64) -> Rng {
-        // Mix the stream id through SplitMix64 over fresh output.
-        let mut sm = self.next_u64() ^ stream.wrapping_mul(0xA24B_AED4_963E_E407);
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
-        Rng { s }
-    }
-
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -134,61 +119,12 @@ impl Rng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Zipf-distributed rank in `[0, n)` with exponent `s`, by inverse
-    /// transform over the precomputable harmonic weights. For repeated
-    /// sampling prefer [`ZipfTable`].
-    pub fn zipf_once(&mut self, n: u64, s: f64) -> u64 {
-        ZipfTable::new(n, s).sample(self)
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.next_below(i as u64 + 1) as usize;
             items.swap(i, j);
         }
-    }
-}
-
-/// Precomputed cumulative weights for repeated Zipf sampling, used by the
-/// sparse-matrix gather pattern in the CG trace generator.
-#[derive(Debug, Clone)]
-pub struct ZipfTable {
-    cumulative: Vec<f64>,
-}
-
-impl ZipfTable {
-    /// Builds the table for ranks `[0, n)` and exponent `s ≥ 0`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `s < 0`.
-    pub fn new(n: u64, s: f64) -> ZipfTable {
-        assert!(n > 0, "Zipf support must be non-empty");
-        assert!(s >= 0.0, "Zipf exponent must be non-negative");
-        let mut cumulative = Vec::with_capacity(n as usize);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cumulative.push(acc);
-        }
-        let total = acc;
-        for c in &mut cumulative {
-            *c /= total;
-        }
-        ZipfTable { cumulative }
-    }
-
-    /// Samples a rank in `[0, n)`; rank 0 is most probable.
-    pub fn sample(&self, rng: &mut Rng) -> u64 {
-        let u = rng.next_f64();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("finite"))
-        {
-            Ok(idx) => idx as u64 + 1,
-            Err(idx) => idx as u64,
-        }
-        .min(self.cumulative.len() as u64 - 1)
     }
 }
 
@@ -218,15 +154,6 @@ mod tests {
         let mut r = Rng::new(0);
         let v: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
         assert!(v.iter().any(|&x| x != 0));
-    }
-
-    #[test]
-    fn forked_streams_are_independent() {
-        let mut root = Rng::new(7);
-        let mut c1 = root.fork(0);
-        let mut c2 = root.fork(1);
-        let same = (0..100).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert_eq!(same, 0);
     }
 
     #[test]
@@ -290,31 +217,6 @@ mod tests {
         let var: f64 = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.05, "var={var}");
-    }
-
-    #[test]
-    fn zipf_rank_zero_most_frequent() {
-        let table = ZipfTable::new(100, 1.0);
-        let mut r = Rng::new(19);
-        let mut counts = [0u32; 100];
-        for _ in 0..50_000 {
-            counts[table.sample(&mut r) as usize] += 1;
-        }
-        assert!(counts[0] > counts[10]);
-        assert!(counts[10] > counts[90]);
-    }
-
-    #[test]
-    fn zipf_uniform_when_s_zero() {
-        let table = ZipfTable::new(4, 0.0);
-        let mut r = Rng::new(23);
-        let mut counts = [0u32; 4];
-        for _ in 0..40_000 {
-            counts[table.sample(&mut r) as usize] += 1;
-        }
-        for &c in &counts {
-            assert!((c as i64 - 10_000).abs() < 600, "counts={counts:?}");
-        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Simulation time: core cycles with frequency-aware wall-clock conversion.
+//! Simulation time in core cycles.
 //!
 //! The machine simulator advances in units of *core cycles* of the modelled
 //! processor (the paper's counters — `PAPI_TOT_CYC`, `PAPI_RES_STL` — are in
-//! cycles). The 5 µs sampler window of §III-B.2, however, is defined in wall
-//! time, so a [`Frequency`] converts between the two.
+//! cycles).
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -60,52 +59,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// A core clock frequency, used to convert between cycles and wall time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Frequency {
-    hz: f64,
-}
-
-impl Frequency {
-    /// Creates a frequency from gigahertz.
-    ///
-    /// # Panics
-    /// Panics if `ghz` is not strictly positive and finite.
-    pub fn ghz(ghz: f64) -> Frequency {
-        assert!(
-            ghz.is_finite() && ghz > 0.0,
-            "frequency must be positive, got {ghz} GHz"
-        );
-        Frequency { hz: ghz * 1e9 }
-    }
-
-    /// Frequency in hertz.
-    #[inline]
-    pub fn hertz(self) -> f64 {
-        self.hz
-    }
-
-    /// Number of cycles in `micros` microseconds, rounded to nearest and
-    /// clamped to at least 1 (a zero-length sampler window would never
-    /// advance).
-    pub fn cycles_in_micros(self, micros: f64) -> u64 {
-        assert!(micros > 0.0, "duration must be positive");
-        ((self.hz * micros * 1e-6).round() as u64).max(1)
-    }
-
-    /// Converts a cycle count to seconds.
-    #[inline]
-    pub fn cycles_to_secs(self, cycles: u64) -> f64 {
-        cycles as f64 / self.hz
-    }
-
-    /// Converts seconds to cycles (rounded to nearest).
-    #[inline]
-    pub fn secs_to_cycles(self, secs: f64) -> u64 {
-        (secs * self.hz).round() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,34 +79,6 @@ mod tests {
     #[should_panic(expected = "underflow")]
     fn strict_subtraction_underflow_panics() {
         let _ = SimTime(1) - SimTime(2);
-    }
-
-    #[test]
-    fn five_microsecond_window() {
-        // The paper's machines run at ~1.9–2.7 GHz; at 2 GHz a 5 µs window
-        // is exactly 10,000 cycles.
-        let f = Frequency::ghz(2.0);
-        assert_eq!(f.cycles_in_micros(5.0), 10_000);
-    }
-
-    #[test]
-    fn roundtrip_conversion() {
-        let f = Frequency::ghz(2.66);
-        let cycles = 1_000_000u64;
-        let secs = f.cycles_to_secs(cycles);
-        assert_eq!(f.secs_to_cycles(secs), cycles);
-    }
-
-    #[test]
-    fn tiny_window_clamps_to_one_cycle() {
-        let f = Frequency::ghz(1.0);
-        assert_eq!(f.cycles_in_micros(1e-9), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_frequency_rejected() {
-        Frequency::ghz(0.0);
     }
 
     #[test]

@@ -1,15 +1,10 @@
 //! Empirical complementary CDFs and tail diagnostics.
 //!
 //! Fig. 4 of the paper plots `P(burst size > x)` on log-log axes for each
-//! problem class. Two diagnostics distinguish bursty from non-bursty
-//! traffic:
-//!
-//! * on a log-log plot, a heavy (Pareto-like) tail is a straight diagonal —
-//!   `log P(X > x) ≈ −α·log x + c` — so the R² of that line fit over the
-//!   tail is a burstiness indicator (high R² on small classes, visibly
-//!   curved / truncated on large classes);
-//! * the Hill estimator gives the tail index α directly from the largest
-//!   order statistics.
+//! problem class. A heavy (Pareto-like) tail is a straight diagonal there —
+//! `log P(X > x) ≈ −α·log x + c` — so the R² of a line fit over the tail
+//! is a burstiness indicator (high R² on small classes, visibly curved /
+//! truncated on large classes).
 
 use crate::regression::LineFit;
 
@@ -84,11 +79,6 @@ impl Ccdf {
             .zip(self.exceed_prob.iter().copied())
     }
 
-    /// Largest observed sample, if any.
-    pub fn max_value(&self) -> Option<u64> {
-        self.values.last().copied()
-    }
-
     /// Computes tail diagnostics for this CCDF.
     ///
     /// `tail_from` restricts the log-log line fit to values `≥ tail_from`
@@ -113,31 +103,6 @@ impl Ccdf {
             loglog_r_squared: fit.r_squared,
             tail_points: xs.len(),
         })
-    }
-
-    /// Hill estimator of the tail index α using the `k` largest samples.
-    ///
-    /// Smaller α (≈ 1–2) indicates a heavier tail; large α or divergence
-    /// indicates a light/truncated tail. Returns `None` when there are not
-    /// at least `k + 1` positive samples or `k < 2`.
-    pub fn hill_estimator(&self, samples: &[u64], k: usize) -> Option<f64> {
-        if k < 2 {
-            return None;
-        }
-        let mut pos: Vec<u64> = samples.iter().copied().filter(|&s| s > 0).collect();
-        if pos.len() < k + 1 {
-            return None;
-        }
-        pos.sort_unstable_by(|a, b| b.cmp(a)); // descending
-        let x_k1 = pos[k] as f64; // (k+1)-th largest
-        let mut sum = 0.0;
-        for &x in &pos[..k] {
-            sum += (x as f64 / x_k1).ln();
-        }
-        if sum <= 0.0 {
-            return None;
-        }
-        Some(k as f64 / sum)
     }
 }
 
@@ -176,7 +141,6 @@ mod tests {
         let c = Ccdf::from_samples(&[]);
         assert_eq!(c.sample_count(), 0);
         assert_eq!(c.exceedance(5), 0.0);
-        assert!(c.max_value().is_none());
     }
 
     #[test]
@@ -243,22 +207,6 @@ mod tests {
         // heavy tail and worse linearity.
         assert!(d_exp.loglog_slope < d_par.loglog_slope);
         assert!(d_exp.loglog_r_squared < d_par.loglog_r_squared);
-    }
-
-    #[test]
-    fn hill_estimator_recovers_alpha() {
-        let samples = pareto_samples(2.0, 50_000);
-        let c = Ccdf::from_samples(&samples);
-        let alpha = c.hill_estimator(&samples, 2_000).unwrap();
-        assert!((alpha - 2.0).abs() < 0.4, "alpha={alpha}");
-    }
-
-    #[test]
-    fn hill_estimator_guards() {
-        let c = Ccdf::from_samples(&[1, 2, 3]);
-        assert!(c.hill_estimator(&[1, 2, 3], 1).is_none());
-        assert!(c.hill_estimator(&[1, 2, 3], 5).is_none());
-        assert!(c.hill_estimator(&[0, 0, 0, 0], 2).is_none());
     }
 
     #[test]

@@ -128,13 +128,6 @@ impl KsStatistic {
         }
         Some(KsStatistic { d, n: sorted.len() })
     }
-
-    /// A coarse acceptance check at the 5% level using the asymptotic
-    /// critical value `1.36/√n`. Suitable for classification, not rigorous
-    /// hypothesis testing (parameters are fitted from the same data).
-    pub fn plausible_at_5pct(&self) -> bool {
-        self.d <= 1.36 / (self.n as f64).sqrt()
-    }
 }
 
 /// Classification verdict for a burst-size trace, combining KS distances
@@ -250,7 +243,6 @@ mod tests {
         let f = ExponentialFit::mle(&s).unwrap();
         let ks = KsStatistic::against(&s, |x| f.cdf(x)).unwrap();
         assert!(ks.d < 0.02, "d={}", ks.d);
-        assert!(ks.plausible_at_5pct());
     }
 
     #[test]
@@ -259,7 +251,6 @@ mod tests {
         let f = ExponentialFit::mle(&s).unwrap();
         let ks = KsStatistic::against(&s, |x| f.cdf(x)).unwrap();
         assert!(ks.d > 0.1, "d={}", ks.d);
-        assert!(!ks.plausible_at_5pct());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`summary`] — summary statistics and the relative-error metrics used to
 //!   validate model predictions against measurements (§V: "average relative
 //!   error between 5-14%").
-//! * [`ccdf`] — empirical complementary CDFs and tail diagnostics (log-log
-//!   tail slope, Hill estimator) used for the Fig. 4 burstiness analysis.
+//! * [`ccdf`] — empirical complementary CDFs and their log-log tail fit,
+//!   used for the Fig. 4 burstiness analysis.
 //! * [`dist`] — maximum-likelihood fits for exponential and Pareto laws plus
 //!   Kolmogorov–Smirnov distances, used to classify traffic as bursty
 //!   (heavy-tailed) vs non-bursty (light-tailed).

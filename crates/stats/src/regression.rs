@@ -214,42 +214,6 @@ impl LineFit {
     }
 }
 
-/// Computes R² of a *given* line (not refitted) against `(x, y)` data.
-///
-/// The paper's Table IV evaluates how colinear `1/C(n)` is over a whole
-/// sweep; this helper measures how well the regression obtained from a few
-/// input points explains the remaining measurements.
-///
-/// Returns `None` on empty input or non-finite data.
-pub fn r_squared_of_line(slope: f64, intercept: f64, xs: &[f64], ys: &[f64]) -> Option<f64> {
-    assert_eq!(xs.len(), ys.len());
-    if xs.is_empty() {
-        return None;
-    }
-    let mut y_bar = 0.0;
-    for &y in ys {
-        if !y.is_finite() {
-            return None;
-        }
-        y_bar += y;
-    }
-    y_bar /= ys.len() as f64;
-    let mut ss_res = 0.0;
-    let mut ss_tot = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        if !x.is_finite() {
-            return None;
-        }
-        let pred = intercept + slope * x;
-        ss_res += (y - pred) * (y - pred);
-        ss_tot += (y - y_bar) * (y - y_bar);
-    }
-    if ss_tot == 0.0 {
-        return Some(if ss_res == 0.0 { 1.0 } else { 0.0 });
-    }
-    Some(1.0 - ss_res / ss_tot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,17 +365,6 @@ mod tests {
     fn predict_interpolates() {
         let fit = LineFit::ordinary(&[0.0, 10.0], &[1.0, 21.0]).unwrap();
         assert!((fit.predict(5.0) - 11.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fixed_line_r2_on_sweep() {
-        // Fit from two points, evaluate on a longer, slightly noisy sweep.
-        let xs: Vec<f64> = (1..=12).map(|n| n as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 - 0.2 * x).collect();
-        let r2 = r_squared_of_line(-0.2, 3.0, &xs, &ys).unwrap();
-        assert!((r2 - 1.0).abs() < 1e-12);
-        let r2_bad = r_squared_of_line(0.2, 3.0, &xs, &ys).unwrap();
-        assert!(r2_bad < 0.0, "a wrong line can have negative R²");
     }
 
     #[test]

@@ -157,22 +157,6 @@ pub fn mean_absolute_relative_error(predicted: &[f64], measured: &[f64]) -> Opti
     }
 }
 
-/// Geometric mean of strictly positive values; `None` if any value is ≤ 0
-/// or the slice is empty.
-pub fn geometric_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut log_sum = 0.0;
-    for &v in values {
-        if v <= 0.0 || !v.is_finite() {
-            return None;
-        }
-        log_sum += v.ln();
-    }
-    Some((log_sum / values.len() as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,13 +223,6 @@ mod tests {
     #[test]
     fn mare_none_when_all_measured_zero() {
         assert!(mean_absolute_relative_error(&[1.0], &[0.0]).is_none());
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[1.0, 100.0]).unwrap() - 10.0).abs() < 1e-9);
-        assert!(geometric_mean(&[1.0, 0.0]).is_none());
-        assert!(geometric_mean(&[]).is_none());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! (ICPP 2011): the analytical M/M/1 contention model that is the paper's
 //! contribution, plus every substrate it needs — a closed-loop multicore
 //! memory-system simulator standing in for the paper's three physical
-//! machines, Rust ports of the NPB kernels and a PARSEC x264 proxy as
-//! workloads, and a PAPI-like counter layer with the paper's 5 µs
+//! machines, cache-line trace generators of the NPB kernels and a PARSEC
+//! x264 proxy as workloads (with a Rust port of NPB CG that checks its
+//! generator), and a PAPI-like counter layer with the paper's 5 µs
 //! burstiness sampler.
 //!
 //! ## Quick start
@@ -39,7 +40,7 @@
 //! | [`topology`] | the three reference machines, interconnects, core allocation |
 //! | [`cache`] | set-associative hierarchy with shared LLCs |
 //! | [`dram`] | FCFS / FR-FCFS memory controllers with bank & row-buffer timing |
-//! | [`npb`] | NPB kernel ports + trace generators + x264 proxy |
+//! | [`npb`] | NPB and x264 trace generators + the CG port that checks its generator |
 //! | [`perf`] | PAPI-like counters, papiex reports, burstiness analysis |
 //! | [`stats`] | regression, CCDF/tail, distribution fits |
 //! | [`simcore`] | deterministic DES kernel and RNG |

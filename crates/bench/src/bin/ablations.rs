@@ -369,6 +369,7 @@ impl ProgramIter for SyntheticStream {
                 // Offered load is set by the arrival process; MSHRs absorb
                 // the bursts the way real cores do.
                 dependent: false,
+                compute: 0,
             });
         }
         let gap = match &mut self.onoff {

@@ -1729,6 +1729,7 @@ mod tests {
                         addr: (i / 2) * 64,
                         write: false,
                         dependent: false,
+                        compute: 0,
                     }
                 } else {
                     Op::Compute {

@@ -122,24 +122,64 @@ const INVALID_TAG: u64 = u64::MAX;
 const FLAGS: usize = 0;
 /// Row offset of the set's replacement state word (see `ReplState`).
 const REPL: usize = 1;
+/// Row offset of the two fingerprint words: byte `w % 8` of word `w / 8`
+/// holds the low byte of way `w`'s tag (`0xFF` for an empty way, the low
+/// byte of `INVALID_TAG`).
+const FPS: usize = 2;
 /// Row offset of the first tag.
-const TAGS: usize = 2;
+const TAGS: usize = 4;
 
 /// Bit position of the MRU way inside the flags word.
 const MRU_SHIFT: u64 = 56;
 /// Mask selecting the MRU byte of a flags word.
 const MRU_MASK: u64 = 0xFF << MRU_SHIFT;
 
+/// The low bit of every byte.
+const BYTE_LOW: u64 = 0x0101_0101_0101_0101;
+/// The low seven bits of every byte.
+const BYTE_LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+
+/// Sets the high bit of exactly those bytes of `x` that are zero (no
+/// borrow crosses a byte, so there are no false positives).
+#[inline]
+fn zero_bytes(x: u64) -> u64 {
+    !(((x & BYTE_LOW7) + BYTE_LOW7) | x | BYTE_LOW7)
+}
+
+/// The way of `row` holding `tag`, if any. The fingerprint words narrow
+/// the candidates to the ways whose tag shares `tag`'s low byte; each
+/// candidate's full tag is then compared, so a fingerprint collision
+/// only costs one more compare. `way_masks` keeps the high bit of each
+/// byte that names a way of this cache.
+#[inline]
+fn find(row: &[u64], way_masks: [u64; 2], tag: u64) -> Option<usize> {
+    let probe = (tag & 0xFF) * BYTE_LOW;
+    for (word, mask) in way_masks.into_iter().enumerate() {
+        let mut candidates = zero_bytes(row[FPS + word] ^ probe) & mask;
+        while candidates != 0 {
+            let w = 8 * word + (candidates.trailing_zeros() / 8) as usize;
+            if row[TAGS + w] == tag {
+                return Some(w);
+            }
+            candidates &= candidates - 1;
+        }
+    }
+    None
+}
+
 /// A set-associative cache with write-back, write-allocate semantics.
 ///
-/// All per-set metadata is one contiguous row of `ways + 2` words —
-/// `[flags | replacement state | tags]`. The flags word packs the per-way
-/// dirty mask with the MRU way; the replacement word is the policy's
-/// whole per-set state (for LRU and FIFO a recency order of four-bit way
-/// indices, which is what caps associativity at 16). The reference
-/// workloads miss far more than they hit, and a miss needs all of this
-/// state — tag scan, victim, victim dirtiness, MRU update — so as one row
-/// it is one or two adjacent host-cache lines.
+/// All per-set metadata is one contiguous row of `ways + 4` words —
+/// `[flags | replacement state | fingerprints × 2 | tags]`. The flags
+/// word packs the per-way dirty mask with the MRU way; the replacement
+/// word is the policy's whole per-set state (for LRU and FIFO a recency
+/// order of four-bit way indices, which is what caps associativity at
+/// 16); the fingerprint words hold one byte of each way's tag, so a
+/// lookup compares all ways at once with a few word operations and reads
+/// a full tag only where the byte matches. The reference workloads miss
+/// far more than they hit, and a miss needs all of this state — tag
+/// lookup, victim, victim dirtiness, MRU update — so as one row it is
+/// one or two adjacent host-cache lines.
 ///
 /// Ways fill in index order and only [`flush`](Self::flush) empties them,
 /// so the valid ways of a set are always a prefix: a set is full exactly
@@ -149,11 +189,13 @@ const MRU_MASK: u64 = 0xFF << MRU_SHIFT;
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    /// `sets` rows of `stride` words: flags, replacement state, then
-    /// `ways` tags (`INVALID_TAG` = empty way).
+    /// `sets` rows of `stride` words: flags, replacement state, two
+    /// fingerprint words, then `ways` tags (`INVALID_TAG` = empty way).
     meta: Vec<u64>,
-    /// Row stride: `ways + 2`.
+    /// Row stride: `ways + 4`.
     stride: usize,
+    /// The high bit of each fingerprint byte that names a way.
+    way_masks: [u64; 2],
     state: ReplState,
     stats: CacheStats,
     rng_state: u64, // xorshift64* stream for the random policy
@@ -175,12 +217,18 @@ impl SetAssocCache {
         );
         let state = ReplState::new(config.policy, config.ways);
         let stride = config.ways + TAGS;
+        // Every tag and every fingerprint byte starts empty.
         let mut row = vec![INVALID_TAG; stride];
         row[FLAGS] = 0;
         row[REPL] = state.initial_word();
+        let mut way_masks = [0u64; 2];
+        for w in 0..config.ways {
+            way_masks[w / 8] |= 0x80 << (8 * (w % 8));
+        }
         SetAssocCache {
             meta: row.repeat(config.sets),
             stride,
+            way_masks,
             state,
             stats: CacheStats::default(),
             rng_state: 0x9E3779B97F4A7C15,
@@ -215,9 +263,9 @@ impl SetAssocCache {
     }
 
     #[inline]
-    fn tags(&self, set: usize) -> &[u64] {
+    fn row(&self, set: usize) -> &[u64] {
         let base = set * self.stride;
-        &self.meta[base + TAGS..base + self.stride]
+        &self.meta[base..base + self.stride]
     }
 
     #[inline]
@@ -250,7 +298,7 @@ impl SetAssocCache {
             self.stats.hits += 1;
             return AccessResult::Hit;
         }
-        if let Some(w) = row[TAGS..].iter().position(|&t| t == tag) {
+        if let Some(w) = find(row, self.way_masks, tag) {
             row[FLAGS] = flags & !MRU_MASK | (w as u64) << MRU_SHIFT | dirty << w;
             self.state.touch(&mut row[REPL], self.config.ways, w, false);
             self.stats.hits += 1;
@@ -270,7 +318,7 @@ impl SetAssocCache {
     /// a write-back regardless of why the fill happened).
     pub fn install(&mut self, addr: u64) -> Option<(u64, bool)> {
         let (set, tag) = self.split(addr);
-        if self.tags(set).contains(&tag) {
+        if find(self.row(set), self.way_masks, tag).is_some() {
             return None; // already resident
         }
         self.fill(set, tag, 0)
@@ -286,10 +334,16 @@ impl SetAssocCache {
         // Valid ways are a prefix (see the type docs).
         let full = self.meta[base + TAGS + ways - 1] != INVALID_TAG;
         let way = if full {
-            let draw = self.next_draw();
+            // Only the random policy consumes draws, and only here, so
+            // skipping the stream elsewhere leaves its sequence unchanged.
+            let draw = if self.state == ReplState::Random {
+                self.next_draw()
+            } else {
+                0
+            };
             self.state.victim(self.meta[base + REPL], ways, draw)
         } else {
-            self.tags(set)
+            self.row(set)[TAGS..]
                 .iter()
                 .position(|&t| t == INVALID_TAG)
                 .expect("a set that is not full has an empty way")
@@ -297,6 +351,9 @@ impl SetAssocCache {
         let row = &mut self.meta[base..base + self.stride];
         let flags = row[FLAGS];
         let victim_tag = std::mem::replace(&mut row[TAGS + way], tag);
+        let fp_shift = 8 * (way % 8);
+        let fp = &mut row[FPS + way / 8];
+        *fp = *fp & !(0xFF << fp_shift) | (tag & 0xFF) << fp_shift;
         row[FLAGS] = flags & !MRU_MASK & !(1 << way) | (way as u64) << MRU_SHIFT | dirty << way;
         self.state.touch(&mut row[REPL], ways, way, true);
         full.then(|| {
@@ -308,13 +365,13 @@ impl SetAssocCache {
     /// Checks residency without touching replacement state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.split(addr);
-        self.tags(set).contains(&tag)
+        find(self.row(set), self.way_masks, tag).is_some()
     }
 
     /// Invalidates every line (statistics are kept).
     pub fn flush(&mut self) {
         for row in self.meta.chunks_exact_mut(self.stride) {
-            row[TAGS..].fill(INVALID_TAG);
+            row[FPS..].fill(INVALID_TAG);
             // Clear the dirty mask; the MRU hint may go stale (it falls
             // through to the scan on a mismatch, so outcomes are
             // unaffected either way). The replacement word stays: a set

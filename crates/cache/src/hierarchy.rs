@@ -38,11 +38,13 @@ impl HierarchyOutcome {
 /// Per-machine cache hierarchy state.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
-    /// `private[phys_core][lvl]`.
-    private: Vec<Vec<SetAssocCache>>,
+    /// Every private cache, physical-core-major: level `lvl` of physical
+    /// core `p` is `private[p * levels + lvl]`, with `levels` =
+    /// `private_latency.len()`.
+    private: Vec<SetAssocCache>,
     /// `llc[domain]`.
     llc: Vec<SetAssocCache>,
-    /// Hit latency per private level (parallel to `private[_]`).
+    /// Hit latency per private level.
     private_latency: Vec<u64>,
     /// LLC hit latency.
     llc_latency: u64,
@@ -50,8 +52,9 @@ pub struct Hierarchy {
     private_levels: Vec<u8>,
     /// Level number of the LLC.
     llc_level: u8,
-    smt: usize,
-    cores_per_domain: usize,
+    /// `(physical core, domain)` of each logical core, resolved once so
+    /// an access divides by neither the SMT width nor the domain size.
+    core_map: Vec<(u32, u32)>,
 }
 
 impl Hierarchy {
@@ -99,12 +102,7 @@ impl Hierarchy {
 
         Hierarchy {
             private: (0..n_phys)
-                .map(|_| {
-                    private_cfgs
-                        .iter()
-                        .map(|&c| SetAssocCache::new(c))
-                        .collect()
-                })
+                .flat_map(|_| private_cfgs.iter().map(|&c| SetAssocCache::new(c)))
                 .collect(),
             llc: (0..n_domains)
                 .map(|_| SetAssocCache::new(llc_cfg))
@@ -113,26 +111,27 @@ impl Hierarchy {
             llc_latency,
             private_levels,
             llc_level,
-            smt: machine.smt,
-            cores_per_domain: machine.cores_per_domain,
+            core_map: (0..machine.total_cores())
+                .map(|c| {
+                    let core = CoreId(c);
+                    ((c / machine.smt) as u32, machine.domain_of(core) as u32)
+                })
+                .collect(),
         }
     }
 
     #[inline]
-    fn phys_of(&self, core: CoreId) -> usize {
-        core.index() / self.smt
-    }
-
-    #[inline]
     fn domain_of(&self, core: CoreId) -> usize {
-        core.index() / self.cores_per_domain
+        self.core_map[core.index()].1 as usize
     }
 
     /// Pushes one access through the hierarchy for `core`.
     pub fn access(&mut self, core: CoreId, addr: u64, kind: AccessKind) -> HierarchyOutcome {
-        let phys = self.phys_of(core);
+        let (phys, domain) = self.core_map[core.index()];
+        let levels = self.private_latency.len();
+        let first = phys as usize * levels;
         let mut lookup = 0u64;
-        for (lvl_idx, cache) in self.private[phys].iter_mut().enumerate() {
+        for (lvl_idx, cache) in self.private[first..first + levels].iter_mut().enumerate() {
             lookup += self.private_latency[lvl_idx];
             if cache.access(addr, kind).is_hit() {
                 return HierarchyOutcome {
@@ -142,9 +141,8 @@ impl Hierarchy {
                 };
             }
         }
-        let domain = self.domain_of(core);
         lookup += self.llc_latency;
-        let result = self.llc[domain].access(addr, kind);
+        let result = self.llc[domain as usize].access(addr, kind);
         match result {
             crate::cache::AccessResult::Hit => HierarchyOutcome {
                 hit_level: Some(self.llc_level),
@@ -200,9 +198,10 @@ impl Hierarchy {
     /// per-level hit/miss counters.
     pub fn level_totals(&self) -> Vec<(u8, u64, u64)> {
         let mut out = Vec::with_capacity(self.private_levels.len() + 1);
+        let levels = self.private_levels.len();
         for (i, &lvl) in self.private_levels.iter().enumerate() {
             let (mut acc, mut miss) = (0u64, 0u64);
-            for per_core in &self.private {
+            for per_core in self.private.chunks_exact(levels) {
                 let s = per_core[i].stats();
                 acc += s.accesses();
                 miss += s.misses;
@@ -221,12 +220,7 @@ impl Hierarchy {
 
     /// Resets all statistics (contents preserved), to exclude warm-up.
     pub fn reset_stats(&mut self) {
-        for per_core in &mut self.private {
-            for c in per_core {
-                c.reset_stats();
-            }
-        }
-        for c in &mut self.llc {
+        for c in self.private.iter_mut().chain(&mut self.llc) {
             c.reset_stats();
         }
     }

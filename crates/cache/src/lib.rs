@@ -33,5 +33,5 @@ pub mod replacement;
 
 pub use cache::{AccessKind, AccessResult, CacheConfig, CacheStats, SetAssocCache};
 pub use hierarchy::{Hierarchy, HierarchyOutcome};
-pub use mshr::MshrFile;
+pub use mshr::{MshrFile, MAX_MSHRS};
 pub use replacement::ReplacementPolicy;

@@ -2,11 +2,14 @@
 //!
 //! The production [`SetAssocCache`] keeps each set's LRU/FIFO state as one
 //! 16-nibble recency order word, picks a victim in O(1) from its top used
-//! rank, and detects a full set by testing only its last way. This test
-//! pins all of that against the original stamp-based cache — per-way
-//! last-touch/fill sequence numbers, a linear scan for an empty way and a
-//! linear scan for the oldest stamp — kept verbatim as the oracle (minus
-//! its cold-miss tracking, which nothing read). Both are driven through
+//! rank, detects a full set by testing only its last way, and finds a tag
+//! through a byte fingerprint per way before comparing full tags. This
+//! test pins all of that against the original stamp-based cache — per-way
+//! last-touch/fill sequence numbers, linear tag scans, a linear scan for
+//! an empty way and a linear scan for the oldest stamp — kept verbatim as
+//! the oracle (minus its cold-miss tracking, which nothing read). Half of
+//! the lines the ops name share their tag's low byte with others in their
+//! set, so fingerprint collisions are common. Both are driven through
 //! identical seeded op streams (reads, writes, prefetch installs, probes,
 //! flushes, stat resets) under every policy and every way count from 1 to
 //! 16, and must agree on every result and every counter after every op.
@@ -320,9 +323,23 @@ const POLICIES: [ReplacementPolicy; 4] = [
 
 const LINE_BYTES: u32 = 64;
 
+/// The tag of the `k`-th line a set cycles over. Picks below 32 name
+/// tags `0..ways + 3`, with distinct low bytes; the rest name tags that
+/// share their low byte (the cache's tag fingerprint) in groups of three,
+/// one group's byte being `0xFF`, an empty way's fingerprint, so lookups
+/// meet fingerprint collisions with live ways and with empty ones.
+fn tag_of(ways: usize, tag_pick: u64) -> u64 {
+    let k = tag_pick % (ways as u64 + 3);
+    if tag_pick < 32 {
+        k
+    } else {
+        [0x00, 0x01, 0xFF][(k % 3) as usize] + 256 * (k / 3 + 1)
+    }
+}
+
 /// The byte address an op names. Most ops land on at most three hot sets,
-/// each cycling over `ways + 3` distinct lines, so sets fill, evict and
-/// re-reference constantly; one op in eight goes to any set.
+/// each cycling over `2 · (ways + 3)` distinct lines, so sets fill, evict
+/// and re-reference constantly; one op in eight goes to any set.
 fn address(sets: usize, ways: usize, set_pick: u64, tag_pick: u64) -> u64 {
     let sets = sets as u64;
     let set = if set_pick.is_multiple_of(8) {
@@ -330,8 +347,7 @@ fn address(sets: usize, ways: usize, set_pick: u64, tag_pick: u64) -> u64 {
     } else {
         set_pick % sets.min(3)
     };
-    let tag = tag_pick % (ways as u64 + 3);
-    let line = tag * sets + set;
+    let line = tag_of(ways, tag_pick) * sets + set;
     line * LINE_BYTES as u64 + (set_pick >> 10) % LINE_BYTES as u64
 }
 
@@ -383,13 +399,15 @@ fn lockstep(
         }
         prop_assert_eq!(dut.stats(), oracle.stats(), "stats: {}", at());
     }
-    for line in 0..(ways as u64 + 3) * sets as u64 {
-        let addr = line * LINE_BYTES as u64;
-        prop_assert_eq!(
-            dut.probe(addr),
-            oracle.probe(addr),
-            "{policy:?} sets={sets} ways={ways}: final residency of {addr:#x}"
-        );
+    for set in 0..sets as u64 {
+        for tag_pick in 0..64 {
+            let addr = (tag_of(ways, tag_pick) * sets as u64 + set) * LINE_BYTES as u64;
+            prop_assert_eq!(
+                dut.probe(addr),
+                oracle.probe(addr),
+                "{policy:?} sets={sets} ways={ways}: final residency of {addr:#x}"
+            );
+        }
     }
     Ok(())
 }

@@ -55,14 +55,24 @@ impl McConfig {
     }
 }
 
+/// One bank's reservation state.
+#[derive(Debug, Clone, Copy)]
+struct Bank {
+    /// When the bank can begin a new access.
+    free: SimTime,
+    /// The row its row buffer holds.
+    open_row: Option<u64>,
+}
+
 /// The in-order controller.
 #[derive(Debug, Clone)]
 pub struct FcfsController {
     cfg: McConfig,
-    /// `bank_free[channel][bank]`: when the bank can begin a new access.
-    bank_free: Vec<Vec<SimTime>>,
-    /// `open_row[channel][bank]`.
-    open_row: Vec<Vec<Option<u64>>>,
+    /// Every bank of every channel, channel-major: bank `b` of channel
+    /// `c` is `banks[c * banks_per_channel + b]`, so a request touches one
+    /// entry of one flat vector.
+    banks: Vec<Bank>,
+    banks_per_channel: usize,
     /// `bus_free[channel]`: when the data bus can begin a new transfer.
     bus_free: Vec<SimTime>,
     stats: McStats,
@@ -78,8 +88,14 @@ impl FcfsController {
         let banks = cfg.mapping.banks() as usize;
         FcfsController {
             cfg,
-            bank_free: vec![vec![SimTime::ZERO; banks]; ch],
-            open_row: vec![vec![None; banks]; ch],
+            banks: vec![
+                Bank {
+                    free: SimTime::ZERO,
+                    open_row: None,
+                };
+                ch * banks
+            ],
+            banks_per_channel: banks,
             bus_free: vec![SimTime::ZERO; ch],
             stats: McStats::default(),
             obs: None,
@@ -98,7 +114,7 @@ impl McModel for FcfsController {
         // The request reaches the controller after its network latency.
         let arrival = now + req.network_latency;
         let coord = self.cfg.mapping.map(req.line_addr);
-        let (c, b) = (coord.channel as usize, coord.bank as usize);
+        let c = coord.channel as usize;
 
         if req.is_write {
             // Write-backs drain from the controller's write buffer in
@@ -112,47 +128,37 @@ impl McModel for FcfsController {
             self.stats.writes += 1;
             self.stats.total_residence_cycles += completion - arrival;
             self.stats.total_queueing_cycles += transfer_start - arrival;
-            self.stats.bus_busy_cycles += self.cfg.transfer_cycles;
-            self.stats.last_completion = self.stats.last_completion.max(completion);
             if let Some(obs) = &mut self.obs {
                 obs.record(arrival.0, arrival.0, transfer_start - arrival, completion.0);
             }
             return EnqueueResult::Completed(completion + req.network_latency);
         }
 
-        let row_time = if self.open_row[c][b] == Some(coord.row) {
-            self.stats.row_hits += 1;
-            self.cfg.row_hit_cycles
-        } else {
-            self.stats.row_misses += 1;
-            self.open_row[c][b] = Some(coord.row);
-            self.cfg.row_miss_cycles
-        };
-
-        let bank_start = arrival.max(self.bank_free[c][b]);
-        let data_ready = bank_start + row_time;
-        let transfer_start = data_ready.max(self.bus_free[c]);
-        let completion = transfer_start + self.cfg.transfer_cycles;
+        let bank = &mut self.banks[c * self.banks_per_channel + coord.bank as usize];
+        let row_hit = bank.open_row == Some(coord.row);
+        let bank_start = arrival.max(bank.free);
         // Row latency is *latency*, not occupancy: consecutive CAS bursts
         // to an open row pipeline at the data-bus rate (tCCD), so a hit
         // holds the bank only for its transfer slot. An activation
         // (row miss) occupies the bank for the full activate/precharge
         // window, which is what bounds random-row bank throughput.
-        self.bank_free[c][b] = if row_time == self.cfg.row_hit_cycles {
-            bank_start + self.cfg.transfer_cycles
+        let (row_time, occupancy) = if row_hit {
+            self.stats.row_hits += 1;
+            (self.cfg.row_hit_cycles, self.cfg.transfer_cycles)
         } else {
-            bank_start + self.cfg.row_miss_cycles
+            self.stats.row_misses += 1;
+            bank.open_row = Some(coord.row);
+            (self.cfg.row_miss_cycles, self.cfg.row_miss_cycles)
         };
+        bank.free = bank_start + occupancy;
+        let data_ready = bank_start + row_time;
+        let transfer_start = data_ready.max(self.bus_free[c]);
+        let completion = transfer_start + self.cfg.transfer_cycles;
         self.bus_free[c] = completion;
 
         self.stats.requests += 1;
-        if req.is_write {
-            self.stats.writes += 1;
-        }
         self.stats.total_residence_cycles += completion - arrival;
         self.stats.total_queueing_cycles += bank_start - arrival;
-        self.stats.bus_busy_cycles += self.cfg.transfer_cycles;
-        self.stats.last_completion = self.stats.last_completion.max(completion);
 
         if let Some(obs) = &mut self.obs {
             obs.record(arrival.0, arrival.0, bank_start - arrival, completion.0);
@@ -248,6 +254,28 @@ mod tests {
         // transfer queues behind the first on the bus.
         assert_eq!(t1, SimTime(118));
         assert_eq!(t2, SimTime(126), "only the transfer serialises");
+    }
+
+    #[test]
+    fn row_miss_holds_its_bank_when_hit_and_miss_timings_are_equal() {
+        // Occupancy follows the row-hit test, not the latency it picked:
+        // with equal timings an activation still holds its bank for the
+        // whole miss window, not just one transfer slot.
+        let mut mc = FcfsController::new(McConfig {
+            row_hit_cycles: 110,
+            ..cfg_1ch()
+        });
+        let t1 = completed(mc.enqueue(SimTime(0), req(0, 0)));
+        assert_eq!(t1, SimTime(110 + 8));
+        // Line 128 is row 1 of bank 0: another activation of the same bank.
+        let t2 = completed(mc.enqueue(SimTime(0), req(1, 32 * 4)));
+        assert_eq!(mc.stats().row_misses, 2);
+        assert_eq!(
+            mc.stats().total_queueing_cycles,
+            110,
+            "the second activation waits out the first's miss window"
+        );
+        assert_eq!(t2, SimTime(110 + 110 + 8));
     }
 
     #[test]

@@ -259,40 +259,32 @@ impl McModel for FrFcfsController {
                 self.stats.writes += 1;
                 self.stats.total_residence_cycles += completion - p.arrival;
                 self.stats.total_queueing_cycles += now - p.arrival;
-                self.stats.bus_busy_cycles += self.cfg.transfer_cycles;
-                self.stats.last_completion = self.stats.last_completion.max(completion);
                 if let Some(obs) = &mut self.obs {
                     obs.record(p.arrival.0, now.0, now - p.arrival, completion.0);
                 }
                 committed.push((p.req, completion + p.req.network_latency));
                 continue;
             }
-            let row_time = if bank.open_row == Some(p.row) {
-                self.stats.row_hits += 1;
-                self.cfg.row_hit_cycles
-            } else {
-                self.stats.row_misses += 1;
-                bank.open_row = Some(p.row);
-                self.cfg.row_miss_cycles
-            };
-            let data_ready = now + row_time;
-            let transfer_start = data_ready.max(ch.bus_free);
-            let completion = transfer_start + self.cfg.transfer_cycles;
             // Hits pipeline on the open row (bank held for the transfer
             // slot only); activations occupy the bank for the full window
             // (cf. the FCFS model).
-            bank.free_at = if row_time == self.cfg.row_hit_cycles {
-                now + self.cfg.transfer_cycles
+            let (row_time, occupancy) = if bank.open_row == Some(p.row) {
+                self.stats.row_hits += 1;
+                (self.cfg.row_hit_cycles, self.cfg.transfer_cycles)
             } else {
-                now + self.cfg.row_miss_cycles
+                self.stats.row_misses += 1;
+                bank.open_row = Some(p.row);
+                (self.cfg.row_miss_cycles, self.cfg.row_miss_cycles)
             };
+            bank.free_at = now + occupancy;
+            let data_ready = now + row_time;
+            let transfer_start = data_ready.max(ch.bus_free);
+            let completion = transfer_start + self.cfg.transfer_cycles;
             ch.bus_free = completion;
 
             self.stats.requests += 1;
             self.stats.total_residence_cycles += completion - p.arrival;
             self.stats.total_queueing_cycles += now - p.arrival;
-            self.stats.bus_busy_cycles += self.cfg.transfer_cycles;
-            self.stats.last_completion = self.stats.last_completion.max(completion);
 
             if let Some(obs) = &mut self.obs {
                 obs.record(p.arrival.0, now.0, now - p.arrival, completion.0);
@@ -469,6 +461,28 @@ mod tests {
             frf.stats().row_hit_rate(),
             fcfs.stats().row_hit_rate()
         );
+    }
+
+    #[test]
+    fn row_miss_holds_its_bank_when_hit_and_miss_timings_are_equal() {
+        // Occupancy follows the row-hit test, not the latency it picked.
+        // The channel bus stays busy past either bank time, so the bank's
+        // own free time is read directly.
+        let mut mc = FrFcfsController::new(McConfig {
+            row_hit_cycles: 110,
+            ..cfg()
+        });
+        mc.enqueue(SimTime(0), req(0, 0));
+        let w = mc.wake(SimTime(0));
+        assert_eq!(w.committed[0].1, SimTime(110 + 8));
+        assert_eq!(mc.stats().row_misses, 1);
+        assert_eq!(mc.channels[0].banks[0].free_at, SimTime(110));
+        // A row hit on the same bank holds it for one transfer slot.
+        mc.enqueue(SimTime(118), req(1, 1));
+        let w = mc.wake(SimTime(118));
+        assert_eq!(w.committed[0].1, SimTime(118 + 110 + 8));
+        assert_eq!(mc.stats().row_hits, 1);
+        assert_eq!(mc.channels[0].banks[0].free_at, SimTime(118 + 8));
     }
 
     #[test]

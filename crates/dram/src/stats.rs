@@ -1,7 +1,5 @@
 //! Controller telemetry.
 
-use offchip_simcore::SimTime;
-
 /// Aggregate statistics of one memory controller.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct McStats {
@@ -18,11 +16,6 @@ pub struct McStats {
     pub total_residence_cycles: u64,
     /// Sum of pure queueing delay (start of service − arrival).
     pub total_queueing_cycles: u64,
-    /// Cycles the data bus of each channel was busy, summed over channels;
-    /// utilisation = busy / (channels × elapsed).
-    pub bus_busy_cycles: u64,
-    /// Completion time of the last request (for utilisation windows).
-    pub last_completion: SimTime,
 }
 
 impl McStats {
@@ -77,8 +70,6 @@ mod tests {
             row_misses: 1,
             total_residence_cycles: 400,
             total_queueing_cycles: 100,
-            bus_busy_cycles: 50,
-            last_completion: SimTime(1000),
         };
         assert_eq!(s.mean_residence(), 100.0);
         assert_eq!(s.mean_queueing(), 25.0);

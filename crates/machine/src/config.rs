@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use offchip_cache::ReplacementPolicy;
+use offchip_cache::{ReplacementPolicy, MAX_MSHRS};
 use offchip_obs::Registry;
 use offchip_topology::{AllocationPolicy, MachineSpec, SpecError};
 
@@ -20,6 +20,13 @@ pub enum ConfigError {
     },
     /// Zero MSHRs would deadlock every miss.
     ZeroMshrs,
+    /// More MSHRs per core than a thread's inline MSHR file holds.
+    TooManyMshrs {
+        /// The configured count.
+        mshr_per_core: usize,
+        /// The most a file holds ([`offchip_cache::MAX_MSHRS`]).
+        max: usize,
+    },
     /// A zero scheduler or synchronisation quantum.
     ZeroQuantum,
     /// The page size is not a power of two at least one cache line large.
@@ -58,6 +65,10 @@ impl std::fmt::Display for ConfigError {
                  the machine's range"
             ),
             ConfigError::ZeroMshrs => write!(f, "mshr_per_core must be positive"),
+            ConfigError::TooManyMshrs { mshr_per_core, max } => write!(
+                f,
+                "mshr_per_core {mshr_per_core} exceeds the {max} entries an MSHR file holds"
+            ),
             ConfigError::ZeroQuantum => write!(f, "quanta must be positive"),
             ConfigError::BadPageSize {
                 page_bytes,
@@ -134,7 +145,8 @@ pub struct SimConfig {
     pub quantum_cycles: u64,
     /// Direct cost of a thread switch, charged to the core (cycles).
     pub context_switch_cycles: u64,
-    /// Per-core MSHR entries: the bound on overlapped misses.
+    /// Per-core MSHR entries: the bound on overlapped misses, from 1 to
+    /// [`offchip_cache::MAX_MSHRS`].
     pub mshr_per_core: usize,
     /// Bound on how far a core may run ahead of the global clock between
     /// synchronisation points, in cycles. Smaller = more causally accurate
@@ -229,6 +241,12 @@ impl SimConfig {
         if self.mshr_per_core == 0 {
             return Err(ConfigError::ZeroMshrs);
         }
+        if self.mshr_per_core > MAX_MSHRS {
+            return Err(ConfigError::TooManyMshrs {
+                mshr_per_core: self.mshr_per_core,
+                max: MAX_MSHRS,
+            });
+        }
         if self.quantum_cycles == 0 || self.sync_quantum == 0 {
             return Err(ConfigError::ZeroQuantum);
         }
@@ -321,6 +339,22 @@ mod tests {
         cfg.validate().unwrap();
         cfg.mshr_per_core = 0;
         assert_eq!(cfg.validate().unwrap_err(), ConfigError::ZeroMshrs);
+        // The inline MSHR file's bound is a typed error, never a silent
+        // truncation; the bound itself is accepted.
+        cfg.mshr_per_core = MAX_MSHRS;
+        cfg.validate().unwrap();
+        cfg.mshr_per_core = MAX_MSHRS + 1;
+        let e = cfg.validate().unwrap_err();
+        assert_eq!(
+            e,
+            ConfigError::TooManyMshrs {
+                mshr_per_core: MAX_MSHRS + 1,
+                max: MAX_MSHRS
+            }
+        );
+        assert!(e
+            .to_string()
+            .contains(&format!("mshr_per_core {}", MAX_MSHRS + 1)));
         cfg.mshr_per_core = 4;
         cfg.page_bytes = 100; // not a power of two
         assert!(matches!(

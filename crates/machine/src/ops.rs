@@ -19,7 +19,8 @@ pub enum Op {
         /// Instructions retired (for `PAPI_TOT_INS`).
         instructions: u64,
     },
-    /// One memory reference at byte address `addr`.
+    /// One memory reference at byte address `addr`, after `compute`
+    /// cycles of core-private work.
     Access {
         /// Virtual byte address.
         addr: u64,
@@ -32,6 +33,14 @@ pub enum Op {
         /// workloads express their memory-level parallelism, which differs
         /// between streaming sweeps (SP) and gathers (CG).
         dependent: bool,
+        /// Busy cycles of compute folded in before the access, retiring
+        /// one instruction per cycle: the op runs exactly as a
+        /// `Compute { cycles: compute, instructions: compute }` op
+        /// followed by the access would, including quantum preemption
+        /// and run-ahead synchronisation between the two. A sweep's
+        /// per-element arithmetic travels this way, so a thread yields one
+        /// op per access instead of two. Zero means no compute.
+        compute: u64,
     },
     /// A global barrier across all threads of the program.
     Barrier,

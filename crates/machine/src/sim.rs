@@ -22,9 +22,12 @@
 
 use offchip_cache::{cache::AccessKind, mshr::MshrOutcome, Hierarchy, MshrFile};
 use offchip_dram::fcfs::McConfig;
-use offchip_dram::{EnqueueResult, FcfsController, FrFcfsController, McModel, Request, RequestId};
+use offchip_dram::{
+    EnqueueResult, FcfsController, FrFcfsController, McModel, McStats, Request, RequestId,
+    WakeResult,
+};
 use offchip_obs::{Histogram, McObs, Span};
-use offchip_simcore::{CalendarQueue, EventSched, SimTime};
+use offchip_simcore::{CalendarQueue, EventSched, FastDiv, SimTime};
 use offchip_topology::{allocation, CoreId, McId};
 
 use crate::config::{ConfigError, McScheduler, MemoryPolicy, SimConfig};
@@ -121,6 +124,11 @@ struct SimObs {
     hop_latency: Histogram,
     spans: Vec<Span>,
     spans_dropped: u64,
+    /// Events processed, by [`Event::kind`]; they sum to
+    /// `Counters::sim_events`.
+    events: [u64; EVENT_KINDS.len()],
+    /// Fills that reached a thread that was not stalled on them.
+    fills_running: u64,
 }
 
 impl SimObs {
@@ -131,6 +139,8 @@ impl SimObs {
             hop_latency: Histogram::new(),
             spans: Vec::new(),
             spans_dropped: 0,
+            events: [0; EVENT_KINDS.len()],
+            fills_running: 0,
         }
     }
 
@@ -148,21 +158,42 @@ impl SimObs {
     }
 }
 
+/// A scheduled event. Indices are `u32` so an event is 16 bytes: the
+/// queue moves them on every schedule and pop.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// The core should (re)enter execution.
-    Resume(usize),
-    /// A fill for `line` belonging to `thread` on core slot `core` arrived.
-    Fill {
-        core: usize,
-        thread: usize,
-        line: u64,
-    },
+    /// Core slot `.0` should (re)enter execution.
+    Resume(u32),
+    /// The fill for the miss holding MSHR slot `mshr` of `thread`, on
+    /// core slot `core`, arrived.
+    Fill { core: u32, thread: u32, mshr: u32 },
     /// A deferred-scheduling controller asked to be woken.
-    McWake(usize),
+    McWake(u32),
     /// A prefetched line arrived from memory: install it into the LLC of
     /// the issuing core's domain.
-    PrefetchFill { core: usize, line: u64 },
+    PrefetchFill { core: u32, line: u64 },
+}
+
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+
+/// The registry counter of each event kind, indexed by [`Event::kind`].
+const EVENT_KINDS: [&str; 4] = [
+    "machine.events.resume",
+    "machine.events.fill",
+    "machine.events.mc_wake",
+    "machine.events.prefetch_fill",
+];
+
+impl Event {
+    /// This event's index into [`EVENT_KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Event::Resume(_) => 0,
+            Event::Fill { .. } => 1,
+            Event::McWake(_) => 2,
+            Event::PrefetchFill { .. } => 3,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,38 +216,75 @@ enum StallKind {
     Drain,
 }
 
-/// In-flight fill waiters, indexed by the sequential `RequestId`.
+/// The `Fill` events of deferred reads, indexed by the sequential
+/// `RequestId`.
 ///
 /// Request ids come from a per-run counter, so the table is a lazily
 /// grown vector instead of a hash map: registration and the commit-path
 /// lookup are one bounds check and an array write, with no hashing on the
 /// per-request path. It only grows when a deferred-scheduling controller
 /// actually registers a waiter (FR-FCFS runs); under the default
-/// reservation-style FCFS it stays empty. Peak footprint is 8 bytes per
+/// reservation-style FCFS it stays empty. Peak footprint is 16 bytes per
 /// issued read of the run — transient, freed with the `Sim`.
 struct WaiterTable {
-    slots: Vec<(u32, u32)>,
+    slots: Vec<Option<Event>>,
 }
 
 impl WaiterTable {
-    const VACANT: (u32, u32) = (u32::MAX, u32::MAX);
-
     fn new() -> WaiterTable {
         WaiterTable { slots: Vec::new() }
     }
 
-    fn insert(&mut self, id: RequestId, core: usize, thread: usize) {
+    fn insert(&mut self, id: RequestId, fill: Event) {
         let idx = id as usize;
         if self.slots.len() <= idx {
-            self.slots.resize(idx + 1, Self::VACANT);
+            self.slots.resize(idx + 1, None);
         }
-        self.slots[idx] = (core as u32, thread as u32);
+        self.slots[idx] = Some(fill);
     }
 
-    fn remove(&mut self, id: RequestId) -> Option<(usize, usize)> {
-        let e = self.slots.get_mut(id as usize)?;
-        let (core, thread) = std::mem::replace(e, Self::VACANT);
-        (core != u32::MAX).then_some((core as usize, thread as usize))
+    fn remove(&mut self, id: RequestId) -> Option<Event> {
+        self.slots.get_mut(id as usize)?.take()
+    }
+}
+
+/// One memory controller of the run. An enum rather than a trait object,
+/// so the FCFS enqueue every miss makes inlines into the miss path.
+enum Controller {
+    Fcfs(FcfsController),
+    FrFcfs(FrFcfsController),
+}
+
+/// Delegates `$call` to whichever controller `$mc` holds.
+macro_rules! dispatch {
+    ($mc:expr, $m:ident => $call:expr) => {
+        match $mc {
+            Controller::Fcfs($m) => $call,
+            Controller::FrFcfs($m) => $call,
+        }
+    };
+}
+
+impl Controller {
+    #[inline]
+    fn enqueue(&mut self, now: SimTime, req: Request) -> EnqueueResult {
+        dispatch!(self, m => m.enqueue(now, req))
+    }
+
+    fn wake(&mut self, now: SimTime) -> WakeResult {
+        dispatch!(self, m => m.wake(now))
+    }
+
+    fn stats(&self) -> &McStats {
+        dispatch!(self, m => m.stats())
+    }
+
+    fn attach_obs(&mut self, obs: Box<McObs>) {
+        dispatch!(self, m => m.attach_obs(obs))
+    }
+
+    fn take_obs(&mut self) -> Option<Box<McObs>> {
+        dispatch!(self, m => m.take_obs())
     }
 }
 
@@ -232,6 +300,8 @@ struct ThreadCtx {
 
 struct CoreCtx {
     id: CoreId,
+    /// Index of the controller local to this core.
+    local_mc: usize,
     /// Threads pinned to this core, in thread order.
     threads: Vec<usize>,
     /// Round-robin cursor into `threads`.
@@ -246,22 +316,32 @@ struct CoreCtx {
 struct Sim<'w> {
     cfg: &'w SimConfig,
     line_mask: u64,
+    line_shift: u32,
+    /// Level number of the LLC (the prefetcher watches hits there).
+    llc_level: u8,
     queue: CalendarQueue<Event>,
     threads: Vec<ThreadCtx>,
     cores: Vec<CoreCtx>,
     hierarchy: Hierarchy,
-    mcs: Vec<Box<dyn McModel>>,
+    mcs: Vec<Controller>,
     mc_wake_at: Vec<Option<SimTime>>,
     first_touch: FirstTouch,
     /// Controllers local to sockets with at least one active core, in
     /// ascending id order — the interleave targets of
     /// [`MemoryPolicy::InterleaveActive`].
     active_mcs: Vec<McId>,
+    /// Divides by `active_mcs.len()`, the interleave modulo.
+    active_div: FastDiv,
     page_shift: u32,
-    /// `link_free[local][home]`: when the (directed) inter-socket path
-    /// from a requester's controller to a home controller can carry the
-    /// next line — the QPI/HT bandwidth bound.
-    link_free: Vec<Vec<SimTime>>,
+    /// `net_base[local * mcs.len() + home]`: one-way network latency from
+    /// a requester's controller to a line's home before link queueing.
+    net_base: Vec<u64>,
+    /// Cycles one line occupies an inter-socket link.
+    link_transfer: u64,
+    /// `link_free[local * mcs.len() + home]`: when the (directed) inter-socket
+    /// path from a requester's controller to a home controller can carry
+    /// the next line — the QPI/HT bandwidth bound.
+    link_free: Vec<SimTime>,
     waiters: WaiterTable,
     /// Per-core-slot stream detector: last line accessed at the LLC level
     /// (the prefetcher sits beside the LLC) and how far ahead it has run.
@@ -320,8 +400,12 @@ pub struct LaneRunner<'a> {
     placement: allocation::Placement,
     /// Threads pinned to each active-core slot, in thread order.
     slot_threads: Vec<Vec<usize>>,
+    /// The controller local to each active-core slot.
+    slot_local_mc: Vec<usize>,
     mc_cfg: McConfig,
     active_mcs: Vec<McId>,
+    /// `[local][home]` base network latency, row-major over controllers.
+    net_base: Vec<u64>,
 }
 
 impl<'a> LaneRunner<'a> {
@@ -366,14 +450,30 @@ impl<'a> LaneRunner<'a> {
             active_mcs.push(McId(0));
         }
 
+        let machine = &cfg.machine;
+        let slot_local_mc = placement
+            .active_cores
+            .iter()
+            .map(|&core| machine.local_mc(core).index())
+            .collect();
+        let n_mcs = machine.total_mcs();
+        let net_base = (0..n_mcs * n_mcs)
+            .map(|route| {
+                let (local, home) = (McId(route / n_mcs), McId(route % n_mcs));
+                machine.fsb_latency + machine.interconnect.remote_penalty(local, home)
+            })
+            .collect();
+
         Ok(LaneRunner {
             workload,
             cfg,
             n_threads,
             placement,
             slot_threads,
+            slot_local_mc,
             mc_cfg,
             active_mcs,
+            net_base,
         })
     }
 
@@ -401,8 +501,10 @@ impl<'a> LaneRunner<'a> {
             .active_cores
             .iter()
             .zip(&self.slot_threads)
-            .map(|(&id, pinned)| CoreCtx {
+            .zip(&self.slot_local_mc)
+            .map(|((&id, pinned), &local_mc)| CoreCtx {
                 id,
+                local_mc,
                 threads: pinned.clone(),
                 rr: 0,
                 current: None,
@@ -410,12 +512,10 @@ impl<'a> LaneRunner<'a> {
             })
             .collect();
 
-        let mut mcs: Vec<Box<dyn McModel>> = (0..cfg.machine.total_mcs())
-            .map(|_| -> Box<dyn McModel> {
-                match cfg.scheduler {
-                    McScheduler::Fcfs => Box::new(FcfsController::new(self.mc_cfg)),
-                    McScheduler::FrFcfs => Box::new(FrFcfsController::new(self.mc_cfg)),
-                }
+        let mut mcs: Vec<Controller> = (0..cfg.machine.total_mcs())
+            .map(|_| match cfg.scheduler {
+                McScheduler::Fcfs => Controller::Fcfs(FcfsController::new(self.mc_cfg)),
+                McScheduler::FrFcfs => Controller::FrFcfs(FrFcfsController::new(self.mc_cfg)),
             })
             .collect();
         // Spans go to the thread's current trace, so an observed run
@@ -433,6 +533,8 @@ impl<'a> LaneRunner<'a> {
         let mut sim = Sim {
             cfg,
             line_mask: !(cfg.machine.line_bytes() as u64 - 1),
+            line_shift: cfg.machine.line_bytes().trailing_zeros(),
+            llc_level: cfg.machine.llc().level,
             queue: CalendarQueue::new(),
             threads,
             cores,
@@ -443,8 +545,11 @@ impl<'a> LaneRunner<'a> {
             stream_last: vec![u64::MAX; cfg.n_cores],
             stream_ahead: vec![0; cfg.n_cores],
             active_mcs: self.active_mcs.clone(),
+            active_div: FastDiv::new(self.active_mcs.len() as u64),
             page_shift: cfg.page_bytes.trailing_zeros(),
-            link_free: vec![vec![SimTime::ZERO; n_mcs]; n_mcs],
+            net_base: self.net_base.clone(),
+            link_transfer: cfg.machine.interconnect.link_transfer(),
+            link_free: vec![SimTime::ZERO; n_mcs * n_mcs],
             waiters: WaiterTable::new(),
             next_req_id: 0,
             barrier_waiting: 0,
@@ -457,7 +562,8 @@ impl<'a> LaneRunner<'a> {
         };
 
         for slot in 0..sim.cores.len() {
-            sim.queue.schedule_at(SimTime::ZERO, Event::Resume(slot));
+            sim.queue
+                .schedule_at(SimTime::ZERO, Event::Resume(slot as u32));
         }
 
         // Budget guards. The event cap is one compare per event against a
@@ -480,6 +586,9 @@ impl<'a> LaneRunner<'a> {
                 });
             }
             sim.counters.sim_events += 1;
+            if let Some(o) = &mut sim.obs {
+                o.events[ev.kind()] += 1;
+            }
             if sim.counters.sim_events & DEADLINE_POLL_MASK == 0 {
                 if let Some((dl, t0)) = started {
                     let elapsed = t0.elapsed();
@@ -495,15 +604,17 @@ impl<'a> LaneRunner<'a> {
             }
             match ev {
                 Event::Resume(slot) => {
+                    let slot = slot as usize;
                     if t < sim.cores[slot].busy_until {
                         continue; // stale: the core is already executing past t
                     }
                     sim.run_core(slot, t);
                 }
-                Event::Fill { core, thread, line } => {
-                    sim.on_fill(core, thread, line, t);
+                Event::Fill { core, thread, mshr } => {
+                    sim.on_fill(core as usize, thread as usize, mshr as usize, t);
                 }
                 Event::McWake(mc) => {
+                    let mc = mc as usize;
                     match sim.mc_wake_at[mc] {
                         // The live registration: consume it and wake.
                         Some(s) if s == t => {
@@ -524,6 +635,7 @@ impl<'a> LaneRunner<'a> {
                     }
                 }
                 Event::PrefetchFill { core, line } => {
+                    let core = core as usize;
                     let core_id = sim.cores[core].id;
                     if let Some(victim) = sim.hierarchy.install_llc(core_id, line) {
                         // A prefetch may evict a dirty line; attribute the
@@ -614,6 +726,10 @@ fn flush_obs(sim: &mut Sim<'_>) {
         }
     }
     if let Some(mut o) = sim.obs.take() {
+        for (name, n) in EVENT_KINDS.into_iter().zip(o.events) {
+            reg.add(name, n);
+        }
+        reg.add("machine.fills.running", o.fills_running);
         reg.merge_histogram("machine.mem_stall_cycles", &o.mem_stall);
         reg.merge_histogram("net.hop_latency_cycles", &o.hop_latency);
         spans.append(&mut o.spans);
@@ -656,22 +772,15 @@ impl Sim<'_> {
         let at = at.max(self.queue.now());
         if self.mc_wake_at[mc].is_none_or(|s| at < s) {
             self.mc_wake_at[mc] = Some(at);
-            self.queue.schedule_at(at, Event::McWake(mc));
+            self.queue.schedule_at(at, Event::McWake(mc as u32));
         }
     }
 
     fn mc_wake(&mut self, mc: usize, now: SimTime) {
         let result = self.mcs[mc].wake(now);
         for (req, completion) in result.committed {
-            if let Some((core, thread)) = self.waiters.remove(req.id) {
-                self.queue.schedule_at(
-                    completion.max(now),
-                    Event::Fill {
-                        core,
-                        thread,
-                        line: req.line_addr,
-                    },
-                );
+            if let Some(fill) = self.waiters.remove(req.id) {
+                self.queue.schedule_at(completion.max(now), fill);
             }
             // Write-backs have no waiter: fire-and-forget.
         }
@@ -680,13 +789,18 @@ impl Sim<'_> {
         }
     }
 
-    fn on_fill(&mut self, core: usize, thread: usize, line: u64, t: SimTime) {
-        self.threads[thread].mshr.complete(line);
+    fn on_fill(&mut self, core: usize, thread: usize, mshr: usize, t: SimTime) {
+        self.threads[thread].mshr.complete(mshr);
         let resume = match self.threads[thread].state {
             ThreadState::Stalled(StallKind::MshrFull) => true,
             ThreadState::Stalled(StallKind::Drain) => self.threads[thread].mshr.in_flight() == 0,
             // A pipelined fill for a thread that kept running.
-            _ => return,
+            _ => {
+                if let Some(o) = &mut self.obs {
+                    o.fills_running += 1;
+                }
+                return;
+            }
         };
         if !resume {
             return;
@@ -716,32 +830,30 @@ impl Sim<'_> {
 
     /// Resolves the home controller of an address under the configured
     /// page-placement policy.
-    fn home_of(&mut self, line_addr: u64, thread: usize) -> McId {
+    fn home_of(&mut self, line_addr: u64, thread: usize) -> usize {
         match self.cfg.memory_policy {
             MemoryPolicy::InterleaveActive => {
                 let page = line_addr >> self.page_shift;
-                self.active_mcs[(page % self.active_mcs.len() as u64) as usize]
+                self.active_mcs[self.active_div.rem(page) as usize].index()
             }
             MemoryPolicy::FirstTouch => self
                 .first_touch
-                .resolve(line_addr, self.threads[thread].home_mc),
+                .resolve(line_addr, self.threads[thread].home_mc)
+                .index(),
         }
     }
 
-    /// Computes the network latency of a request from `local` to `home`
-    /// at time `t`, charging link occupancy for remote lines (bandwidth
-    /// contention on the inter-socket links).
-    fn network_cost(&mut self, local: McId, home: McId, t: SimTime) -> u64 {
-        let base = self.cfg.machine.fsb_latency
-            + self.cfg.machine.interconnect.remote_penalty(local, home);
-        if home == local {
+    /// Computes the network latency of a request from controller `local`
+    /// to `home` at time `t`, charging link occupancy for remote lines
+    /// (bandwidth contention on the inter-socket links).
+    fn network_cost(&mut self, local: usize, home: usize, t: SimTime) -> u64 {
+        let route = local * self.mcs.len() + home;
+        let base = self.net_base[route];
+        if home == local || self.link_transfer == 0 {
             return base;
         }
-        let occupancy = self.cfg.machine.interconnect.link_transfer();
-        if occupancy == 0 {
-            return base;
-        }
-        let slot = &mut self.link_free[local.index()][home.index()];
+        let occupancy = self.link_transfer;
+        let slot = &mut self.link_free[route];
         let start = (*slot).max(t);
         let queue_delay = start.since(t);
         *slot = start + occupancy;
@@ -752,21 +864,19 @@ impl Sim<'_> {
         latency
     }
 
-    /// Issues the off-chip request for a missing line at time `t`; returns
-    /// `true` if a new request (needing a fill) was created, `false` if it
-    /// coalesced with an outstanding one.
-    fn issue_miss(&mut self, slot: usize, thread: usize, addr: u64, t: SimTime) -> bool {
+    /// Issues the off-chip request for a missing line at time `t`, unless
+    /// it coalesces with one already outstanding.
+    fn issue_miss(&mut self, slot: usize, thread: usize, addr: u64, t: SimTime) {
         let line_addr = addr & self.line_mask;
-        match self.threads[thread].mshr.allocate(line_addr) {
-            MshrOutcome::Coalesced => return false,
+        let mshr = match self.threads[thread].mshr.allocate(line_addr) {
+            MshrOutcome::Coalesced => return,
             MshrOutcome::Full => unreachable!("run_core checks MSHR room before the lookup"),
-            MshrOutcome::Allocated => {}
-        }
+            MshrOutcome::Allocated(mshr) => mshr as u32,
+        };
         if let Some(s) = self.sampler.as_mut() {
             s.record(t, 1);
         }
-        let core_id = self.cores[slot].id;
-        let local = self.cfg.machine.local_mc(core_id);
+        let local = self.cores[slot].local_mc;
         let home = self.home_of(line_addr, thread);
         if home != local {
             self.counters.remote_requests += 1;
@@ -781,37 +891,28 @@ impl Sim<'_> {
             is_write: false,
             network_latency: net,
         };
-        match self.mcs[home.index()].enqueue(t, req) {
-            EnqueueResult::Completed(done) => {
-                self.queue.schedule_at(
-                    done.max(t),
-                    Event::Fill {
-                        core: slot,
-                        thread,
-                        line: line_addr,
-                    },
-                );
-            }
+        let fill = Event::Fill {
+            core: slot as u32,
+            thread: thread as u32,
+            mshr,
+        };
+        match self.mcs[home].enqueue(t, req) {
+            EnqueueResult::Completed(done) => self.queue.schedule_at(done.max(t), fill),
             EnqueueResult::Deferred(wake) => {
-                self.waiters.insert(id, slot, thread);
+                self.waiters.insert(id, fill);
                 if let Some(w) = wake {
-                    self.maybe_schedule_wake(home.index(), w);
+                    self.maybe_schedule_wake(home, w);
                 }
             }
         }
-        true
     }
 
     /// Observes an off-chip access for the stream prefetcher and issues
     /// next-line prefetches when `addr` continues the core's current
-    /// sequential stream.
+    /// sequential stream. Called only when prefetching is on.
     fn maybe_prefetch(&mut self, slot: usize, thread: usize, addr: u64, t: SimTime) {
         let degree = self.cfg.prefetch_degree as u64;
-        if degree == 0 {
-            return;
-        }
-        let line = addr & self.line_mask;
-        let line_idx = line / (self.cfg.machine.line_bytes() as u64);
+        let line_idx = addr >> self.line_shift;
         let last = self.stream_last[slot];
         self.stream_last[slot] = line_idx;
         if last == u64::MAX || line_idx != last + 1 {
@@ -819,15 +920,14 @@ impl Sim<'_> {
             return; // not (yet) a stream
         }
         // Confirmed ascending stream: run up to `degree` lines ahead.
-        let line_bytes = self.cfg.machine.line_bytes() as u64;
         let already = self.stream_ahead[slot].saturating_sub(1);
         for k in already..degree {
-            let pf_line = (line_idx + 1 + k) * line_bytes;
+            let pf_line = (line_idx + 1 + k) << self.line_shift;
             let core_id = self.cores[slot].id;
             if self.hierarchy.llc_resident(core_id, pf_line) {
                 continue;
             }
-            let local = self.cfg.machine.local_mc(core_id);
+            let local = self.cores[slot].local_mc;
             let home = self.home_of(pf_line, thread);
             let net = self.network_cost(local, home, t);
             let id = self.next_req_id;
@@ -839,11 +939,11 @@ impl Sim<'_> {
                 is_write: false,
                 network_latency: net,
             };
-            match self.mcs[home.index()].enqueue(t, req) {
+            match self.mcs[home].enqueue(t, req) {
                 EnqueueResult::Completed(done) => self.queue.schedule_at(
                     done.max(t),
                     Event::PrefetchFill {
-                        core: slot,
+                        core: slot as u32,
                         line: pf_line,
                     },
                 ),
@@ -853,7 +953,7 @@ impl Sim<'_> {
                     // PrefetchFill path on commit is not supported, so
                     // under FR-FCFS prefetches act as bandwidth load only.
                     if let Some(w) = wake {
-                        self.maybe_schedule_wake(home.index(), w);
+                        self.maybe_schedule_wake(home, w);
                     }
                 }
             }
@@ -864,8 +964,7 @@ impl Sim<'_> {
     /// Issues a fire-and-forget write-back of an evicted dirty line.
     fn issue_writeback(&mut self, slot: usize, thread: usize, victim_addr: u64, t: SimTime) {
         let line_addr = victim_addr & self.line_mask;
-        let core_id = self.cores[slot].id;
-        let local = self.cfg.machine.local_mc(core_id);
+        let local = self.cores[slot].local_mc;
         // The victim's page placement was decided when it was first fetched.
         let home = self.home_of(line_addr, thread);
         let net = self.network_cost(local, home, t);
@@ -878,12 +977,12 @@ impl Sim<'_> {
             is_write: true,
             network_latency: net,
         };
-        match self.mcs[home.index()].enqueue(t, req) {
+        match self.mcs[home].enqueue(t, req) {
             EnqueueResult::Completed(_) => {}
             EnqueueResult::Deferred(wake) => {
                 // No waiter registered: completion is dropped on commit.
                 if let Some(w) = wake {
-                    self.maybe_schedule_wake(home.index(), w);
+                    self.maybe_schedule_wake(home, w);
                 }
             }
         }
@@ -909,9 +1008,63 @@ impl Sim<'_> {
                 // clock — a Resume timestamped before its busy_until would
                 // be discarded as stale and the core would sleep forever.
                 let wake = t.max(self.cores[slot].busy_until);
-                self.queue.schedule_at(wake, Event::Resume(slot));
+                self.queue.schedule_at(wake, Event::Resume(slot as u32));
             }
         }
+    }
+
+    /// The sync-quantum boundary. Once the core has run `sync_quantum`
+    /// cycles past `segment_start` it re-synchronises with the global
+    /// clock — but only by yielding to the event queue when something is
+    /// due at or before `t`, in which case it schedules its own resume and
+    /// returns `true`. Otherwise the Resume it would push would pop next
+    /// with nothing in between, so it starts the next segment in place
+    /// and skips the queue round-trip.
+    #[inline]
+    fn sync_yield(&mut self, slot: usize, t: SimTime, segment_start: &mut SimTime) -> bool {
+        if t.since(*segment_start) < self.cfg.sync_quantum {
+            return false;
+        }
+        if self.queue.peek_time().is_some_and(|due| due <= t) {
+            self.cores[slot].busy_until = t;
+            self.queue.schedule_at(t, Event::Resume(slot as u32));
+            return true;
+        }
+        *segment_start = t;
+        false
+    }
+
+    /// Runs `cycles` of compute retiring `instructions` for thread `cur`
+    /// on core `slot`, advancing `t`. Returns `true` when that used up the
+    /// thread's quantum while another thread is runnable: the core has
+    /// then switched the thread out (switch cost charged, `current`
+    /// cleared).
+    #[inline]
+    fn compute(
+        &mut self,
+        slot: usize,
+        cur: usize,
+        cycles: u64,
+        instructions: u64,
+        t: &mut SimTime,
+    ) -> bool {
+        if let Some(o) = &mut self.obs {
+            o.push_span("compute", *t, cycles, cur as u32);
+        }
+        *t += cycles;
+        self.counters.work_cycles += cycles;
+        self.counters.instructions += instructions;
+        self.threads[cur].quantum_used += cycles;
+        if self.threads[cur].quantum_used >= self.cfg.quantum_cycles
+            && self.has_other_runnable(slot, cur)
+        {
+            self.threads[cur].quantum_used = 0;
+            *t += self.cfg.context_switch_cycles;
+            self.counters.switch_cycles += self.cfg.context_switch_cycles;
+            self.cores[slot].current = None;
+            return true;
+        }
+        false
     }
 
     /// The core execution loop; `now` is the global time at entry.
@@ -942,19 +1095,8 @@ impl Sim<'_> {
 
             let mut segment_start = t;
             loop {
-                if t.since(segment_start) >= self.cfg.sync_quantum {
-                    // Re-synchronise with the global clock — but only by
-                    // yielding to the event queue when something is due at
-                    // or before `t`. Otherwise the Resume we would push
-                    // here would pop next with nothing in between; start
-                    // the next segment in place and skip the heap
-                    // round-trip.
-                    if self.queue.peek_time().is_some_and(|due| due <= t) {
-                        self.cores[slot].busy_until = t;
-                        self.queue.schedule_at(t, Event::Resume(slot));
-                        return;
-                    }
-                    segment_start = t;
+                if self.sync_yield(slot, t, &mut segment_start) {
+                    return;
                 }
                 let Some(op) = self.pull(cur) else {
                     // End of program: drain outstanding fills first (the
@@ -975,20 +1117,7 @@ impl Sim<'_> {
                         cycles,
                         instructions,
                     } => {
-                        if let Some(o) = &mut self.obs {
-                            o.push_span("compute", t, cycles, cur as u32);
-                        }
-                        t += cycles;
-                        self.counters.work_cycles += cycles;
-                        self.counters.instructions += instructions;
-                        self.threads[cur].quantum_used += cycles;
-                        if self.threads[cur].quantum_used >= self.cfg.quantum_cycles
-                            && self.has_other_runnable(slot, cur)
-                        {
-                            self.threads[cur].quantum_used = 0;
-                            t += self.cfg.context_switch_cycles;
-                            self.counters.switch_cycles += self.cfg.context_switch_cycles;
-                            self.cores[slot].current = None;
+                        if self.compute(slot, cur, cycles, instructions, &mut t) {
                             continue 'threads;
                         }
                     }
@@ -996,10 +1125,32 @@ impl Sim<'_> {
                         addr,
                         write,
                         dependent,
+                        compute,
                     } => {
+                        // What goes back to the program if the access
+                        // cannot issue now: its compute is already spent.
+                        let retry = Op::Access {
+                            addr,
+                            write,
+                            dependent,
+                            compute: 0,
+                        };
+                        if compute > 0 {
+                            // The folded compute meets the same quantum
+                            // and sync-quantum checks a separate Compute
+                            // op would have met before the access.
+                            if self.compute(slot, cur, compute, compute, &mut t) {
+                                self.threads[cur].pushback = Some(retry);
+                                continue 'threads;
+                            }
+                            if self.sync_yield(slot, t, &mut segment_start) {
+                                self.threads[cur].pushback = Some(retry);
+                                return;
+                            }
+                        }
                         // A serialising access drains outstanding fills.
                         if dependent && self.threads[cur].mshr.in_flight() > 0 {
-                            self.threads[cur].pushback = Some(op);
+                            self.threads[cur].pushback = Some(retry);
                             self.stall_thread(slot, cur, StallKind::Drain, t);
                             return;
                         }
@@ -1007,7 +1158,7 @@ impl Sim<'_> {
                         // file stalls the access (load-queue-full hazard);
                         // the retry re-executes the lookup exactly once.
                         if !self.threads[cur].mshr.has_room() {
-                            self.threads[cur].pushback = Some(op);
+                            self.threads[cur].pushback = Some(retry);
                             self.stall_thread(slot, cur, StallKind::MshrFull, t);
                             return;
                         }
@@ -1019,6 +1170,7 @@ impl Sim<'_> {
                         };
                         let core_id = self.cores[slot].id;
                         let outcome = self.hierarchy.access(core_id, addr, kind);
+                        let prefetch = self.cfg.prefetch_degree > 0;
                         match outcome.hit_level {
                             Some(1) => {
                                 // Pipelined L1 hit: one work cycle.
@@ -1032,7 +1184,7 @@ impl Sim<'_> {
                                 // observes hits there too — otherwise a
                                 // successfully prefetched stream would
                                 // starve its own prefetcher.
-                                if level == self.cfg.machine.llc().level {
+                                if prefetch && level == self.llc_level {
                                     self.maybe_prefetch(slot, cur, addr, t);
                                 }
                             }
@@ -1043,8 +1195,10 @@ impl Sim<'_> {
                                 // The load retires into its MSHR and the
                                 // core keeps going; pacing comes from the
                                 // structural stalls above.
-                                let _ = self.issue_miss(slot, cur, addr, t);
-                                self.maybe_prefetch(slot, cur, addr, t);
+                                self.issue_miss(slot, cur, addr, t);
+                                if prefetch {
+                                    self.maybe_prefetch(slot, cur, addr, t);
+                                }
                                 t += 1;
                                 self.counters.work_cycles += 1;
                             }
@@ -1088,6 +1242,7 @@ mod tests {
             addr,
             write: false,
             dependent: true,
+            compute: 0,
         }
     }
 
@@ -1096,6 +1251,7 @@ mod tests {
             addr,
             write: false,
             dependent: false,
+            compute: 0,
         }
     }
 
@@ -1461,6 +1617,7 @@ mod tests {
                     addr: i * 64 * 9,
                     write: true,
                     dependent: false,
+                    compute: 0,
                 })
                 .collect()],
         };
@@ -1566,6 +1723,100 @@ mod tests {
             r16.makespan, r2.makespan,
             "service-bound stream must not speed up with more MSHRs"
         );
+    }
+
+    /// Folds every `Compute { cycles: c, instructions: c }` that directly
+    /// precedes an access into that access's `compute`.
+    fn fold(ops: &[Op]) -> Vec<Op> {
+        let mut out: Vec<Op> = Vec::with_capacity(ops.len());
+        for &op in ops {
+            if let (
+                Some(Op::Compute {
+                    cycles,
+                    instructions,
+                }),
+                Op::Access {
+                    addr,
+                    write,
+                    dependent,
+                    compute: 0,
+                },
+            ) = (out.last().copied(), op)
+            {
+                assert_eq!(cycles, instructions, "a folded compute retires 1 IPC");
+                *out.last_mut().expect("matched above") = Op::Access {
+                    addr,
+                    write,
+                    dependent,
+                    compute: cycles,
+                };
+            } else {
+                out.push(op);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn folded_compute_runs_exactly_like_a_compute_op() {
+        // Four threads of compute + access pairs: computes of 1..=300
+        // cycles, accesses that miss on fresh lines, re-touch recent ones
+        // or read a neighbour's region, a quarter dependent and a fifth
+        // writes, with barriers. The quantum, sync quantum and MSHR file
+        // are small enough that preemptions, sync-quantum yields and
+        // MSHR-full stalls all land between a compute and its access.
+        let mut rng = offchip_simcore::Rng::new(0xF01D);
+        let threads: Vec<Vec<Op>> = (0..4u64)
+            .map(|t| {
+                let base = (t + 1) << 28;
+                let mut ops = Vec::new();
+                for i in 0..1500u64 {
+                    if i % 300 == 299 {
+                        ops.push(Op::Barrier);
+                    }
+                    if rng.next_below(8) != 0 {
+                        ops.push(compute(1 + rng.next_below(300)));
+                    }
+                    let addr = match rng.next_below(4) {
+                        0 => base + (i.saturating_sub(rng.next_below(4))) * 64 * 5,
+                        1 => (((t + 1) % 4 + 1) << 28) + rng.next_below(1 << 16) * 64,
+                        _ => base + i * 64 * 5,
+                    };
+                    ops.push(Op::Access {
+                        addr,
+                        write: rng.next_below(5) == 0,
+                        dependent: rng.next_below(4) == 0,
+                        compute: 0,
+                    });
+                }
+                ops
+            })
+            .collect();
+        let pairs = VecWorkload {
+            name: "fold".into(),
+            threads: threads.clone(),
+        };
+        let folded = VecWorkload {
+            name: "fold".into(),
+            threads: threads.iter().map(|ops| fold(ops)).collect(),
+        };
+        assert!(folded.threads[0].len() < pairs.threads[0].len() * 2 / 3);
+        for n_cores in [4, 2] {
+            let mut cfg = SimConfig::new(small_machine(), n_cores);
+            cfg.quantum_cycles = 700;
+            cfg.context_switch_cycles = 60;
+            cfg.sync_quantum = 150;
+            cfg.mshr_per_core = 2;
+            cfg.sampler_window = Some(500);
+            let a = run(&pairs, &cfg);
+            let b = run(&folded, &cfg);
+            assert!(a.counters.mem_stall_cycles > 0);
+            assert_eq!(a.counters.switch_cycles > 0, n_cores == 2, "preemption");
+            assert_eq!(a.counters, b.counters, "{n_cores} cores");
+            assert_eq!(a.makespan, b.makespan, "{n_cores} cores");
+            assert_eq!(a.mc_stats, b.mc_stats, "{n_cores} cores");
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{n_cores} cores");
+        }
     }
 
     /// A workload big enough to cross the deadline poll granularity

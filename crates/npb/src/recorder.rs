@@ -65,6 +65,7 @@ impl Tracer {
                 // Recorded streams are replayed access-by-access; marking
                 // them independent lets the simulator rediscover the MLP.
                 dependent: false,
+                compute: 0,
             });
         }
     }
@@ -80,16 +81,6 @@ impl Tracer {
     pub fn finish(mut self) -> Vec<Op> {
         self.flush_compute();
         self.ops
-    }
-
-    /// Ops recorded so far (for size checks while recording).
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty() && self.compute_pending == 0
     }
 }
 
@@ -213,15 +204,5 @@ mod tests {
         assert_eq!(p.next_op(), Some(Op::Barrier));
         assert_eq!(p.next_op(), None);
         assert_eq!(p.next_op(), None, "fused");
-    }
-
-    #[test]
-    fn tracer_emptiness() {
-        let t = Tracer::new();
-        assert!(t.is_empty());
-        let mut t = Tracer::new();
-        t.compute(1);
-        assert!(!t.is_empty());
-        assert_eq!(t.len(), 0, "compute still pending");
     }
 }

@@ -73,14 +73,15 @@ pub enum Phase {
     Barrier,
 }
 
-/// Lazy interpreter turning a phase list into an op stream.
+/// Lazy interpreter turning a phase list into an op stream: one op per
+/// access, carrying the access's `compute_per_access` cycles.
 pub struct PhaseProgram {
     phases: Arc<Vec<Phase>>,
     phase_idx: usize,
+    /// A copy of `phases[phase_idx]`, `None` past the end: each op reads
+    /// its phase here instead of through the shared list.
+    current: Option<Phase>,
     emitted: u64,
-    /// When a compute-bearing access phase is active, alternate between
-    /// the compute op and the access op.
-    pending_access: Option<Op>,
     rng: Rng,
 }
 
@@ -89,37 +90,38 @@ impl PhaseProgram {
     /// from `seed`.
     pub fn new(phases: Arc<Vec<Phase>>, seed: u64) -> PhaseProgram {
         PhaseProgram {
+            current: phases.first().copied(),
             phases,
             phase_idx: 0,
             emitted: 0,
-            pending_access: None,
             rng: Rng::new(seed),
         }
+    }
+
+    /// Moves on to the next phase.
+    fn advance(&mut self) {
+        self.phase_idx += 1;
+        self.current = self.phases.get(self.phase_idx).copied();
+        self.emitted = 0;
     }
 }
 
 impl ProgramIter for PhaseProgram {
     fn next_op(&mut self) -> Option<Op> {
-        if let Some(op) = self.pending_access.take() {
-            return Some(op);
-        }
         loop {
-            let phase = *self.phases.get(self.phase_idx)?;
-            match phase {
+            match self.current? {
                 Phase::Compute {
                     cycles,
                     instructions,
                 } => {
-                    self.phase_idx += 1;
-                    self.emitted = 0;
+                    self.advance();
                     return Some(Op::Compute {
                         cycles,
                         instructions,
                     });
                 }
                 Phase::Barrier => {
-                    self.phase_idx += 1;
-                    self.emitted = 0;
+                    self.advance();
                     return Some(Op::Barrier);
                 }
                 Phase::Sweep {
@@ -131,25 +133,17 @@ impl ProgramIter for PhaseProgram {
                     compute_per_access,
                 } => {
                     if self.emitted >= count {
-                        self.phase_idx += 1;
-                        self.emitted = 0;
+                        self.advance();
                         continue;
                     }
                     let addr = base + self.emitted * stride;
                     self.emitted += 1;
-                    let access = Op::Access {
+                    return Some(Op::Access {
                         addr,
                         write,
                         dependent,
-                    };
-                    if compute_per_access > 0 {
-                        self.pending_access = Some(access);
-                        return Some(Op::Compute {
-                            cycles: compute_per_access,
-                            instructions: compute_per_access,
-                        });
-                    }
-                    return Some(access);
+                        compute: compute_per_access,
+                    });
                 }
                 Phase::RandomAccess {
                     base,
@@ -160,25 +154,17 @@ impl ProgramIter for PhaseProgram {
                     compute_per_access,
                 } => {
                     if self.emitted >= count {
-                        self.phase_idx += 1;
-                        self.emitted = 0;
+                        self.advance();
                         continue;
                     }
                     self.emitted += 1;
                     let addr = base + self.rng.next_below(len.max(1));
-                    let access = Op::Access {
+                    return Some(Op::Access {
                         addr,
                         write,
                         dependent,
-                    };
-                    if compute_per_access > 0 {
-                        self.pending_access = Some(access);
-                        return Some(Op::Compute {
-                            cycles: compute_per_access,
-                            instructions: compute_per_access,
-                        });
-                    }
-                    return Some(access);
+                        compute: compute_per_access,
+                    });
                 }
             }
         }
@@ -308,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn compute_interleaves_with_accesses() {
+    fn compute_folds_into_each_access() {
         let phases = Arc::new(vec![Phase::Sweep {
             base: 0,
             count: 2,
@@ -318,17 +304,23 @@ mod tests {
             compute_per_access: 10,
         }]);
         let mut p = PhaseProgram::new(phases, 1);
-        assert!(matches!(p.next_op(), Some(Op::Compute { cycles: 10, .. })));
-        assert!(matches!(
+        assert_eq!(
             p.next_op(),
             Some(Op::Access {
                 addr: 0,
                 write: true,
-                dependent: true
+                dependent: true,
+                compute: 10
+            })
+        );
+        assert!(matches!(
+            p.next_op(),
+            Some(Op::Access {
+                addr: 64,
+                compute: 10,
+                ..
             })
         ));
-        assert!(matches!(p.next_op(), Some(Op::Compute { .. })));
-        assert!(matches!(p.next_op(), Some(Op::Access { addr: 64, .. })));
         assert_eq!(p.next_op(), None);
         assert_eq!(p.next_op(), None, "fused");
     }

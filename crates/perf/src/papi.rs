@@ -138,6 +138,7 @@ mod tests {
                     addr: 1 << 22,
                     write: false,
                     dependent: true,
+                    compute: 0,
                 },
             ]],
         };

@@ -126,6 +126,7 @@ mod tests {
                     addr: i * (1 << 16),
                     write: false,
                     dependent: true,
+                    compute: 0,
                 })
                 .collect()],
         };

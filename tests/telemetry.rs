@@ -179,3 +179,38 @@ fn artefacts_identical_at_every_obs_level() {
         "the traced runs kept lanes"
     );
 }
+
+#[test]
+fn event_kinds_sum_to_sim_events() {
+    // A registry counts every processed event under its kind. The FCFS
+    // run with the prefetcher on produces resumes, fills and prefetch
+    // fills; the FR-FCFS run adds controller wakes.
+    let machine = small_machine();
+    let w = cg_a_workload(machine.total_cores());
+    for (scheduler, prefetch_degree) in [(McScheduler::Fcfs, 2), (McScheduler::FrFcfs, 0)] {
+        let reg = Arc::new(Registry::default());
+        let mut cfg = SimConfig::new(machine.clone(), 4);
+        cfg.scheduler = scheduler;
+        cfg.prefetch_degree = prefetch_degree;
+        cfg.metrics = Some(Arc::clone(&reg));
+        let r = run(w.as_ref(), &cfg);
+        let [resume, fill, mc_wake, prefetch_fill] = ["resume", "fill", "mc_wake", "prefetch_fill"]
+            .map(|kind| reg.counter(&format!("machine.events.{kind}")));
+        assert_eq!(
+            resume + fill + mc_wake + prefetch_fill,
+            r.counters.sim_events,
+            "{scheduler:?}"
+        );
+        // Every demand read gets exactly one fill.
+        assert_eq!(fill, r.counters.read_requests, "{scheduler:?}");
+        assert!(resume > 0);
+        assert!(reg.counter("machine.fills.running") <= fill);
+        match scheduler {
+            McScheduler::Fcfs => {
+                assert_eq!(mc_wake, 0, "FCFS reserves at enqueue");
+                assert!(prefetch_fill > 0 && prefetch_fill <= r.counters.prefetch_requests);
+            }
+            McScheduler::FrFcfs => assert!(mc_wake > 0),
+        }
+    }
+}

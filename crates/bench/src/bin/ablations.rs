@@ -23,17 +23,12 @@
 //! 8. **Cache replacement policy**: LRU vs PLRU vs random — the off-chip
 //!    request count (and hence ω) is a capacity phenomenon.
 
-use offchip_bench::report::timing_line;
-use offchip_bench::{
-    build_workload, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
-    ProgramSpec, SweepResult, SweepTiming,
-};
+use offchip_bench::{build_workload, experiment_machines, Experiment, ProgramSpec, SweepResult};
 use offchip_machine::{run, McScheduler, MemoryPolicy, Op, ProgramIter, SimConfig, Workload};
 use offchip_model::mg1::compare_disciplines;
 use offchip_model::{validate, validation::colinearity_r2, ContentionModel, FitProtocol};
 use offchip_npb::classes::ProblemClass;
 use offchip_simcore::{OnOffPareto, Poisson, Rng};
-use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 
 #[derive(Default)]
 struct AblationSummary {
@@ -87,22 +82,15 @@ fn fit_error_of(proto: &FitProtocol, sweep: &SweepResult, absolute: bool) -> f64
 }
 
 fn main() {
-    let (opts, jobs) = CampaignOptions::from_cli_or_exit("ablations");
-    let campaign = Campaign::start_or_exit("ablations", &opts);
-    let seeds = seeds();
-    let mut total_timing = SweepTiming::zero(jobs);
+    let mut exp = Experiment::start("ablations");
     let mut summary = AblationSummary::default();
+    let [uma, numa, amd] = experiment_machines();
 
     // ── 1. Regression input points (Intel NUMA, CG.C) ──────────────────
     println!("Ablation 1 — regression input points (Intel NUMA, CG.C)");
-    let numa = machines::intel_numa_24().scaled(DEFAULT_EXPERIMENT_SCALE);
     let w = build_workload(ProgramSpec::Cg(ProblemClass::C), numa.total_cores());
     let ns: Vec<usize> = (1..=numa.total_cores()).collect();
-    let (sweep, timing) = campaign
-        .run_sweep(&numa, w.as_ref(), &ns, &seeds, jobs)
-        .expect("sweep")
-        .expect_complete();
-    total_timing.absorb(&timing);
+    let sweep = exp.sweep(&numa, w.as_ref(), &ns);
     for proto in [
         FitProtocol::intel_numa_three_point(),
         FitProtocol::intel_numa(),
@@ -119,7 +107,6 @@ fn main() {
 
     // ── 2. Homogeneous vs per-package ρ (AMD, CG.C) ─────────────────────
     println!("\nAblation 2 — homogeneous vs latency-weighted rho (AMD NUMA, CG.C)");
-    let amd = machines::amd_numa_48().scaled(DEFAULT_EXPERIMENT_SCALE);
     let w = build_workload(ProgramSpec::Cg(ProblemClass::C), amd.total_cores());
     let ns: Vec<usize> = (1..=amd.total_cores())
         .step_by(3)
@@ -128,11 +115,7 @@ fn main() {
     let mut ns = ns;
     ns.sort_unstable();
     ns.dedup();
-    let (sweep, timing) = campaign
-        .run_sweep(&amd, w.as_ref(), &ns, &seeds, jobs)
-        .expect("sweep")
-        .expect_complete();
-    total_timing.absorb(&timing);
+    let sweep = exp.sweep(&amd, w.as_ref(), &ns);
     for proto in [FitProtocol::amd_numa(), FitProtocol::amd_numa_homogeneous()] {
         let err = fit_error_of(&proto, &sweep, false);
         println!(
@@ -145,7 +128,6 @@ fn main() {
 
     // ── 3. FCFS vs FR-FCFS scheduler (UMA, SP.C) ────────────────────────
     println!("\nAblation 3 — memory-controller scheduler (Intel UMA, SP.C)");
-    let uma = machines::intel_uma_8().scaled(DEFAULT_EXPERIMENT_SCALE);
     let w = build_workload(ProgramSpec::Sp(ProblemClass::C), uma.total_cores());
     for (name, sched) in [
         ("FCFS", McScheduler::Fcfs),
@@ -180,11 +162,7 @@ fn main() {
             bursty,
         };
         let ns: Vec<usize> = (1..=8).collect();
-        let (sweep, timing) = campaign
-            .run_sweep(&uma, &w, &ns, &seeds, jobs)
-            .expect("sweep")
-            .expect_complete();
-        total_timing.absorb(&timing);
+        let sweep = exp.sweep(&uma, &w, &ns);
         let r2 = sweep
             .cycles_sweep()
             .ok()
@@ -224,11 +202,7 @@ fn main() {
     println!("\nAblation 6 — service discipline of the queueing model (Intel UMA, CG.C)");
     let w = build_workload(ProgramSpec::Cg(ProblemClass::C), uma.total_cores());
     let ns: Vec<usize> = (1..=4).collect();
-    let (sweep, timing) = campaign
-        .run_sweep(&uma, w.as_ref(), &ns, &seeds, jobs)
-        .expect("sweep")
-        .expect_complete();
-    total_timing.absorb(&timing);
+    let sweep = exp.sweep(&uma, w.as_ref(), &ns);
     let r = sweep.mean_misses().expect("finite misses");
     match compare_disciplines(&sweep.cycles_sweep_f64(), r) {
         Ok((mm1, md1)) => {
@@ -291,18 +265,7 @@ fn main() {
         summary.replacement_misses.push((name.to_string(), misses));
     }
 
-    offchip_obs::info!("{}", timing_line("ablations", &total_timing));
-    offchip_obs::info!("{}", campaign.status_line());
-    let path = persist_or_exit(
-        &ExperimentResult {
-            id: "ablations".into(),
-            paper_artifact: "Design-choice ablations (DESIGN.md section 5)".into(),
-            data: summary,
-        },
-        opts.vfs_or_real(),
-        Some(campaign.journal_path()),
-    );
-    eprintln!("\nwrote {}", path.display());
+    exp.finish("Design-choice ablations (DESIGN.md section 5)", summary);
 }
 
 /// A synthetic always-missing traffic source with configurable arrival

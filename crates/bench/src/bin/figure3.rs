@@ -7,40 +7,22 @@
 //! growth is stall-cycle growth; (3) work cycles and LLC misses stay
 //! nearly constant.
 
-use offchip_bench::report::timing_line;
-use offchip_bench::{
-    build_workload, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
-    ProgramSpec, SweepTiming,
-};
+use offchip_bench::{build_workload, experiment_machines, Experiment, ProgramSpec};
 use offchip_npb::classes::ProblemClass;
-use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 
 fn main() {
-    let (opts, jobs) = CampaignOptions::from_cli_or_exit("figure3");
-    let campaign = Campaign::start_or_exit("figure3", &opts);
-    let seeds = seeds();
-    let mut total_timing = SweepTiming::zero(jobs);
-    let quick = std::env::var("OFFCHIP_QUICK").is_ok_and(|v| v == "1");
-    let machines = [
-        machines::intel_uma_8().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::intel_numa_24().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::amd_numa_48().scaled(DEFAULT_EXPERIMENT_SCALE),
-    ];
+    let mut exp = Experiment::start("figure3");
 
     let mut all = Vec::new();
-    for machine in &machines {
+    for machine in &experiment_machines() {
         let total = machine.total_cores();
-        let step = if quick { (total / 4).max(1) } else { 1 };
+        let step = if exp.quick() { (total / 4).max(1) } else { 1 };
         let mut ns: Vec<usize> = (1..=total).step_by(step).collect();
         if *ns.last().unwrap() != total {
             ns.push(total);
         }
         let w = build_workload(ProgramSpec::Cg(ProblemClass::C), total);
-        let (sweep, timing) = campaign
-            .run_sweep(machine, w.as_ref(), &ns, &seeds, jobs)
-            .expect("sweep")
-            .expect_complete();
-        total_timing.absorb(&timing);
+        let sweep = exp.sweep(machine, w.as_ref(), &ns);
 
         println!("Fig. 3 — CG.C on {}", machine.name);
         println!(
@@ -57,16 +39,5 @@ fn main() {
         all.push(sweep);
     }
 
-    offchip_obs::info!("{}", timing_line("figure3", &total_timing));
-    offchip_obs::info!("{}", campaign.status_line());
-    let path = persist_or_exit(
-        &ExperimentResult {
-            id: "figure3".into(),
-            paper_artifact: "Fig. 3: CG.C cycle breakdown vs active cores".into(),
-            data: all,
-        },
-        opts.vfs_or_real(),
-        Some(campaign.journal_path()),
-    );
-    eprintln!("wrote {}", path.display());
+    exp.finish("Fig. 3: CG.C cycle breakdown vs active cores", all);
 }

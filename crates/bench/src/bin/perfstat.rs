@@ -31,13 +31,12 @@
 //! regression. `OFFCHIP_QUICK=1` shrinks the run for CI smoke use.
 
 use offchip_bench::{
-    build_workload, perfcal, seeds_from, Campaign, CampaignOptions, ProgramSpec, SweepTiming,
-    SEEDS_ENV,
+    build_workload, experiment_machines, perfcal, seeds_from, Campaign, CampaignOptions,
+    ProgramSpec, SweepTiming, SEEDS_ENV,
 };
 use offchip_chaos::Vfs;
 use offchip_json::{json_obj, Json, ToJson};
 use offchip_npb::classes::ProblemClass;
-use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 
 /// How far normalised throughput may drop below the baseline before
 /// `--check` fails the run.
@@ -192,21 +191,13 @@ fn time_reference_grid(
     seeds: &[u64],
     jobs: usize,
 ) -> Result<(Vec<ConfigTiming>, SweepTiming), String> {
-    let machines = [
-        machines::intel_uma_8().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::intel_numa_24().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::amd_numa_48().scaled(DEFAULT_EXPERIMENT_SCALE),
-    ];
+    let machines = experiment_machines();
     let mut total = SweepTiming::zero(jobs);
     let mut configs = Vec::new();
     for class in [ProblemClass::W, ProblemClass::C] {
         for base_spec in ProgramSpec::npb_suite(class) {
             for machine in &machines {
-                // FT.C → FT.B on the UMA machine, exactly as table2 runs.
-                let spec = match (base_spec, machine.total_mcs()) {
-                    (ProgramSpec::Ft(ProblemClass::C), 1) => ProgramSpec::Ft(ProblemClass::B),
-                    (s, _) => s,
-                };
+                let spec = base_spec.on_table2_machine(machine);
                 let total_cores = machine.total_cores();
                 let w = build_workload(spec, total_cores);
                 let ns = [1, total_cores / 2, total_cores];

@@ -7,14 +7,9 @@
 //! SP 7.05/11.59/9.84. As in the paper, FT uses class B on the UMA
 //! machine ("FT.C working set size exceeds 4 GB and leads to swapping").
 
-use offchip_bench::report::timing_line;
-use offchip_bench::{
-    build_workload, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
-    ProgramSpec, SweepTiming,
-};
+use offchip_bench::{build_workload, experiment_machines, Experiment, ProgramSpec};
 use offchip_model::omega::normalized_increase;
 use offchip_npb::classes::ProblemClass;
-use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 
 struct Row {
     program: String,
@@ -37,15 +32,8 @@ impl offchip_json::ToJson for Row {
 }
 
 fn main() {
-    let (opts, jobs) = CampaignOptions::from_cli_or_exit("table2");
-    let campaign = Campaign::start_or_exit("table2", &opts);
-    let seeds = seeds();
-    let mut total_timing = SweepTiming::zero(jobs);
-    let machines = [
-        machines::intel_uma_8().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::intel_numa_24().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::amd_numa_48().scaled(DEFAULT_EXPERIMENT_SCALE),
-    ];
+    let mut exp = Experiment::start("table2");
+    let machines = experiment_machines();
 
     println!("TABLE II — Normalised increase in number of cycles, small (W) and large (C) sizes");
     println!(
@@ -58,21 +46,13 @@ fn main() {
         for base_spec in ProgramSpec::npb_suite(class) {
             let mut cells = Vec::new();
             for machine in &machines {
-                // FT.C → FT.B on the UMA machine, per the paper.
-                let spec = match (base_spec, machine.total_mcs()) {
-                    (ProgramSpec::Ft(ProblemClass::C), 1) => ProgramSpec::Ft(ProblemClass::B),
-                    (s, _) => s,
-                };
+                let spec = base_spec.on_table2_machine(machine);
                 let total = machine.total_cores();
                 let w = build_workload(spec, total);
                 // One three-point sweep, its (n, seed) grid fanned across
                 // the worker pool; completed runs land in the campaign
                 // journal, so an interrupted table resumes where it died.
-                let (sweep, timing) = campaign
-                    .run_sweep(machine, w.as_ref(), &[1, total / 2, total], &seeds, jobs)
-                    .expect("sweep")
-                    .expect_complete();
-                total_timing.absorb(&timing);
+                let sweep = exp.sweep(machine, w.as_ref(), &[1, total / 2, total]);
                 let c1 = sweep.points[0].total_cycles;
                 let half = sweep.points[1].total_cycles;
                 let full = sweep.points[2].total_cycles;
@@ -102,16 +82,5 @@ fn main() {
         println!();
     }
 
-    offchip_obs::info!("{}", timing_line("table2", &total_timing));
-    offchip_obs::info!("{}", campaign.status_line());
-    let path = persist_or_exit(
-        &ExperimentResult {
-            id: "table2".into(),
-            paper_artifact: "Table II: normalised increase in number of cycles".into(),
-            data: rows,
-        },
-        opts.vfs_or_real(),
-        Some(campaign.journal_path()),
-    );
-    eprintln!("wrote {}", path.display());
+    exp.finish("Table II: normalised increase in number of cycles", rows);
 }

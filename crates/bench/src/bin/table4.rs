@@ -7,14 +7,9 @@
 //! queueing model does not explain their behavior very well, because they
 //! are bursty".
 
-use offchip_bench::report::timing_line;
-use offchip_bench::{
-    build_workload, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
-    ProgramSpec, SweepTiming,
-};
+use offchip_bench::{build_workload, experiment_machines, Experiment, ProgramSpec};
 use offchip_model::validation::colinearity_r2;
 use offchip_npb::classes::ProblemClass;
-use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
 
 struct Cell {
     program: String,
@@ -33,15 +28,7 @@ impl offchip_json::ToJson for Cell {
 }
 
 fn main() {
-    let (opts, jobs) = CampaignOptions::from_cli_or_exit("table4");
-    let campaign = Campaign::start_or_exit("table4", &opts);
-    let seeds = seeds();
-    let mut total_timing = SweepTiming::zero(jobs);
-    let machines = [
-        machines::intel_uma_8().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::intel_numa_24().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::amd_numa_48().scaled(DEFAULT_EXPERIMENT_SCALE),
-    ];
+    let mut exp = Experiment::start("table4");
     // The paper's program set: EP.C, IS.C, FT.B, CG.C, SP.C, x264.native.
     let programs = [
         ProgramSpec::Ep(ProblemClass::C),
@@ -60,19 +47,15 @@ fn main() {
     println!();
 
     let mut cells = Vec::new();
-    for machine in &machines {
+    for machine in &experiment_machines() {
         // Within-first-processor range: 1..4 on UMA, 1..12 on NUMA.
         let max_n = machine.domains_per_socket * machine.cores_per_domain;
         let ns: Vec<usize> = (1..=max_n).collect();
         print!("{:<14}", machine.name.split(':').next().unwrap_or(""));
         for &p in &programs {
             let w = build_workload(p, machine.total_cores());
-            let (sweep, timing) = campaign
-                .run_sweep(machine, w.as_ref(), &ns, &seeds, jobs)
-                .expect("sweep")
-                .expect_complete();
-            total_timing.absorb(&timing);
-            let r2 = sweep
+            let r2 = exp
+                .sweep(machine, w.as_ref(), &ns)
                 .cycles_sweep()
                 .ok()
                 .and_then(|cycles| colinearity_r2(&cycles, max_n))
@@ -87,16 +70,5 @@ fn main() {
         println!();
     }
 
-    offchip_obs::info!("{}", timing_line("table4", &total_timing));
-    offchip_obs::info!("{}", campaign.status_line());
-    let path = persist_or_exit(
-        &ExperimentResult {
-            id: "table4".into(),
-            paper_artifact: "Table IV: colinearity goodness-of-fit".into(),
-            data: cells,
-        },
-        opts.vfs_or_real(),
-        Some(campaign.journal_path()),
-    );
-    eprintln!("wrote {}", path.display());
+    exp.finish("Table IV: colinearity goodness-of-fit", cells);
 }

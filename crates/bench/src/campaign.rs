@@ -795,24 +795,6 @@ impl CampaignSweep {
             );
         }
     }
-
-    /// Unwraps a sweep that must be complete: logs every lost point and
-    /// exits [`EXIT_INTERRUPTED`] if any — the journal retains all
-    /// completed points, so rerunning with `--resume` finishes the grid
-    /// without repeating them.
-    pub fn expect_complete(self) -> (SweepResult, SweepTiming) {
-        if self.errors.is_empty() {
-            return (self.sweep, self.timing);
-        }
-        self.log_losses();
-        offchip_obs::error!(
-            "campaign interrupted: {} point(s) lost, {} completed runs journaled — \
-             rerun with --resume to finish without repeating them",
-            self.errors.len(),
-            self.executed + self.resumed
-        );
-        std::process::exit(i32::from(EXIT_INTERRUPTED));
-    }
 }
 
 impl Campaign {
@@ -919,20 +901,6 @@ impl Campaign {
                 resumed: 0,
             }),
         })
-    }
-
-    /// [`Campaign::start`] for binaries: a journal that cannot be opened
-    /// (or healed) is a runtime error — render it and exit 5 instead of
-    /// panicking. An unreadable-but-quarantinable journal does *not* land
-    /// here; that is the [`JournalFault`] graceful-degradation path.
-    pub fn start_or_exit(name: &str, opts: &CampaignOptions) -> Campaign {
-        match Campaign::start(name, opts) {
-            Ok(c) => c,
-            Err(e) => {
-                offchip_obs::error!("cannot open campaign journal for [{name}]: {e}");
-                std::process::exit(5);
-            }
-        }
     }
 
     /// The campaign's journal path.

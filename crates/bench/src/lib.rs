@@ -4,10 +4,12 @@
 //! for the index); this library holds the shared machinery:
 //!
 //! * [`workloads`] — constructing any of the paper's programs by name and
-//!   class at the experiment scale;
+//!   class, and the paper's machines, at the experiment scale;
 //! * [`campaign`] — the one sweep engine: core-count sweeps with seed
 //!   averaging (the paper runs every configuration five times and reports
 //!   averages), journaled and fanned across the worker pool;
+//! * [`experiment`] — the frame of the campaign-backed binaries:
+//!   [`Experiment::start`], [`Experiment::sweep`], [`Experiment::finish`];
 //! * [`sweep`] — the sweep result types and the serial reference sweep
 //!   the campaign's output is checked against;
 //! * [`report`] — text-table rendering and JSON persistence of results
@@ -26,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod experiment;
 pub mod model_figure;
 pub mod perfcal;
 pub mod plot;
@@ -37,9 +40,12 @@ pub use campaign::{
     loss_summary, Campaign, CampaignOptions, CampaignSweep, JournalFault, PointConfig, PointError,
     Watchdog, CAMPAIGN_USAGE, EXIT_ARTEFACT_FAILED, EXIT_INTERRUPTED,
 };
+pub use experiment::Experiment;
 pub use report::{persist_or_exit, write_json, ExperimentResult};
 pub use sweep::{
     run_sweep, seeds, seeds_from, SweepError, SweepPoint, SweepResult, SweepTiming, MAX_SEEDS,
     SEEDS_ENV,
 };
-pub use workloads::{build_workload, build_workload_scaled, experiment_scale, ProgramSpec};
+pub use workloads::{
+    build_workload, build_workload_scaled, experiment_machines, experiment_scale, ProgramSpec,
+};

@@ -3,14 +3,9 @@
 //! paper's per-machine input points, validate against the sweep, print
 //! the measured-vs-modelled ω series and persist them as JSON.
 
-use crate::report::timing_line;
-use crate::sweep::SweepTiming;
-use crate::{
-    build_workload, persist_or_exit, seeds, Campaign, CampaignOptions, ExperimentResult,
-    ProgramSpec,
-};
+use crate::{build_workload, experiment_machines, Experiment, ProgramSpec};
 use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
-use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
+use offchip_topology::machines::Preset;
 
 struct FigureSeries {
     machine: String,
@@ -40,34 +35,24 @@ impl offchip_json::ToJson for FigureSeries {
 /// process's own command line, so the figure binaries get crash-safe
 /// journaling for free.
 pub fn run_figure(program: ProgramSpec, figure_id: &str, artifact: &str) {
-    let (opts, jobs) = CampaignOptions::from_cli_or_exit(figure_id);
-    let campaign = Campaign::start_or_exit(figure_id, &opts);
-    let seeds = seeds();
-    let mut total_timing = SweepTiming::zero(jobs);
-    let quick = std::env::var("OFFCHIP_QUICK").is_ok_and(|v| v == "1");
-    let machines = [
-        machines::intel_uma_8().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::intel_numa_24().scaled(DEFAULT_EXPERIMENT_SCALE),
-        machines::amd_numa_48().scaled(DEFAULT_EXPERIMENT_SCALE),
-    ];
+    let mut exp = Experiment::start(figure_id);
 
     let mut all = Vec::new();
-    for machine in &machines {
+    for machine in &experiment_machines() {
         let total = machine.total_cores();
         let mut protocols = vec![FitProtocol::for_machine(&machine.name)];
-        if machine.name.contains("Intel NUMA") {
-            protocols.push(FitProtocol::intel_numa_extended());
-        }
-        if machine.name.contains("AMD") {
+        match Preset::of_name(&machine.name) {
+            Some(Preset::Numa) => protocols.push(FitProtocol::intel_numa_extended()),
             // The per-package ρ protocol overfits this substrate's deep
             // controller-activation relief dips; the pooled least-squares
             // ρ (the paper's "derived from linear regression" reading)
             // averages the sawtooth out. Report both.
-            protocols.push(FitProtocol::amd_numa_homogeneous());
+            Some(Preset::Amd) => protocols.push(FitProtocol::amd_numa_homogeneous()),
+            Some(Preset::Uma) | None => {}
         }
         // Sweep every n (the fit points are a subset), stepping in quick
         // mode but always including the protocols' input cores.
-        let step = if quick { (total / 6).max(1) } else { 1 };
+        let step = if exp.quick() { (total / 6).max(1) } else { 1 };
         let mut ns: Vec<usize> = (1..=total).step_by(step).collect();
         for p in &protocols {
             ns.extend(p.input_cores.iter().copied());
@@ -79,11 +64,7 @@ pub fn run_figure(program: ProgramSpec, figure_id: &str, artifact: &str) {
         ns.dedup();
 
         let w = build_workload(program, total);
-        let (sweep, timing) = campaign
-            .run_sweep(machine, w.as_ref(), &ns, &seeds, jobs)
-            .expect("sweep")
-            .expect_complete();
-        total_timing.absorb(&timing);
+        let sweep = exp.sweep(machine, w.as_ref(), &ns);
         let r = match sweep.mean_misses() {
             Ok(r) => r,
             Err(e) => {
@@ -171,16 +152,5 @@ pub fn run_figure(program: ProgramSpec, figure_id: &str, artifact: &str) {
         }
     }
 
-    offchip_obs::info!("{}", timing_line(figure_id, &total_timing));
-    offchip_obs::info!("{}", campaign.status_line());
-    let path = persist_or_exit(
-        &ExperimentResult {
-            id: figure_id.into(),
-            paper_artifact: artifact.into(),
-            data: all,
-        },
-        opts.vfs_or_real(),
-        Some(campaign.journal_path()),
-    );
-    eprintln!("wrote {}", path.display());
+    exp.finish(artifact, all);
 }

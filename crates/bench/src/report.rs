@@ -84,13 +84,6 @@ pub fn persist_or_exit<T: ToJson>(
     }
 }
 
-/// Renders the sweep engine's timing/throughput line as every experiment
-/// binary prints it: `sweep timing [table2]: 90 runs in 4.11 s wall
-/// (21.9 runs/s, 14.52 Mev/s, 3.8x vs serial, jobs=4)`.
-pub fn timing_line(label: &str, timing: &crate::sweep::SweepTiming) -> String {
-    format!("sweep timing [{label}]: {timing}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,21 +99,5 @@ mod tests {
         let body = std::fs::read_to_string(path).unwrap();
         assert!(body.contains("selftest"));
         assert!(body.contains("2.5"));
-    }
-
-    #[test]
-    fn timing_line_names_the_artifact() {
-        let t = crate::sweep::SweepTiming {
-            runs: 12,
-            jobs: 4,
-            wall: std::time::Duration::from_millis(500),
-            busy: std::time::Duration::from_secs(2),
-            events: 3_000_000,
-        };
-        let line = timing_line("table2", &t);
-        assert!(line.starts_with("sweep timing [table2]:"), "{line}");
-        assert!(line.contains("12 runs"), "{line}");
-        assert!(line.contains("4.0x vs serial"), "{line}");
-        assert!(line.contains("jobs=4"), "{line}");
     }
 }

@@ -1,9 +1,10 @@
-//! Program construction by name, at the experiment scale.
+//! Program and machine construction, at the experiment scale.
 
 use offchip_machine::Workload;
 use offchip_npb::classes::ProblemClass;
 use offchip_npb::traces;
-use offchip_topology::machines::DEFAULT_EXPERIMENT_SCALE;
+use offchip_topology::machines::{Preset, DEFAULT_EXPERIMENT_SCALE};
+use offchip_topology::MachineSpec;
 
 /// A program selector: one of the paper's six programs plus its input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,11 +84,27 @@ impl ProgramSpec {
             ProgramSpec::Sp(class),
         ]
     }
+
+    /// The program Table II runs for this one on `machine`: FT.C runs as
+    /// FT.B on the one-controller machine, as in the paper ("FT.C working
+    /// set size exceeds 4 GB and leads to swapping").
+    pub fn on_table2_machine(self, machine: &MachineSpec) -> ProgramSpec {
+        match (self, machine.total_mcs()) {
+            (ProgramSpec::Ft(ProblemClass::C), 1) => ProgramSpec::Ft(ProblemClass::B),
+            (s, _) => s,
+        }
+    }
 }
 
 /// The geometric scale every experiment runs at.
 pub fn experiment_scale() -> f64 {
     DEFAULT_EXPERIMENT_SCALE
+}
+
+/// The paper's three machines at [`experiment_scale`], in the paper's
+/// order.
+pub fn experiment_machines() -> [MachineSpec; 3] {
+    Preset::ALL.map(|p| p.spec().scaled(experiment_scale()))
 }
 
 /// Builds the workload trace for a program on a machine with `threads`
@@ -176,5 +193,20 @@ mod tests {
         }
         let w = build_workload(ProgramSpec::X264("simsmall"), 6);
         assert_eq!(w.n_threads(), 6);
+    }
+
+    #[test]
+    fn table2_runs_ft_c_as_ft_b_on_the_uma_machine_only() {
+        let [uma, numa, amd] = experiment_machines();
+        let ft_c = ProgramSpec::Ft(ProblemClass::C);
+        assert_eq!(ft_c.on_table2_machine(&uma).name(), "FT.B");
+        assert_eq!(ft_c.on_table2_machine(&numa), ft_c);
+        assert_eq!(ft_c.on_table2_machine(&amd), ft_c);
+        for other in [
+            ProgramSpec::Ft(ProblemClass::W),
+            ProgramSpec::Cg(ProblemClass::C),
+        ] {
+            assert_eq!(other.on_table2_machine(&uma), other);
+        }
     }
 }

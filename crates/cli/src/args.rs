@@ -6,6 +6,7 @@ use offchip_chaos::ChaosSpec;
 use offchip_machine::{McScheduler, MemoryPolicy};
 use offchip_npb::classes::ProblemClass;
 use offchip_perf::FaultSpec;
+use offchip_topology::machines::Preset;
 use std::sync::Arc;
 
 /// The environment variable `fit` reads its fault spec from when
@@ -65,24 +66,13 @@ options:
 run/burst take only --deadline, --max-events and --chaos-io of the
 campaign options below; an option scoped to other commands exits 2.";
 
-/// Which machine preset to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MachineChoice {
-    /// Intel UMA (Xeon E5320).
-    Uma,
-    /// Intel NUMA (Xeon X5650).
-    Numa,
-    /// AMD NUMA (Opteron 6172).
-    Amd,
-}
-
 /// Options shared by the workload commands.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// The program to run.
     pub program: ProgramSpec,
     /// Machine preset.
-    pub machine: MachineChoice,
+    pub machine: Preset,
     /// Active cores (`None` = all).
     pub cores: Option<usize>,
     /// Thread count (`None` = machine cores).
@@ -130,7 +120,7 @@ impl Default for RunOptions {
     fn default() -> RunOptions {
         RunOptions {
             program: ProgramSpec::Cg(ProblemClass::C),
-            machine: MachineChoice::Uma,
+            machine: Preset::Uma,
             cores: None,
             threads: None,
             scale_denom: 64.0,
@@ -155,7 +145,7 @@ impl Default for RunOptions {
 #[derive(Debug, Clone)]
 pub enum Command {
     /// Print topology reports.
-    Topology(Option<MachineChoice>),
+    Topology(Option<Preset>),
     /// Run one configuration.
     Run(RunOptions),
     /// Sweep all core counts.
@@ -172,13 +162,8 @@ pub fn parse_program(name: &str) -> Result<ProgramSpec, String> {
     ProgramSpec::parse(name)
 }
 
-fn parse_machine(name: &str) -> Result<MachineChoice, String> {
-    match name {
-        "uma" => Ok(MachineChoice::Uma),
-        "numa" => Ok(MachineChoice::Numa),
-        "amd" => Ok(MachineChoice::Amd),
-        other => Err(format!("unknown machine {other:?} (uma|numa|amd)")),
-    }
+fn parse_machine(name: &str) -> Result<Preset, String> {
+    Preset::from_key(name).ok_or_else(|| format!("unknown machine {name:?} (uma|numa|amd)"))
 }
 
 /// The options `cmd` refuses: the usage text scopes each to other
@@ -328,7 +313,7 @@ pub fn parse(
                 &argv[2..],
             )?;
             opts.campaign.chaos_from_env(env_chaos)?;
-            if opts.extended_protocol && opts.machine != MachineChoice::Numa {
+            if opts.extended_protocol && opts.machine != Preset::Numa {
                 return Err("fit --protocol extended needs --machine numa".into());
             }
             if cmd == "fit" && opts.faults.is_none() {
@@ -406,7 +391,7 @@ mod tests {
         let Command::Sweep(o) = cmd else {
             panic!("wrong command")
         };
-        assert_eq!(o.machine, MachineChoice::Numa);
+        assert_eq!(o.machine, Preset::Numa);
         assert_eq!(o.prefetch, 2);
         assert_eq!(o.scale_denom, 32.0);
         assert_eq!(o.scheduler, McScheduler::FrFcfs);
@@ -634,7 +619,7 @@ mod tests {
         ));
         assert!(matches!(
             parse(&sv(&["topology", "amd"]), None, None),
-            Ok(Command::Topology(Some(MachineChoice::Amd)))
+            Ok(Command::Topology(Some(Preset::Amd)))
         ));
         assert!(parse(&sv(&["topology", "uma", "extra"]), None, None).is_err());
     }

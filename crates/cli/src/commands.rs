@@ -10,18 +10,14 @@ use offchip_perf::papiex::papiex_report_default;
 use offchip_perf::BurstAnalysis;
 use offchip_pool::JobsError;
 use offchip_topology::likwid::topology_report;
-use offchip_topology::{machines, MachineSpec};
+use offchip_topology::machines::Preset;
+use offchip_topology::MachineSpec;
 
-use crate::args::{Command, MachineChoice, RunOptions};
+use crate::args::{Command, RunOptions};
 use crate::error::CliError;
 
-fn machine_of(choice: MachineChoice, scale_denom: f64) -> MachineSpec {
-    let base = match choice {
-        MachineChoice::Uma => machines::intel_uma_8(),
-        MachineChoice::Numa => machines::intel_numa_24(),
-        MachineChoice::Amd => machines::amd_numa_48(),
-    };
-    base.scaled(1.0 / scale_denom)
+fn machine_of(opts: &RunOptions) -> MachineSpec {
+    opts.machine.spec().scaled(1.0 / opts.scale_denom)
 }
 
 fn workload_of(opts: &RunOptions, machine: &MachineSpec) -> Box<dyn Workload> {
@@ -90,12 +86,7 @@ fn campaign_sweep(
     jobs: usize,
 ) -> Result<(SweepResult, SweepTiming, std::path::PathBuf), CliError> {
     config_of(opts, machine, machine.total_cores()).validate()?;
-    let tag = match opts.machine {
-        MachineChoice::Uma => "uma",
-        MachineChoice::Numa => "numa",
-        MachineChoice::Amd => "amd",
-    };
-    let name = format!("{kind}-{}-{tag}", opts.program.name());
+    let name = format!("{kind}-{}-{}", opts.program.name(), opts.machine);
     let campaign = Campaign::start(&name, &opts.campaign)
         .map_err(|e| CliError::Runtime(format!("open campaign journal for {name}: {e}")))?;
     let tune = PointConfig {
@@ -190,22 +181,22 @@ fn execute_inner(cmd: &Command) -> Result<(), CliError> {
     match cmd {
         Command::Topology(choice) => {
             let targets = match *choice {
-                Some(c) => vec![machine_of(c, 1.0)],
-                None => machines::paper_machines(),
+                Some(p) => vec![p],
+                None => Preset::ALL.into(),
             };
-            for m in targets {
-                print!("{}", topology_report(&m));
+            for p in targets {
+                print!("{}", topology_report(&p.spec()));
                 println!();
             }
         }
         Command::Run(opts) => {
-            let machine = machine_of(opts.machine, opts.scale_denom);
+            let machine = machine_of(opts);
             let n = opts.cores.unwrap_or_else(|| machine.total_cores());
             let report = run_one(opts, &machine, n, false)?;
             print!("{}", papiex_report_default(&report));
         }
         Command::Sweep(opts) => {
-            let machine = machine_of(opts.machine, opts.scale_denom);
+            let machine = machine_of(opts);
             let total = machine.total_cores();
             let jobs = jobs_of(opts)?;
             println!(
@@ -257,7 +248,7 @@ fn execute_inner(cmd: &Command) -> Result<(), CliError> {
             );
         }
         Command::Fit(opts) => {
-            let machine = machine_of(opts.machine, opts.scale_denom);
+            let machine = machine_of(opts);
             let total = machine.total_cores();
             let jobs = jobs_of(opts)?;
             let mut proto = FitProtocol::for_machine(&machine.name);
@@ -325,7 +316,7 @@ fn execute_inner(cmd: &Command) -> Result<(), CliError> {
             );
         }
         Command::Burst(opts) => {
-            let machine = machine_of(opts.machine, opts.scale_denom);
+            let machine = machine_of(opts);
             let n = opts.cores.unwrap_or_else(|| machine.total_cores());
             let report = run_one(opts, &machine, n, true)?;
             let windows = report

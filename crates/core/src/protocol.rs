@@ -9,6 +9,7 @@
 //!   accuracy "up to 25 %".
 
 use crate::multiproc::{Architecture, FitError, FitInputs};
+use offchip_topology::machines::Preset;
 
 /// A named measurement protocol: the core counts to measure and how to fit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,16 +101,14 @@ impl FitProtocol {
         }
     }
 
-    /// The protocol the paper uses for a machine preset, selected by the
-    /// preset's name.
+    /// The protocol the paper uses for a machine preset, looked up by the
+    /// preset's name; a machine that is not a paper preset gets the UMA
+    /// protocol.
     pub fn for_machine(machine_name: &str) -> FitProtocol {
-        // Note: "NUMA" contains "UMA" as a substring, so test NUMA first.
-        if machine_name.contains("AMD") {
-            FitProtocol::amd_numa()
-        } else if machine_name.contains("NUMA") {
-            FitProtocol::intel_numa()
-        } else {
-            FitProtocol::intel_uma()
+        match Preset::of_name(machine_name) {
+            Some(Preset::Amd) => FitProtocol::amd_numa(),
+            Some(Preset::Numa) => FitProtocol::intel_numa(),
+            Some(Preset::Uma) | None => FitProtocol::intel_uma(),
         }
     }
 
@@ -186,6 +185,25 @@ mod tests {
             FitProtocol::for_machine("Intel NUMA: Xeon X5650").name,
             FitProtocol::intel_numa().name
         );
+    }
+
+    #[test]
+    fn every_preset_gets_its_paper_protocol() {
+        let names = Preset::ALL.map(|p| {
+            let scaled = p.spec().scaled(1.0 / 64.0);
+            FitProtocol::for_machine(&scaled.name).name
+        });
+        assert_eq!(
+            names,
+            [
+                "Intel UMA {1,4,5}",
+                "Intel NUMA {1,2,12,13}",
+                "AMD NUMA {1,12,13,25,37}"
+            ]
+        );
+        for other in ["", "AMD NUMA", "Intel NUMA: Xeon", "a NUMA box"] {
+            assert_eq!(FitProtocol::for_machine(other).name, "Intel UMA {1,4,5}");
+        }
     }
 
     #[test]

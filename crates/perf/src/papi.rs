@@ -5,7 +5,7 @@
 //! methodology section.
 
 use offchip_machine::RunReport;
-use offchip_topology::InterconnectKind;
+use offchip_topology::machines::Preset;
 
 /// A hardware-counter event, named as in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,14 +54,14 @@ impl PapiEvent {
         }
     }
 
-    /// The conventional LLC-miss event for a machine architecture, the way
-    /// the paper switches between `PAPI_L2_TCM`, `LLC_MISSES` and
-    /// `L3_CACHE_MISSES`.
-    pub fn llc_event_for(kind: InterconnectKind, amd: bool) -> PapiEvent {
-        match (kind, amd) {
-            (InterconnectKind::Uma, _) => PapiEvent::L2Tcm,
-            (InterconnectKind::Numa, false) => PapiEvent::LlcMisses,
-            (InterconnectKind::Numa, true) => PapiEvent::L3CacheMisses,
+    /// The LLC-miss event the paper reads on a machine: `PAPI_L2_TCM` on
+    /// the Intel UMA, `LLC_MISSES` on the Intel NUMA and
+    /// `L3_CACHE_MISSES` on the AMD.
+    pub fn llc_event_for(machine: Preset) -> PapiEvent {
+        match machine {
+            Preset::Uma => PapiEvent::L2Tcm,
+            Preset::Numa => PapiEvent::LlcMisses,
+            Preset::Amd => PapiEvent::L3CacheMisses,
         }
     }
 }
@@ -79,14 +79,14 @@ impl EventSet {
     }
 
     /// The paper's standard set: cycles, instructions, stalls, LLC misses
-    /// (with the architecture-appropriate LLC event name).
-    pub fn paper_default(kind: InterconnectKind, amd: bool) -> EventSet {
+    /// (with the machine's LLC event name).
+    pub fn paper_default(machine: Preset) -> EventSet {
         EventSet {
             events: vec![
                 PapiEvent::TotCyc,
                 PapiEvent::TotIns,
                 PapiEvent::ResStl,
-                PapiEvent::llc_event_for(kind, amd),
+                PapiEvent::llc_event_for(machine),
             ],
         }
     }
@@ -156,16 +156,10 @@ mod tests {
 
     #[test]
     fn llc_event_selection() {
+        assert_eq!(PapiEvent::llc_event_for(Preset::Uma), PapiEvent::L2Tcm);
+        assert_eq!(PapiEvent::llc_event_for(Preset::Numa), PapiEvent::LlcMisses);
         assert_eq!(
-            PapiEvent::llc_event_for(InterconnectKind::Uma, false),
-            PapiEvent::L2Tcm
-        );
-        assert_eq!(
-            PapiEvent::llc_event_for(InterconnectKind::Numa, false),
-            PapiEvent::LlcMisses
-        );
-        assert_eq!(
-            PapiEvent::llc_event_for(InterconnectKind::Numa, true),
+            PapiEvent::llc_event_for(Preset::Amd),
             PapiEvent::L3CacheMisses
         );
     }
@@ -206,7 +200,7 @@ mod tests {
 
     #[test]
     fn paper_default_set_has_four_events() {
-        let set = EventSet::paper_default(InterconnectKind::Numa, true);
+        let set = EventSet::paper_default(Preset::Amd);
         assert_eq!(set.events().len(), 4);
         assert!(set.events().contains(&PapiEvent::L3CacheMisses));
     }

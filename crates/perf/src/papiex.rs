@@ -8,6 +8,7 @@
 use std::fmt::Write as _;
 
 use offchip_machine::RunReport;
+use offchip_topology::machines::Preset;
 
 use crate::papi::EventSet;
 
@@ -100,25 +101,23 @@ pub fn papiex_report(report: &RunReport, set: &EventSet) -> String {
 }
 
 /// Convenience: the paper-default event set for the report's machine,
-/// inferred from its name (the presets embed "AMD"/"UMA"), then rendered.
+/// looked up by its name (a machine that is not a paper preset reads the
+/// UMA's `PAPI_L2_TCM`), then rendered.
 pub fn papiex_report_default(report: &RunReport) -> String {
-    let amd = report.machine.contains("AMD");
-    // "NUMA" contains "UMA" as a substring, so test for NUMA.
-    let kind = if report.machine.contains("NUMA") {
-        offchip_topology::InterconnectKind::Numa
-    } else {
-        offchip_topology::InterconnectKind::Uma
-    };
-    papiex_report(report, &EventSet::paper_default(kind, amd))
+    let machine = Preset::of_name(&report.machine).unwrap_or(Preset::Uma);
+    papiex_report(report, &EventSet::paper_default(machine))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use offchip_machine::{ops::VecWorkload, Op, SimConfig};
-    use offchip_topology::machines;
 
     fn report() -> RunReport {
+        report_on(Preset::Uma)
+    }
+
+    fn report_on(machine: Preset) -> RunReport {
         let w = VecWorkload {
             name: "rep".into(),
             threads: vec![(0..50)
@@ -130,10 +129,7 @@ mod tests {
                 })
                 .collect()],
         };
-        offchip_machine::run(
-            &w,
-            &SimConfig::new(machines::intel_uma_8().scaled(1.0 / 64.0), 1),
-        )
+        offchip_machine::run(&w, &SimConfig::new(machine.spec().scaled(1.0 / 64.0), 1))
     }
 
     #[test]
@@ -155,5 +151,24 @@ mod tests {
         assert!(text.contains("PAPI_L2_TCM"), "UMA uses the L2 event");
         assert!(text.contains("IPC"));
         assert!(text.contains("mc0:"));
+    }
+
+    #[test]
+    fn each_preset_reports_its_llc_event() {
+        for (machine, event) in [
+            (Preset::Uma, "PAPI_L2_TCM"),
+            (Preset::Numa, "LLC_MISSES"),
+            (Preset::Amd, "L3_CACHE_MISSES"),
+        ] {
+            let text = papiex_report_default(&report_on(machine));
+            let llc: Vec<&str> = ["PAPI_L2_TCM", "LLC_MISSES", "L3_CACHE_MISSES"]
+                .into_iter()
+                .filter(|e| text.contains(&format!("    {e} ")))
+                .collect();
+            assert_eq!(llc, [event], "{machine:?}:\n{text}");
+        }
+        let mut other = report_on(Preset::Amd);
+        other.machine = "AMD NUMA: a machine of its own".into();
+        assert!(papiex_report_default(&other).contains("    PAPI_L2_TCM "));
     }
 }

@@ -183,7 +183,7 @@ fn probe_at(key: &ModelKey) -> u64 {
     let seed = PROBE_SEED.to_le_bytes();
     let bytes = [
         &seed[..],
-        key.machine.as_bytes(),
+        key.machine.key().as_bytes(),
         b"/",
         key.program.as_bytes(),
     ]
@@ -429,37 +429,51 @@ impl ModelStore {
 mod tests {
     use super::*;
     use offchip_model::FitProtocol;
+    use offchip_topology::machines::{Preset, DEFAULT_EXPERIMENT_SCALE};
     use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
     use std::sync::Barrier;
     use std::time::Duration;
 
     fn key(machine: &str, program: &str) -> ModelKey {
         ModelKey {
-            machine: machine.into(),
+            machine: Preset::from_key(machine).expect("a preset key"),
             program: program.into(),
         }
     }
 
     /// Any fitted entry will do: the uma machine's analytic prior.
     fn entry() -> FittedEntry {
-        let machine = crate::service::machine_for("uma").unwrap();
+        let machine = Preset::Uma.spec().scaled(DEFAULT_EXPERIMENT_SCALE);
         let proto = FitProtocol::for_machine(&machine.name);
         degraded::analytic_entry(&machine, &proto).unwrap()
     }
 
     /// An injected fill a test steers: each run counts itself, sleeps
-    /// `delay_ms`, then lands an entry while `ok` is set and fails with
-    /// an internal error otherwise.
+    /// `delay_ms`, waits while the gate is held, then lands an entry while
+    /// `ok` is set and fails with an internal error otherwise.
     #[derive(Default)]
     struct Script {
         runs: AtomicUsize,
         ok: AtomicBool,
         delay_ms: AtomicU64,
+        held: Mutex<bool>,
+        gate: Condvar,
     }
 
     impl Script {
         fn runs(&self) -> usize {
             self.runs.load(SeqCst)
+        }
+
+        /// Holds every fill that has not yet passed the gate.
+        fn hold(&self) {
+            *self.held.lock().unwrap() = true;
+        }
+
+        /// Lets held fills land.
+        fn release(&self) {
+            *self.held.lock().unwrap() = false;
+            self.gate.notify_all();
         }
     }
 
@@ -474,6 +488,7 @@ mod tests {
         let store = ModelStore::new(Arc::clone(&metrics), move |_: &ModelKey| {
             s.runs.fetch_add(1, SeqCst);
             std::thread::sleep(Duration::from_millis(s.delay_ms.load(SeqCst)));
+            drop(s.gate.wait_while(s.held.lock().unwrap(), |held| *held));
             if s.ok.load(SeqCst) {
                 Ok(entry())
             } else {
@@ -774,9 +789,10 @@ mod tests {
         let (store, script, metrics) = scripted(false, 0);
         let k = key("uma", "CG.S");
         open(&store, &k);
-        // Each window's probe fill holds the key half-open for a while.
-        script.delay_ms.store(200, SeqCst);
-        let window = |runs_after: usize| {
+        // Each window's probe fill holds the key half-open until the
+        // window's assertions are done.
+        let window = || {
+            script.hold();
             for i in 1..=PROBE_EVERY {
                 let info = degraded(store.get(&k, None));
                 let probed = info.state == BreakerState::HalfOpen;
@@ -789,18 +805,20 @@ mod tests {
             for _ in 0..10 {
                 assert_eq!(degraded(store.get(&k, None)).state, BreakerState::HalfOpen);
             }
-            assert_eq!(script.runs(), runs_after, "one probe fill per window");
+            script.release();
         };
-        window(THRESHOLD as usize + 1);
+        window();
         assert_eq!(metrics.counter("serve.breaker.half_open"), 1);
         // The failed probe re-opens; the next window probes at the same
         // position, and this time the probe succeeds and closes.
         until(|| breaker(&store, &k).state == BreakerState::Open);
+        assert_eq!(script.runs(), THRESHOLD as usize + 1, "one probe fill");
         assert_eq!(metrics.counter("serve.breaker.open"), 2);
         assert_eq!(breaker(&store, &k).consecutive_failures, THRESHOLD + 1);
         script.ok.store(true, SeqCst);
-        window(THRESHOLD as usize + 2);
+        window();
         until(|| store.len() == 1);
+        assert_eq!(script.runs(), THRESHOLD as usize + 2, "one probe fill");
         assert_eq!(fitted(store.get(&k, None)).1, Disposition::Hit);
         let info = breaker(&store, &k);
         assert_eq!(

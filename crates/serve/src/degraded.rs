@@ -27,8 +27,9 @@
 //!   has a single controller).
 
 use crate::entry::{FitSummary, FittedEntry};
-use crate::service::{machine_for, ModelKey, ServiceError};
+use crate::service::{ModelKey, ServiceError};
 use offchip_model::{ContentionModel, FitProtocol, FitQuality};
+use offchip_topology::machines::DEFAULT_EXPERIMENT_SCALE;
 use offchip_topology::{ids::McId, MachineSpec};
 use std::sync::Arc;
 
@@ -142,7 +143,7 @@ pub fn analytic_entry(
 
 /// The degraded-analytic entry for `key`'s machine.
 pub(crate) fn for_key(key: &ModelKey) -> Result<Arc<FittedEntry>, ServiceError> {
-    let machine = machine_for(&key.machine)?;
+    let machine = key.machine.spec().scaled(DEFAULT_EXPERIMENT_SCALE);
     let proto = FitProtocol::for_machine(&machine.name);
     Ok(Arc::new(analytic_entry(&machine, &proto)?))
 }
@@ -164,11 +165,7 @@ mod tests {
 
     #[test]
     fn every_preset_yields_a_finite_monotone_model() {
-        for machine in [
-            machines::intel_uma_8(),
-            machines::intel_numa_24(),
-            machines::amd_numa_48(),
-        ] {
+        for machine in machines::paper_machines() {
             let entry = entry_for(machine);
             let mut last_c = 0.0;
             for n in 1..=entry.total_cores {

@@ -26,7 +26,7 @@ use offchip_chaos::{ChaosSpec, ChaosVfs, Vfs};
 use offchip_json::Json;
 use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
 use offchip_obs::Registry;
-use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
+use offchip_topology::machines::{Preset, DEFAULT_EXPERIMENT_SCALE};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,11 +48,11 @@ pub const DEFAULT_DEADLINE_MS: u64 = 600_000;
 /// `Retry-After` seconds quoted on `202 Accepted` while a fill runs.
 const PENDING_RETRY_AFTER_S: u64 = 5;
 
-/// Cache key: canonical machine short-name and program name.
+/// Cache key: machine preset and canonical program name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelKey {
-    /// `"uma"`, `"numa"` or `"amd"`.
-    pub machine: String,
+    /// The machine, named by its key (`"uma"`, `"numa"` or `"amd"`).
+    pub machine: Preset,
     /// Canonical program name (`CG.S`, `x264.native`).
     pub program: String,
 }
@@ -340,7 +340,7 @@ fn fill_model(
     key: &ModelKey,
 ) -> Result<FittedEntry, ServiceError> {
     let spec = ProgramSpec::parse(&key.program).map_err(ServiceError::BadRequest)?;
-    let machine = machine_for(&key.machine)?;
+    let machine = key.machine.spec().scaled(DEFAULT_EXPERIMENT_SCALE);
     let total = machine.total_cores();
     let proto = FitProtocol::for_machine(&machine.name);
 
@@ -434,13 +434,16 @@ fn parse_key(doc: &Json) -> Result<ModelKey, ServiceError> {
     let machine = doc
         .get("machine")
         .and_then(Json::as_str)
-        .ok_or_else(|| ServiceError::BadRequest("missing \"machine\" (uma|numa|amd)".into()))?
-        .to_ascii_lowercase();
-    if !matches!(machine.as_str(), "uma" | "numa" | "amd") {
-        return Err(ServiceError::BadRequest(format!(
-            "unknown machine {machine:?} (expected uma, numa or amd)"
-        )));
-    }
+        .ok_or_else(|| ServiceError::BadRequest("missing \"machine\" (uma|numa|amd)".into()))?;
+    let machine = Preset::ALL
+        .into_iter()
+        .find(|p| p.key().eq_ignore_ascii_case(machine))
+        .ok_or_else(|| {
+            ServiceError::BadRequest(format!(
+                "unknown machine {:?} (expected uma, numa or amd)",
+                machine.to_ascii_lowercase()
+            ))
+        })?;
     let program = doc
         .get("program")
         .and_then(Json::as_str)
@@ -471,20 +474,6 @@ fn parse_n(doc: &Json, field: &str) -> Result<usize, ServiceError> {
     Ok(n as usize)
 }
 
-pub(crate) fn machine_for(key: &str) -> Result<offchip_topology::MachineSpec, ServiceError> {
-    let spec = match key {
-        "uma" => machines::intel_uma_8(),
-        "numa" => machines::intel_numa_24(),
-        "amd" => machines::amd_numa_48(),
-        other => {
-            return Err(ServiceError::BadRequest(format!(
-                "unknown machine {other:?}"
-            )))
-        }
-    };
-    Ok(spec.scaled(DEFAULT_EXPERIMENT_SCALE))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,7 +488,7 @@ mod tests {
         let b = parse_key(&doc(r#"{"machine":"uma","program":"CG","class":"S"}"#)).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.program, "CG.S");
-        assert_eq!(a.machine, "uma");
+        assert_eq!(a.machine, Preset::Uma);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use offchip_serve::service::MAX_N;
 use offchip_serve::{
     degraded, FitSummary, FittedEntry, ModelKey, ModelOutcome, PredictService, ServiceConfig,
 };
-use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
+use offchip_topology::machines::{self, Preset, DEFAULT_EXPERIMENT_SCALE};
 use offchip_topology::MachineSpec;
 use std::sync::Barrier;
 use support::{post_request, scratch};
@@ -196,7 +196,7 @@ fn fitted_cg_s_entry_matches_the_oracle_through_the_service() {
         ..ServiceConfig::default()
     });
     let key = ModelKey {
-        machine: "uma".into(),
+        machine: Preset::Uma,
         program: "CG.S".into(),
     };
     let entry = match service.model_for(&key, None).expect("CG.S fill") {

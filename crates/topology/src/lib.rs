@@ -14,6 +14,9 @@
 //!   controllers per socket, eight controllers in a partial mesh with
 //!   up to two hops (NUMA, Fig. 2b).
 //!
+//! [`machines::Preset`] is the table of the three: each preset's key
+//! (`uma`, `numa`, `amd`), display name and spec.
+//!
 //! The crate also implements the paper's *fill-processor-first* core
 //! allocation policy ([`allocation`]) and a LIKWID-style logical→physical
 //! topology map ([`likwid`]).

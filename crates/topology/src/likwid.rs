@@ -179,11 +179,11 @@ mod tests {
         let m = machines::intel_numa_24();
         let rep = topology_report(&m);
         assert!(rep.contains("Xeon X5650"));
-        assert!(rep.contains("NUMA"));
+        assert!(rep.contains("Architecture: NUMA (per-domain memory controllers)"));
         assert!(rep.contains("Memory controllers: 2"));
         assert!(rep.contains("hop matrix"));
         let uma = topology_report(&machines::intel_uma_8());
-        assert!(uma.contains("UMA"));
+        assert!(uma.contains("Architecture: UMA (shared memory controller)"));
         assert!(!uma.contains("hop matrix"), "UMA has no controller network");
     }
 }

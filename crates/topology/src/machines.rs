@@ -16,7 +16,7 @@ use crate::machine::{CacheLevelSpec, CacheSharing, DramSpec, MachineSpec, Memory
 /// we model 4 MB of last-level L2 per socket.
 pub fn intel_uma_8() -> MachineSpec {
     MachineSpec {
-        name: "Intel UMA: Xeon E5320".to_string(),
+        name: Preset::Uma.name().to_string(),
         freq_ghz: 1.86,
         sockets: 2,
         domains_per_socket: 1,
@@ -64,7 +64,7 @@ pub fn intel_uma_8() -> MachineSpec {
 /// DDR3, controllers directly linked by QPI (Fig. 2a).
 pub fn intel_numa_24() -> MachineSpec {
     MachineSpec {
-        name: "Intel NUMA: Xeon X5650".to_string(),
+        name: Preset::Numa.name().to_string(),
         freq_ghz: 2.66,
         sockets: 2,
         domains_per_socket: 1,
@@ -140,7 +140,7 @@ const AMD_MESH: &[(usize, usize)] = &[
 /// memory controller — eight controllers in a partial mesh.
 pub fn amd_numa_48() -> MachineSpec {
     MachineSpec {
-        name: "AMD NUMA: Opteron 6172".to_string(),
+        name: Preset::Amd.name().to_string(),
         freq_ghz: 2.1,
         sockets: 4,
         domains_per_socket: 2,
@@ -186,9 +186,75 @@ pub fn amd_numa_48() -> MachineSpec {
     }
 }
 
+/// One of the paper's three machines: the one table that maps a machine
+/// to its key, its display name and its spec. Whatever follows from which
+/// paper machine a spec is (the fit's input points, the LLC counter
+/// papiex reads) is decided by looking the preset up here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Preset {
+    /// Intel UMA, [`intel_uma_8`].
+    Uma,
+    /// Intel NUMA, [`intel_numa_24`].
+    Numa,
+    /// AMD NUMA, [`amd_numa_48`].
+    Amd,
+}
+
+impl Preset {
+    /// Every preset, in the order the paper lists the machines.
+    pub const ALL: [Preset; 3] = [Preset::Uma, Preset::Numa, Preset::Amd];
+
+    /// The short key the CLI's `--machine` and the service's `"machine"`
+    /// field name the preset by.
+    pub fn key(self) -> &'static str {
+        match self {
+            Preset::Uma => "uma",
+            Preset::Numa => "numa",
+            Preset::Amd => "amd",
+        }
+    }
+
+    /// The display name the preset's spec carries.
+    fn name(self) -> &'static str {
+        match self {
+            Preset::Uma => "Intel UMA: Xeon E5320",
+            Preset::Numa => "Intel NUMA: Xeon X5650",
+            Preset::Amd => "AMD NUMA: Opteron 6172",
+        }
+    }
+
+    /// The preset `key` names, matched exactly; `None` for any other
+    /// string.
+    pub fn from_key(key: &str) -> Option<Preset> {
+        Preset::ALL.into_iter().find(|p| p.key() == key)
+    }
+
+    /// The preset whose spec is named `name` (scaling keeps the name);
+    /// `None` for a machine that is not one of the paper's.
+    pub fn of_name(name: &str) -> Option<Preset> {
+        Preset::ALL.into_iter().find(|p| p.name() == name)
+    }
+
+    /// The preset's full-size spec.
+    pub fn spec(self) -> MachineSpec {
+        match self {
+            Preset::Uma => intel_uma_8(),
+            Preset::Numa => intel_numa_24(),
+            Preset::Amd => amd_numa_48(),
+        }
+    }
+}
+
+/// A preset displays as its [`key`](Preset::key).
+impl std::fmt::Display for Preset {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.key())
+    }
+}
+
 /// All three paper machines, in the order the paper lists them.
 pub fn paper_machines() -> Vec<MachineSpec> {
-    vec![intel_uma_8(), intel_numa_24(), amd_numa_48()]
+    Preset::ALL.map(Preset::spec).into()
 }
 
 /// The default geometric scale used by the experiment harness: caches (and,
@@ -201,6 +267,28 @@ pub const DEFAULT_EXPERIMENT_SCALE: f64 = 1.0 / 64.0;
 mod tests {
     use super::*;
     use crate::ids::McId;
+
+    #[test]
+    fn presets_round_trip_through_key_and_name() {
+        for p in Preset::ALL {
+            assert_eq!(Preset::from_key(p.key()), Some(p));
+            assert_eq!(p.to_string(), p.key());
+            let scaled = p.spec().scaled(1.0 / 64.0);
+            assert_eq!(Preset::of_name(&scaled.name), Some(p), "{}", scaled.name);
+        }
+        let names = paper_machines().into_iter().map(|m| m.name);
+        assert!(names.eq([
+            "Intel UMA: Xeon E5320",
+            "Intel NUMA: Xeon X5650",
+            "AMD NUMA: Opteron 6172"
+        ]));
+        for key in ["", "UMA", "Numa", "vax", "uma "] {
+            assert_eq!(Preset::from_key(key), None, "{key:?}");
+        }
+        for name in ["", "Intel UMA", "AMD", "NUMA", "intel uma: xeon e5320"] {
+            assert_eq!(Preset::of_name(name), None, "{name:?}");
+        }
+    }
 
     #[test]
     fn paper_core_counts() {

@@ -11,12 +11,12 @@
 use std::time::Instant;
 
 use offchip_bench::{
-    build_workload, persist_or_exit, sweep::run_sampled_bounded, CampaignOptions, ExperimentResult,
-    ProgramSpec, EXIT_INTERRUPTED,
+    build_workload, experiment_machine, persist_or_exit, sweep::run_sampled_bounded,
+    CampaignOptions, ExperimentResult, ProgramSpec, EXIT_INTERRUPTED,
 };
 use offchip_npb::classes::ProblemClass;
 use offchip_perf::BurstAnalysis;
-use offchip_topology::machines::{self, DEFAULT_EXPERIMENT_SCALE};
+use offchip_topology::machines::Preset;
 
 struct Series {
     program: String,
@@ -41,7 +41,7 @@ impl offchip_json::ToJson for Series {
 
 fn main() {
     let (opts, jobs) = CampaignOptions::from_cli_or_exit("figure4");
-    let machine = machines::intel_numa_24().scaled(DEFAULT_EXPERIMENT_SCALE);
+    let machine = experiment_machine(Preset::Numa);
     let n = machine.total_cores();
 
     let mut programs: Vec<ProgramSpec> = ProblemClass::ALL

@@ -83,7 +83,7 @@ impl Experiment {
     /// stderr. A failed write exits 7 with the journal intact (see
     /// [`persist_or_exit`]).
     pub fn finish<T: ToJson>(self, artifact: &str, data: T) {
-        offchip_obs::info!("sweep timing [{}]: {}", self.id, self.timing);
+        offchip_obs::info!("{}", timing_line(&self.id, &self.timing));
         offchip_obs::info!("{}", self.campaign.status_line());
         let result = ExperimentResult {
             id: self.id,
@@ -96,5 +96,33 @@ impl Experiment {
             Some(self.campaign.journal_path()),
         );
         eprintln!("wrote {}", path.display());
+    }
+}
+
+/// Renders the sweep engine's timing/throughput line as every experiment
+/// binary prints it: `sweep timing [table2]: 90 runs in 4.11 s wall
+/// (21.9 runs/s, 14.52 Mev/s, 3.8x vs serial, jobs=4)`.
+fn timing_line(label: &str, timing: &SweepTiming) -> String {
+    format!("sweep timing [{label}]: {timing}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timing_line_names_the_artifact() {
+        let t = crate::sweep::SweepTiming {
+            runs: 12,
+            jobs: 4,
+            wall: std::time::Duration::from_millis(500),
+            busy: std::time::Duration::from_secs(2),
+            events: 3_000_000,
+        };
+        let line = timing_line("table2", &t);
+        assert!(line.starts_with("sweep timing [table2]:"), "{line}");
+        assert!(line.contains("12 runs"), "{line}");
+        assert!(line.contains("4.0x vs serial"), "{line}");
+        assert!(line.contains("jobs=4"), "{line}");
     }
 }

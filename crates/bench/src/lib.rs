@@ -47,5 +47,6 @@ pub use sweep::{
     SEEDS_ENV,
 };
 pub use workloads::{
-    build_workload, build_workload_scaled, experiment_machines, experiment_scale, ProgramSpec,
+    build_workload, build_workload_scaled, experiment_machine, experiment_machines,
+    experiment_scale, ProgramSpec,
 };

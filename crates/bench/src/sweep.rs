@@ -456,22 +456,6 @@ mod tests {
     use offchip_npb::classes::ProblemClass;
     use offchip_topology::machines;
 
-    #[test]
-    fn timing_line_reports_runs_speedup_and_jobs() {
-        let t = SweepTiming {
-            runs: 12,
-            jobs: 4,
-            wall: Duration::from_millis(500),
-            busy: Duration::from_secs(2),
-            events: 3_000_000,
-        };
-        let line = t.to_string();
-        assert!(line.starts_with("12 runs in 0.50 s wall"), "{line}");
-        assert!(line.contains("6.00 Mev/s"), "{line}");
-        assert!(line.contains("4.0x vs serial"), "{line}");
-        assert!(line.ends_with("jobs=4)"), "{line}");
-    }
-
     fn point(n: usize, cycles: f64, misses: f64) -> SweepPoint {
         SweepPoint {
             n,

@@ -101,10 +101,16 @@ pub fn experiment_scale() -> f64 {
     DEFAULT_EXPERIMENT_SCALE
 }
 
+/// A paper machine at [`experiment_scale`]: the machine every experiment
+/// binary and the prediction service simulate for that preset.
+pub fn experiment_machine(preset: Preset) -> MachineSpec {
+    preset.spec().scaled(experiment_scale())
+}
+
 /// The paper's three machines at [`experiment_scale`], in the paper's
 /// order.
 pub fn experiment_machines() -> [MachineSpec; 3] {
-    Preset::ALL.map(|p| p.spec().scaled(experiment_scale()))
+    Preset::ALL.map(experiment_machine)
 }
 
 /// Builds the workload trace for a program on a machine with `threads`

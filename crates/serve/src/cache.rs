@@ -429,7 +429,7 @@ impl ModelStore {
 mod tests {
     use super::*;
     use offchip_model::FitProtocol;
-    use offchip_topology::machines::{Preset, DEFAULT_EXPERIMENT_SCALE};
+    use offchip_topology::machines::Preset;
     use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
     use std::sync::Barrier;
     use std::time::Duration;
@@ -443,7 +443,7 @@ mod tests {
 
     /// Any fitted entry will do: the uma machine's analytic prior.
     fn entry() -> FittedEntry {
-        let machine = Preset::Uma.spec().scaled(DEFAULT_EXPERIMENT_SCALE);
+        let machine = offchip_bench::experiment_machine(Preset::Uma);
         let proto = FitProtocol::for_machine(&machine.name);
         degraded::analytic_entry(&machine, &proto).unwrap()
     }

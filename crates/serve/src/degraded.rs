@@ -28,8 +28,8 @@
 
 use crate::entry::{FitSummary, FittedEntry};
 use crate::service::{ModelKey, ServiceError};
+use offchip_bench::experiment_machine;
 use offchip_model::{ContentionModel, FitProtocol, FitQuality};
-use offchip_topology::machines::DEFAULT_EXPERIMENT_SCALE;
 use offchip_topology::{ids::McId, MachineSpec};
 use std::sync::Arc;
 
@@ -143,7 +143,7 @@ pub fn analytic_entry(
 
 /// The degraded-analytic entry for `key`'s machine.
 pub(crate) fn for_key(key: &ModelKey) -> Result<Arc<FittedEntry>, ServiceError> {
-    let machine = key.machine.spec().scaled(DEFAULT_EXPERIMENT_SCALE);
+    let machine = experiment_machine(key.machine);
     let proto = FitProtocol::for_machine(&machine.name);
     Ok(Arc::new(analytic_entry(&machine, &proto)?))
 }

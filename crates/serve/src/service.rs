@@ -20,13 +20,14 @@ use crate::cache::{BreakerInfo, Disposition, ModelOutcome, ModelStore};
 use crate::entry::{Field, FitSummary, FittedEntry};
 use crate::http::{Request, Response};
 use offchip_bench::{
-    build_workload, loss_summary, Campaign, CampaignOptions, PointError, ProgramSpec,
+    build_workload, experiment_machine, loss_summary, Campaign, CampaignOptions, PointError,
+    ProgramSpec,
 };
 use offchip_chaos::{ChaosSpec, ChaosVfs, Vfs};
 use offchip_json::Json;
 use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
 use offchip_obs::Registry;
-use offchip_topology::machines::{Preset, DEFAULT_EXPERIMENT_SCALE};
+use offchip_topology::machines::Preset;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -340,7 +341,7 @@ fn fill_model(
     key: &ModelKey,
 ) -> Result<FittedEntry, ServiceError> {
     let spec = ProgramSpec::parse(&key.program).map_err(ServiceError::BadRequest)?;
-    let machine = key.machine.spec().scaled(DEFAULT_EXPERIMENT_SCALE);
+    let machine = experiment_machine(key.machine);
     let total = machine.total_cores();
     let proto = FitProtocol::for_machine(&machine.name);
 

@@ -59,6 +59,12 @@ impl offchip_json::ToJson for AblationSummary {
 
 /// Runs the protocol-fit error chain on a sweep, tolerating corrupt
 /// counters (NaN result, as the table renders missing cells).
+///
+/// This is the paper's plain fit on purpose, not `offchip_bench::fit_sweep`:
+/// the ablations measure the error of the untrimmed protocol itself. The
+/// robust path's outlier trimming and fallback would change what is
+/// measured (quick mode: AMD {1,12,13,25,37} reads 414.5 % plain and
+/// 595.7 % robust).
 fn fit_error_of(proto: &FitProtocol, sweep: &SweepResult, absolute: bool) -> f64 {
     let Ok(r) = sweep.mean_misses() else {
         return f64::NAN;

@@ -12,6 +12,7 @@
 //!   [`Experiment::start`], [`Experiment::sweep`], [`Experiment::finish`];
 //! * [`sweep`] — the sweep result types and the serial reference sweep
 //!   the campaign's output is checked against;
+//! * [`fit`] — the one sweep → fit → validation path, [`fit_sweep`];
 //! * [`report`] — text-table rendering and JSON persistence of results
 //!   under `target/experiments/`.
 //!
@@ -29,6 +30,7 @@
 
 pub mod campaign;
 pub mod experiment;
+pub mod fit;
 pub mod model_figure;
 pub mod perfcal;
 pub mod plot;
@@ -41,6 +43,7 @@ pub use campaign::{
     Watchdog, CAMPAIGN_USAGE, EXIT_ARTEFACT_FAILED, EXIT_INTERRUPTED,
 };
 pub use experiment::Experiment;
+pub use fit::{fit_sweep, SweepFitError};
 pub use report::{persist_or_exit, write_json, ExperimentResult};
 pub use sweep::{
     run_sweep, seeds, seeds_from, SweepError, SweepPoint, SweepResult, SweepTiming, MAX_SEEDS,

@@ -3,8 +3,8 @@
 //! paper's per-machine input points, validate against the sweep, print
 //! the measured-vs-modelled ω series and persist them as JSON.
 
-use crate::{build_workload, experiment_machines, Experiment, ProgramSpec};
-use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
+use crate::{build_workload, experiment_machine, fit_sweep, Experiment, ProgramSpec};
+use offchip_model::FitProtocol;
 use offchip_topology::machines::Preset;
 
 struct FigureSeries {
@@ -38,17 +38,18 @@ pub fn run_figure(program: ProgramSpec, figure_id: &str, artifact: &str) {
     let mut exp = Experiment::start(figure_id);
 
     let mut all = Vec::new();
-    for machine in &experiment_machines() {
+    for preset in Preset::ALL {
+        let machine = experiment_machine(preset);
         let total = machine.total_cores();
         let mut protocols = vec![FitProtocol::for_machine(&machine.name)];
-        match Preset::of_name(&machine.name) {
-            Some(Preset::Numa) => protocols.push(FitProtocol::intel_numa_extended()),
+        match preset {
+            Preset::Numa => protocols.push(FitProtocol::intel_numa_extended()),
             // The per-package ρ protocol overfits this substrate's deep
             // controller-activation relief dips; the pooled least-squares
             // ρ (the paper's "derived from linear regression" reading)
             // averages the sawtooth out. Report both.
-            Some(Preset::Amd) => protocols.push(FitProtocol::amd_numa_homogeneous()),
-            Some(Preset::Uma) | None => {}
+            Preset::Amd => protocols.push(FitProtocol::amd_numa_homogeneous()),
+            Preset::Uma => {}
         }
         // Sweep every n (the fit points are a subset), stepping in quick
         // mode but always including the protocols' input cores.
@@ -64,43 +65,12 @@ pub fn run_figure(program: ProgramSpec, figure_id: &str, artifact: &str) {
         ns.dedup();
 
         let w = build_workload(program, total);
-        let sweep = exp.sweep(machine, w.as_ref(), &ns);
-        let r = match sweep.mean_misses() {
-            Ok(r) => r,
-            Err(e) => {
-                println!("{}: miss counters unusable: {e}", machine.name);
-                continue;
-            }
-        };
-        let cycles = match sweep.cycles_sweep() {
-            Ok(c) => c,
-            Err(e) => {
-                println!("{}: cycle counters unusable: {e}", machine.name);
-                continue;
-            }
-        };
-
+        let sweep = exp.sweep(&machine, w.as_ref(), &ns);
         for proto in protocols {
-            let robust = match fit_robust_from_sweep(
-                &proto,
-                &sweep.cycles_sweep_f64(),
-                r,
-                &RobustOptions::default(),
-            ) {
+            let (robust, v) = match fit_sweep(&proto, &sweep, None) {
                 Ok(fit) => fit,
                 Err(e) => {
-                    println!("{}: fit failed under {}: {e}", machine.name, proto.name);
-                    continue;
-                }
-            };
-            let model = robust.model;
-            let v = match validate(&model, &cycles) {
-                Ok(v) => v,
-                Err(e) => {
-                    println!(
-                        "{}: validation failed under {}: {e}",
-                        machine.name, proto.name
-                    );
+                    println!("{}: {e}", machine.name);
                     continue;
                 }
             };

@@ -2,10 +2,10 @@
 
 use offchip_bench::build_workload_scaled;
 use offchip_bench::plot::{linear_plot, Series};
-use offchip_bench::{Campaign, PointConfig, SweepResult, SweepTiming};
+use offchip_bench::{fit_sweep, Campaign, PointConfig, SweepResult, SweepTiming};
 use offchip_json::ToJson;
 use offchip_machine::{try_run_bounded, ConfigError, RunError, RunReport, SimConfig, Workload};
-use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
+use offchip_model::FitProtocol;
 use offchip_perf::papiex::papiex_report_default;
 use offchip_perf::BurstAnalysis;
 use offchip_pool::JobsError;
@@ -262,36 +262,14 @@ fn execute_inner(cmd: &Command) -> Result<(), CliError> {
                 proto.input_cores
             );
             let ns: Vec<usize> = (1..=total).collect();
-            let (points, timing, _journal) = campaign_sweep("fit", opts, &machine, &ns, jobs)?;
-            let sweep: Vec<(usize, u64)> = points.cycles_sweep()?;
-            // The paper's r: the full-core run's miss count (the last
-            // point; single-seed, so its f64 is the counter exactly).
-            let misses = points
-                .points
-                .last()
-                .map(|p| (p.llc_misses as u64).max(1) as f64)
-                .unwrap_or(1.0);
+            let (sweep, timing, _journal) = campaign_sweep("fit", opts, &machine, &ns, jobs)?;
             offchip_obs::info!(
                 "sweep timing: {} runs in {:.2} s wall ({:.1} runs/s, jobs={jobs})",
                 timing.runs,
                 timing.wall.as_secs_f64(),
                 timing.runs_per_sec(),
             );
-            let mut sweep_f: Vec<(usize, f64)> =
-                sweep.iter().map(|&(n, c)| (n, c as f64)).collect();
-            if let Some(spec) = opts.faults {
-                if spec.is_active() {
-                    let before = sweep_f.len();
-                    sweep_f = spec.injector().corrupt_sweep(&sweep_f);
-                    offchip_obs::warn!(
-                        "injected faults ({spec:?}): {} of {before} sweep \
-                         points survive",
-                        sweep_f.len()
-                    );
-                }
-            }
-            let robust =
-                fit_robust_from_sweep(&proto, &sweep_f, misses, &RobustOptions::default())?;
+            let (robust, v) = fit_sweep(&proto, &sweep, opts.faults)?;
             let model = &robust.model;
             println!(
                 "  M/M/1: mu = {:.3e} req/cyc, L = {:.3e} req/cyc/core",
@@ -302,7 +280,6 @@ fn execute_inner(cmd: &Command) -> Result<(), CliError> {
                 println!("  saturation pole: {pole:.1} cores/processor");
             }
             println!("  fit quality: {}", robust.quality);
-            let v = validate(model, &sweep)?;
             println!("{:>4} {:>12} {:>12}", "n", "measured ω", "model ω");
             for (n, m, p) in &v.points {
                 println!("{n:>4} {m:>12.2} {p:>12.2}");

@@ -16,7 +16,7 @@
 //! |      | intact — `--resume` regenerates the artefact   |
 //! |      | without re-simulating anything                 |
 
-use offchip_bench::SweepError;
+use offchip_bench::{SweepError, SweepFitError};
 use offchip_machine::ConfigError;
 use offchip_model::FitError;
 
@@ -108,14 +108,63 @@ impl From<ConfigError> for CliError {
     }
 }
 
-impl From<FitError> for CliError {
-    fn from(e: FitError) -> CliError {
-        CliError::Fit(e)
-    }
-}
-
 impl From<SweepError> for CliError {
     fn from(e: SweepError) -> CliError {
         CliError::Sweep(e)
+    }
+}
+
+/// The fit path's counter errors are configuration-class (exit 3); a
+/// refused fit or validation is a fit failure (exit 4).
+impl From<SweepFitError> for CliError {
+    fn from(e: SweepFitError) -> CliError {
+        match e {
+            SweepFitError::Misses(e) | SweepFitError::Cycles(e) => CliError::Sweep(e),
+            SweepFitError::Fit { error, .. } | SweepFitError::Validation(error) => {
+                CliError::Fit(error)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fit_path_errors_keep_their_exit_codes_and_texts() {
+        let cases = [
+            (
+                SweepFitError::Misses(SweepError::NoFinitePoints),
+                3,
+                "sweep rejected: every sweep point's reading is non-finite; nothing to average",
+            ),
+            (
+                SweepFitError::Cycles(SweepError::CorruptPoint(3)),
+                3,
+                "sweep rejected: sweep point n = 3 has a non-finite or non-positive cycle count",
+            ),
+            (
+                SweepFitError::Fit {
+                    protocol: "Intel UMA {1,4,5}",
+                    error: FitError::TooFewUsablePoints {
+                        usable: 0,
+                        dropped: 3,
+                    },
+                },
+                4,
+                "model fit failed: only 0 usable points remain after dropping 3; fitting \
+                 needs at least 3 — re-measure the sweep",
+            ),
+            (
+                SweepFitError::Validation(FitError::MissingBaseline),
+                4,
+                "model fit failed: sweep is missing the n = 1 baseline C(1)",
+            ),
+        ];
+        for (e, code, text) in cases {
+            let cli = CliError::from(e);
+            assert_eq!((cli.exit_code(), cli.to_string().as_str()), (code, text));
+        }
     }
 }

@@ -20,12 +20,12 @@ use crate::cache::{BreakerInfo, Disposition, ModelOutcome, ModelStore};
 use crate::entry::{Field, FitSummary, FittedEntry};
 use crate::http::{Request, Response};
 use offchip_bench::{
-    build_workload, experiment_machine, loss_summary, Campaign, CampaignOptions, PointError,
-    ProgramSpec,
+    build_workload, experiment_machine, fit_sweep, loss_summary, Campaign, CampaignOptions,
+    PointError, ProgramSpec,
 };
 use offchip_chaos::{ChaosSpec, ChaosVfs, Vfs};
 use offchip_json::Json;
-use offchip_model::{fit_robust_from_sweep, validate, FitProtocol, RobustOptions};
+use offchip_model::FitProtocol;
 use offchip_obs::Registry;
 use offchip_topology::machines::Preset;
 use std::path::PathBuf;
@@ -381,23 +381,8 @@ fn fill_model(
         cs.resumed
     );
 
-    let r = cs
-        .sweep
-        .mean_misses()
-        .map_err(|e| ServiceError::Fit(format!("miss counters unusable: {e}")))?;
-    let cycles = cs
-        .sweep
-        .cycles_sweep()
-        .map_err(|e| ServiceError::Fit(format!("cycle counters unusable: {e}")))?;
-    let robust = fit_robust_from_sweep(
-        &proto,
-        &cs.sweep.cycles_sweep_f64(),
-        r,
-        &RobustOptions::default(),
-    )
-    .map_err(|e| ServiceError::Fit(format!("fit failed under {}: {e}", proto.name)))?;
-    let v = validate(&robust.model, &cycles)
-        .map_err(|e| ServiceError::Fit(format!("validation failed: {e}")))?;
+    let (robust, v) =
+        fit_sweep(&proto, &cs.sweep, None).map_err(|e| ServiceError::Fit(e.to_string()))?;
 
     Ok(FittedEntry::new(FitSummary {
         machine_name: machine.name.clone(),

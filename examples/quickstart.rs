@@ -27,7 +27,7 @@ fn main() {
     for n in 1..=total_cores {
         let report = run(&workload, &SimConfig::new(machine.clone(), n));
         sweep.push((n, report.counters.total_cycles));
-        llc_misses = report.counters.llc_misses as f64;
+        llc_misses += report.counters.llc_misses as f64;
         println!(
             "  n={n}: C(n) = {:>12} cycles, stalls = {:>12}, LLC misses = {}",
             report.counters.total_cycles, report.counters.stall_cycles, report.counters.llc_misses
@@ -42,8 +42,10 @@ fn main() {
     println!("\n== analytical model fitted from C(1), C(4), C(5) (paper section V) ==");
     let protocol = FitProtocol::intel_uma();
     let sweep_f: Vec<(usize, f64)> = sweep.iter().map(|&(n, c)| (n, c as f64)).collect();
+    // r is the sweep's mean miss count, the rule `offchip fit` follows.
+    let r = llc_misses / total_cores as f64;
     let inputs = protocol
-        .inputs_from_sweep(&sweep_f, llc_misses)
+        .inputs_from_sweep(&sweep_f, r)
         .expect("protocol points present");
     let model = ContentionModel::fit(&inputs).expect("model fit");
     println!(

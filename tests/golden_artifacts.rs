@@ -12,9 +12,12 @@
 //! own reviewed decision, never a side effect of an optimisation):
 //! `OFFCHIP_BLESS=1 cargo test --test golden_artifacts`.
 
-use offchip_bench::{build_workload, Campaign, CampaignOptions, ProgramSpec};
+use offchip_bench::{
+    build_workload, fit_sweep, Campaign, CampaignOptions, ProgramSpec, SweepResult,
+};
 use offchip_json::ToJson;
 use offchip_machine::{run, McScheduler, MemoryPolicy, SimConfig};
+use offchip_model::FitProtocol;
 use offchip_npb::classes::ProblemClass;
 use offchip_topology::machines;
 
@@ -39,33 +42,65 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
+const CG_UMA_NS: [usize; 4] = [1, 2, 4, 8];
+const CG_UMA_SEEDS: [u64; 3] = [0x0FF_C41B, 7, 11];
+
+/// The CG.S sweep on the UMA machine at `jobs` workers, journaled under
+/// `name` in a directory of its own, so tests running side by side do
+/// not share a journal.
+fn cg_uma_sweep(name: &str, jobs: usize) -> SweepResult {
+    let machine = machines::intel_uma_8().scaled(SCALE);
+    let w = build_workload(ProgramSpec::Cg(ProblemClass::S), 8);
+    let dir = std::env::temp_dir().join(format!("offchip-{name}-{}", std::process::id()));
+    let opts = CampaignOptions {
+        journal_dir: Some(dir.clone()),
+        ..CampaignOptions::default()
+    };
+    // Without --resume each start truncates the journal, so every call
+    // simulates the whole grid.
+    let campaign = Campaign::start(name, &opts).expect("open journal");
+    let cs = campaign
+        .run_sweep(&machine, w.as_ref(), &CG_UMA_NS, &CG_UMA_SEEDS, jobs)
+        .expect("sweep");
+    assert!(cs.errors.is_empty(), "jobs={jobs}: {:?}", cs.errors);
+    assert_eq!(
+        (cs.executed, cs.resumed),
+        (CG_UMA_NS.len() * CG_UMA_SEEDS.len(), 0)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    cs.sweep
+}
+
 /// A CG sweep on the UMA machine: the default FCFS + interleave-active
 /// path every figure and table exercises, through the campaign engine
 /// every binary runs. Run at several worker counts so a hasher- or
 /// scheduling-order dependence cannot hide behind `jobs=1`.
 #[test]
 fn default_path_sweep_bytes_are_pinned() {
-    let machine = machines::intel_uma_8().scaled(SCALE);
-    let w = build_workload(ProgramSpec::Cg(ProblemClass::S), 8);
-    let ns = [1, 2, 4, 8];
-    let seeds = [0x0FF_C41B, 7, 11];
-    let dir = std::env::temp_dir().join(format!("offchip-golden-{}", std::process::id()));
-    let opts = CampaignOptions {
-        journal_dir: Some(dir.clone()),
-        ..CampaignOptions::default()
-    };
     for jobs in [1usize, 4] {
-        // Without --resume each start truncates the journal, so every
-        // width simulates the whole grid.
-        let campaign = Campaign::start("golden", &opts).expect("open journal");
-        let cs = campaign
-            .run_sweep(&machine, w.as_ref(), &ns, &seeds, jobs)
-            .expect("sweep");
-        assert!(cs.errors.is_empty(), "jobs={jobs}: {:?}", cs.errors);
-        assert_eq!((cs.executed, cs.resumed), (ns.len() * seeds.len(), 0));
-        check_golden("cg_uma_sweep.json", &cs.sweep.to_json().to_pretty_string());
+        let sweep = cg_uma_sweep("golden", jobs);
+        check_golden("cg_uma_sweep.json", &sweep.to_json().to_pretty_string());
     }
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same sweep through the fit path the CLI, the figures and the
+/// service share: r, the fitted parameters, the quality ledger and the
+/// validation points. The sweep lacks the UMA protocol's n = 5, so this
+/// also pins the fallback to every sweep point.
+#[test]
+fn default_path_fit_bytes_are_pinned() {
+    let sweep = cg_uma_sweep("golden-fit", 2);
+    let proto = FitProtocol::for_machine(&sweep.machine);
+    let (fit, v) = fit_sweep(&proto, &sweep, None).expect("fit and validation");
+    let body = offchip_json::json_obj! {
+        "protocol" => proto.name,
+        "params" => fit.model.params(),
+        "fit_quality" => fit.quality,
+        "validation" => v.points,
+        "mean_relative_error" => v.mean_relative_error,
+        "mean_absolute_error" => v.mean_absolute_error,
+    };
+    check_golden("cg_uma_fit.json", &body.to_pretty_string());
 }
 
 /// The FR-FCFS + first-touch ablation path: exercises the reordering

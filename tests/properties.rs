@@ -151,14 +151,16 @@ proptest! {
     }
 }
 
-/// Fault-tolerance properties: the robust fitting pipeline, fed sweeps
-/// corrupted by every fault class the injector knows, either returns a
-/// physical model with a populated quality ledger or refuses with a typed
-/// error — it never panics, and it never emits NaN or a non-positive μ.
+/// Fault-tolerance properties: the fit path, fed sweeps corrupted by
+/// every fault class the injector knows (as `offchip fit --faults` feeds
+/// it), either returns a physical model with a populated quality ledger
+/// or refuses with a typed error — it never panics, and it never emits
+/// NaN or a non-positive μ.
 mod fault_tolerance_properties {
     use super::*;
-    use offchip::model::{fit_robust_from_sweep, FitProtocol, RobustOptions};
+    use offchip::model::FitProtocol;
     use offchip::perf::FaultSpec;
+    use offchip_bench::{fit_sweep, SweepPoint, SweepResult};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
@@ -175,13 +177,24 @@ mod fault_tolerance_properties {
             seed in any::<u64>(),
         ) {
             let l = mu * l_frac;
-            let clean: Vec<(usize, f64)> =
-                (1..=8).map(|n| (n, r / (mu - n as f64 * l))).collect();
+            let clean = SweepResult {
+                machine: String::new(),
+                program: String::new(),
+                points: (1..=8)
+                    .map(|n| SweepPoint {
+                        n,
+                        total_cycles: r / (mu - n as f64 * l),
+                        work_cycles: 0.0,
+                        stall_cycles: 0.0,
+                        llc_misses: r,
+                        makespan: 0.0,
+                    })
+                    .collect(),
+            };
             let spec = FaultSpec { drop, jitter, garbage, zero, seed };
-            let sweep = spec.injector().corrupt_sweep(&clean);
             let proto = FitProtocol::intel_uma();
-            match fit_robust_from_sweep(&proto, &sweep, r, &RobustOptions::default()) {
-                Ok(fit) => {
+            match fit_sweep(&proto, &clean, Some(spec)) {
+                Ok((fit, _)) => {
                     let m = fit.model.mm1();
                     prop_assert!(m.mu().is_finite() && m.mu() > 0.0,
                         "unphysical mu {}", m.mu());
